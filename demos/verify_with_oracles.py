@@ -12,9 +12,10 @@ Three independent checks on one instance:
 
 import numpy as np
 
-from pcattack import (SearchConfig, attack_k_lt_rank, attack_unconstrained,
-                      full_svd, grid_search_angles, random_rank_one,
-                      random_unconstrained, stationarity_residual, synth_gaussian)
+from pcattack import (SearchConfig, attack_rank_one, attack_unconstrained,
+                      full_svd, grid_search_angles, klt_rank_closed_form,
+                      random_rank_one, random_unconstrained, stationarity_residual,
+                      synth_gaussian)
 
 x = synth_gaussian(5, 5, seed=29)
 svd = full_svd(x)
@@ -26,9 +27,11 @@ print(f"instance: 5x5 Gaussian, k={k}, sigma_k={sigma_k:.5f}, "
 
 cfg = SearchConfig(trials=20_000, seed=7, grid_resolution=400, refine_steps=3)
 
-attack, cf = attack_k_lt_rank(x, k, eta)
+_, r1_report = attack_rank_one(x, k, eta)
+cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
 _, best_r1 = random_rank_one(x, k, eta, cfg)
-print(f"rank-one closed form: theta* = {cf.theta_star:.9f}")
+print(f"rank-one closed form: theta* = {cf.theta_star:.9f} "
+      f"(achieved by re-running PCA: {r1_report.theta_achieved:.9f})")
 print(f"best of {cfg.trials} random rank-one attacks: {best_r1:.9f} "
       f"(margin {cf.theta_star - best_r1:+.2e})")
 

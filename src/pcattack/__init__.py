@@ -23,8 +23,7 @@ from .oracle import (SearchConfig, brute_force_principal_angles,
 from .pcr import (PcrModel, RegressionReport, attack_pcr, fit_pcr,
                   load_feature_csv, r_squared, synthetic_collinear,
                   write_regression_csv)
-from .rank_one import (RankOneAttack, RankOneClosedForm, attack_full_rank,
-                       attack_k_lt_rank, attack_low_rank, attack_rank_one,
+from .rank_one import (RankOneAttack, RankOneClosedForm, attack_rank_one,
                        equivalent_solutions, klt_rank_closed_form,
                        theta_from_angles)
 from .report import AttackReport, Regime
@@ -59,9 +58,6 @@ __all__ = [
     "SweepSpec",
     "UndefinedR2",
     "asimov_distance",
-    "attack_full_rank",
-    "attack_k_lt_rank",
-    "attack_low_rank",
     "attack_pcr",
     "attack_rank_one",
     "attack_unconstrained",

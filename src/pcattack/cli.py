@@ -32,7 +32,7 @@ def _cmd_attack(args) -> int:
     else:
         pm, report = attack_unconstrained(x, args.k, args.eta)
         delta = pm.delta
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
     else:
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PcattackError, ValueError, OSError) as exc:
+    except (PcattackError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import format_float, read_matrix_csv
-from .linalg import full_svd
+from .linalg import SvdTriple, as_matrix, check_eta, check_k, full_svd
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
-from .rank_one import attack_rank_one
-from .unconstrained import attack_unconstrained
+from .rank_one import _attack_rank_one
+from .unconstrained import _attack_unconstrained
 
 STRATEGIES = ("r1-opt", "r1-rnd", "wr-opt", "wr-rnd")
 DEFAULT_ETA_RATIOS = tuple(1.2 * i / 50.0 for i in range(1, 51))
@@ -88,7 +88,11 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
 
 def eta_scale(x, k: int) -> float:
     """Budget unit for ratio grids: sigma_k at rank k, else the spectral gap."""
-    svd = full_svd(x)
+    x = as_matrix(x)
+    return _budget_unit(full_svd(x), check_k(k, x.shape))
+
+
+def _budget_unit(svd: SvdTriple, k: int) -> float:
     if svd.rank <= k:
         return float(svd.sigma[k - 1])
     return float(svd.sigma[k - 1] - svd.sigma[k])
@@ -105,13 +109,15 @@ def _sweep_data(spec: SweepSpec) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per (eta ratio, strategy), sorted, with errors recorded inline."""
     x = _sweep_data(spec)
-    scale = eta_scale(x, spec.k)
+    svd = full_svd(x)
+    k = check_k(spec.k, x.shape)
+    scale = _budget_unit(svd, k)
     rows = []
     for ratio in spec.eta_grid:
-        eta = ratio * scale
+        eta = check_eta(ratio * scale)
         for strategy in sorted(spec.strategies):
             try:
-                rows.append(_run_cell(x, spec, strategy, ratio, eta))
+                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta))
             except PcattackError as exc:
                 rows.append(SweepRow(eta_ratio=ratio, strategy=strategy,
                                      theta=None, theta_predicted=None,
@@ -121,19 +127,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _run_cell(x, spec: SweepSpec, strategy: str, ratio: float, eta: float) -> SweepRow:
-    if strategy == "r1-opt":
-        _, report = attack_rank_one(x, spec.k, eta)
-        return SweepRow(ratio, strategy, report.theta_achieved,
-                        report.theta_predicted, report.budget_used)
-    if strategy == "wr-opt":
-        _, report = attack_unconstrained(x, spec.k, eta)
+def _run_cell(x, svd: SvdTriple, k: int, spec: SweepSpec, strategy: str,
+              ratio: float, eta: float) -> SweepRow:
+    # The closed forms read the sweep's one factorization; the oracles factor
+    # on their own so they stay independent of it.
+    if strategy in ("r1-opt", "wr-opt"):
+        solve = _attack_rank_one if strategy == "r1-opt" else _attack_unconstrained
+        _, report = solve(x, svd, k, eta)
         return SweepRow(ratio, strategy, report.theta_achieved,
                         report.theta_predicted, report.budget_used)
     if strategy == "r1-rnd":
-        attack, theta = random_rank_one(x, spec.k, eta, spec.oracle_cfg)
+        attack, theta = random_rank_one(x, k, eta, spec.oracle_cfg)
         return SweepRow(ratio, strategy, theta, None, attack.budget_used)
-    attack, theta = random_unconstrained(x, spec.k, eta, spec.oracle_cfg)
+    attack, theta = random_unconstrained(x, k, eta, spec.oracle_cfg)
     return SweepRow(ratio, strategy, theta, None, attack.fro_norm)
 
 

@@ -6,6 +6,8 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +29,51 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def check_eta(eta) -> float:
+    """The energy budget as a float; finite and nonnegative or ValueError."""
+    eta = float(eta)
+    if not math.isfinite(eta) or eta < 0.0:
+        raise ValueError(f"energy budget must be finite and >= 0, got {eta}")
+    return eta
+
+
+def check_k(k, shape: tuple[int, int]) -> int:
+    """The subspace dimension as an int with 1 <= k <= min(d, n).
+
+    Anything ``operator.index`` rejects, or an out-of-range value, raises
+    InvalidDimension.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidDimension(f"k must be an integer, got {k!r}") from None
+    p = min(shape)
+    if not 1 <= k <= p:
+        raise InvalidDimension(f"k must satisfy 1 <= k <= min(d, n)={p}, got {k}")
+    return k
+
+
+def check_attack(x, k, eta) -> tuple[np.ndarray, int, float]:
+    """Validated ``(matrix, k, eta)`` for an attack on the k-dim PCA subspace."""
+    x = as_matrix(x)
+    eta = check_eta(eta)
+    return x, check_k(k, x.shape), eta
+
+
 @dataclass(frozen=True)
 class SvdTriple:
-    """Full SVD factors with nonincreasing singular values.
+    """Thin SVD factors with nonincreasing singular values.
 
-    Signs are canonicalized: each left singular vector has its
-    largest-magnitude entry positive, with the paired right vector flipped to
-    preserve the product, so repeated factorizations are bit-identical.
+    With ``p = min(d, n)``, ``u`` is d x p and ``v`` is n x p, both with
+    orthonormal columns.  Signs are canonicalized: each left singular
+    vector has its largest-magnitude entry positive, with the paired right
+    vector flipped to preserve the product, so repeated factorizations are
+    bit-identical.
     """
 
-    u: np.ndarray           # d x d orthogonal
-    sigma: np.ndarray       # min(d, n) nonnegative, nonincreasing
-    v: np.ndarray           # n x n orthogonal
+    u: np.ndarray           # d x p, orthonormal columns
+    sigma: np.ndarray       # p nonnegative, nonincreasing
+    v: np.ndarray           # n x p, orthonormal columns
     rank_tol: float = RANK_TOL
 
     @property
@@ -49,10 +84,7 @@ class SvdTriple:
         return int(np.count_nonzero(self.sigma > self.rank_tol * self.sigma[0]))
 
     def reconstruct(self) -> np.ndarray:
-        d, n = self.u.shape[0], self.v.shape[0]
-        s = np.zeros((d, n))
-        s[: self.sigma.size, : self.sigma.size] = np.diag(self.sigma)
-        return self.u @ s @ self.v.T
+        return (self.u * self.sigma) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -94,26 +126,31 @@ def _as_basis(b) -> OrthonormalBasis:
 
 
 def full_svd(m, rank_tol: float = RANK_TOL) -> SvdTriple:
-    """Full SVD of a finite matrix, with deterministic sign choices.
+    """Thin SVD of a finite matrix, with deterministic sign choices.
 
-    Raises InvalidMatrix on non-finite input.
+    Returns d x p and n x p factors, ``p = min(d, n)``.  Raises
+    InvalidMatrix on non-finite input.
     """
     m = as_matrix(m)
-    u, sigma, vt = np.linalg.svd(m, full_matrices=True)
-    v = vt.T
-    d, n = m.shape
-    p = min(d, n)
-    for i in range(d):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0.0:
-            u[:, i] = -u[:, i]
-            if i < p:
-                v[:, i] = -v[:, i]
-    for i in range(p, n):
-        j = int(np.argmax(np.abs(v[:, i])))
-        if v[j, i] < 0.0:
-            v[:, i] = -v[:, i]
-    return SvdTriple(u=u, sigma=sigma, v=v, rank_tol=rank_tol)
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    cols = np.arange(sigma.size)
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0.0, -1.0, 1.0)
+    return SvdTriple(u=u * signs, sigma=sigma, v=vt.T * signs, rank_tol=rank_tol)
+
+
+def complement_direction(u: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the columns of ``u`` (d x p, p < d).
+
+    Projects the span of ``u`` out of the coordinate axis with the smallest
+    row norm of ``u`` (at least ``1 - p/d`` of it remains), twice for
+    orthogonality to working precision.  Costs O(dp); deterministic.
+    """
+    i = int(np.argmin(np.einsum("ij,ij->i", u, u)))
+    w = np.zeros(u.shape[0])
+    w[i] = 1.0
+    for _ in range(2):
+        w -= u @ (u.T @ w)
+    return w / np.linalg.norm(w)
 
 
 def leading_subspace(m, k: int, tie_tol: float = TIE_TOL) -> OrthonormalBasis:
@@ -131,8 +168,7 @@ def _leading_from_svd(svd: SvdTriple, k: int, tie_tol: float = TIE_TOL) -> Ortho
     d = svd.u.shape[0]
     n = svd.v.shape[0]
     p = min(d, n)
-    if not 1 <= k <= p:
-        raise InvalidDimension(f"k must satisfy 1 <= k <= min(d, n)={p}, got {k}")
+    k = check_k(k, (d, n))
     sigma = svd.sigma
     if k < p:
         next_sigma = sigma[k]
@@ -197,11 +233,12 @@ def compress_rank_one_problem(x, k: int, a, b) -> tuple[np.ndarray, np.ndarray, 
     """Reduce a rank-one attack on a rank-k matrix to k+1 dimensions.
 
     Rotates into the SVD coordinates of ``x`` and collapses the tail
-    components of ``a`` and ``b`` to single coordinates carrying their
-    signed norms (a Householder reflection fixes the head coordinates and
-    maps each tail onto its first axis).  Returns ``(sigma_tilde, a_c, b_c)``
-    where ``sigma_tilde`` is the (k+1) x (k+1) diagonal core; the Asimov
-    distance of the compressed attack problem equals the original one.
+    components of ``a`` and ``b`` (their residuals off the leading k
+    singular vectors) to single coordinates carrying their signed norms (a
+    Householder reflection fixes the head coordinates and maps each tail
+    onto its first axis).  Returns ``(sigma_tilde, a_c, b_c)`` where
+    ``sigma_tilde`` is the (k+1) x (k+1) diagonal core; the Asimov distance
+    of the compressed attack problem equals the original one.
     """
     x = as_matrix(x)
     d, n = x.shape
@@ -215,18 +252,15 @@ def compress_rank_one_problem(x, k: int, a, b) -> tuple[np.ndarray, np.ndarray, 
     if svd.rank != k:
         raise RankMismatch(f"numerical rank is {svd.rank}, expected {k}")
 
-    a_rot = svd.u.T @ a
-    b_rot = svd.v.T @ b
-    a_c = np.append(a_rot[:k], _signed_tail_norm(a_rot[k:]))
-    b_c = np.append(b_rot[:k], _signed_tail_norm(b_rot[k:]))
+    a_c = _compress(svd.u, k, a)
+    b_c = _compress(svd.v, k, b)
     sigma_tilde = np.diag(np.append(svd.sigma[:k], 0.0))
     return sigma_tilde, a_c, b_c
 
 
-def _signed_tail_norm(tail: np.ndarray) -> float:
-    # Sign follows the leading tail entry so an already-compressed vector
+def _compress(factor: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
+    # Sign follows the (k+1)-th coordinate so an already-compressed vector
     # maps to itself.
-    if tail.size == 0:
-        return 0.0
-    s = 1.0 if tail[0] >= 0.0 else -1.0
-    return s * float(np.linalg.norm(tail))
+    head = factor[:, :k].T @ vec
+    tail = float(np.linalg.norm(vec - factor[:, :k] @ head))
+    return np.append(head, tail if factor[:, k] @ vec >= 0.0 else -tail)

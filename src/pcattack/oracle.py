@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, OracleTooExpensive
-from .linalg import _as_basis, _leading_from_svd, as_matrix, full_svd
-from .rank_one import RankOneAttack, _check_eta, theta_from_angles
+from .linalg import _as_basis, _leading_from_svd, check_attack, full_svd
+from .rank_one import RankOneAttack, _rotation_angle, theta_from_angles
 from .unconstrained import PerturbationMatrix
 
 _CHUNK = 4096
@@ -88,8 +88,7 @@ def random_rank_one(x, k: int, eta: float, cfg: SearchConfig) -> tuple[RankOneAt
     Each trial draws standard-normal (a, b), normalizes b to unit length and
     rescales a so the perturbation energy equals eta exactly.
     """
-    x = as_matrix(x)
-    eta = _check_eta(eta)
+    x, k, eta = check_attack(x, k, eta)
     d, n = x.shape
     basis = _leading_from_svd(full_svd(x), k).columns
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -119,8 +118,7 @@ def random_rank_one(x, k: int, eta: float, cfg: SearchConfig) -> tuple[RankOneAt
 
 def random_unconstrained(x, k: int, eta: float, cfg: SearchConfig) -> tuple[PerturbationMatrix, float]:
     """Best of ``cfg.trials`` dense Gaussian attacks scaled to energy eta."""
-    x = as_matrix(x)
-    eta = _check_eta(eta)
+    x, k, eta = check_attack(x, k, eta)
     d, n = x.shape
     basis = _leading_from_svd(full_svd(x), k).columns
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -196,15 +194,6 @@ def grid_search_angles(sigma_k: float, sigma_k1: float, eta: float,
     return best
 
 
-def _phi(sigma_k: float, sigma_k1: float, eta: float, alpha: float, beta: float) -> float:
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    ax = (sigma_k**2 - sigma_k1**2 + 2.0 * sigma_k * eta * ca * cb
-          - 2.0 * sigma_k1 * eta * sa * sb + eta**2 * math.cos(2.0 * alpha))
-    ay = 2.0 * eta * (sigma_k * sa * cb + sigma_k1 * ca * sb + eta * ca * sa)
-    return 0.5 * math.atan2(ay, ax)
-
-
 def stationarity_residual(sigma_k: float, sigma_k1: float, eta: float,
                           alpha: float, beta: float, step: float = 1e-5) -> float:
     """Max |central finite difference| of the rotation angle at (alpha, beta).
@@ -213,11 +202,11 @@ def stationarity_residual(sigma_k: float, sigma_k1: float, eta: float,
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    d_alpha = (_phi(sigma_k, sigma_k1, eta, alpha + step, beta)
-               - _phi(sigma_k, sigma_k1, eta, alpha - step, beta)) / (2.0 * step)
-    d_beta = (_phi(sigma_k, sigma_k1, eta, alpha, beta + step)
-              - _phi(sigma_k, sigma_k1, eta, alpha, beta - step)) / (2.0 * step)
-    return max(abs(d_alpha), abs(d_beta))
+    d_alpha = (_rotation_angle(sigma_k, sigma_k1, eta, alpha + step, beta)
+               - _rotation_angle(sigma_k, sigma_k1, eta, alpha - step, beta)) / (2.0 * step)
+    d_beta = (_rotation_angle(sigma_k, sigma_k1, eta, alpha, beta + step)
+              - _rotation_angle(sigma_k, sigma_k1, eta, alpha, beta - step)) / (2.0 * step)
+    return float(max(abs(d_alpha), abs(d_beta)))
 
 
 def _max_on_sphere(g: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]:

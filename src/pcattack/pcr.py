@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, ParseError, SingularFit, UndefinedR2
-from .experiments import eta_scale
+from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
+from .experiments import _budget_unit
 from .fileio import format_float
-from .linalg import as_matrix, full_svd
+from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
-from .rank_one import attack_rank_one
-from .unconstrained import attack_unconstrained
+from .rank_one import _attack_rank_one
+from .unconstrained import _attack_unconstrained
 
 PCR_STRATEGIES = ("rank_one", "unconstrained")
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
@@ -81,12 +81,19 @@ def _fit_on_centered(xc: np.ndarray, means: np.ndarray, targets: np.ndarray,
                     r2_train=r_squared(fitted, targets))
 
 
+def _as_targets(targets, n: int) -> np.ndarray:
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    if targets.size != n:
+        raise InvalidDimension("one target per sample column is required")
+    if not np.all(np.isfinite(targets)):
+        raise InvalidMatrix("targets must be finite")
+    return targets
+
+
 def fit_pcr(features, targets, k: int) -> PcrModel:
     """Center features, keep k leading components, least-squares the targets."""
     features = as_matrix(features)
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    if targets.size != features.shape[1]:
-        raise InvalidDimension("one target per sample column is required")
+    targets = _as_targets(targets, features.shape[1])
     means = features.mean(axis=1)
     return _fit_on_centered(features - means[:, None], means, targets, k)
 
@@ -103,10 +110,8 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     if strategy not in PCR_STRATEGIES:
         raise InvalidDimension(f"strategy must be one of {PCR_STRATEGIES}")
     features = as_matrix(features)
-    targets = np.asarray(targets, dtype=float).reshape(-1)
     n = features.shape[1]
-    if targets.size != n:
-        raise InvalidDimension("one target per sample column is required")
+    targets = _as_targets(targets, n)
     if not 0.0 < split_fraction < 1.0:
         raise InvalidDimension("split_fraction must be in (0, 1)")
     n_train = int(round(split_fraction * n))
@@ -119,18 +124,18 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     x_test, y_test = features[:, test], targets[test]
     means = x_train.mean(axis=1)
     xc = x_train - means[:, None]
-    scale = eta_scale(xc, k)
+    svd = full_svd(xc)
+    k = check_k(k, xc.shape)
+    scale = _budget_unit(svd, k)
 
     reports = []
     for ratio in sorted(float(r) for r in eta_grid):
-        eta = ratio * scale
-        if eta == 0.0:
-            delta = np.zeros_like(xc)
-        elif strategy == "rank_one":
-            attack, _ = attack_rank_one(xc, k, eta)
+        eta = check_eta(ratio * scale)
+        if strategy == "rank_one":
+            attack, _ = _attack_rank_one(xc, svd, k, eta)
             delta = attack.delta
         else:
-            pm, _ = attack_unconstrained(xc, k, eta)
+            pm, _ = _attack_unconstrained(xc, svd, k, eta)
             delta = pm.delta
         model = _fit_on_centered(xc + delta, means, y_train, k)
         reports.append(RegressionReport(

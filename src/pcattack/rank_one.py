@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, NoOrthogonalComplement, RegimeError
-from .linalg import SvdTriple, _leading_from_svd, as_matrix, asimov_distance, full_svd
-from .report import AttackReport, Regime
+from .errors import NoOrthogonalComplement, RegimeError
+from .linalg import SvdTriple, check_attack, complement_direction, full_svd
+from .report import AttackReport, Regime, build_report
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,21 @@ class RankOneClosedForm:
     sigma_k1: float
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 0.0:
-        raise ValueError(f"energy budget must be finite and >= 0, got {eta}")
-    return eta
+def _rotation_angle(sigma_k: float, sigma_k1: float, eta: float, alpha, beta):
+    """Signed rotation of the k-th principal direction, in [-pi/2, pi/2].
+
+    The two-coordinate attack leaves a symmetric 2 x 2 block in the
+    (u_k, u_{k+1}) plane whose leading eigenvector sits at angle
+    ``atan2(ay, ax) / 2``; its magnitude is the subspace distance.
+    """
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    ax = (sigma_k**2 - sigma_k1**2
+          + 2.0 * sigma_k * eta * ca * cb
+          - 2.0 * sigma_k1 * eta * sa * sb
+          + eta**2 * np.cos(2.0 * np.asarray(alpha)))
+    ay = 2.0 * eta * (sigma_k * sa * cb + sigma_k1 * ca * sb + eta * ca * sa)
+    return 0.5 * np.arctan2(ay, ax)
 
 
 def theta_from_angles(sigma_k: float, sigma_k1: float, eta: float,
@@ -71,14 +81,7 @@ def theta_from_angles(sigma_k: float, sigma_k1: float, eta: float,
     plane and ``beta`` the row ``b`` in the (v_k, v_{k+1}) plane.  Accepts
     scalars or broadcasting arrays.
     """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    ax = (sigma_k**2 - sigma_k1**2
-          + 2.0 * sigma_k * eta * ca * cb
-          - 2.0 * sigma_k1 * eta * sa * sb
-          + eta**2 * np.cos(2.0 * np.asarray(alpha)))
-    ay = 2.0 * eta * (sigma_k * sa * cb + sigma_k1 * ca * sb + eta * ca * sa)
-    theta = np.arccos(np.abs(np.cos(0.5 * np.arctan2(ay, ax))))
+    theta = np.abs(_rotation_angle(sigma_k, sigma_k1, eta, alpha, beta))
     return float(theta) if np.isscalar(alpha) and np.isscalar(beta) else theta
 
 
@@ -98,6 +101,9 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
     H is evaluated in the factored form
     ``((sigma_k + sigma_k1)^2 - eta^2) * ((sigma_k - sigma_k1)^2 - eta^2)``,
     which is exact and avoids cancellation near both regime boundaries.
+    ``cos^2(alpha*) = (gap2 + eta^2 - sqrt(H)) / (2 gap2)`` is evaluated
+    rationalized, as ``2 eta^2 sigma_k^2 / (gap2 (gap2 + eta^2 + sqrt(H)))``,
+    so a tiny budget keeps its relative accuracy.
     """
     H = ((sigma_k + sigma_k1) ** 2 - eta**2) * ((sigma_k - sigma_k1) ** 2 - eta**2)
     gap2 = sigma_k**2 - sigma_k1**2
@@ -106,7 +112,7 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
     if H < 0.0:
         raise RegimeError("closed form requires eta < sigma_k - sigma_{k+1}")
     root = math.sqrt(H)
-    cos2_alpha = (gap2 + eta**2 - root) / (2.0 * gap2)
+    cos2_alpha = 2.0 * eta**2 * sigma_k**2 / (gap2 * (gap2 + eta**2 + root))
     cos2_beta = (gap2 + eta**2 + root) / (2.0 * gap2)
     alpha = math.acos(math.sqrt(min(max(cos2_alpha, 0.0), 1.0)))
     beta = math.acos(-math.sqrt(min(max(cos2_beta, 0.0), 1.0)))
@@ -115,160 +121,77 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
                              theta_star=theta, sigma_k=sigma_k, sigma_k1=sigma_k1)
 
 
-def attack_full_rank(x, eta: float) -> RankOneAttack:
-    """Optimal rank-one attack when the data has full column rank and k = n.
-
-    Raises NoOrthogonalComplement when d = n and eta > 0 (every direction
-    lies in the column space, so the spectrum cannot be bent outward).
-    """
-    x = as_matrix(x)
-    eta = _check_eta(eta)
-    d, n = x.shape
-    svd = full_svd(x)
-    if n > d or svd.rank != n:
-        raise RegimeError(f"matrix is not full column rank: rank={svd.rank}, n={n}")
-    sigma_n = float(svd.sigma[-1])
-    u_n = svd.u[:, n - 1]
-    b = svd.v[:, n - 1].copy()
-    if eta == 0.0:
-        return RankOneAttack(a=np.zeros(d), b=b, regime=Regime.FULL_RANK_CASE2)
-    if d == n:
-        raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    if eta > sigma_n:
-        a_hat = math.sqrt(eta**2 - sigma_n**2)
-        a = -sigma_n * u_n + a_hat * svd.u[:, n]
-        return RankOneAttack(a=a, b=b, regime=Regime.FULL_RANK_CASE1)
-    ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_n) ** 2))
-    a = -(eta**2 / sigma_n) * u_n + ortho * svd.u[:, n]
-    return RankOneAttack(a=a, b=b, regime=Regime.FULL_RANK_CASE2)
-
-
-def attack_low_rank(x, eta: float) -> RankOneAttack:
-    """Optimal rank-one attack on rank-deficient data with k = rank."""
-    x = as_matrix(x)
-    eta = _check_eta(eta)
-    d, n = x.shape
-    svd = full_svd(x)
-    k = svd.rank
-    if k == 0 or k >= min(d, n):
-        raise RegimeError(f"rank {k} of a {d}x{n} matrix is not in the low-rank regime")
-    sigma_k = float(svd.sigma[k - 1])
-    if eta == 0.0:
-        return RankOneAttack(a=np.zeros(d), b=svd.v[:, k - 1].copy(),
-                             regime=Regime.LOW_RANK_CASE2)
-    if eta > sigma_k:
-        # All budget on a fresh direction orthogonal to the column space.
-        return RankOneAttack(a=eta * svd.u[:, k], b=svd.v[:, k].copy(),
-                             regime=Regime.LOW_RANK_CASE1)
-    ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
-    a = -(eta**2 / sigma_k) * svd.u[:, k - 1] + ortho * svd.u[:, k]
-    return RankOneAttack(a=a, b=svd.v[:, k - 1].copy(), regime=Regime.LOW_RANK_CASE2)
-
-
-def attack_k_lt_rank(x, k: int, eta: float) -> tuple[RankOneAttack, RankOneClosedForm]:
-    """Optimal rank-one attack when k is strictly below the numerical rank.
-
-    Below the spectral-gap threshold the attack mixes the k-th and
-    (k+1)-th singular directions at the stationary angles (alpha*, beta*);
-    at or above it, all budget lands on the (k+1)-th pair and the distance
-    saturates at pi/2.
-    """
-    x = as_matrix(x)
-    eta = _check_eta(eta)
-    svd = full_svd(x)
-    if not 1 <= k < svd.rank:
-        raise RegimeError(f"need 1 <= k < rank={svd.rank}, got k={k}")
-    sigma_k = float(svd.sigma[k - 1])
-    sigma_k1 = float(svd.sigma[k])
-    gap = sigma_k - sigma_k1
-    u_k, u_k1 = svd.u[:, k - 1], svd.u[:, k]
-    v_k, v_k1 = svd.v[:, k - 1], svd.v[:, k]
-
-    if eta == 0.0:
-        cf = RankOneClosedForm(alpha_star=math.pi / 2, beta_star=math.pi,
-                               H=(sigma_k + sigma_k1) ** 2 * gap**2,
-                               theta_star=0.0, sigma_k=sigma_k, sigma_k1=sigma_k1)
-        attack = RankOneAttack(a=np.zeros(x.shape[0]), b=-v_k,
-                               regime=Regime.K_LT_RANK_CASE2)
-        return attack, cf
-
-    if eta >= gap:
-        # Boundary equality included: the construction then yields a tied
-        # perturbed spectrum and the report is flagged downstream.
-        cf = RankOneClosedForm(alpha_star=math.pi / 2, beta_star=math.pi / 2,
-                               H=((sigma_k + sigma_k1) ** 2 - eta**2) * (gap**2 - eta**2),
-                               theta_star=math.pi / 2,
-                               sigma_k=sigma_k, sigma_k1=sigma_k1)
-        attack = RankOneAttack(a=eta * u_k1, b=v_k1.copy(), regime=Regime.K_LT_RANK_CASE1)
-        return attack, cf
-
-    cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
-    a = eta * (math.cos(cf.alpha_star) * u_k + math.sin(cf.alpha_star) * u_k1)
-    b = math.cos(cf.beta_star) * v_k + math.sin(cf.beta_star) * v_k1
-    attack = RankOneAttack(a=a, b=b, regime=Regime.K_LT_RANK_CASE2)
-    return attack, cf
-
-
-def predicted_theta(regime: Regime, sigma: np.ndarray, k: int, eta: float,
-                    closed_form: RankOneClosedForm | None = None) -> float:
-    """Optimal subspace distance promised by the chosen regime."""
-    if regime in (Regime.FULL_RANK_CASE1, Regime.LOW_RANK_CASE1, Regime.K_LT_RANK_CASE1):
-        return math.pi / 2
-    if regime == Regime.K_LT_RANK_CASE2:
-        assert closed_form is not None
-        return closed_form.theta_star
-    scale = float(sigma[k - 1])
-    if scale <= 0.0:
-        return 0.0
-    return math.asin(min(1.0, eta / scale))
-
-
 def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]:
     """Dispatch to the applicable rank-one regime and report the outcome.
 
     The report's ``theta_achieved`` re-runs PCA on ``x + a b^T``; its
     ``ambiguous_subspace`` flag is set when either truncation was degenerate.
     """
-    x = as_matrix(x)
-    eta = _check_eta(eta)
-    d, n = x.shape
-    if not 1 <= k <= min(d, n):
-        raise InvalidDimension(f"k must satisfy 1 <= k <= min(d, n), got {k}")
-    svd = full_svd(x)
-    rank = svd.rank
-    closed_form = None
-    if k < rank:
-        attack, closed_form = attack_k_lt_rank(x, k, eta)
-    elif k == rank and rank == n and n <= d:
-        attack = attack_full_rank(x, eta)
-    elif k == rank and rank < min(d, n):
-        attack = attack_low_rank(x, eta)
-    else:
-        raise RegimeError(
-            f"no attack regime for k={k} with rank={rank} on a {d}x{n} matrix")
+    x, k, eta = check_attack(x, k, eta)
+    return _attack_rank_one(x, full_svd(x), k, eta)
 
-    theta_pred = predicted_theta(attack.regime, svd.sigma, k, eta, closed_form)
+
+def _attack_rank_one(x: np.ndarray, svd: SvdTriple, k: int,
+                     eta: float) -> tuple[RankOneAttack, AttackReport]:
+    """``attack_rank_one`` on validated input, reading its factorization ``svd``."""
+    attack, theta_predicted = _solve_rank_one(svd, k, eta)
     report = build_report("rank_one", attack.regime, x, svd, k, eta,
-                          attack.delta, theta_pred,
+                          attack.delta, theta_predicted,
                           solution={"a": attack.a, "b": attack.b})
     return attack, report
 
 
-def build_report(strategy: str, regime: Regime, x: np.ndarray, svd: SvdTriple,
-                 k: int, eta: float, delta: np.ndarray, theta_predicted: float,
-                 solution: dict) -> AttackReport:
-    basis_before = _leading_from_svd(svd, k)
-    basis_after = _leading_from_svd(full_svd(x + delta), k)
-    theta_achieved = asimov_distance(basis_before, basis_after)
-    return AttackReport(
-        strategy=strategy,
-        regime=regime,
-        k=k,
-        eta=eta,
-        sigma=svd.sigma.copy(),
-        theta_predicted=theta_predicted,
-        theta_achieved=theta_achieved,
-        budget_used=float(np.linalg.norm(delta)),
-        ambiguous_subspace=basis_before.ambiguous or basis_after.ambiguous,
-        solution=solution,
-    )
+def _solve_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[RankOneAttack, float]:
+    """Regime, attack vectors and predicted distance from at most two singular pairs.
+
+    For k below the rank, the attack mixes the k-th and (k+1)-th singular
+    directions at the stationary angles (alpha*, beta*) below the spectral
+    gap; at or above it, all budget lands on the (k+1)-th pair and the
+    distance saturates at pi/2.  For k equal to the rank (rank-deficient
+    data, or full column rank with k = n <= d), the k-th direction bends
+    toward a direction outside the column space by arcsin(eta / sigma_k),
+    and past sigma_k the distance is pi/2.
+    """
+    d, n = svd.u.shape[0], svd.v.shape[0]
+    rank = svd.rank
+    sigma_k = float(svd.sigma[k - 1])
+    u_k, v_k = svd.u[:, k - 1], svd.v[:, k - 1]
+    if k < rank:
+        sigma_k1 = float(svd.sigma[k])
+        u_k1, v_k1 = svd.u[:, k], svd.v[:, k]
+        if eta >= sigma_k - sigma_k1:
+            # Boundary equality included: the construction then yields a tied
+            # perturbed spectrum and the report is flagged downstream.
+            return (RankOneAttack(a=eta * u_k1, b=v_k1.copy(), regime=Regime.K_LT_RANK_CASE1),
+                    math.pi / 2)
+        cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
+        a = eta * (math.cos(cf.alpha_star) * u_k + math.sin(cf.alpha_star) * u_k1)
+        b = math.cos(cf.beta_star) * v_k + math.sin(cf.beta_star) * v_k1
+        return RankOneAttack(a=a, b=b, regime=Regime.K_LT_RANK_CASE2), cf.theta_star
+
+    if k != rank or rank == d < n:
+        raise RegimeError(
+            f"no attack regime for k={k} with rank={rank} on a {d}x{n} matrix")
+    low_rank = rank < min(d, n)
+    if low_rank:
+        outside = svd.u[:, k]
+    elif d > n:
+        outside = complement_direction(svd.u)
+    elif eta == 0.0:
+        outside = np.zeros(d)   # the zero attack needs no direction off the column space
+    else:
+        raise NoOrthogonalComplement("d = n: no direction leaves the column space")
+
+    if eta > sigma_k:
+        if low_rank:
+            # All budget on a fresh direction orthogonal to the column space.
+            attack = RankOneAttack(a=eta * outside, b=svd.v[:, k].copy(),
+                                   regime=Regime.LOW_RANK_CASE1)
+        else:
+            a = -sigma_k * u_k + math.sqrt(eta**2 - sigma_k**2) * outside
+            attack = RankOneAttack(a=a, b=v_k.copy(), regime=Regime.FULL_RANK_CASE1)
+        return attack, math.pi / 2
+    ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
+    a = -(eta**2 / sigma_k) * u_k + ortho * outside
+    regime = Regime.LOW_RANK_CASE2 if low_rank else Regime.FULL_RANK_CASE2
+    return RankOneAttack(a=a, b=v_k.copy(), regime=regime), math.asin(eta / sigma_k)

@@ -1,4 +1,5 @@
-"""Attack outcome containers shared by the closed-form strategies."""
+"""Attack outcome containers and the report builder shared by the closed-form
+strategies."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .linalg import SvdTriple, _leading_from_svd, asimov_distance, full_svd
 
 
 class Regime(str, Enum):
@@ -64,3 +67,27 @@ class AttackReport:
             "solution": solution,
             "ambiguous_subspace": bool(self.ambiguous_subspace),
         }
+
+
+def build_report(strategy: str, regime: Regime, x: np.ndarray, svd: SvdTriple,
+                 k: int, eta: float, delta: np.ndarray, theta_predicted: float,
+                 solution: dict) -> AttackReport:
+    """Report an attack on ``x``, whose factorization ``svd`` the attack read.
+
+    ``theta_achieved`` comes from an independent PCA of ``x + delta``, never
+    from the clean factors, so it checks the closed form end to end.
+    """
+    basis_before = _leading_from_svd(svd, k)
+    basis_after = _leading_from_svd(full_svd(x + delta), k)
+    return AttackReport(
+        strategy=strategy,
+        regime=regime,
+        k=k,
+        eta=eta,
+        sigma=svd.sigma.copy(),
+        theta_predicted=theta_predicted,
+        theta_achieved=asimov_distance(basis_before, basis_after),
+        budget_used=float(np.linalg.norm(delta)),
+        ambiguous_subspace=basis_before.ambiguous or basis_after.ambiguous,
+        solution=solution,
+    )

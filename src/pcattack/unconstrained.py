@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, RegimeError
-from .linalg import SvdTriple, as_matrix, full_svd
-from .rank_one import _check_eta, build_report
-from .report import AttackReport, Regime
+from .linalg import SvdTriple, check_attack, full_svd
+from .report import AttackReport, Regime, build_report
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,20 @@ def paired_entries(entries) -> np.ndarray:
 
 
 def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
-    """Place the four canonical entries and conjugate back to data space."""
+    """Place the four canonical entries and conjugate back to data space.
+
+    Only the k-th and (k+1)-th singular pairs are read: the result is
+    ``U[:, k-1:k+1] @ B2 @ V[:, k-1:k+1].T`` for the 2 x 2 block ``B2``.
+    """
     entries = np.asarray(entries, dtype=float).reshape(-1)
     if entries.size != 4:
         raise InvalidDimension("expected exactly four canonical entries")
     d, n = svd.u.shape[0], svd.v.shape[0]
     if k + 1 > min(d, n):
         raise InvalidDimension(f"entries at row/col {k + 1} do not fit a {d}x{n} matrix")
-    b = np.zeros((d, n))
-    b[k - 1, k - 1] = entries[0]
-    b[k, k - 1] = entries[1]
-    b[k - 1, k] = entries[2]
-    b[k, k] = entries[3]
-    delta = svd.u @ b @ svd.v.T
+    b2 = np.array([[entries[0], entries[2]],
+                   [entries[1], entries[3]]])
+    delta = svd.u[:, k - 1:k + 1] @ b2 @ svd.v[:, k - 1:k + 1].T
     return PerturbationMatrix(delta=delta, canonical_b=entries.copy(),
                               fro_norm=float(np.linalg.norm(entries)))
 
@@ -137,40 +137,34 @@ def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, Att
     spectrum), sigma_{k+1} is treated as exactly zero, which reduces the
     chain to the rank-deficient setting.
     """
-    x = as_matrix(x)
-    eta = _check_eta(eta)
+    x, k, eta = check_attack(x, k, eta)
+    return _attack_unconstrained(x, full_svd(x), k, eta)
+
+
+def _attack_unconstrained(x: np.ndarray, svd: SvdTriple, k: int,
+                          eta: float) -> tuple[PerturbationMatrix, AttackReport]:
+    """``attack_unconstrained`` on validated input, reading its factorization ``svd``."""
     d, n = x.shape
-    if not 1 <= k <= min(d, n):
-        raise InvalidDimension(f"k must satisfy 1 <= k <= min(d, n), got {k}")
     if k + 1 > min(d, n):
         raise InvalidDimension(
             f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
-    svd = full_svd(x)
     sigma_k = float(svd.sigma[k - 1])
     sigma_k1 = 0.0 if k >= svd.rank else float(svd.sigma[k])
+    threshold = (sigma_k - sigma_k1) / math.sqrt(2.0)
 
     if eta == 0.0:
-        pm = PerturbationMatrix(delta=np.zeros((d, n)),
-                                canonical_b=np.zeros(4), fro_norm=0.0)
-        report = build_report("unconstrained", Regime.UNCONSTRAINED_CASE2, x, svd,
-                              k, eta, pm.delta, 0.0, solution={"entries": pm.canonical_b})
-        return pm, report
-
-    threshold = (sigma_k - sigma_k1) / math.sqrt(2.0)
-    if eta >= threshold:
+        # The feasibility chain needs eta > 0; the zero attack is exact.
+        entries, regime, theta = np.zeros(4), Regime.UNCONSTRAINED_CASE2, 0.0
+    elif eta >= threshold:
         entries = np.array([-eta / math.sqrt(2.0), 0.0, 0.0, eta / math.sqrt(2.0)])
-        pm = lift_to_data_space(entries, svd, k)
-        report = build_report("unconstrained", Regime.UNCONSTRAINED_CASE1, x, svd,
-                              k, eta, pm.delta, math.pi / 2,
-                              solution={"entries": entries})
-        if eta == threshold or sigma_k == sigma_k1:
-            report.ambiguous_subspace = True
-        return pm, report
-
-    ci = closed_form_lambda(sigma_k, sigma_k1, eta)
-    entries = recover_entries(ci, sigma_k, sigma_k1)
+        regime, theta = Regime.UNCONSTRAINED_CASE1, math.pi / 2
+    else:
+        ci = closed_form_lambda(sigma_k, sigma_k1, eta)
+        entries = recover_entries(ci, sigma_k, sigma_k1)
+        regime, theta = Regime.UNCONSTRAINED_CASE2, ci.theta_star
     pm = lift_to_data_space(entries, svd, k)
-    report = build_report("unconstrained", Regime.UNCONSTRAINED_CASE2, x, svd,
-                          k, eta, pm.delta, ci.theta_star,
+    report = build_report("unconstrained", regime, x, svd, k, eta, pm.delta, theta,
                           solution={"entries": entries})
+    if regime == Regime.UNCONSTRAINED_CASE1 and (eta == threshold or sigma_k == sigma_k1):
+        report.ambiguous_subspace = True
     return pm, report

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, spearman
 
-from pcattack import (SweepSpec, attack_k_lt_rank, attack_pcr, attack_rank_one,
+from pcattack import (SweepSpec, attack_pcr, attack_rank_one,
                       attack_unconstrained, closed_form_lambda, full_svd,
                       klt_rank_closed_form, lift_to_data_space, paired_entries,
                       pca_distance, recover_entries, run_sweep, synth_gaussian,

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pcattack import read_matrix_csv, synth_low_rank, write_matrix_csv
+from pcattack import (read_matrix_csv, synth_low_rank, synthetic_collinear,
+                      write_matrix_csv)
 from pcattack.cli import main
 
 
@@ -76,6 +77,16 @@ class TestAttackCommand:
         assert main(["attack", str(tmp_path / "nope.csv"), "--k", "2",
                      "--eta", "0.5"]) == 2
 
+    def test_overflowing_budget_exits_2(self, low_rank_csv, tmp_path):
+        tall = tmp_path / "tall.csv"
+        write_matrix_csv(tall, np.random.default_rng(1).standard_normal((6, 3)))
+        out = tmp_path / "r.json"
+        for path, k in ((low_rank_csv, "2"), (low_rank_csv, "3"), (tall, "3")):
+            for strategy in ("rank_one", "unconstrained"):
+                code = main(["attack", str(path), "--k", k, "--eta", "1e200",
+                             "--strategy", strategy, "--out", str(out)])
+                assert code == 2
+
     def test_unknown_flag_exits_2(self, low_rank_csv):
         assert main(["attack", str(low_rank_csv), "--k", "3", "--eta", "0.5",
                      "--frobulate"]) == 2
@@ -133,6 +144,14 @@ class TestPcrCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["pcr", str(tmp_path / "nothing.csv"), "--k", "4",
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_non_finite_target_exits_2(self, tmp_path):
+        features, targets = synthetic_collinear(seed=0)
+        targets[5] = np.nan
+        path = tmp_path / "f.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in np.column_stack([features.T, targets])))
+        assert main(["pcr", str(path), "--k", "4", "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_no_data_source_exits_2(self, tmp_path):
         assert main(["pcr", "--k", "4", "--out", str(tmp_path / "o.csv")]) == 2

@@ -6,6 +6,7 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
+from pcattack.linalg import complement_direction
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -49,9 +50,26 @@ class TestFullSvd:
         for seed, shape in [(0, (5, 3)), (1, (3, 7)), (2, (6, 6))]:
             x = np.random.default_rng(seed).standard_normal(shape)
             svd = full_svd(x)
-            assert np.max(np.abs(svd.u.T @ svd.u - np.eye(shape[0]))) < 1e-10
-            assert np.max(np.abs(svd.v.T @ svd.v - np.eye(shape[1]))) < 1e-10
+            p = min(shape)
+            assert np.max(np.abs(svd.u.T @ svd.u - np.eye(p))) < 1e-10
+            assert np.max(np.abs(svd.v.T @ svd.v - np.eye(p))) < 1e-10
             assert np.all(np.diff(svd.sigma) <= 0)
+
+
+class TestComplementDirection:
+    def test_unit_and_orthogonal(self):
+        rng = np.random.default_rng(6)
+        eye = np.eye(6)
+        # random columns, and columns that contain coordinate axes
+        for u in (random_basis(rng, 6, 3), random_basis(rng, 200, 40),
+                  eye[:, :5], eye[:, [0, 2, 4]] @ random_orthogonal(rng, 3)):
+            w = complement_direction(u)
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+            assert np.max(np.abs(u.T @ w)) < 1e-14
+
+    def test_deterministic(self):
+        u = random_basis(np.random.default_rng(8), 9, 4)
+        assert np.array_equal(complement_direction(u), complement_direction(u))
 
 
 class TestLeadingSubspace:
@@ -134,7 +152,7 @@ class TestCompression:
     def test_identity_when_already_compressed(self):
         x = np.diag([3.0, 2.0, 0.0, 0.0])[:, :3]  # 4x3, rank 2
         svd = full_svd(x)
-        a = svd.u @ np.array([0.5, -0.2, 0.7, 0.0])
+        a = svd.u @ np.array([0.5, -0.2, 0.7])
         b = svd.v @ np.array([0.1, 0.3, -0.4])
         _, a_c, b_c = compress_rank_one_problem(x, 2, a, b)
         assert np.allclose(a_c, [0.5, -0.2, 0.7], atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_basis
 
-from pcattack import (OracleTooExpensive, attack_k_lt_rank, closed_form_lambda,
+from pcattack import (OracleTooExpensive, attack_rank_one, closed_form_lambda,
                       klt_rank_closed_form, principal_angles)
 from pcattack.oracle import (SearchConfig, brute_force_principal_angles,
                              grid_search_angles, portable_normal,
@@ -194,6 +194,6 @@ class TestOracleDominance:
             x = rng.standard_normal((5, 5))
             sigma = np.linalg.svd(x, compute_uv=False)
             eta = 0.5 * (sigma[2] - sigma[3])
-            _, cf = attack_k_lt_rank(x, 3, eta)
+            _, report = attack_rank_one(x, 3, eta)
             _, best = random_rank_one(x, 3, eta, cfg)
-            assert best <= cf.theta_star + 1e-6
+            assert best <= report.theta_predicted + 1e-6

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, spearman
 
-from pcattack import (InvalidDimension, ParseError, UndefinedR2, attack_pcr,
-                      fit_pcr, full_svd, load_feature_csv, r_squared,
-                      synthetic_collinear)
+from pcattack import (InvalidDimension, InvalidMatrix, ParseError, UndefinedR2,
+                      attack_pcr, fit_pcr, full_svd, load_feature_csv,
+                      r_squared, synthetic_collinear)
 from pcattack.pcr import DEFAULT_ETA_RATIOS
 
 
@@ -120,6 +120,17 @@ class TestAttackPcr:
         features, targets = synthetic_collinear(seed=0)
         with pytest.raises(InvalidDimension):
             attack_pcr(features, targets, 4, [0.5], "both")
+
+
+    def test_non_finite_targets_rejected(self):
+        features, targets = synthetic_collinear(seed=0)
+        for bad in (np.nan, np.inf):
+            targets = targets.copy()
+            targets[3] = bad
+            with pytest.raises(InvalidMatrix):
+                fit_pcr(features, targets, 4)
+            with pytest.raises(InvalidMatrix):
+                attack_pcr(features, targets, 4, [0.5])
 
 
 class TestFeatureCsv:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from conftest import matrix_with_spectrum
 
-from pcattack import (NoOrthogonalComplement, Regime, RegimeError,
-                      attack_full_rank, attack_k_lt_rank, attack_low_rank,
-                      attack_rank_one, equivalent_solutions, full_svd,
-                      klt_rank_closed_form, pca_distance, theta_from_angles)
+from pcattack import (InvalidDimension, NoOrthogonalComplement, Regime,
+                      RegimeError, attack_rank_one, attack_unconstrained,
+                      equivalent_solutions, full_svd, klt_rank_closed_form,
+                      pca_distance, theta_from_angles)
 from pcattack.oracle import SearchConfig, random_rank_one, stationarity_residual
 
 # sigma_k = 2, sigma_{k+1} = 1, eta = 0.5 reference solution, frozen from the
@@ -17,6 +17,15 @@ REF_COS2_BETA = 0.9686229485816499
 REF_ALPHA = 1.2252728993859026
 REF_BETA = 2.9635173054004884
 REF_THETA = 0.34552342740899394
+
+# theta* at sigma_k = 2, sigma_{k+1} = 1 for vanishing budgets, evaluated in
+# 50-digit arithmetic.
+REF_TINY_THETA = {
+    1e-2: 0.0066667530901854085,
+    1e-4: 6.666666675308642e-05,
+    1e-8: 6.6666666666666667e-09,
+    1e-12: 6.6666666666666667e-13,
+}
 
 
 def full_rank_fixture():
@@ -44,6 +53,15 @@ class TestDispatch:
         _, report = attack_rank_one(x, 3, 0.1)
         assert report.regime in (Regime.K_LT_RANK_CASE1, Regime.K_LT_RANK_CASE2)
 
+    def test_integer_k_required(self):
+        x = np.diag([3.0, 2.0, 1.0])
+        for attack in (attack_rank_one, attack_unconstrained):
+            for bad_k in (2.5, "2", None):
+                with pytest.raises(InvalidDimension):
+                    attack(x, bad_k, 0.1)
+            _, report = attack(x, np.int64(2), 0.1)
+            assert report.k == 2
+
     def test_no_regime(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
@@ -57,7 +75,7 @@ class TestDispatch:
 class TestFullRank:
     def test_small_budget_law(self):
         x = full_rank_fixture()
-        attack = attack_full_rank(x, 1.0)
+        attack, _ = attack_rank_one(x, 2, 1.0)
         assert attack.regime == Regime.FULL_RANK_CASE2
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.arcsin(0.5), abs=1e-10)
@@ -65,14 +83,14 @@ class TestFullRank:
 
     def test_zero_budget(self):
         x = full_rank_fixture()
-        attack = attack_full_rank(x, 0.0)
+        attack, _ = attack_rank_one(x, 2, 0.0)
         assert np.all(attack.delta == 0.0)
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(0.0, abs=1e-7)
 
     def test_large_budget_max_distance(self):
         x = full_rank_fixture()
-        attack = attack_full_rank(x, 2.5)
+        attack, _ = attack_rank_one(x, 2, 2.5)
         assert attack.regime == Regime.FULL_RANK_CASE1
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)
@@ -80,13 +98,13 @@ class TestFullRank:
     def test_square_matrix_rejected(self):
         x = matrix_with_spectrum([3.0, 2.0], 2, 2, seed=2)
         with pytest.raises(NoOrthogonalComplement):
-            attack_full_rank(x, 1.0)
+            attack_rank_one(x, 2, 1.0)
 
     def test_rank_deficient_rejected(self):
         x = np.zeros((4, 2))
         x[0, 0] = 1.0
         with pytest.raises(RegimeError):
-            attack_full_rank(x, 0.5)
+            attack_rank_one(x, 2, 0.5)
 
 
 class TestLowRank:
@@ -94,19 +112,19 @@ class TestLowRank:
         return np.diag([3.0, 2.0, 0.0])
 
     def test_small_budget_law(self):
-        attack = attack_low_rank(self.fixture(), 1.0)
+        attack, _ = attack_rank_one(self.fixture(), 2, 1.0)
         assert attack.regime == Regime.LOW_RANK_CASE2
         theta, _ = pca_distance(self.fixture(), self.fixture() + attack.delta, 2)
         assert theta == pytest.approx(np.arcsin(0.5), abs=1e-10)
 
     def test_large_budget_max_distance(self):
-        attack = attack_low_rank(self.fixture(), 2.5)
+        attack, _ = attack_rank_one(self.fixture(), 2, 2.5)
         assert attack.regime == Regime.LOW_RANK_CASE1
         theta, _ = pca_distance(self.fixture(), self.fixture() + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)
 
     def test_zero_budget(self):
-        attack = attack_low_rank(self.fixture(), 0.0)
+        attack, _ = attack_rank_one(self.fixture(), 2, 0.0)
         assert np.all(attack.delta == 0.0)
 
     def test_random_search_never_beats(self):
@@ -134,11 +152,11 @@ class TestKLtRank:
 
     def test_attack_matches_prediction(self):
         x = self.fixture()
-        attack, cf = attack_k_lt_rank(x, 2, 0.5)
+        attack, report = attack_rank_one(x, 2, 0.5)
         assert attack.regime == Regime.K_LT_RANK_CASE2
-        assert cf.theta_star == pytest.approx(REF_THETA, abs=1e-12)
+        assert report.theta_predicted == pytest.approx(REF_THETA, abs=1e-12)
         theta, _ = pca_distance(x, x + attack.delta, 2)
-        assert theta == pytest.approx(cf.theta_star, abs=1e-8)
+        assert theta == pytest.approx(report.theta_predicted, abs=1e-8)
 
     def test_stationarity_at_optimum(self):
         cf = klt_rank_closed_form(2.0, 1.0, 0.5)
@@ -147,9 +165,9 @@ class TestKLtRank:
 
     def test_large_budget_max_distance(self):
         x = self.fixture()
-        attack, cf = attack_k_lt_rank(x, 2, 1.2)
+        attack, report = attack_rank_one(x, 2, 1.2)
         assert attack.regime == Regime.K_LT_RANK_CASE1
-        assert cf.theta_star == pytest.approx(np.pi / 2)
+        assert report.theta_predicted == pytest.approx(np.pi / 2)
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)
 
@@ -157,6 +175,11 @@ class TestKLtRank:
         cf = klt_rank_closed_form(2.0, 1.0, 1e-9)
         assert cf.theta_star < 1e-6
         assert np.cos(cf.alpha_star) ** 2 == pytest.approx(0.0, abs=1e-9)
+
+    def test_tiny_budget_relative_accuracy(self):
+        for eta, ref in REF_TINY_THETA.items():
+            cf = klt_rank_closed_form(2.0, 1.0, eta)
+            assert cf.theta_star == pytest.approx(ref, rel=1e-12)
 
     def test_boundary_budget_flagged(self):
         x = self.fixture()
@@ -168,9 +191,9 @@ class TestKLtRank:
         for seed, shape in [(0, (7, 4)), (1, (4, 7)), (2, (6, 6))]:
             x = np.random.default_rng(seed).standard_normal(shape)
             eta = 0.35 * (full_svd(x).sigma[1] - full_svd(x).sigma[2])
-            attack, cf = attack_k_lt_rank(x, 2, eta)
+            attack, report = attack_rank_one(x, 2, eta)
             theta, _ = pca_distance(x, x + attack.delta, 2)
-            assert theta == pytest.approx(cf.theta_star, abs=1e-8)
+            assert theta == pytest.approx(report.theta_predicted, abs=1e-8)
 
 
 class TestEquivalentSolutions:
@@ -197,7 +220,8 @@ class TestThetaFromAngles:
 
     def test_matches_assembled_attack(self):
         x = np.diag([3.0, 2.0, 1.0])
-        attack, cf = attack_k_lt_rank(x, 2, 0.5)
+        attack, _ = attack_rank_one(x, 2, 0.5)
+        cf = klt_rank_closed_form(2.0, 1.0, 0.5)
         theta, _ = pca_distance(x, x + attack.delta, 2)
         ref = theta_from_angles(2.0, 1.0, 0.5, cf.alpha_star, cf.beta_star)
         assert theta == pytest.approx(ref, abs=1e-8)

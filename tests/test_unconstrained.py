@@ -158,8 +158,11 @@ class TestAttackUnconstrained:
             gap = svd.sigma[1] - svd.sigma[2]
             pm, report = attack_unconstrained(x, 2, 0.4 * gap / np.sqrt(2.0))
             b = svd.u.T @ pm.delta @ svd.v
+            block = np.linalg.norm(b[1:3, 1:3])
             b[1:3, 1:3] = 0.0
             assert np.max(np.abs(b)) < 1e-10
+            # no energy outside the span of the thin factors either
+            assert abs(np.linalg.norm(pm.delta) - block) < 1e-10
 
     def test_achieved_equals_predicted(self):
         for seed in range(100):
