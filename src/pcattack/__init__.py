@@ -10,32 +10,27 @@ budget regimes; search-based oracles verify them independently.
 from .errors import (InvalidDimension, InvalidMatrix, NoOrthogonalComplement,
                      OracleTooExpensive, ParseError, PcattackError, RankMismatch,
                      RegimeError, SingularFit, UndefinedR2)
-from .experiments import (SweepRow, SweepSpec, eta_scale, parse_sweep_spec,
-                          run_sweep, synth_gaussian, synth_low_rank,
-                          write_sweep_csv)
+from .experiments import (SweepSpec, parse_sweep_spec, run_sweep, synth_gaussian,
+                          synth_low_rank, write_sweep_csv)
 from .fileio import read_matrix_csv, write_matrix_csv
-from .linalg import (OrthonormalBasis, SvdTriple, asimov_distance,
-                     compress_rank_one_problem, full_svd, leading_subspace,
-                     pca_distance, principal_angles, unitary_conjugate)
+from .linalg import (OrthonormalBasis, asimov_distance, compress_rank_one_problem,
+                     full_svd, leading_subspace, pca_distance, principal_angles,
+                     unitary_conjugate)
 from .oracle import (SearchConfig, brute_force_principal_angles,
                      grid_search_angles, portable_normal, random_rank_one,
                      random_unconstrained, stationarity_residual)
-from .pcr import (PcrModel, RegressionReport, attack_pcr, fit_pcr,
-                  load_feature_csv, r_squared, synthetic_collinear,
-                  write_regression_csv)
-from .rank_one import (RankOneAttack, RankOneClosedForm, attack_rank_one,
-                       equivalent_solutions, klt_rank_closed_form,
+from .pcr import (attack_pcr, fit_pcr, load_feature_csv, r_squared,
+                  synthetic_collinear, write_regression_csv)
+from .rank_one import (attack_rank_one, equivalent_solutions, klt_rank_closed_form,
                        theta_from_angles)
 from .report import AttackReport, Regime
-from .unconstrained import (ClosedFormIntermediates, PerturbationMatrix,
-                            attack_unconstrained, closed_form_lambda,
+from .unconstrained import (attack_unconstrained, closed_form_lambda,
                             lift_to_data_space, paired_entries, recover_entries)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackReport",
-    "ClosedFormIntermediates",
     "InvalidDimension",
     "InvalidMatrix",
     "NoOrthogonalComplement",
@@ -43,18 +38,11 @@ __all__ = [
     "OrthonormalBasis",
     "ParseError",
     "PcattackError",
-    "PcrModel",
-    "PerturbationMatrix",
     "RankMismatch",
-    "RankOneAttack",
-    "RankOneClosedForm",
     "Regime",
     "RegimeError",
-    "RegressionReport",
     "SearchConfig",
     "SingularFit",
-    "SvdTriple",
-    "SweepRow",
     "SweepSpec",
     "UndefinedR2",
     "asimov_distance",
@@ -65,7 +53,6 @@ __all__ = [
     "closed_form_lambda",
     "compress_rank_one_problem",
     "equivalent_solutions",
-    "eta_scale",
     "fit_pcr",
     "full_svd",
     "grid_search_angles",

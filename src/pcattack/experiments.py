@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import format_float, read_matrix_csv
-from .linalg import SvdTriple, as_matrix, check_eta, check_k, full_svd
+from .linalg import SvdTriple, check_eta, check_k, full_svd
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
@@ -86,13 +86,8 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     return portable_normal(seed, (d, n))
 
 
-def eta_scale(x, k: int) -> float:
-    """Budget unit for ratio grids: sigma_k at rank k, else the spectral gap."""
-    x = as_matrix(x)
-    return _budget_unit(full_svd(x), check_k(k, x.shape))
-
-
 def _budget_unit(svd: SvdTriple, k: int) -> float:
+    """Budget unit for ratio grids: sigma_k at rank k, else the spectral gap."""
     if svd.rank <= k:
         return float(svd.sigma[k - 1])
     return float(svd.sigma[k - 1] - svd.sigma[k])
@@ -160,15 +155,15 @@ def write_sweep_csv(rows, path) -> None:
 
 
 _SPEC_KEYS = {"d", "n", "k", "data_kind", "data_path", "eta_grid", "strategies",
-              "seed", "trials", "grid_resolution", "refine_steps", "oracle_seed"}
+              "seed", "trials", "oracle_seed"}
 
 
 def parse_sweep_spec(path) -> SweepSpec:
     """Strict flat key-value sweep description; unknown keys are rejected.
 
     Recognized keys: d, n, k, data_kind, data_path, eta_grid (comma-separated
-    ratios), strategies (comma-separated), seed, trials, grid_resolution,
-    refine_steps, oracle_seed.  Blank lines and ``#`` comments are ignored.
+    ratios), strategies (comma-separated), seed, trials, oracle_seed.  Blank
+    lines and ``#`` comments are ignored.
     """
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -190,12 +185,8 @@ def parse_sweep_spec(path) -> SweepSpec:
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
         seed = int(values.get("seed", "0"))
-        cfg = SearchConfig(
-            trials=int(values.get("trials", "10000")),
-            seed=int(values.get("oracle_seed", str(seed))),
-            grid_resolution=int(values.get("grid_resolution", "400")),
-            refine_steps=int(values.get("refine_steps", "2")),
-        )
+        cfg = SearchConfig(trials=int(values.get("trials", "10000")),
+                           seed=int(values.get("oracle_seed", str(seed))))
         eta_grid = (tuple(float(v) for v in values["eta_grid"].split(","))
                     if "eta_grid" in values else DEFAULT_ETA_RATIOS)
         strategies = (tuple(s.strip() for s in values["strategies"].split(","))

@@ -30,32 +30,46 @@ def write_matrix_csv(path, m) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix CSV; the header line is optional, dimensions inferred."""
+def numbered_lines(path) -> list[tuple[int, str]]:
+    """The file's lines, stripped, with their 1-based line numbers."""
     with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    expected = None
+        return [(i, line.strip()) for i, line in enumerate(fh.read().splitlines(), start=1)]
+
+
+def parse_rows(path, lines) -> np.ndarray:
+    """Float matrix from numbered comma-separated lines; blank lines are skipped.
+
+    Every row must be as wide as the first; errors cite ``path:lineno``.
+    """
     rows = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
+    for lineno, text in lines:
         if not text:
             continue
-        if text.startswith("#"):
-            match = _HEADER_RE.match(text)
-            if match:
-                expected = (int(match.group(1)), int(match.group(2)))
-            continue
-        cells = text.split(",")
         try:
-            rows.append([float(c) for c in cells])
+            rows.append([float(c) for c in text.split(",")])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+        if len(rows[-1]) != len(rows[0]):
             raise ParseError(f"{path}:{lineno}: ragged row "
                              f"({len(rows[-1])} cells, expected {len(rows[0])})")
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    m = np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a matrix CSV; the header line is optional, dimensions inferred.
+
+    Lines starting with ``#`` are comments; the last ``# d=<d> n=<n>`` one
+    fixes the expected shape.
+    """
+    lines = numbered_lines(path)
+    expected = None
+    for _, text in lines:
+        match = _HEADER_RE.match(text)
+        if match:
+            expected = (int(match.group(1)), int(match.group(2)))
+    m = parse_rows(path, [(i, text) for i, text in lines if not text.startswith("#")])
     if expected is not None and m.shape != expected:
         raise ParseError(f"{path}: header says {expected}, data is {m.shape}")
     return m

@@ -74,14 +74,13 @@ class SvdTriple:
     u: np.ndarray           # d x p, orthonormal columns
     sigma: np.ndarray       # p nonnegative, nonincreasing
     v: np.ndarray           # n x p, orthonormal columns
-    rank_tol: float = RANK_TOL
 
     @property
     def rank(self) -> int:
-        """Numerical rank: count of sigma_i > rank_tol * sigma_1."""
+        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1."""
         if self.sigma.size == 0 or self.sigma[0] <= 0.0:
             return 0
-        return int(np.count_nonzero(self.sigma > self.rank_tol * self.sigma[0]))
+        return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
@@ -125,7 +124,7 @@ def _as_basis(b) -> OrthonormalBasis:
     return b if isinstance(b, OrthonormalBasis) else OrthonormalBasis(np.asarray(b, dtype=float))
 
 
-def full_svd(m, rank_tol: float = RANK_TOL) -> SvdTriple:
+def full_svd(m) -> SvdTriple:
     """Thin SVD of a finite matrix, with deterministic sign choices.
 
     Returns d x p and n x p factors, ``p = min(d, n)``.  Raises
@@ -135,7 +134,7 @@ def full_svd(m, rank_tol: float = RANK_TOL) -> SvdTriple:
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     cols = np.arange(sigma.size)
     signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0.0, -1.0, 1.0)
-    return SvdTriple(u=u * signs, sigma=sigma, v=vt.T * signs, rank_tol=rank_tol)
+    return SvdTriple(u=u * signs, sigma=sigma, v=vt.T * signs)
 
 
 def complement_direction(u: np.ndarray) -> np.ndarray:
@@ -153,18 +152,17 @@ def complement_direction(u: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def leading_subspace(m, k: int, tie_tol: float = TIE_TOL) -> OrthonormalBasis:
+def leading_subspace(m, k: int) -> OrthonormalBasis:
     """First k left singular vectors of ``m`` as an orthonormal basis.
 
     The result carries ``ambiguous=True`` when sigma_k and sigma_{k+1} are
-    tied within ``tie_tol`` relative to sigma_1 (the PCA truncation is then
+    tied within ``TIE_TOL`` relative to sigma_1 (the PCA truncation is then
     ill defined).  For d > n the implicit trailing singular values are zero.
     """
-    svd = full_svd(m)
-    return _leading_from_svd(svd, k, tie_tol)
+    return _leading_from_svd(full_svd(m), k)
 
 
-def _leading_from_svd(svd: SvdTriple, k: int, tie_tol: float = TIE_TOL) -> OrthonormalBasis:
+def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
     d = svd.u.shape[0]
     n = svd.v.shape[0]
     p = min(d, n)
@@ -176,7 +174,7 @@ def _leading_from_svd(svd: SvdTriple, k: int, tie_tol: float = TIE_TOL) -> Ortho
         next_sigma = 0.0        # d > n: trailing spectrum is implicitly zero
     else:
         next_sigma = None       # k = d: the subspace is all of R^d
-    ambiguous = next_sigma is not None and (sigma[k - 1] - next_sigma) <= tie_tol * sigma[0]
+    ambiguous = next_sigma is not None and (sigma[k - 1] - next_sigma) <= TIE_TOL * sigma[0]
     return OrthonormalBasis(svd.u[:, :k].copy(), ambiguous=bool(ambiguous))
 
 

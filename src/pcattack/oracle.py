@@ -16,6 +16,7 @@ and the best over trials is reduced with a lowest-index tie-break.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ from .linalg import _as_basis, _leading_from_svd, check_attack, full_svd
 from .rank_one import RankOneAttack, _rotation_angle, theta_from_angles
 from .unconstrained import PerturbationMatrix
 
-_CHUNK = 4096
+# Bytes of one chunk's largest temporary: the batched SVD's square factor,
+# 8 * max(d, n)**2 per trial.
+_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,7 @@ def _box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
 
 def normal_stream(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals drawn from the generator's uniform stream."""
-    count = int(np.prod(shape))
-    block = 2 * ((count + 1) // 2)
-    z = _box_muller(rng.random((1, block)), count)
-    return z.reshape(shape)
+    return _trial_normals(rng, 1, int(np.prod(shape))).reshape(shape)
 
 
 def portable_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -82,64 +82,62 @@ def _batched_theta(basis: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.n
     return np.arccos(np.clip(smallest, 0.0, 1.0))
 
 
+def _best_of_trials(x, k, eta, cfg: SearchConfig, width, candidates):
+    """Best of ``cfg.trials`` random perturbations by achieved angle.
+
+    Trial i maps the i-th block of ``width(d, n)`` normals through
+    ``candidates(z, d, n, eta)``, which returns per-trial records and the
+    stack of d x n perturbations they define.  Chunks hold at most
+    ``_CHUNK_BYTES`` of square SVD factor per temporary.  Returns the
+    records of the first best trial and its angle.
+    """
+    x, k, eta = check_attack(x, k, eta)
+    d, n = x.shape
+    basis = _leading_from_svd(full_svd(x), k).columns
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    chunk = max(1, _CHUNK_BYTES // (8 * max(d, n) ** 2))
+
+    best_theta, best = -1.0, None
+    for done in range(0, cfg.trials, chunk):
+        z = _trial_normals(rng, min(chunk, cfg.trials - done), width(d, n))
+        records, deltas = candidates(z, d, n, eta)
+        del z       # the normals are not needed while the chunk is scored
+        theta = _batched_theta(basis, x, deltas)
+        i = int(np.argmax(theta))
+        if theta[i] > best_theta:
+            best_theta, best = float(theta[i]), tuple(r[i].copy() for r in records)
+    return best, best_theta
+
+
+def _rank_one_candidates(z, d, n, eta):
+    a = z[:, :d]
+    b = z[:, d:]
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    a = a * (eta / np.linalg.norm(a, axis=1, keepdims=True))
+    return (a, b), a[:, :, None] * b[:, None, :]
+
+
+def _dense_candidates(z, d, n, eta):
+    z = z.reshape(-1, d, n)
+    deltas = z * (eta / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
+    return (deltas,), deltas
+
+
 def random_rank_one(x, k: int, eta: float, cfg: SearchConfig) -> tuple[RankOneAttack, float]:
     """Best of ``cfg.trials`` random rank-one attacks at budget eta.
 
     Each trial draws standard-normal (a, b), normalizes b to unit length and
     rescales a so the perturbation energy equals eta exactly.
     """
-    x, k, eta = check_attack(x, k, eta)
-    d, n = x.shape
-    basis = _leading_from_svd(full_svd(x), k).columns
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-
-    best_theta = -1.0
-    best_a = np.zeros(d)
-    best_b = np.zeros(n)
-    done = 0
-    while done < cfg.trials:
-        rows = min(_CHUNK, cfg.trials - done)
-        z = _trial_normals(rng, rows, d + n)
-        a = z[:, :d]
-        b = z[:, d:]
-        b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-        a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-        b = b / b_norm
-        a = a * (eta / a_norm)
-        deltas = a[:, :, None] * b[:, None, :]
-        theta = _batched_theta(basis, x, deltas)
-        i = int(np.argmax(theta))
-        if theta[i] > best_theta:
-            best_theta = float(theta[i])
-            best_a, best_b = a[i].copy(), b[i].copy()
-        done += rows
-    return RankOneAttack(a=best_a, b=best_b, regime=None), best_theta
+    (a, b), theta = _best_of_trials(x, k, eta, cfg, operator.add, _rank_one_candidates)
+    return RankOneAttack(a=a, b=b, regime=None), theta
 
 
 def random_unconstrained(x, k: int, eta: float, cfg: SearchConfig) -> tuple[PerturbationMatrix, float]:
     """Best of ``cfg.trials`` dense Gaussian attacks scaled to energy eta."""
-    x, k, eta = check_attack(x, k, eta)
-    d, n = x.shape
-    basis = _leading_from_svd(full_svd(x), k).columns
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-
-    best_theta = -1.0
-    best_delta = np.zeros((d, n))
-    done = 0
-    while done < cfg.trials:
-        rows = min(_CHUNK, cfg.trials - done)
-        z = _trial_normals(rng, rows, d * n).reshape(rows, d, n)
-        norms = np.linalg.norm(z, axis=(1, 2))
-        deltas = z * (eta / norms)[:, None, None]
-        theta = _batched_theta(basis, x, deltas)
-        i = int(np.argmax(theta))
-        if theta[i] > best_theta:
-            best_theta = float(theta[i])
-            best_delta = deltas[i].copy()
-        done += rows
-    pm = PerturbationMatrix(delta=best_delta, canonical_b=None,
-                            fro_norm=float(np.linalg.norm(best_delta)))
-    return pm, best_theta
+    (delta,), theta = _best_of_trials(x, k, eta, cfg, operator.mul, _dense_candidates)
+    return PerturbationMatrix(delta=delta, canonical_b=None,
+                              fro_norm=float(np.linalg.norm(delta))), theta
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:

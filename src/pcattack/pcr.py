@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
 from .experiments import _budget_unit
-from .fileio import format_float
+from .fileio import format_float, numbered_lines, parse_rows
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
 from .rank_one import _attack_rank_one
@@ -23,6 +23,7 @@ from .unconstrained import _attack_unconstrained
 
 PCR_STRATEGIES = ("rank_one", "unconstrained")
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
+SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
 
 
 @dataclass(frozen=True)
@@ -99,22 +100,21 @@ def fit_pcr(features, targets, k: int) -> PcrModel:
 
 
 def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
-               strategy: str = "unconstrained", split_seed: int = 0,
-               split_fraction: float = 0.8) -> list[RegressionReport]:
+               strategy: str = "unconstrained",
+               split_seed: int = 0) -> list[RegressionReport]:
     """Refit PCR on attacked training features across a budget-ratio grid.
 
-    Ratios are relative to the training spectrum (see ``eta_scale``).  The
-    targets are never modified; test features stay clean and are centered
-    with the training means.
+    Ratios are relative to the centered training features: to sigma_k when
+    they have rank k, else to sigma_k - sigma_{k+1}.  The targets are never
+    modified; test features stay clean and are centered with the training
+    means.
     """
     if strategy not in PCR_STRATEGIES:
         raise InvalidDimension(f"strategy must be one of {PCR_STRATEGIES}")
     features = as_matrix(features)
     n = features.shape[1]
     targets = _as_targets(targets, n)
-    if not 0.0 < split_fraction < 1.0:
-        raise InvalidDimension("split_fraction must be in (0, 1)")
-    n_train = int(round(split_fraction * n))
+    n_train = int(round(SPLIT_FRACTION * n))
     if n_train < 2 or n - n_train < 2:
         raise InvalidDimension("both split halves need at least two samples")
 
@@ -147,8 +147,8 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     return reports
 
 
-def synthetic_collinear(seed: int, d: int = 20, n: int = 40, n_factors: int = 4,
-                        noise: float = 0.35) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_collinear(seed: int, d: int = 20, n: int = 40,
+                        n_factors: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Collinear benchmark: few strong latent factors plus dense noise.
 
     The target loads mostly on the weakest retained principal direction, so
@@ -160,7 +160,7 @@ def synthetic_collinear(seed: int, d: int = 20, n: int = 40, n_factors: int = 4,
     rng = np.random.Generator(np.random.PCG64(seed))
     loadings = normal_stream(rng, (d, n_factors))
     factors = normal_stream(rng, (n_factors, n))
-    features = loadings @ factors + noise * normal_stream(rng, (d, n))
+    features = loadings @ factors + 0.35 * normal_stream(rng, (d, n))
     centered = features - features.mean(axis=1, keepdims=True)
     svd = full_svd(centered)
     scores = (svd.u[:, :n_factors].T @ centered) / svd.sigma[:n_factors, None]
@@ -174,36 +174,25 @@ def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Samples as rows, last column the target; features return transposed.
 
     A single leading header line is skipped when it contains any
-    non-numeric cell.
+    non-numeric cell; it must be as wide as the data rows.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    rows = []
-    width = None
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        cells = text.split(",")
-        try:
-            parsed = [float(c) for c in cells]
-        except ValueError:
-            if not rows and width is None:
-                width = len(cells)     # header line fixes the expected width
-                continue
-            raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
-        if width is None:
-            width = len(parsed)
-        if len(parsed) != width:
-            raise ParseError(f"{path}:{lineno}: ragged row "
-                             f"({len(parsed)} cells, expected {width})")
-        rows.append(parsed)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    if width < 2:
+    lines = [(i, text) for i, text in numbered_lines(path) if text]
+    header = lines.pop(0) if lines and not _all_floats(lines[0][1]) else None
+    data = parse_rows(path, lines)
+    if header is not None and len(header[1].split(",")) != data.shape[1]:
+        raise ParseError(f"{path}:{header[0]}: header is not as wide as the "
+                         f"{data.shape[1]}-column data rows")
+    if data.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column plus a target")
-    data = np.array(rows, dtype=float)
     return data[:, :-1].T.copy(), data[:, -1].copy()
+
+
+def _all_floats(text: str) -> bool:
+    try:
+        [float(c) for c in text.split(",")]
+    except ValueError:
+        return False
+    return True
 
 
 def write_regression_csv(reports, path) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pcattack import (read_matrix_csv, synth_low_rank, synthetic_collinear,
+from pcattack import (ParseError, read_matrix_csv, synth_low_rank, synthetic_collinear,
                       write_matrix_csv)
 from pcattack.cli import main
 
@@ -28,6 +28,23 @@ class TestMatrixCsv:
         path = tmp_path / "bare.csv"
         path.write_text("1,2,3\n4,5,6\n")
         assert read_matrix_csv(path).shape == (2, 3)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# d=2 n=2\n# note\n\n1,2\n  \n3,4\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_shape_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# d=3 n=2\n1,2\n3,4\n")
+        with pytest.raises(ParseError, match="header says"):
+            read_matrix_csv(path)
+
+    def test_ragged_row_reports_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("# d=2 n=2\n1,2\n3\n")
+        with pytest.raises(ParseError, match="r.csv:3: ragged row"):
+            read_matrix_csv(path)
 
 
 class TestAttackCommand:

@@ -4,6 +4,7 @@ import pytest
 from pcattack import (InvalidDimension, ParseError, SweepSpec, full_svd,
                       parse_sweep_spec, run_sweep, synth_gaussian,
                       synth_low_rank, write_sweep_csv)
+from pcattack.cli import main
 from pcattack.oracle import SearchConfig
 
 
@@ -146,6 +147,16 @@ class TestSpecFile:
         path.write_text("d = 5\nn = 5\nk = 3\nbogus = 1\n")
         with pytest.raises(ParseError):
             parse_sweep_spec(path)
+
+    @pytest.mark.parametrize("key", ["grid_resolution", "refine_steps"])
+    def test_grid_search_keys_rejected(self, tmp_path, key):
+        # Sweeps run only the random oracles, so grid-search settings are
+        # unknown keys like any other.
+        path = tmp_path / "grid.spec"
+        path.write_text(f"d = 5\nn = 5\nk = 3\n{key} = 400\n")
+        with pytest.raises(ParseError, match=f"grid.spec:4: unknown key '{key}'"):
+            parse_sweep_spec(path)
+        assert main(["sweep", str(path), "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.spec"

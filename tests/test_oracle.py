@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from conftest import random_basis
 
-from pcattack import (OracleTooExpensive, attack_rank_one, closed_form_lambda,
-                      klt_rank_closed_form, principal_angles)
+from pcattack import (InvalidMatrix, OracleTooExpensive, attack_rank_one,
+                      closed_form_lambda, klt_rank_closed_form, principal_angles)
+from pcattack import oracle
 from pcattack.oracle import (SearchConfig, brute_force_principal_angles,
                              grid_search_angles, portable_normal,
                              random_rank_one, random_unconstrained,
@@ -197,3 +198,80 @@ class TestOracleDominance:
             _, report = attack_rank_one(x, 3, eta)
             _, best = random_rank_one(x, 3, eta, cfg)
             assert best <= report.theta_predicted + 1e-6
+
+
+def _pin_instance():
+    x = np.random.default_rng(1).standard_normal((5, 5))
+    sigma = np.linalg.svd(x, compute_uv=False)
+    return x, 3, 0.5 * (sigma[2] - sigma[3])
+
+
+def _record_batches(monkeypatch, score):
+    """Replace the batch scorer with one that logs each batch's angles."""
+    batches = []
+
+    def recording(basis, x, deltas):
+        batches.append(score(basis, x, deltas))
+        return batches[-1]
+
+    monkeypatch.setattr(oracle, "_batched_theta", recording)
+    return batches
+
+
+class TestBestOfTrials:
+    def test_pinned_values(self):
+        # 5000 trials cross the 4096-trial chunk of earlier versions; the
+        # values were recorded there and must not move.
+        x, k, eta = _pin_instance()
+        cfg = SearchConfig(trials=5000, seed=1)
+        assert random_rank_one(x, k, eta, cfg)[1] == pytest.approx(0.3012103795737239, abs=1e-12)
+        assert random_unconstrained(x, k, eta, cfg)[1] == pytest.approx(
+            0.28028683896448453, abs=1e-12)
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        x, k, eta = _pin_instance()
+        cfg = SearchConfig(trials=5000, seed=1)
+        batches = _record_batches(monkeypatch, oracle._batched_theta)
+        one_r1, one_t1 = random_rank_one(x, k, eta, cfg)
+        one_wr, one_t2 = random_unconstrained(x, k, eta, cfg)
+        one = list(batches)
+        assert [len(t) for t in one] == [5000, 5000]
+
+        batches.clear()
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 8 * 5 ** 2 * 1700)
+        many_r1, many_t1 = random_rank_one(x, k, eta, cfg)
+        many_wr, many_t2 = random_unconstrained(x, k, eta, cfg)
+        assert [len(t) for t in batches] == [1700, 1700, 1600] * 2
+
+        # Every trial scores the same, not only the best one.
+        assert np.array_equal(np.concatenate(batches[:3]), one[0])
+        assert np.array_equal(np.concatenate(batches[3:]), one[1])
+        assert many_t1 == one_t1 and many_t2 == one_t2
+        assert np.array_equal(many_r1.a, one_r1.a) and np.array_equal(many_r1.b, one_r1.b)
+        assert np.array_equal(many_wr.delta, one_wr.delta)
+
+    def test_batches_within_byte_budget(self, monkeypatch):
+        # Scoring is stubbed out: only the chunk sizes matter here.
+        batches = _record_batches(monkeypatch, lambda basis, x, deltas: np.zeros(len(deltas)))
+        x = np.random.default_rng(2).standard_normal((40, 40))
+        cfg = SearchConfig(trials=4096, seed=0)
+        random_rank_one(x, 5, 0.1, cfg)
+        random_unconstrained(x, 5, 0.1, cfg)
+        sizes = [len(t) for t in batches]
+        assert sum(sizes) == 2 * 4096
+        assert all(rows * 8 * 40 ** 2 <= oracle._CHUNK_BYTES for rows in sizes)
+
+    def test_tiny_budget_still_runs_one_trial_per_chunk(self, monkeypatch):
+        batches = _record_batches(monkeypatch, oracle._batched_theta)
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 1)
+        _, theta = random_unconstrained(np.diag([3.0, 2.0, 1.0]), 2, 0.5,
+                                        SearchConfig(trials=3, seed=0))
+        assert [len(t) for t in batches] == [1, 1, 1]
+        assert 0.0 <= theta <= np.pi / 2
+
+    @pytest.mark.parametrize("search", [random_rank_one, random_unconstrained])
+    @pytest.mark.parametrize("bad", [np.array([1.0, 2.0, 3.0]),
+                                     np.array([[1.0, np.nan], [0.0, 1.0]])])
+    def test_rejects_invalid_matrix(self, search, bad):
+        with pytest.raises(InvalidMatrix):
+            search(bad, 1, 0.1, SearchConfig(trials=2, seed=0))

@@ -161,6 +161,12 @@ class TestFeatureCsv:
         with pytest.raises(ParseError, match="ragged.csv:2"):
             load_feature_csv(path)
 
+    def test_header_must_match_data_width(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("\nf1,target\n1,2,10\n3,4,20\n")
+        with pytest.raises(ParseError, match="hdr.csv:2"):
+            load_feature_csv(path)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,10\n3,oops,20\n")
