@@ -36,7 +36,7 @@ print(f"  {np.round(entries, 9)}")
 print(f"  norm = {np.linalg.norm(entries):.12f}  (the full budget, as expected)")
 
 pm, report = attack_unconstrained(x, k, eta)
-print(f"\nassembled attack: ||delta||_F = {pm.fro_norm:.12f}")
+print(f"\nassembled attack: ||delta||_F = {pm.budget_used:.12f}")
 theta, _ = pca_distance(x, x + pm.delta, k)
 print(f"achieved rotation by rerunning PCA: {theta:.12f}")
 print(f"prediction error: {abs(theta - ci.theta_star):.2e}")

@@ -11,27 +11,22 @@ import json
 import sys
 
 from .errors import PcattackError, RegimeError
-from .experiments import parse_sweep_spec, run_sweep, write_sweep_csv
+from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
 from .fileio import read_matrix_csv, write_matrix_csv
-from .oracle import SearchConfig, grid_search_angles, random_rank_one, random_unconstrained
-from .pcr import (DEFAULT_ETA_RATIOS, PCR_STRATEGIES, attack_pcr, load_feature_csv,
-                  synthetic_collinear, write_regression_csv)
-from .rank_one import attack_rank_one
+from .linalg import check_attack, full_svd
+from .oracle import SearchConfig, grid_search_angles
+from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
+                  write_regression_csv)
 from .report import Regime
-from .unconstrained import attack_unconstrained
 
 RANDOM_ORACLE_TOL = 1e-4
 GRID_ORACLE_TOL = 1e-6
 
 
 def _cmd_attack(args) -> int:
-    x = read_matrix_csv(args.matrix)
-    if args.strategy == "rank_one":
-        attack, report = attack_rank_one(x, args.k, args.eta)
-        delta = attack.delta
-    else:
-        pm, report = attack_unconstrained(x, args.k, args.eta)
-        delta = pm.delta
+    x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
+    closed_form, _ = ATTACKS[args.strategy]
+    attack, report = closed_form(x, full_svd(x), k, eta)
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
@@ -39,7 +34,7 @@ def _cmd_attack(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     if args.emit_delta:
-        write_matrix_csv(args.emit_delta, delta)
+        write_matrix_csv(args.emit_delta, attack.delta)
     return 0
 
 
@@ -69,28 +64,23 @@ def _cmd_pcr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    x = read_matrix_csv(args.matrix)
     cfg = SearchConfig(trials=args.trials, seed=args.seed)
-    offset = args.inject_theta_offset
-
+    x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
+    # Both closed forms read one factorization; each oracle factors on its own
+    # so that it stays independent of the closed form it checks.
+    svd = full_svd(x)
     checks = []
-    _, r1_report = attack_rank_one(x, args.k, args.eta)
-    r1_star = r1_report.theta_predicted - offset
-    _, r1_rnd_theta = random_rank_one(x, args.k, args.eta, cfg)
-    checks.append(("rank-one random", r1_rnd_theta, r1_star, RANDOM_ORACLE_TOL))
-    if r1_report.regime == Regime.K_LT_RANK_CASE2:
-        sigma = r1_report.sigma
-        _, _, grid_theta = grid_search_angles(
-            float(sigma[args.k - 1]), float(sigma[args.k]), args.eta, cfg)
-        checks.append(("rank-one grid", grid_theta, r1_star, GRID_ORACLE_TOL))
-
-    _, wr_report = attack_unconstrained(x, args.k, args.eta)
-    wr_star = wr_report.theta_predicted - offset
-    _, wr_rnd_theta = random_unconstrained(x, args.k, args.eta, cfg)
-    checks.append(("unconstrained random", wr_rnd_theta, wr_star, RANDOM_ORACLE_TOL))
+    for name, (closed_form, oracle) in ATTACKS.items():
+        label = name.replace("_", "-")
+        _, report = closed_form(x, svd, k, eta)
+        _, oracle_theta = oracle(x, k, eta, cfg)
+        checks.append((f"{label} random", oracle_theta, report.theta_predicted,
+                       RANDOM_ORACLE_TOL))
+        if report.regime == Regime.K_LT_RANK_CASE2:
+            _, _, grid_theta = grid_search_angles(
+                float(svd.sigma[k - 1]), float(svd.sigma[k]), eta, cfg)
+            checks.append((f"{label} grid", grid_theta, report.theta_predicted,
+                           GRID_ORACLE_TOL))
 
     print(f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status")
     failed = False
@@ -113,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("matrix", help="matrix CSV (columns are samples)")
     p_attack.add_argument("--k", type=int, required=True)
     p_attack.add_argument("--eta", type=float, required=True)
-    p_attack.add_argument("--strategy", choices=PCR_STRATEGIES, default="rank_one")
+    p_attack.add_argument("--strategy", choices=ATTACKS, default="rank_one")
     p_attack.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_attack.add_argument("--emit-delta", metavar="PATH",
                           help="also write the perturbation as a matrix CSV")
@@ -132,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pcr.add_argument("--k", type=int, required=True)
     p_pcr.add_argument("--eta-grid", default=None,
                        help="comma-separated budget ratios")
-    p_pcr.add_argument("--strategy", choices=PCR_STRATEGIES, default="unconstrained")
+    p_pcr.add_argument("--strategy", choices=ATTACKS, default="unconstrained")
     p_pcr.add_argument("--seed", type=int, default=0)
     p_pcr.add_argument("--out", required=True, help="report CSV path")
     p_pcr.set_defaults(func=_cmd_pcr)
@@ -143,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eta", type=float, required=True)
     p_verify.add_argument("--trials", type=int, default=10_000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--inject-theta-offset", type=float, default=0.0,
-                          help="test hook: shift closed-form values down")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -26,7 +26,19 @@ from .oracle import (SearchConfig, normal_stream, portable_normal,
 from .rank_one import _attack_rank_one
 from .unconstrained import _attack_unconstrained
 
-STRATEGIES = ("r1-opt", "r1-rnd", "wr-opt", "wr-rnd")
+# Each attack family: its closed form on a factored matrix, its random oracle.
+ATTACKS = {
+    "rank_one": (_attack_rank_one, random_rank_one),
+    "unconstrained": (_attack_unconstrained, random_unconstrained),
+}
+# Each sweep strategy: the attack family, and whether its oracle replaces the
+# closed form.
+STRATEGIES = {
+    "r1-opt": ("rank_one", False),
+    "r1-rnd": ("rank_one", True),
+    "wr-opt": ("unconstrained", False),
+    "wr-rnd": ("unconstrained", True),
+}
 DEFAULT_ETA_RATIOS = tuple(1.2 * i / 50.0 for i in range(1, 51))
 
 
@@ -37,7 +49,7 @@ class SweepSpec:
     k: int
     data_kind: str = "low_rank"          # low_rank | gaussian | from_file
     eta_grid: tuple = DEFAULT_ETA_RATIOS
-    strategies: tuple = STRATEGIES
+    strategies: tuple = tuple(STRATEGIES)
     oracle_cfg: SearchConfig = field(default_factory=SearchConfig)
     seed: int = 0
     data_path: str | None = None
@@ -55,6 +67,8 @@ class SweepSpec:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ParseError(f"unknown strategies: {sorted(unknown)}")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ParseError(f"duplicate strategies in {list(self.strategies)}")
         object.__setattr__(self, "eta_grid", grid)
         object.__setattr__(self, "strategies", tuple(self.strategies))
 
@@ -98,7 +112,11 @@ def _sweep_data(spec: SweepSpec) -> np.ndarray:
         return synth_low_rank(spec.d, spec.n, spec.k, spec.seed)
     if spec.data_kind == "gaussian":
         return synth_gaussian(spec.d, spec.n, spec.seed)
-    return read_matrix_csv(spec.data_path)
+    x = read_matrix_csv(spec.data_path)
+    if x.shape != (spec.d, spec.n):
+        raise ParseError(f"{spec.data_path}: a {x.shape[0]}x{x.shape[1]} matrix, "
+                         f"but the spec says d={spec.d}, n={spec.n}")
+    return x
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -126,16 +144,14 @@ def _run_cell(x, svd: SvdTriple, k: int, spec: SweepSpec, strategy: str,
               ratio: float, eta: float) -> SweepRow:
     # The closed forms read the sweep's one factorization; the oracles factor
     # on their own so they stay independent of it.
-    if strategy in ("r1-opt", "wr-opt"):
-        solve = _attack_rank_one if strategy == "r1-opt" else _attack_unconstrained
-        _, report = solve(x, svd, k, eta)
-        return SweepRow(ratio, strategy, report.theta_achieved,
-                        report.theta_predicted, report.budget_used)
-    if strategy == "r1-rnd":
-        attack, theta = random_rank_one(x, k, eta, spec.oracle_cfg)
-        return SweepRow(ratio, strategy, theta, None, attack.budget_used)
-    attack, theta = random_unconstrained(x, k, eta, spec.oracle_cfg)
-    return SweepRow(ratio, strategy, theta, None, attack.fro_norm)
+    attack, by_oracle = STRATEGIES[strategy]
+    closed_form, oracle = ATTACKS[attack]
+    if by_oracle:
+        result, theta = oracle(x, k, eta, spec.oracle_cfg)
+        return SweepRow(ratio, strategy, theta, None, result.budget_used)
+    _, report = closed_form(x, svd, k, eta)
+    return SweepRow(ratio, strategy, report.theta_achieved,
+                    report.theta_predicted, report.budget_used)
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -130,14 +130,13 @@ def random_rank_one(x, k: int, eta: float, cfg: SearchConfig) -> tuple[RankOneAt
     rescales a so the perturbation energy equals eta exactly.
     """
     (a, b), theta = _best_of_trials(x, k, eta, cfg, operator.add, _rank_one_candidates)
-    return RankOneAttack(a=a, b=b, regime=None), theta
+    return RankOneAttack(a=a, b=b), theta
 
 
 def random_unconstrained(x, k: int, eta: float, cfg: SearchConfig) -> tuple[PerturbationMatrix, float]:
     """Best of ``cfg.trials`` dense Gaussian attacks scaled to energy eta."""
     (delta,), theta = _best_of_trials(x, k, eta, cfg, operator.mul, _dense_candidates)
-    return PerturbationMatrix(delta=delta, canonical_b=None,
-                              fro_norm=float(np.linalg.norm(delta))), theta
+    return PerturbationMatrix(delta=delta), theta
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:

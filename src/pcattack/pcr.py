@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
-from .experiments import _budget_unit
+from .experiments import ATTACKS, _budget_unit
 from .fileio import format_float, numbered_lines, parse_rows
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
-from .rank_one import _attack_rank_one
-from .unconstrained import _attack_unconstrained
 
-PCR_STRATEGIES = ("rank_one", "unconstrained")
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
 SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
 
@@ -109,8 +106,8 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     modified; test features stay clean and are centered with the training
     means.
     """
-    if strategy not in PCR_STRATEGIES:
-        raise InvalidDimension(f"strategy must be one of {PCR_STRATEGIES}")
+    if strategy not in ATTACKS:
+        raise InvalidDimension(f"strategy must be one of {tuple(ATTACKS)}")
     features = as_matrix(features)
     n = features.shape[1]
     targets = _as_targets(targets, n)
@@ -127,17 +124,12 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     svd = full_svd(xc)
     k = check_k(k, xc.shape)
     scale = _budget_unit(svd, k)
+    closed_form, _ = ATTACKS[strategy]
 
     reports = []
     for ratio in sorted(float(r) for r in eta_grid):
-        eta = check_eta(ratio * scale)
-        if strategy == "rank_one":
-            attack, _ = _attack_rank_one(xc, svd, k, eta)
-            delta = attack.delta
-        else:
-            pm, _ = _attack_unconstrained(xc, svd, k, eta)
-            delta = pm.delta
-        model = _fit_on_centered(xc + delta, means, y_train, k)
+        attack, _ = closed_form(xc, svd, k, check_eta(ratio * scale))
+        model = _fit_on_centered(xc + attack.delta, means, y_train, k)
         reports.append(RegressionReport(
             eta_ratio=ratio,
             strategy=strategy,

@@ -33,7 +33,6 @@ class RankOneAttack:
 
     a: np.ndarray
     b: np.ndarray
-    regime: Regime | None
 
     @property
     def delta(self) -> np.ndarray:
@@ -134,14 +133,15 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
 def _attack_rank_one(x: np.ndarray, svd: SvdTriple, k: int,
                      eta: float) -> tuple[RankOneAttack, AttackReport]:
     """``attack_rank_one`` on validated input, reading its factorization ``svd``."""
-    attack, theta_predicted = _solve_rank_one(svd, k, eta)
-    report = build_report("rank_one", attack.regime, x, svd, k, eta,
+    attack, regime, theta_predicted = _solve_rank_one(svd, k, eta)
+    report = build_report("rank_one", regime, x, svd, k, eta,
                           attack.delta, theta_predicted,
                           solution={"a": attack.a, "b": attack.b})
     return attack, report
 
 
-def _solve_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[RankOneAttack, float]:
+def _solve_rank_one(svd: SvdTriple, k: int,
+                    eta: float) -> tuple[RankOneAttack, Regime, float]:
     """Regime, attack vectors and predicted distance from at most two singular pairs.
 
     For k below the rank, the attack mixes the k-th and (k+1)-th singular
@@ -162,12 +162,12 @@ def _solve_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[RankOneAttack, 
         if eta >= sigma_k - sigma_k1:
             # Boundary equality included: the construction then yields a tied
             # perturbed spectrum and the report is flagged downstream.
-            return (RankOneAttack(a=eta * u_k1, b=v_k1.copy(), regime=Regime.K_LT_RANK_CASE1),
+            return (RankOneAttack(a=eta * u_k1, b=v_k1.copy()), Regime.K_LT_RANK_CASE1,
                     math.pi / 2)
         cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
         a = eta * (math.cos(cf.alpha_star) * u_k + math.sin(cf.alpha_star) * u_k1)
         b = math.cos(cf.beta_star) * v_k + math.sin(cf.beta_star) * v_k1
-        return RankOneAttack(a=a, b=b, regime=Regime.K_LT_RANK_CASE2), cf.theta_star
+        return RankOneAttack(a=a, b=b), Regime.K_LT_RANK_CASE2, cf.theta_star
 
     if k != rank or rank == d < n:
         raise RegimeError(
@@ -185,13 +185,11 @@ def _solve_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[RankOneAttack, 
     if eta > sigma_k:
         if low_rank:
             # All budget on a fresh direction orthogonal to the column space.
-            attack = RankOneAttack(a=eta * outside, b=svd.v[:, k].copy(),
-                                   regime=Regime.LOW_RANK_CASE1)
-        else:
-            a = -sigma_k * u_k + math.sqrt(eta**2 - sigma_k**2) * outside
-            attack = RankOneAttack(a=a, b=v_k.copy(), regime=Regime.FULL_RANK_CASE1)
-        return attack, math.pi / 2
+            return (RankOneAttack(a=eta * outside, b=svd.v[:, k].copy()),
+                    Regime.LOW_RANK_CASE1, math.pi / 2)
+        a = -sigma_k * u_k + math.sqrt(eta**2 - sigma_k**2) * outside
+        return RankOneAttack(a=a, b=v_k.copy()), Regime.FULL_RANK_CASE1, math.pi / 2
     ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
     a = -(eta**2 / sigma_k) * u_k + ortho * outside
     regime = Regime.LOW_RANK_CASE2 if low_rank else Regime.FULL_RANK_CASE2
-    return RankOneAttack(a=a, b=v_k.copy(), regime=regime), math.asin(eta / sigma_k)
+    return RankOneAttack(a=a, b=v_k.copy()), regime, math.asin(eta / sigma_k)

@@ -22,16 +22,13 @@ from .report import AttackReport, Regime, build_report
 
 @dataclass(frozen=True)
 class PerturbationMatrix:
-    """A dense perturbation plus, when known, its four canonical entries.
-
-    ``canonical_b`` holds (b_kk, b_k1k, b_kk1, b_k1k1): the entries at
-    positions (k,k), (k+1,k), (k,k+1), (k+1,k+1) of the perturbation in
-    the SVD coordinates of the attacked matrix.
-    """
+    """A dense perturbation; its canonical entries, when known, are in the report."""
 
     delta: np.ndarray
-    canonical_b: np.ndarray | None
-    fro_norm: float
+
+    @property
+    def budget_used(self) -> float:
+        return float(np.linalg.norm(self.delta))
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,7 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     b2 = np.array([[entries[0], entries[2]],
                    [entries[1], entries[3]]])
     delta = svd.u[:, k - 1:k + 1] @ b2 @ svd.v[:, k - 1:k + 1].T
-    return PerturbationMatrix(delta=delta, canonical_b=entries.copy(),
-                              fro_norm=float(np.linalg.norm(entries)))
+    return PerturbationMatrix(delta=delta)
 
 
 def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:

@@ -187,7 +187,7 @@ def test_criterion_8_property_suites():
             assert abs(attack.budget_used - eta_r1) < 1e-10 * (1.0 + eta_r1)
             eta_wr = float(rng.uniform(0.1, 0.9)) * gap / np.sqrt(2.0)
             pm, _ = attack_unconstrained(x, k, eta_wr)
-            assert abs(pm.fro_norm - eta_wr) < 1e-8 * (1.0 + eta_wr)
+            assert abs(pm.budget_used - eta_wr) < 1e-8 * (1.0 + eta_wr)
 
         # four-solution equivalence of the two-angle optimum
         for seed in range(100):

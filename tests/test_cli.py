@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pcattack import (ParseError, read_matrix_csv, synth_low_rank, synthetic_collinear,
-                      write_matrix_csv)
+from pcattack import (ParseError, experiments, read_matrix_csv, synth_low_rank,
+                      synthetic_collinear, write_matrix_csv)
 from pcattack.cli import main
 
 
@@ -182,11 +182,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "ok" in out and "VIOLATION" not in out
 
-    def test_injected_offset_detected(self, low_rank_csv):
+    def test_injected_offset_detected(self, low_rank_csv, monkeypatch, capsys):
+        closed_form, oracle = experiments.ATTACKS["rank_one"]
+
+        def overshooting_oracle(x, k, eta, cfg):
+            attack, theta = oracle(x, k, eta, cfg)
+            return attack, theta + 0.2
+
+        monkeypatch.setitem(experiments.ATTACKS, "rank_one",
+                            (closed_form, overshooting_oracle))
         code = main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",
-                     "--trials", "400", "--seed", "3",
-                     "--inject-theta-offset", "0.2"])
+                     "--trials", "400", "--seed", "3"])
         assert code == 4
+        status = {line[:22].strip(): line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()[1:]}
+        assert status == {"rank-one random": "VIOLATION", "unconstrained random": "ok"}
 
     def test_zero_trials_exits_2(self, low_rank_csv):
         assert main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",

@@ -7,6 +7,26 @@ from pcattack import (InvalidDimension, ParseError, SweepSpec, full_svd,
 from pcattack.cli import main
 from pcattack.oracle import SearchConfig
 
+FOUR_STRATEGY_CSV = (
+    "eta_ratio,strategy,theta,theta_predicted,budget_used\n"
+    "0.2,r1-opt,0.126306294282,0.126306294282,0.185713496747\n"
+    "0.2,r1-rnd,0.0923469674832,,0.185713496747\n"
+    "0.2,wr-opt,0.14776926999,0.14776926999,0.185713496747\n"
+    "0.2,wr-rnd,0.0925843378041,,0.185713496747\n"
+    "0.5,r1-opt,0.326016072728,0.326016072728,0.464283741868\n"
+    "0.5,r1-rnd,0.233041119088,,0.464283741868\n"
+    "0.5,wr-opt,0.400902870617,0.400902870617,0.464283741868\n"
+    "0.5,wr-rnd,0.214717316732,,0.464283741868\n"
+    "0.9,r1-opt,0.676203640808,0.676203640808,0.835710735363\n"
+    "0.9,r1-rnd,0.424927890166,,0.835710735363\n"
+    "0.9,wr-opt,1.57079632679,1.57079632679,0.835710735363\n"
+    "0.9,wr-rnd,0.415032477667,,0.835710735363\n"
+    "1.3,r1-opt,1.57079632679,1.57079632679,1.20713772886\n"
+    "1.3,r1-rnd,0.862105661706,,1.20713772886\n"
+    "1.3,wr-opt,1.57079632679,1.57079632679,1.20713772886\n"
+    "1.3,wr-rnd,0.703663925834,,1.20713772886\n"
+)
+
 
 class TestSynthData:
     def test_low_rank_has_rank_k(self):
@@ -87,6 +107,16 @@ class TestRunSweep:
                          strategies=("r1-opt",), seed=0)
         rows = run_sweep(spec)
         assert rows[0].theta == pytest.approx(np.arcsin(0.5), abs=1e-6)
+        # d and n are required keys, so they must describe the file
+        wrong = SweepSpec(d=3, n=3, k=2, data_kind="from_file",
+                          data_path=str(path), eta_grid=(0.5,), strategies=("r1-opt",))
+        with pytest.raises(ParseError, match="5x5 matrix.*d=3, n=3"):
+            run_sweep(wrong)
+        spec_path = tmp_path / "wrong.spec"
+        spec_path.write_text(f"d = 3\nn = 3\nk = 2\ndata_kind = from_file\n"
+                             f"data_path = {path}\nstrategies = r1-opt\n")
+        assert main(["sweep", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestSweepCsv:
@@ -110,6 +140,16 @@ class TestSweepCsv:
         line = path.read_text().splitlines()[1]
         assert "[error:" in line
 
+    def test_four_strategy_csv_pinned(self, tmp_path):
+        # Pins which closed form or oracle each strategy name runs, and the
+        # budget_used of every row.
+        spec = SweepSpec(d=6, n=5, k=2, data_kind="gaussian",
+                         eta_grid=(0.2, 0.5, 0.9, 1.3), seed=3,
+                         oracle_cfg=SearchConfig(trials=300, seed=3))
+        path = tmp_path / "four.csv"
+        write_sweep_csv(run_sweep(spec), path)
+        assert path.read_text() == FOUR_STRATEGY_CSV
+
 
 class TestSweepSpecValidation:
     def test_empty_grid_rejected(self):
@@ -123,6 +163,13 @@ class TestSweepSpecValidation:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ParseError):
             SweepSpec(d=5, n=5, k=3, strategies=("nope",))
+
+    def test_duplicate_strategy_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="duplicate strategies"):
+            SweepSpec(d=5, n=5, k=3, strategies=("r1-opt", "wr-opt", "r1-opt"))
+        path = tmp_path / "dup.spec"
+        path.write_text("d = 5\nn = 5\nk = 3\nstrategies = r1-opt,r1-opt\n")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "o.csv")]) == 2
 
 
 class TestSpecFile:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pcattack import (SweepSpec, attack_rank_one, attack_unconstrained, run_sweep,
-                      synth_gaussian)
+                      synth_gaussian, write_matrix_csv)
+from pcattack.cli import main
 
 
 @pytest.fixture
@@ -39,3 +40,13 @@ def test_sweep_factors_once(svd_calls):
     rows = run_sweep(spec)
     assert all(row.error is None for row in rows)
     assert svd_calls.count((12, 8)) == 1 + len(rows)
+
+
+def test_verify_factors_once_for_both_closed_forms(svd_calls, tmp_path):
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, synth_gaussian(6, 5, seed=3))
+    assert main(["verify", str(path), "--k", "2", "--eta", "0.3",
+                 "--trials", "200", "--seed", "1"]) == 0
+    # one shared factorization, one re-PCA per closed form, and each of the
+    # two random oracles factors X on its own
+    assert svd_calls.count((6, 5)) == 5

@@ -75,8 +75,8 @@ class TestDispatch:
 class TestFullRank:
     def test_small_budget_law(self):
         x = full_rank_fixture()
-        attack, _ = attack_rank_one(x, 2, 1.0)
-        assert attack.regime == Regime.FULL_RANK_CASE2
+        attack, report = attack_rank_one(x, 2, 1.0)
+        assert report.regime == Regime.FULL_RANK_CASE2
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.arcsin(0.5), abs=1e-10)
         assert theta == pytest.approx(np.pi / 6, abs=1e-10)
@@ -90,8 +90,8 @@ class TestFullRank:
 
     def test_large_budget_max_distance(self):
         x = full_rank_fixture()
-        attack, _ = attack_rank_one(x, 2, 2.5)
-        assert attack.regime == Regime.FULL_RANK_CASE1
+        attack, report = attack_rank_one(x, 2, 2.5)
+        assert report.regime == Regime.FULL_RANK_CASE1
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)
 
@@ -112,14 +112,14 @@ class TestLowRank:
         return np.diag([3.0, 2.0, 0.0])
 
     def test_small_budget_law(self):
-        attack, _ = attack_rank_one(self.fixture(), 2, 1.0)
-        assert attack.regime == Regime.LOW_RANK_CASE2
+        attack, report = attack_rank_one(self.fixture(), 2, 1.0)
+        assert report.regime == Regime.LOW_RANK_CASE2
         theta, _ = pca_distance(self.fixture(), self.fixture() + attack.delta, 2)
         assert theta == pytest.approx(np.arcsin(0.5), abs=1e-10)
 
     def test_large_budget_max_distance(self):
-        attack, _ = attack_rank_one(self.fixture(), 2, 2.5)
-        assert attack.regime == Regime.LOW_RANK_CASE1
+        attack, report = attack_rank_one(self.fixture(), 2, 2.5)
+        assert report.regime == Regime.LOW_RANK_CASE1
         theta, _ = pca_distance(self.fixture(), self.fixture() + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)
 
@@ -153,7 +153,7 @@ class TestKLtRank:
     def test_attack_matches_prediction(self):
         x = self.fixture()
         attack, report = attack_rank_one(x, 2, 0.5)
-        assert attack.regime == Regime.K_LT_RANK_CASE2
+        assert report.regime == Regime.K_LT_RANK_CASE2
         assert report.theta_predicted == pytest.approx(REF_THETA, abs=1e-12)
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(report.theta_predicted, abs=1e-8)
@@ -166,7 +166,7 @@ class TestKLtRank:
     def test_large_budget_max_distance(self):
         x = self.fixture()
         attack, report = attack_rank_one(x, 2, 1.2)
-        assert attack.regime == Regime.K_LT_RANK_CASE1
+        assert report.regime == Regime.K_LT_RANK_CASE1
         assert report.theta_predicted == pytest.approx(np.pi / 2)
         theta, _ = pca_distance(x, x + attack.delta, 2)
         assert theta == pytest.approx(np.pi / 2, abs=1e-8)

@@ -101,7 +101,7 @@ class TestLift:
         svd = full_svd(fixture())
         pm = lift_to_data_space(np.zeros(4), svd, 2)
         assert np.all(pm.delta == 0.0)
-        assert pm.fro_norm == 0.0
+        assert pm.budget_used == 0.0
 
     def test_identity_factors(self):
         svd = full_svd(np.diag([3.0, 2.0, 1.0]))
@@ -129,8 +129,8 @@ class TestAttackUnconstrained:
         pm, report = attack_unconstrained(x, 2, 0.8)  # above 1/sqrt(2)
         assert report.regime == Regime.UNCONSTRAINED_CASE1
         assert report.theta_achieved == pytest.approx(np.pi / 2, abs=1e-8)
-        assert pm.canonical_b[0] == pytest.approx(-0.8 / np.sqrt(2.0))
-        assert pm.canonical_b[3] == pytest.approx(0.8 / np.sqrt(2.0))
+        assert report.solution["entries"][0] == pytest.approx(-0.8 / np.sqrt(2.0))
+        assert report.solution["entries"][3] == pytest.approx(0.8 / np.sqrt(2.0))
 
     def test_case2_reference(self):
         x = fixture()
@@ -138,7 +138,7 @@ class TestAttackUnconstrained:
         assert report.regime == Regime.UNCONSTRAINED_CASE2
         assert report.theta_predicted == pytest.approx(REF_THETA, abs=1e-12)
         assert report.theta_achieved == pytest.approx(REF_THETA, abs=1e-8)
-        assert pm.fro_norm == pytest.approx(0.5, abs=1e-8)
+        assert pm.budget_used == pytest.approx(0.5, abs=1e-8)
 
     def test_zero_budget(self):
         pm, report = attack_unconstrained(fixture(), 2, 0.0)
@@ -178,7 +178,7 @@ class TestAttackUnconstrained:
             if report.ambiguous_subspace:
                 continue
             assert abs(report.theta_achieved - report.theta_predicted) < 1e-8
-            assert pm.fro_norm == pytest.approx(eta, abs=1e-8 * (1.0 + eta))
+            assert pm.budget_used == pytest.approx(eta, abs=1e-8 * (1.0 + eta))
 
     def test_dominates_rank_one(self):
         for seed in range(30):
