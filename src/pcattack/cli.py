@@ -53,10 +53,10 @@ def _cmd_pcr(args) -> int:
             print("error: provide a data file or --synthetic", file=sys.stderr)
             return 2
         features, targets = load_feature_csv(args.data)
-    if args.eta_grid:
+    if args.eta_grid is not None:
         grid = [float(v) for v in args.eta_grid.split(",")]
     else:
-        grid = list(DEFAULT_ETA_RATIOS)
+        grid = DEFAULT_ETA_RATIOS
     reports = attack_pcr(features, targets, args.k, grid, args.strategy,
                          split_seed=args.seed)
     write_regression_csv(reports, args.out)
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("matrix", help="matrix CSV (columns are samples)")
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--eta", type=float, required=True)
-    p_verify.add_argument("--trials", type=int, default=10_000)
+    p_verify.add_argument("--trials", type=int, default=SearchConfig.trials)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

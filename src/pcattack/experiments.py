@@ -14,6 +14,7 @@ saturates the distance) and to sigma_k - sigma_{k+1} otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +60,7 @@ class SweepSpec:
             raise ParseError(f"unknown data_kind {self.data_kind!r}")
         if self.data_kind == "from_file" and not self.data_path:
             raise ParseError("data_kind=from_file requires data_path")
-        grid = tuple(float(v) for v in self.eta_grid)
-        if not grid:
-            raise ParseError("eta_grid must not be empty")
-        if any(v < 0.0 for v in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ParseError("eta_grid must be nonnegative and strictly increasing")
+        grid = check_ratio_grid(self.eta_grid)
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ParseError(f"unknown strategies: {sorted(unknown)}")
@@ -105,6 +102,22 @@ def _budget_unit(svd: SvdTriple, k: int) -> float:
     if svd.rank <= k:
         return float(svd.sigma[k - 1])
     return float(svd.sigma[k - 1] - svd.sigma[k])
+
+
+def check_ratio_grid(ratios) -> tuple[float, ...]:
+    """Budget ratios as floats: nonempty, finite, nonnegative and strictly
+    increasing, or ParseError naming the first ratio that is not."""
+    grid = tuple(float(v) for v in ratios)
+    if not grid:
+        raise ParseError("eta_grid must not be empty")
+    for ratio in grid:
+        if not math.isfinite(ratio) or ratio < 0.0:
+            raise ParseError(f"eta_grid ratio {ratio!r} is not finite and >= 0")
+    for before, ratio in zip(grid, grid[1:]):
+        if ratio <= before:
+            raise ParseError(f"eta_grid ratio {ratio!r} follows {before!r}; "
+                             f"ratios must be strictly increasing")
+    return grid
 
 
 def _sweep_data(spec: SweepSpec) -> np.ndarray:
@@ -201,7 +214,7 @@ def parse_sweep_spec(path) -> SweepSpec:
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
         seed = int(values.get("seed", "0"))
-        cfg = SearchConfig(trials=int(values.get("trials", "10000")),
+        cfg = SearchConfig(trials=int(values.get("trials", SearchConfig.trials)),
                            seed=int(values.get("oracle_seed", str(seed))))
         eta_grid = (tuple(float(v) for v in values["eta_grid"].split(","))
                     if "eta_grid" in values else DEFAULT_ETA_RATIOS)

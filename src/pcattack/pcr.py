@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
-from .experiments import ATTACKS, _budget_unit
+from .experiments import ATTACKS, _budget_unit, check_ratio_grid
 from .fileio import format_float, numbered_lines, parse_rows
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
@@ -102,12 +102,14 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     """Refit PCR on attacked training features across a budget-ratio grid.
 
     Ratios are relative to the centered training features: to sigma_k when
-    they have rank k, else to sigma_k - sigma_{k+1}.  The targets are never
-    modified; test features stay clean and are centered with the training
-    means.
+    they have rank k, else to sigma_k - sigma_{k+1}.  They are sorted, and
+    must then pass the sweep's grid check: nonempty, finite, nonnegative,
+    no repeats.  The targets are never modified; test features stay clean
+    and are centered with the training means.
     """
     if strategy not in ATTACKS:
         raise InvalidDimension(f"strategy must be one of {tuple(ATTACKS)}")
+    grid = check_ratio_grid(sorted(eta_grid))
     features = as_matrix(features)
     n = features.shape[1]
     targets = _as_targets(targets, n)
@@ -127,7 +129,7 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     closed_form, _ = ATTACKS[strategy]
 
     reports = []
-    for ratio in sorted(float(r) for r in eta_grid):
+    for ratio in grid:
         attack, _ = closed_form(xc, svd, k, check_eta(ratio * scale))
         model = _fit_on_centered(xc + attack.delta, means, y_train, k)
         reports.append(RegressionReport(

@@ -173,6 +173,13 @@ class TestPcrCommand:
     def test_no_data_source_exits_2(self, tmp_path):
         assert main(["pcr", "--k", "4", "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("grid", ["0.3,0.3", "", "-0.5,0.2"])
+    def test_bad_grid_exits_2(self, tmp_path, grid):
+        out = tmp_path / "o.csv"
+        assert main(["pcr", "--synthetic", "--k", "4", f"--eta-grid={grid}",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_clean_instance_passes(self, low_rank_csv, capsys):

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from conftest import random_basis
@@ -5,6 +7,7 @@ from conftest import random_basis
 from pcattack import (InvalidMatrix, OracleTooExpensive, attack_rank_one,
                       closed_form_lambda, klt_rank_closed_form, principal_angles)
 from pcattack import oracle
+from pcattack.linalg import _leading_from_svd, full_svd
 from pcattack.oracle import (SearchConfig, brute_force_principal_angles,
                              grid_search_angles, portable_normal,
                              random_rank_one, random_unconstrained,
@@ -200,10 +203,14 @@ class TestOracleDominance:
             assert best <= report.theta_predicted + 1e-6
 
 
-def _pin_instance():
-    x = np.random.default_rng(1).standard_normal((5, 5))
+def _gaussian_instance(d, n, k, seed):
+    x = np.random.default_rng(seed).standard_normal((d, n))
     sigma = np.linalg.svd(x, compute_uv=False)
-    return x, 3, 0.5 * (sigma[2] - sigma[3])
+    return x, k, 0.5 * (sigma[k - 1] - sigma[k])
+
+
+def _pin_instance():
+    return _gaussian_instance(5, 5, 3, 1)
 
 
 def _record_batches(monkeypatch, score):
@@ -275,3 +282,57 @@ class TestBestOfTrials:
     def test_rejects_invalid_matrix(self, search, bad):
         with pytest.raises(InvalidMatrix):
             search(bad, 1, 0.1, SearchConfig(trials=2, seed=0))
+
+    @pytest.mark.parametrize("search", [random_rank_one, random_unconstrained])
+    def test_scale_invariant(self, search):
+        # Scaling X and eta together leaves every angle unchanged, also where
+        # the squares of the entries would overflow or underflow.
+        x, k, eta = _pin_instance()
+        cfg = SearchConfig(trials=500, seed=1)
+        theta = search(x, k, eta, cfg)[1]
+        for c in (1e-170, 1e-150, 1e150, 1e160):
+            assert search(c * x, k, c * eta, cfg)[1] == pytest.approx(theta, abs=1e-12)
+
+
+def _svd_theta(basis, x, deltas):
+    """Reference scorer: the top-k left singular vectors from a full SVD of
+    each trial, and the cosine as the smallest singular value."""
+    k = basis.shape[1]
+    u_hat = np.linalg.svd(x[None, :, :] + deltas)[0][:, :, :k]
+    m = np.einsum("ji,bjl->bil", basis, u_hat)
+    return np.arccos(np.clip(np.linalg.svd(m, compute_uv=False)[:, -1], 0.0, 1.0))
+
+
+def _near_tie_instance():
+    # sigma_3 - sigma_4 = 3e-6 = 1e-6 * sigma_1.
+    rng = np.random.default_rng(4)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    v = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    sigma = np.array([3.0, 2.5, 2.0, 2.0 - 3e-6, 1.0, 0.5])
+    return (u * sigma) @ v.T, 3, 1.5e-6
+
+
+CANDIDATES = [pytest.param(operator.add, oracle._rank_one_candidates, id="rank_one"),
+              pytest.param(operator.mul, oracle._dense_candidates, id="dense")]
+
+
+def _both_scores(x, k, eta, width, candidates):
+    d, n = x.shape
+    basis = _leading_from_svd(full_svd(x), k).columns
+    rng = np.random.Generator(np.random.PCG64(0))
+    _, deltas = candidates(oracle._trial_normals(rng, 1000, width(d, n)), d, n, eta)
+    return oracle._batched_theta(basis, x, deltas), _svd_theta(basis, x, deltas)
+
+
+class TestBatchedTheta:
+    @pytest.mark.parametrize("width, candidates", CANDIDATES)
+    @pytest.mark.parametrize("d, n, k, seed", [(5, 5, 3, 1), (20, 30, 5, 2), (7, 3, 2, 3)])
+    def test_matches_svd_reference(self, d, n, k, seed, width, candidates):
+        got, ref = _both_scores(*_gaussian_instance(d, n, k, seed), width, candidates)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+        assert np.argmax(got) == np.argmax(ref)
+
+    @pytest.mark.parametrize("width, candidates", CANDIDATES)
+    def test_near_tie_matches_svd_reference(self, width, candidates):
+        got, ref = _both_scores(*_near_tie_instance(), width, candidates)
+        assert np.max(np.abs(got - ref)) <= 1e-6

@@ -121,6 +121,18 @@ class TestAttackPcr:
         with pytest.raises(InvalidDimension):
             attack_pcr(features, targets, 4, [0.5], "both")
 
+    @pytest.mark.parametrize("grid, named", [([], "empty"), ([0.6, 0.2, 0.6], "0.6"),
+                                             ([0.2, -1.0], "-1.0"), ([0.2, np.inf], "inf")])
+    def test_bad_grid_names_the_ratio(self, grid, named):
+        features, targets = synthetic_collinear(seed=0)
+        with pytest.raises(ParseError, match=named):
+            attack_pcr(features, targets, 4, grid)
+
+    def test_grid_is_sorted(self):
+        features, targets = synthetic_collinear(seed=0)
+        reports = attack_pcr(features, targets, 4, [0.6, 0.2])
+        assert [r.eta_ratio for r in reports] == [0.2, 0.6]
+
 
     def test_non_finite_targets_rejected(self):
         features, targets = synthetic_collinear(seed=0)
