@@ -98,11 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pcattack",
         description="Optimal adversarial perturbations of PCA subspaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)    # attack and verify read these
+    matrix.add_argument("matrix", help="matrix CSV (columns are samples)")
+    matrix.add_argument("--k", type=int, required=True)
+    matrix.add_argument("--eta", type=float, required=True)
 
-    p_attack = sub.add_parser("attack", help="write a JSON attack report")
-    p_attack.add_argument("matrix", help="matrix CSV (columns are samples)")
-    p_attack.add_argument("--k", type=int, required=True)
-    p_attack.add_argument("--eta", type=float, required=True)
+    p_attack = sub.add_parser("attack", parents=[matrix], help="write a JSON attack report")
     p_attack.add_argument("--strategy", choices=ATTACKS, default="rank_one")
     p_attack.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_attack.add_argument("--emit-delta", metavar="PATH",
@@ -127,10 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pcr.add_argument("--out", required=True, help="report CSV path")
     p_pcr.set_defaults(func=_cmd_pcr)
 
-    p_verify = sub.add_parser("verify", help="check closed forms against oracles")
-    p_verify.add_argument("matrix", help="matrix CSV (columns are samples)")
-    p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--eta", type=float, required=True)
+    p_verify = sub.add_parser("verify", parents=[matrix],
+                              help="check closed forms against oracles")
     p_verify.add_argument("--trials", type=int, default=SearchConfig.trials)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
-from .fileio import format_float, read_matrix_csv
-from .linalg import SvdTriple, check_eta, check_k, full_svd
+from .fileio import format_float, numbered_lines, read_matrix_csv
+from .linalg import SvdTriple, _leading_from_svd, check_eta, check_k, full_svd
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
@@ -138,31 +138,30 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     svd = full_svd(x)
     k = check_k(spec.k, x.shape)
     scale = _budget_unit(svd, k)
+    clean_ambiguous = _leading_from_svd(svd, k).ambiguous
     rows = []
     for ratio in spec.eta_grid:
         eta = check_eta(ratio * scale)
         for strategy in sorted(spec.strategies):
             try:
-                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta))
+                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta,
+                                      clean_ambiguous))
             except PcattackError as exc:
-                rows.append(SweepRow(eta_ratio=ratio, strategy=strategy,
-                                     theta=None, theta_predicted=None,
-                                     budget_used=None,
-                                     error=type(exc).__name__))
+                rows.append(SweepRow(ratio, strategy, None, None, None, type(exc).__name__))
     rows.sort(key=lambda r: (r.eta_ratio, r.strategy))
     return rows
 
 
 def _run_cell(x, svd: SvdTriple, k: int, spec: SweepSpec, strategy: str,
-              ratio: float, eta: float) -> SweepRow:
-    # The closed forms read the sweep's one factorization; the oracles factor
-    # on their own so they stay independent of it.
+              ratio: float, eta: float, clean_ambiguous: bool) -> SweepRow:
+    # The closed forms read the sweep's one factorization and are verified from
+    # their 2x2 cores; the oracles factor on their own to stay independent of it.
     attack, by_oracle = STRATEGIES[strategy]
     closed_form, oracle = ATTACKS[attack]
     if by_oracle:
         result, theta = oracle(x, k, eta, spec.oracle_cfg)
         return SweepRow(ratio, strategy, theta, None, result.budget_used)
-    _, report = closed_form(x, svd, k, eta)
+    _, report = closed_form(x, svd, k, eta, "core", clean_ambiguous)
     return SweepRow(ratio, strategy, report.theta_achieved,
                     report.theta_predicted, report.budget_used)
 
@@ -195,20 +194,18 @@ def parse_sweep_spec(path) -> SweepSpec:
     lines and ``#`` comments are ignored.
     """
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, val = text.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _SPEC_KEYS:
-                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+    for lineno, text in numbered_lines(path):
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key, _, val = text.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _SPEC_KEYS:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val
     try:
         for required in ("d", "n", "k"):
             if required not in values:

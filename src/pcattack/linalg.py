@@ -168,12 +168,8 @@ def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
     p = min(d, n)
     k = check_k(k, (d, n))
     sigma = svd.sigma
-    if k < p:
-        next_sigma = sigma[k]
-    elif k < d:
-        next_sigma = 0.0        # d > n: trailing spectrum is implicitly zero
-    else:
-        next_sigma = None       # k = d: the subspace is all of R^d
+    # for d > n the trailing spectrum is implicitly zero; at k = d the subspace is R^d
+    next_sigma = sigma[k] if k < p else 0.0 if k < d else None
     ambiguous = next_sigma is not None and (sigma[k - 1] - next_sigma) <= TIE_TOL * sigma[0]
     return OrthonormalBasis(svd.u[:, :k].copy(), ambiguous=bool(ambiguous))
 

@@ -257,7 +257,7 @@ def _max_on_sphere(g: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]
     span = initial
     for _ in range(40):
         moved = 0.0
-        for t in _tangent_basis(c):
+        for t in _drop_direction(np.eye(c.size), c).T:   # a tangent basis at c
             omega, _ = _golden_max(
                 lambda w, t=t: fval(math.cos(w) * c + math.sin(w) * t),
                 -span, span, iters=40)
@@ -269,23 +269,6 @@ def _max_on_sphere(g: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float]
         if span < 1e-9:
             break
     return c, fval(c)
-
-
-def _tangent_basis(c: np.ndarray) -> list[np.ndarray]:
-    m = c.size
-    basis = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        t = e - (c @ e) * c
-        for q in basis:
-            t -= (q @ t) * q
-        nt = np.linalg.norm(t)
-        if nt > 1e-6:
-            basis.append(t / nt)
-        if len(basis) == m - 1:
-            break
-    return basis
 
 
 def _drop_direction(cols: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -329,10 +312,7 @@ def brute_force_principal_angles(a, b, cfg: SearchConfig) -> np.ndarray:
         u = cols_a @ c
         w = cols_b.T @ u
         nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            v = cols_b @ (w / nw)
-        else:
-            v = cols_b[:, 0]
+        v = cols_b @ (w / nw) if nw > 1e-12 else cols_b[:, 0]
         angles.append(math.acos(min(1.0, max(0.0, best))))
         cols_a = _drop_direction(cols_a, u)
         cols_b = _drop_direction(cols_b, v)

@@ -2,17 +2,11 @@
 
 A rank-one perturbation ``delta = a b^T`` (with ``b`` normalized to unit
 length) is chosen to maximize the Asimov distance between the k leading
-principal components of the data and those of the perturbed data.  Three
-regimes are covered, depending on how k relates to the numerical rank of
-the data matrix:
-
-* full column rank with k = rank = n <= d,
-* rank-deficient data with k = rank,
-* k strictly below the rank.
-
-In each regime a small budget bends the k-th principal direction by
-``arcsin``-type laws while a budget above a spectral threshold forces the
-maximal distance pi/2.
+principal components of the data and those of the perturbed data.  The
+regimes follow how k relates to the numerical rank: full column rank with
+k = rank = n <= d, rank-deficient data with k = rank, and k below the rank.
+In each, a small budget bends the k-th principal direction and a budget
+above a spectral threshold forces the maximal distance pi/2.
 """
 
 from __future__ import annotations
@@ -23,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
-from .linalg import SvdTriple, check_attack, complement_direction, full_svd
-from .report import AttackReport, Regime, build_report
+from .linalg import SvdTriple, check_attack, full_svd
+from .report import AttackReport, Regime, build_report, core_case, frames
 
 
 @dataclass(frozen=True)
@@ -130,66 +124,51 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
     return _attack_rank_one(x, full_svd(x), k, eta)
 
 
-def _attack_rank_one(x: np.ndarray, svd: SvdTriple, k: int,
-                     eta: float) -> tuple[RankOneAttack, AttackReport]:
-    """``attack_rank_one`` on validated input, reading its factorization ``svd``."""
-    attack, regime, theta_predicted = _solve_rank_one(svd, k, eta)
-    report = build_report("rank_one", regime, x, svd, k, eta,
-                          attack.delta, theta_predicted,
-                          solution={"a": attack.a, "b": attack.b})
-    return attack, report
-
-
-def _solve_rank_one(svd: SvdTriple, k: int,
-                    eta: float) -> tuple[RankOneAttack, Regime, float]:
-    """Regime, attack vectors and predicted distance from at most two singular pairs.
-
-    For k below the rank, the attack mixes the k-th and (k+1)-th singular
-    directions at the stationary angles (alpha*, beta*) below the spectral
-    gap; at or above it, all budget lands on the (k+1)-th pair and the
-    distance saturates at pi/2.  For k equal to the rank (rank-deficient
-    data, or full column rank with k = n <= d), the k-th direction bends
-    toward a direction outside the column space by arcsin(eta / sigma_k),
-    and past sigma_k the distance is pi/2.
-    """
-    d, n = svd.u.shape[0], svd.v.shape[0]
-    rank = svd.rank
-    sigma_k = float(svd.sigma[k - 1])
-    u_k, v_k = svd.u[:, k - 1], svd.v[:, k - 1]
-    if k < rank:
-        sigma_k1 = float(svd.sigma[k])
-        u_k1, v_k1 = svd.u[:, k], svd.v[:, k]
-        if eta >= sigma_k - sigma_k1:
-            # Boundary equality included: the construction then yields a tied
-            # perturbed spectrum and the report is flagged downstream.
-            return (RankOneAttack(a=eta * u_k1, b=v_k1.copy()), Regime.K_LT_RANK_CASE1,
-                    math.pi / 2)
-        cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
-        a = eta * (math.cos(cf.alpha_star) * u_k + math.sin(cf.alpha_star) * u_k1)
-        b = math.cos(cf.beta_star) * v_k + math.sin(cf.beta_star) * v_k1
-        return RankOneAttack(a=a, b=b), Regime.K_LT_RANK_CASE2, cf.theta_star
-
-    if k != rank or rank == d < n:
-        raise RegimeError(
-            f"no attack regime for k={k} with rank={rank} on a {d}x{n} matrix")
-    low_rank = rank < min(d, n)
-    if low_rank:
-        outside = svd.u[:, k]
-    elif d > n:
-        outside = complement_direction(svd.u)
-    elif eta == 0.0:
-        outside = np.zeros(d)   # the zero attack needs no direction off the column space
-    else:
+def _attack_rank_one(x: np.ndarray, svd: SvdTriple, k: int, eta: float,
+                     verify: str | None = "full", clean_ambiguous: bool | None = None
+                     ) -> tuple[RankOneAttack, AttackReport | None]:
+    """``attack_rank_one`` on validated input factored as ``svd``; ``verify``
+    and ``clean_ambiguous`` go to ``build_report``, and None builds no report."""
+    d, n = x.shape
+    sigma_k, sigma_k1, case = core_case(svd, k)
+    if case != "k<rank" and (k != svd.rank or svd.rank == d < n):
+        raise RegimeError(f"no attack regime for k={k} with rank={svd.rank} on a {d}x{n} matrix")
+    if case == "full_rank" and d == n and eta > 0.0:
         raise NoOrthogonalComplement("d = n: no direction leaves the column space")
+    regime, theta_predicted, core = solve_rank_one(sigma_k, sigma_k1, eta, case)
+    left, right = frames(svd, k)
+    # core = outer(a2, b2): b2 is its unit row, signed so its last nonzero entry is positive
+    row = core[np.argmax(np.abs(core).sum(axis=1))]
+    b2 = row / math.hypot(*row) if row.any() else np.array([1.0, 0.0])
+    b2 = -b2 if (b2[1], b2[0]) < (0.0, 0.0) else b2
+    attack = RankOneAttack(a=left @ (core @ b2), b=right @ b2[:right.shape[1]])
+    return attack, verify and build_report("rank_one", regime, x, svd, k, eta, core,
+                                           theta_predicted, {"a": attack.a, "b": attack.b},
+                                           verify, clean_ambiguous)
 
+
+def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
+                   case: str) -> tuple[Regime, float, np.ndarray]:
+    """Regime, predicted distance and 2 x 2 core of the optimal rank-one attack
+    in the regime that ``case`` (as ``report.core_case`` names it) and eta pick.
+
+    Below the gap, k < rank mixes u_k, u_{k+1} and v_k, v_{k+1} at the
+    stationary angles (alpha*, beta*); k = rank bends u_k toward ``e`` by
+    arcsin(eta / sigma_k).  Past its threshold each saturates at pi/2.
+    """
+    if case == "k<rank" and eta < sigma_k - sigma_k1:
+        cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
+        a2 = eta * np.array([math.cos(cf.alpha_star), math.sin(cf.alpha_star)])
+        b2 = np.array([math.cos(cf.beta_star), math.sin(cf.beta_star)])
+        return Regime.K_LT_RANK_CASE2, cf.theta_star, np.outer(a2, b2)
+    if case == "k<rank" or (case == "low_rank" and eta > sigma_k):
+        # All budget on e = u_{k+1}, paired with v_{k+1}.  At eta equal to the
+        # gap the perturbed spectrum is tied, and the report is flagged.
+        regime = Regime.K_LT_RANK_CASE1 if case == "k<rank" else Regime.LOW_RANK_CASE1
+        return regime, math.pi / 2, np.array([[0.0, 0.0], [0.0, eta]])
     if eta > sigma_k:
-        if low_rank:
-            # All budget on a fresh direction orthogonal to the column space.
-            return (RankOneAttack(a=eta * outside, b=svd.v[:, k].copy()),
-                    Regime.LOW_RANK_CASE1, math.pi / 2)
-        a = -sigma_k * u_k + math.sqrt(eta**2 - sigma_k**2) * outside
-        return RankOneAttack(a=a, b=v_k.copy()), Regime.FULL_RANK_CASE1, math.pi / 2
+        return (Regime.FULL_RANK_CASE1, math.pi / 2,
+                np.array([[-sigma_k, 0.0], [math.sqrt(eta**2 - sigma_k**2), 0.0]]))
     ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
-    a = -(eta**2 / sigma_k) * u_k + ortho * outside
-    regime = Regime.LOW_RANK_CASE2 if low_rank else Regime.FULL_RANK_CASE2
-    return RankOneAttack(a=a, b=v_k.copy()), regime, math.asin(eta / sigma_k)
+    regime = Regime.LOW_RANK_CASE2 if case == "low_rank" else Regime.FULL_RANK_CASE2
+    return regime, math.asin(eta / sigma_k), np.array([[-eta**2 / sigma_k, 0.0], [ortho, 0.0]])

@@ -1,5 +1,10 @@
-"""Attack outcome containers and the report builder shared by the closed-form
-strategies."""
+"""The 2 x 2 core of the closed-form attacks, its lift, and their report.
+
+Every optimal attack is ``delta = L B R^T`` with ``L = [u_k, e]``, ``R =
+[v_k, v_{k+1}]`` and a 2 x 2 core ``B``; ``e`` is u_{k+1}, or a unit vector
+off the column space when k = min(d, n).  ``X + delta`` is then block
+diagonal in the clean singular bases.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import SvdTriple, _leading_from_svd, asimov_distance, full_svd
+from .linalg import (TIE_TOL, SvdTriple, _leading_from_svd, asimov_distance,
+                     complement_direction, full_svd)
 
 
 class Regime(str, Enum):
@@ -29,10 +35,9 @@ class Regime(str, Enum):
 class AttackReport:
     """Summary of one attack: what was predicted and what actually happened.
 
-    ``theta_achieved`` is always recomputed by re-running PCA on the
-    perturbed matrix; ``ambiguous_subspace`` is set when either truncation
-    had a tied trailing singular value, in which case the achieved value is
-    tie-break dependent and must not be trusted.
+    ``theta_achieved`` is measured as ``build_report`` describes.
+    ``ambiguous_subspace`` is set when either truncation had a tied trailing
+    singular value: the achieved value is then tie-break dependent.
     """
 
     strategy: str
@@ -47,12 +52,8 @@ class AttackReport:
     solution: dict
 
     def to_json_dict(self) -> dict:
-        solution = {}
-        for key, val in self.solution.items():
-            if isinstance(val, np.ndarray):
-                solution[key] = [float(x) for x in val]
-            else:
-                solution[key] = val
+        solution = {key: [float(v) for v in val] if isinstance(val, np.ndarray) else val
+                    for key, val in self.solution.items()}
         return {
             "schema_version": 1,
             "strategy": self.strategy,
@@ -69,25 +70,80 @@ class AttackReport:
         }
 
 
-def build_report(strategy: str, regime: Regime, x: np.ndarray, svd: SvdTriple,
-                 k: int, eta: float, delta: np.ndarray, theta_predicted: float,
-                 solution: dict) -> AttackReport:
-    """Report an attack on ``x``, whose factorization ``svd`` the attack read.
+def core_case(svd: SvdTriple, k: int) -> tuple[float, float, str]:
+    """``(sigma_k, sigma_{k+1}, case)`` for a family's solver; ``case`` is
+    ``"k<rank"``, ``"low_rank"`` (k >= rank, rank < min(d, n)) or
+    ``"full_rank"`` (k = rank = min(d, n), where sigma_{k+1} is 0)."""
+    rank, p = svd.rank, svd.sigma.size
+    case = "k<rank" if k < rank else "low_rank" if rank < p else "full_rank"
+    return float(svd.sigma[k - 1]), float(svd.sigma[k]) if k < p else 0.0, case
 
-    ``theta_achieved`` comes from an independent PCA of ``x + delta``, never
-    from the clean factors, so it checks the closed form end to end.
+
+def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``L = [u_k, e]`` and ``R = [v_k, v_{k+1}]``; at k = n, ``R`` is ``[v_k]``
+    and a core's second column must be zero."""
+    d, p = svd.u.shape      # e = 0 only at k = d = n, which only the zero attack reaches
+    e = svd.u[:, k] if k < p else complement_direction(svd.u) if d > p else np.zeros(d)
+    return np.column_stack([svd.u[:, k - 1], e]), svd.v[:, k - 1:k + 1]
+
+
+def lift(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray:
+    """The dense perturbation ``L @ core @ R^T``."""
+    left, right = frames(svd, k)
+    return left @ core[:, :right.shape[1]] @ right.T
+
+
+@dataclass(frozen=True)
+class CoreAttack:
+    """A closed-form attack kept as its core; ``delta`` is lifted on demand."""
+
+    svd: SvdTriple
+    k: int
+    core: np.ndarray
+
+    @property
+    def delta(self) -> np.ndarray:
+        return lift(self.svd, self.k, self.core)
+
+    @property
+    def budget_used(self) -> float:
+        return float(np.linalg.norm(self.core))
+
+
+def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
+    """Achieved distance ``atan2(|w_2|, |w_1|)``, with ``w`` the leading left
+    singular vector of ``diag(sigma_k, sigma_{k+1}) + core``, or None unless
+    its singular values ``s_1 >= s_2`` split cleanly from the rest:
+    ``min(sigma_{k-1}, s_1) - max(s_2, sigma_{k+2}) > TIE_TOL * max(sigma_1, s_1)``.
+    The perturbed truncation is then not tied."""
+    sigma = np.concatenate([svd.sigma, [0.0, 0.0]])    # implicit trailing zeros
+    w, s, _ = np.linalg.svd(np.diag(sigma[k - 1:k + 1]) + core)
+    above = sigma[k - 2] if k > 1 else math.inf
+    if min(above, s[0]) - max(s[1], sigma[k + 1]) <= TIE_TOL * max(sigma[0], s[0]):
+        return None
+    return math.atan2(abs(w[1, 0]), abs(w[0, 0]))
+
+
+def build_report(strategy: str, regime: Regime, x: np.ndarray, svd: SvdTriple,
+                 k: int, eta: float, core: np.ndarray, theta_predicted: float,
+                 solution: dict, verify: str = "full",
+                 clean_ambiguous: bool | None = None) -> AttackReport:
+    """Report the attack ``lift(svd, k, core)`` on ``x``, factored as ``svd``.
+
+    ``verify="full"`` measures ``theta_achieved`` by an independent PCA of
+    ``x + delta``, never reading the clean factors, so it checks the closed
+    form end to end.  ``"core"`` reads it from the core (``_core_angle``),
+    with no dense delta, and falls back to ``"full"`` when it cannot;
+    ``clean_ambiguous``, the clean truncation's tie flag, can be passed in.
     """
-    basis_before = _leading_from_svd(svd, k)
-    basis_after = _leading_from_svd(full_svd(x + delta), k)
-    return AttackReport(
-        strategy=strategy,
-        regime=regime,
-        k=k,
-        eta=eta,
-        sigma=svd.sigma.copy(),
-        theta_predicted=theta_predicted,
-        theta_achieved=asimov_distance(basis_before, basis_after),
-        budget_used=float(np.linalg.norm(delta)),
-        ambiguous_subspace=basis_before.ambiguous or basis_after.ambiguous,
-        solution=solution,
-    )
+    theta = _core_angle(svd, k, core) if verify == "core" else None
+    if theta is not None:
+        ambiguous = (_leading_from_svd(svd, k).ambiguous if clean_ambiguous is None
+                     else clean_ambiguous)
+    else:
+        before = _leading_from_svd(svd, k)
+        after = _leading_from_svd(full_svd(x + lift(svd, k, core)), k)
+        theta = asimov_distance(before, after)
+        ambiguous = before.ambiguous or after.ambiguous
+    return AttackReport(strategy, regime, k, eta, svd.sigma.copy(), theta_predicted, theta,
+                        float(np.linalg.norm(core)), bool(ambiguous), solution)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, RegimeError
 from .linalg import SvdTriple, check_attack, full_svd
-from .report import AttackReport, Regime, build_report
+from .report import AttackReport, CoreAttack, Regime, build_report, core_case, lift
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,11 @@ def closed_form_lambda(sigma_k: float, sigma_k1: float, eta: float) -> ClosedFor
     w = (((sigma_k - sigma_k1) ** 2 - 2.0 * eta**2)
          * ((sigma_k + sigma_k1) ** 2 - 2.0 * eta**2)) / (4.0 * gap2**2)
     s = 2.0 * eta * math.sqrt(sigma_k**2 + sigma_k1**2 - eta**2) / gap2
-    e = (1.0 + s) / (2.0 * math.sqrt(w))
-    lam = (e**2 - 1.0) / (2.0 * e)
+    # e - 1 = (s + 1 - 2 sqrt(w)) / (2 sqrt(w)) and 1 - 2 sqrt(w) = s^2 / (1 + 2 sqrt(w)),
+    # so lam = (e - 1)(e + 1) / (2e) keeps its relative accuracy as eta -> 0.
+    e_minus_1 = (s + s**2 / (1.0 + 2.0 * math.sqrt(w))) / (2.0 * math.sqrt(w))
+    e = 1.0 + e_minus_1
+    lam = e_minus_1 * (e + 1.0) / (2.0 * e)
     theta = math.atan(lam) / 2.0
 
     root = math.sqrt(lam**2 + 1.0)
@@ -91,15 +94,10 @@ def recover_entries(ci: ClosedFormIntermediates, sigma_k: float, sigma_k1: float
     diag(P, P) and the clean spectrum is subtracted off; the result uses
     the full budget: ``norm(entries) == eta``.
     """
-    v1 = ci.r * math.cos(ci.alpha)
-    v2 = ci.r * math.cos(ci.beta)
-    v3 = ci.r * math.sin(ci.alpha)
-    v4 = ci.r * math.sin(ci.beta)
-    u1 = ci.p11 * v1 - ci.p21 * v2
-    u2 = ci.p21 * v1 + ci.p11 * v2
-    u3 = ci.p11 * v3 - ci.p21 * v4
-    u4 = ci.p21 * v3 + ci.p11 * v4
-    return np.array([u1 - sigma_k, u2, u3, u4 - sigma_k1])
+    p = np.array([[ci.p11, -ci.p21], [ci.p21, ci.p11]])
+    v = ci.r * np.array([[math.cos(ci.alpha), math.sin(ci.alpha)],
+                         [math.cos(ci.beta), math.sin(ci.beta)]])
+    return (p @ v - np.diag([sigma_k, sigma_k1])).ravel(order="F")
 
 
 def paired_entries(entries) -> np.ndarray:
@@ -111,56 +109,55 @@ def paired_entries(entries) -> np.ndarray:
 def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     """Place the four canonical entries and conjugate back to data space.
 
-    Only the k-th and (k+1)-th singular pairs are read: the result is
-    ``U[:, k-1:k+1] @ B2 @ V[:, k-1:k+1].T`` for the 2 x 2 block ``B2``.
+    Only the k-th and (k+1)-th singular pairs are read: the 2 x 2 core is
+    ``[[b_kk, b_kk1], [b_k1k, b_k1k1]]``, lifted by ``report.lift``.
     """
     entries = np.asarray(entries, dtype=float).reshape(-1)
     if entries.size != 4:
         raise InvalidDimension("expected exactly four canonical entries")
-    d, n = svd.u.shape[0], svd.v.shape[0]
-    if k + 1 > min(d, n):
-        raise InvalidDimension(f"entries at row/col {k + 1} do not fit a {d}x{n} matrix")
-    b2 = np.array([[entries[0], entries[2]],
-                   [entries[1], entries[3]]])
-    delta = svd.u[:, k - 1:k + 1] @ b2 @ svd.v[:, k - 1:k + 1].T
-    return PerturbationMatrix(delta=delta)
+    if k + 1 > svd.sigma.size:
+        raise InvalidDimension(f"entries at row/col {k + 1} do not fit a "
+                               f"{svd.u.shape[0]}x{svd.v.shape[0]} matrix")
+    return PerturbationMatrix(delta=lift(svd, k, entries.reshape(2, 2, order="F")))
 
 
-def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:
-    """Optimal unconstrained attack on the k-dim PCA subspace of ``x``.
-
-    When k equals the numerical rank (or min(d, n) - 1 exhausts the
-    spectrum), sigma_{k+1} is treated as exactly zero, which reduces the
-    chain to the rank-deficient setting.
-    """
+def attack_unconstrained(x, k: int, eta: float) -> tuple[CoreAttack, AttackReport]:
+    """Optimal unconstrained attack on the k-dim PCA subspace of ``x``."""
     x, k, eta = check_attack(x, k, eta)
     return _attack_unconstrained(x, full_svd(x), k, eta)
 
 
-def _attack_unconstrained(x: np.ndarray, svd: SvdTriple, k: int,
-                          eta: float) -> tuple[PerturbationMatrix, AttackReport]:
-    """``attack_unconstrained`` on validated input, reading its factorization ``svd``."""
+def _attack_unconstrained(x: np.ndarray, svd: SvdTriple, k: int, eta: float,
+                          verify: str | None = "full", clean_ambiguous: bool | None = None
+                          ) -> tuple[CoreAttack, AttackReport | None]:
+    """``attack_unconstrained`` on validated input, reading its factorization
+    ``svd``; ``verify`` is as for ``rank_one._attack_rank_one``."""
     d, n = x.shape
     if k + 1 > min(d, n):
-        raise InvalidDimension(
-            f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
-    sigma_k = float(svd.sigma[k - 1])
-    sigma_k1 = 0.0 if k >= svd.rank else float(svd.sigma[k])
-    threshold = (sigma_k - sigma_k1) / math.sqrt(2.0)
+        raise InvalidDimension(f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
+    sigma_k, sigma_k1, case = core_case(svd, k)
+    regime, theta_predicted, core = solve_unconstrained(sigma_k, sigma_k1, eta, case)
+    attack = CoreAttack(svd, k, core)
+    return attack, verify and build_report("unconstrained", regime, x, svd, k, eta, core,
+                                           theta_predicted, {"entries": core.ravel(order="F")},
+                                           verify, clean_ambiguous)
 
+
+def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
+                        case: str) -> tuple[Regime, float, np.ndarray]:
+    """Regime, predicted distance and 2 x 2 core of the optimal unconstrained attack.
+
+    Unless k < rank (``case``, as ``report.core_case`` names it), sigma_{k+1}
+    counts as zero, which reduces the chain to the rank-deficient setting.
+    """
+    if case != "k<rank":
+        sigma_k1 = 0.0
     if eta == 0.0:
         # The feasibility chain needs eta > 0; the zero attack is exact.
-        entries, regime, theta = np.zeros(4), Regime.UNCONSTRAINED_CASE2, 0.0
-    elif eta >= threshold:
-        entries = np.array([-eta / math.sqrt(2.0), 0.0, 0.0, eta / math.sqrt(2.0)])
-        regime, theta = Regime.UNCONSTRAINED_CASE1, math.pi / 2
-    else:
-        ci = closed_form_lambda(sigma_k, sigma_k1, eta)
-        entries = recover_entries(ci, sigma_k, sigma_k1)
-        regime, theta = Regime.UNCONSTRAINED_CASE2, ci.theta_star
-    pm = lift_to_data_space(entries, svd, k)
-    report = build_report("unconstrained", regime, x, svd, k, eta, pm.delta, theta,
-                          solution={"entries": entries})
-    if regime == Regime.UNCONSTRAINED_CASE1 and (eta == threshold or sigma_k == sigma_k1):
-        report.ambiguous_subspace = True
-    return pm, report
+        return Regime.UNCONSTRAINED_CASE2, 0.0, np.zeros((2, 2))
+    if eta >= (sigma_k - sigma_k1) / math.sqrt(2.0):
+        return (Regime.UNCONSTRAINED_CASE1, math.pi / 2,
+                np.diag([-eta / math.sqrt(2.0), eta / math.sqrt(2.0)]))
+    ci = closed_form_lambda(sigma_k, sigma_k1, eta)
+    core = recover_entries(ci, sigma_k, sigma_k1).reshape(2, 2, order="F")
+    return Regime.UNCONSTRAINED_CASE2, ci.theta_star, core

@@ -1,10 +1,17 @@
-"""Each attack factors the clean matrix once; only the verify re-PCA adds an SVD."""
+"""Count the dense SVDs each entry point runs on its input's shape.
+
+An attack factors the clean matrix once and verifies by one independent
+re-PCA; a sweep factors once and verifies its closed-form cells from their
+2x2 cores; PCR factors the centered training features once and refits once
+per ratio, building no report.
+"""
 
 import numpy as np
 import pytest
 
-from pcattack import (SweepSpec, attack_rank_one, attack_unconstrained, run_sweep,
-                      synth_gaussian, write_matrix_csv)
+from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained,
+                      run_sweep, synth_gaussian, synthetic_collinear, write_matrix_csv)
+from pcattack.pcr import SPLIT_FRACTION
 from pcattack.cli import main
 
 
@@ -39,7 +46,17 @@ def test_sweep_factors_once(svd_calls):
                      eta_grid=(0.1, 0.4, 0.9, 1.3), strategies=("r1-opt", "wr-opt"))
     rows = run_sweep(spec)
     assert all(row.error is None for row in rows)
-    assert svd_calls.count((12, 8)) == 1 + len(rows)
+    assert svd_calls.count((12, 8)) == 1
+
+
+@pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+def test_pcr_factors_once(svd_calls, strategy):
+    features, targets = synthetic_collinear(seed=2)
+    grid = (0.1, 0.3, 0.5, 0.8, 1.1)
+    reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
+    assert len(reports) == len(grid)
+    train_shape = (features.shape[0], int(round(SPLIT_FRACTION * features.shape[1])))
+    assert svd_calls.count(train_shape) == 1 + len(grid)
 
 
 def test_verify_factors_once_for_both_closed_forms(svd_calls, tmp_path):

@@ -6,6 +6,7 @@ from pcattack import (Regime, RegimeError, attack_rank_one, attack_unconstrained
                       closed_form_lambda, full_svd, lift_to_data_space,
                       paired_entries, pca_distance, recover_entries)
 from pcattack.errors import InvalidDimension
+from pcattack.unconstrained import solve_unconstrained
 
 # sigma_k = 2, sigma_{k+1} = 1, eta = 0.5 frozen reference values, re-derived
 # from the feasibility chain and confirmed by a refined random-search oracle
@@ -52,6 +53,28 @@ class TestClosedFormChain:
         assert ci.e == pytest.approx(1.0, abs=1e-8)
         assert ci.lambda_max < 1e-6
         assert ci.theta_star < 1e-6
+
+    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99)])
+    def test_tiny_budget_relative_accuracy(self, sk, sk1):
+        # theta* from the same chain evaluated in 60-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+
+        def reference(eta):
+            sk_, sk1_, eta_ = mp.mpf(sk), mp.mpf(sk1), mp.mpf(eta)
+            gap2 = sk_**2 - sk1_**2
+            w = ((sk_ - sk1_) ** 2 - 2 * eta_**2) * ((sk_ + sk1_) ** 2 - 2 * eta_**2) / (4 * gap2**2)
+            s = 2 * eta_ * mp.sqrt(sk_**2 + sk1_**2 - eta_**2) / gap2
+            e = (1 + s) / (2 * mp.sqrt(w))
+            return mp.atan((e**2 - 1) / (2 * e)) / 2
+
+        for exponent in range(1, 13):
+            eta = 10.0**-exponent * (sk - sk1)
+            ref = reference(eta)
+            for theta in (closed_form_lambda(sk, sk1, eta).theta_star,
+                          solve_unconstrained(sk, sk1, eta, "k<rank")[1]):
+                assert abs(theta - ref) / ref < 1e-12, (eta, theta, ref)
 
     def test_boundary_budget_limit(self):
         bound = 1.0 / np.sqrt(2.0)
