@@ -17,16 +17,17 @@ from .linalg import check_attack, full_svd
 from .oracle import SearchConfig, grid_search_angles
 from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
                   write_regression_csv)
+from .rank_one import attack_rank_one
 from .report import Regime
+from .unconstrained import attack_unconstrained
 
 RANDOM_ORACLE_TOL = 1e-4
 GRID_ORACLE_TOL = 1e-6
 
 
 def _cmd_attack(args) -> int:
-    x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
-    closed_form, _ = ATTACKS[args.strategy]
-    attack, report = closed_form(x, full_svd(x), k, eta)
+    attack_fn = attack_rank_one if args.strategy == "rank_one" else attack_unconstrained
+    attack, report = attack_fn(read_matrix_csv(args.matrix), args.k, args.eta)
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
@@ -72,15 +73,13 @@ def _cmd_verify(args) -> int:
     checks = []
     for name, (closed_form, oracle) in ATTACKS.items():
         label = name.replace("_", "-")
-        _, report = closed_form(x, svd, k, eta)
+        regime, theta_predicted, _ = closed_form(svd, k, eta)
         _, oracle_theta = oracle(x, k, eta, cfg)
-        checks.append((f"{label} random", oracle_theta, report.theta_predicted,
-                       RANDOM_ORACLE_TOL))
-        if report.regime == Regime.K_LT_RANK_CASE2:
+        checks.append((f"{label} random", oracle_theta, theta_predicted, RANDOM_ORACLE_TOL))
+        if regime == Regime.K_LT_RANK_CASE2:
             _, _, grid_theta = grid_search_angles(
                 float(svd.sigma[k - 1]), float(svd.sigma[k]), eta, cfg)
-            checks.append((f"{label} grid", grid_theta, report.theta_predicted,
-                           GRID_ORACLE_TOL))
+            checks.append((f"{label} grid", grid_theta, theta_predicted, GRID_ORACLE_TOL))
 
     print(f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status")
     failed = False

@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import format_float, numbered_lines, read_matrix_csv
-from .linalg import SvdTriple, _leading_from_svd, check_eta, check_k, full_svd
+from .linalg import SvdTriple, _pca_distance_from_svd, check_eta, check_k, full_svd
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
+from .report import _core_angle, lift
 from .unconstrained import _attack_unconstrained
 
 # Each attack family: its closed form on a factored matrix, its random oracle.
@@ -138,14 +139,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     svd = full_svd(x)
     k = check_k(spec.k, x.shape)
     scale = _budget_unit(svd, k)
-    clean_ambiguous = _leading_from_svd(svd, k).ambiguous
     rows = []
     for ratio in spec.eta_grid:
         eta = check_eta(ratio * scale)
         for strategy in sorted(spec.strategies):
             try:
-                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta,
-                                      clean_ambiguous))
+                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta))
             except PcattackError as exc:
                 rows.append(SweepRow(ratio, strategy, None, None, None, type(exc).__name__))
     rows.sort(key=lambda r: (r.eta_ratio, r.strategy))
@@ -153,17 +152,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _run_cell(x, svd: SvdTriple, k: int, spec: SweepSpec, strategy: str,
-              ratio: float, eta: float, clean_ambiguous: bool) -> SweepRow:
-    # The closed forms read the sweep's one factorization and are verified from
-    # their 2x2 cores; the oracles factor on their own to stay independent of it.
+              ratio: float, eta: float) -> SweepRow:
+    # Closed forms read the sweep's one factorization and are verified from their
+    # 2x2 cores, or else by re-PCA; oracles factor on their own to stay independent.
     attack, by_oracle = STRATEGIES[strategy]
     closed_form, oracle = ATTACKS[attack]
     if by_oracle:
         result, theta = oracle(x, k, eta, spec.oracle_cfg)
         return SweepRow(ratio, strategy, theta, None, result.budget_used)
-    _, report = closed_form(x, svd, k, eta, "core", clean_ambiguous)
-    return SweepRow(ratio, strategy, report.theta_achieved,
-                    report.theta_predicted, report.budget_used)
+    _, theta_predicted, core = closed_form(svd, k, eta)
+    theta = _core_angle(svd, k, core)
+    if theta is None:
+        theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
+    return SweepRow(ratio, strategy, theta, theta_predicted, float(np.linalg.norm(core)))
 
 
 def write_sweep_csv(rows, path) -> None:

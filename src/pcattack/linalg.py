@@ -203,7 +203,13 @@ def pca_distance(x, y, k: int) -> tuple[float, bool]:
     Returns ``(theta, ambiguous)`` where ``ambiguous`` is True if either
     truncation had a tied trailing singular value.
     """
-    bx = leading_subspace(x, k)
+    return _pca_distance_from_svd(full_svd(x), y, k)
+
+
+def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
+    """``pca_distance`` with ``x`` given by its factors; ``y`` is factored
+    on its own, so a perturbed ``y`` is checked independently of them."""
+    bx = _leading_from_svd(svd, k)
     by = leading_subspace(y, k)
     return asimov_distance(bx, by), bx.ambiguous or by.ambiguous
 

@@ -183,14 +183,18 @@ def grid_search_angles(sigma_k: float, sigma_k1: float, eta: float,
     res = cfg.grid_resolution
     alphas = np.linspace(0.0, math.pi / 2.0, res)
     betas = np.linspace(math.pi / 2.0, math.pi, res)
-    grid = theta_from_angles(sigma_k, sigma_k1, eta,
-                             alphas[:, None], betas[None, :])
-    flat = int(np.argmax(grid))
-    ia, ib = divmod(flat, res)
-    alpha, beta = float(alphas[ia]), float(betas[ib])
-    theta = float(grid[ia, ib])
+    # Row blocks of at most 128 KiB per temporary, glibc's default mmap
+    # threshold, keep the scan's cost independent of what ran before it.
+    rows = max(1, 2**17 // (8 * res))
+    best = (0.0, 0.0, -math.inf)
+    for start in range(0, res, rows):
+        block = theta_from_angles(sigma_k, sigma_k1, eta,
+                                  alphas[start:start + rows, None], betas[None, :])
+        i, j = divmod(int(np.argmax(block)), res)
+        if block[i, j] > best[2]:       # strict, so a tie keeps the lowest grid index
+            best = (float(alphas[start + i]), float(betas[j]), float(block[i, j]))
 
-    best = (alpha, beta, theta)
+    alpha, beta, _ = best
     half = (math.pi / 2.0) / (res - 1)
     for _ in range(cfg.refine_steps):
         alpha, _ = _golden_max(

@@ -18,6 +18,7 @@ from .experiments import ATTACKS, _budget_unit, check_ratio_grid
 from .fileio import format_float, numbered_lines, parse_rows
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
+from .report import lift
 
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
 SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
@@ -130,8 +131,8 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
 
     reports = []
     for ratio in grid:
-        attack, _ = closed_form(xc, svd, k, check_eta(ratio * scale), verify=None)
-        model = _fit_on_centered(xc + attack.delta, means, y_train, k)
+        _, _, core = closed_form(svd, k, check_eta(ratio * scale))
+        model = _fit_on_centered(xc + lift(svd, k, core), means, y_train, k)
         reports.append(RegressionReport(ratio, strategy, model.r2_train,
                                         r_squared(model.predict(x_test), y_test)))
     return reports

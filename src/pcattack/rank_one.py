@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
 from .linalg import SvdTriple, check_attack, full_svd
-from .report import AttackReport, Regime, build_report, core_case, frames
+from .report import AttackReport, Regime, build_report, core_case, frames, lift
 
 
 @dataclass(frozen=True)
@@ -121,30 +121,29 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
     ``ambiguous_subspace`` flag is set when either truncation was degenerate.
     """
     x, k, eta = check_attack(x, k, eta)
-    return _attack_rank_one(x, full_svd(x), k, eta)
-
-
-def _attack_rank_one(x: np.ndarray, svd: SvdTriple, k: int, eta: float,
-                     verify: str | None = "full", clean_ambiguous: bool | None = None
-                     ) -> tuple[RankOneAttack, AttackReport | None]:
-    """``attack_rank_one`` on validated input factored as ``svd``; ``verify``
-    and ``clean_ambiguous`` go to ``build_report``, and None builds no report."""
-    d, n = x.shape
-    sigma_k, sigma_k1, case = core_case(svd, k)
-    if case != "k<rank" and (k != svd.rank or svd.rank == d < n):
-        raise RegimeError(f"no attack regime for k={k} with rank={svd.rank} on a {d}x{n} matrix")
-    if case == "full_rank" and d == n and eta > 0.0:
-        raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    regime, theta_predicted, core = solve_rank_one(sigma_k, sigma_k1, eta, case)
+    svd = full_svd(x)
+    solved = _attack_rank_one(svd, k, eta)
+    core = solved[2]
     left, right = frames(svd, k)
     # core = outer(a2, b2): b2 is its unit row, signed so its last nonzero entry is positive
     row = core[np.argmax(np.abs(core).sum(axis=1))]
     b2 = row / math.hypot(*row) if row.any() else np.array([1.0, 0.0])
     b2 = -b2 if (b2[1], b2[0]) < (0.0, 0.0) else b2
     attack = RankOneAttack(a=left @ (core @ b2), b=right @ b2[:right.shape[1]])
-    return attack, verify and build_report("rank_one", regime, x, svd, k, eta, core,
-                                           theta_predicted, {"a": attack.a, "b": attack.b},
-                                           verify, clean_ambiguous)
+    return attack, build_report("rank_one", svd, k, eta, solved, x + lift(svd, k, core),
+                                {"a": attack.a, "b": attack.b})
+
+
+def _attack_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
+    """``solve_rank_one`` on a matrix factored as ``svd``, after the checks
+    that some regime applies: ``(regime, theta_predicted, core)``."""
+    d, n = svd.u.shape[0], svd.v.shape[0]
+    sigma_k, sigma_k1, case = core_case(svd, k)
+    if case != "k<rank" and (k != svd.rank or svd.rank == d < n):
+        raise RegimeError(f"no attack regime for k={k} with rank={svd.rank} on a {d}x{n} matrix")
+    if case == "full_rank" and d == n and eta > 0.0:
+        raise NoOrthogonalComplement("d = n: no direction leaves the column space")
+    return solve_rank_one(sigma_k, sigma_k1, eta, case)
 
 
 def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,

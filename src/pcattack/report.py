@@ -3,7 +3,10 @@
 Every optimal attack is ``delta = L B R^T`` with ``L = [u_k, e]``, ``R =
 [v_k, v_{k+1}]`` and a 2 x 2 core ``B``; ``e`` is u_{k+1}, or a unit vector
 off the column space when k = min(d, n).  ``X + delta`` is then block
-diagonal in the clean singular bases.
+diagonal in the clean singular bases, so the achieved distance can be read
+from the core (``_core_angle``, which sweep cells use) as well as measured
+by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
+which every report uses and sweep cells fall back to).
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (TIE_TOL, SvdTriple, _leading_from_svd, asimov_distance,
-                     complement_direction, full_svd)
+from .linalg import TIE_TOL, SvdTriple, _pca_distance_from_svd, complement_direction
 
 
 class Regime(str, Enum):
@@ -93,23 +95,6 @@ def lift(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray:
     return left @ core[:, :right.shape[1]] @ right.T
 
 
-@dataclass(frozen=True)
-class CoreAttack:
-    """A closed-form attack kept as its core; ``delta`` is lifted on demand."""
-
-    svd: SvdTriple
-    k: int
-    core: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return lift(self.svd, self.k, self.core)
-
-    @property
-    def budget_used(self) -> float:
-        return float(np.linalg.norm(self.core))
-
-
 def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
     """Achieved distance ``atan2(|w_2|, |w_1|)``, with ``w`` the leading left
     singular vector of ``diag(sigma_k, sigma_{k+1}) + core``, or None unless
@@ -124,26 +109,14 @@ def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
     return math.atan2(abs(w[1, 0]), abs(w[0, 0]))
 
 
-def build_report(strategy: str, regime: Regime, x: np.ndarray, svd: SvdTriple,
-                 k: int, eta: float, core: np.ndarray, theta_predicted: float,
-                 solution: dict, verify: str = "full",
-                 clean_ambiguous: bool | None = None) -> AttackReport:
-    """Report the attack ``lift(svd, k, core)`` on ``x``, factored as ``svd``.
-
-    ``verify="full"`` measures ``theta_achieved`` by an independent PCA of
-    ``x + delta``, never reading the clean factors, so it checks the closed
-    form end to end.  ``"core"`` reads it from the core (``_core_angle``),
-    with no dense delta, and falls back to ``"full"`` when it cannot;
-    ``clean_ambiguous``, the clean truncation's tie flag, can be passed in.
-    """
-    theta = _core_angle(svd, k, core) if verify == "core" else None
-    if theta is not None:
-        ambiguous = (_leading_from_svd(svd, k).ambiguous if clean_ambiguous is None
-                     else clean_ambiguous)
-    else:
-        before = _leading_from_svd(svd, k)
-        after = _leading_from_svd(full_svd(x + lift(svd, k, core)), k)
-        theta = asimov_distance(before, after)
-        ambiguous = before.ambiguous or after.ambiguous
+def build_report(strategy: str, svd: SvdTriple, k: int, eta: float,
+                 solved: tuple[Regime, float, np.ndarray], perturbed: np.ndarray,
+                 solution: dict) -> AttackReport:
+    """Report the attack that turned the matrix factored as ``svd`` into
+    ``perturbed``; its closed form returned ``solved = (regime,
+    theta_predicted, core)``.  The achieved angle comes from an independent
+    PCA of ``perturbed``, and ``budget_used`` is ``||core||_F``."""
+    regime, theta_predicted, core = solved
+    theta, ambiguous = _pca_distance_from_svd(svd, perturbed, k)
     return AttackReport(strategy, regime, k, eta, svd.sigma.copy(), theta_predicted, theta,
                         float(np.linalg.norm(core)), bool(ambiguous), solution)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, RegimeError
 from .linalg import SvdTriple, check_attack, full_svd
-from .report import AttackReport, CoreAttack, Regime, build_report, core_case, lift
+from .report import AttackReport, Regime, build_report, core_case, lift
 
 
 @dataclass(frozen=True)
@@ -121,26 +121,24 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     return PerturbationMatrix(delta=lift(svd, k, entries.reshape(2, 2, order="F")))
 
 
-def attack_unconstrained(x, k: int, eta: float) -> tuple[CoreAttack, AttackReport]:
+def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:
     """Optimal unconstrained attack on the k-dim PCA subspace of ``x``."""
     x, k, eta = check_attack(x, k, eta)
-    return _attack_unconstrained(x, full_svd(x), k, eta)
+    svd = full_svd(x)
+    solved = _attack_unconstrained(svd, k, eta)
+    attack = PerturbationMatrix(lift(svd, k, solved[2]))
+    return attack, build_report("unconstrained", svd, k, eta, solved, x + attack.delta,
+                                {"entries": solved[2].ravel(order="F")})
 
 
-def _attack_unconstrained(x: np.ndarray, svd: SvdTriple, k: int, eta: float,
-                          verify: str | None = "full", clean_ambiguous: bool | None = None
-                          ) -> tuple[CoreAttack, AttackReport | None]:
-    """``attack_unconstrained`` on validated input, reading its factorization
-    ``svd``; ``verify`` is as for ``rank_one._attack_rank_one``."""
-    d, n = x.shape
+def _attack_unconstrained(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
+    """``solve_unconstrained`` on a matrix factored as ``svd``, after the
+    dimension check: ``(regime, theta_predicted, core)``."""
+    d, n = svd.u.shape[0], svd.v.shape[0]
     if k + 1 > min(d, n):
         raise InvalidDimension(f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
     sigma_k, sigma_k1, case = core_case(svd, k)
-    regime, theta_predicted, core = solve_unconstrained(sigma_k, sigma_k1, eta, case)
-    attack = CoreAttack(svd, k, core)
-    return attack, verify and build_report("unconstrained", regime, x, svd, k, eta, core,
-                                           theta_predicted, {"entries": core.ravel(order="F")},
-                                           verify, clean_ambiguous)
+    return solve_unconstrained(sigma_k, sigma_k1, eta, case)
 
 
 def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,

@@ -1,12 +1,13 @@
-"""The ``core`` verify method against the independent ``full`` re-PCA."""
+"""The angle read from a 2x2 attack core against the independent re-PCA."""
 
 import numpy as np
 import pytest
 
 from pcattack import (Regime, SweepSpec, full_svd, pca_distance, run_sweep,
-                      synth_gaussian, synth_low_rank)
+                      synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
-from pcattack.linalg import _leading_from_svd
+from pcattack.linalg import _pca_distance_from_svd
+from pcattack.report import _core_angle, lift
 
 
 @pytest.fixture
@@ -40,7 +41,8 @@ def _full_rank(shape, seed):
 
 
 # (family, regime, (x, k, budget unit), budget ratio); tall, wide and square
-# inputs, and the full-rank regimes at k = n, where e is off the column space.
+# inputs, the full-rank regimes at k = n, where e is off the column space, and
+# a clean spectrum tied at sigma_2 = sigma_3 whose perturbed core still splits.
 SHAPES = {"tall": ((9, 6), 2), "wide": ((5, 8), 3), "square": ((6, 6), 3)}
 CASES = [
     ("rank_one", Regime.K_LT_RANK_CASE2, _k_lt_rank, 0.45),
@@ -60,15 +62,9 @@ INSTANCES += [("rank_one", regime, _full_rank(shape, seed), ratio,
                f"{regime.value}-tall-{shape[0]}x{shape[1]}-{seed}")
               for regime, ratio in ((Regime.FULL_RANK_CASE2, 0.5), (Regime.FULL_RANK_CASE1, 1.8))
               for shape in ((9, 6), (7, 1)) for seed in (1, 2)]
-
-
-def _reports(family, x, k, eta):
-    closed_form, _ = ATTACKS[family]
-    svd = full_svd(x)
-    clean_ambiguous = _leading_from_svd(svd, k).ambiguous
-    _, full = closed_form(x, svd, k, eta)
-    _, core = closed_form(x, svd, k, eta, "core", clean_ambiguous)
-    return full, core
+INSTANCES += [("unconstrained", Regime.UNCONSTRAINED_CASE1,
+               (np.diag([3.0, 2.0, 2.0, 1.0]), 2, 0.5 * np.sqrt(2.0)), 1.0,
+               "UnconstrainedCase1-clean-tie-4x4")]
 
 
 @pytest.mark.parametrize("family, regime, instance, ratio",
@@ -77,37 +73,33 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     x, k, unit = instance
     if family == "unconstrained":
         unit /= np.sqrt(2.0)
-    full, core = _reports(family, x, k, ratio * unit)
-    assert full.regime == core.regime == regime
-    # one factor and one re-PCA for full, nothing dense for core
-    assert svd_calls.count(x.shape) == 2
-    assert core.theta_achieved == pytest.approx(full.theta_achieved, abs=1e-10)
-    assert core.ambiguous_subspace == full.ambiguous_subspace
-    assert (core.theta_predicted, core.budget_used) == (full.theta_predicted, full.budget_used)
-
-
-def test_core_keeps_clean_tie_flag():
-    # sigma_2 = sigma_3 ties the clean truncation at k = 2; the perturbed core
-    # still splits cleanly, so core answers, and both methods flag the report.
-    x = np.diag([3.0, 2.0, 2.0, 1.0])
-    full, core = _reports("unconstrained", x, 2, 0.5)
-    assert core.regime == Regime.UNCONSTRAINED_CASE1
-    assert core.ambiguous_subspace and full.ambiguous_subspace
-    assert core.theta_achieved == pytest.approx(full.theta_achieved, abs=1e-10)
-
-
-def test_tied_core_falls_back_to_full(svd_calls):
-    # eta exactly at the unconstrained threshold ties the core's singular values
-    x = np.diag([3.0, 2.0, 1.0])
+    closed_form, _ = ATTACKS[family]
     svd = full_svd(x)
-    eta = (2.0 - 1.0) / np.sqrt(2.0)
+    solved_regime, _, core = closed_form(svd, k, ratio * unit)
+    assert solved_regime == regime
+    core_theta = _core_angle(svd, k, core)
+    full_theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
+    # one factor and one re-PCA; the core angle runs no dense SVD
+    assert svd_calls.count(x.shape) == 2
+    assert core_theta is not None
+    assert core_theta == pytest.approx(full_theta, abs=1e-10)
+
+
+def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
+    # wr-opt at eta exactly at the unconstrained threshold (sigma_2 - sigma_3)
+    # / sqrt(2) ties the core's singular values, so the sweep cell re-PCAs
+    x = np.diag([3.0, 2.0, 1.0])
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, x)
+    spec = SweepSpec(d=3, n=3, k=2, data_kind="from_file", data_path=str(path),
+                     eta_grid=(1.0 / np.sqrt(2.0),), strategies=("wr-opt",))
+    (row,) = run_sweep(spec)
+    assert svd_calls.count((3, 3)) == 2
+    svd = full_svd(x)
     closed_form, _ = ATTACKS["unconstrained"]
-    _, full = closed_form(x, svd, 2, eta)
-    before = svd_calls.count((3, 3))
-    _, core = closed_form(x, svd, 2, eta, "core", _leading_from_svd(svd, 2).ambiguous)
-    assert svd_calls.count((3, 3)) == before + 1
-    assert core.ambiguous_subspace and full.ambiguous_subspace
-    assert core.theta_achieved == full.theta_achieved
+    _, _, core = closed_form(svd, 2, row.eta_ratio * _budget_unit(svd, 2))
+    assert _core_angle(svd, 2, core) is None
+    assert row.theta == _pca_distance_from_svd(svd, x + lift(svd, 2, core), 2)[0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -127,6 +119,6 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
     assert len(rows) == 2 * len(spec.eta_grid)
     for row in rows:
         closed_form, _ = ATTACKS[STRATEGIES[row.strategy][0]]
-        attack, _ = closed_form(x, svd, spec.k, row.eta_ratio * unit, verify=None)
-        theta, _ = pca_distance(x, x + attack.delta, spec.k)
+        _, _, core = closed_form(svd, spec.k, row.eta_ratio * unit)
+        theta, _ = pca_distance(x, x + lift(svd, spec.k, core), spec.k)
         assert row.theta == pytest.approx(theta, abs=1e-10), row
