@@ -1,10 +1,12 @@
 """Principal component regression and its degradation under subspace attacks.
 
 Features are stored with columns as samples.  The attack pipeline centers
-the training features once, perturbs the centered matrix at a grid of
-energy budgets, refits the regression on the perturbed features without
-re-centering, and scores both the (perturbed) training fit and clean test
-predictions.
+and factors the training features once, perturbs the centered matrix at a
+grid of energy budgets, refits the regression on the perturbed features
+without re-centering, and scores both the (perturbed) training fit and
+clean test predictions.  Each refit reads its components from the attack's
+2x2 core and runs a dense SVD only when that core's singular values tie
+with the rest of the spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .experiments import ATTACKS, _budget_unit, check_ratio_grid
 from .fileio import format_float, numbered_lines, parse_rows
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
-from .report import lift
+from .report import _core_split, frames, lift
 
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
 SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
@@ -63,12 +65,18 @@ def r_squared(predicted, actual) -> float:
     return 1.0 - residual / total
 
 
-def _fit_on_centered(xc: np.ndarray, means: np.ndarray, targets: np.ndarray,
-                     k: int) -> PcrModel:
-    svd = full_svd(xc)
+def _top_components(m: np.ndarray, k: int) -> np.ndarray:
+    """The k leading left singular vectors of ``m``, or InvalidDimension
+    unless its numerical rank is at least k."""
+    svd = full_svd(m)
     if not 1 <= k <= svd.rank:
         raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
-    components = svd.u[:, :k].copy()
+    return svd.u[:, :k].copy()
+
+
+def _fit_on_centered(xc: np.ndarray, components: np.ndarray, means: np.ndarray,
+                     targets: np.ndarray) -> PcrModel:
+    k = components.shape[1]
     scores = components.T @ xc
     design = np.column_stack([scores.T, np.ones(targets.size)])
     coef, _, design_rank, _ = np.linalg.lstsq(design, targets, rcond=None)
@@ -94,7 +102,8 @@ def fit_pcr(features, targets, k: int) -> PcrModel:
     features = as_matrix(features)
     targets = _as_targets(targets, features.shape[1])
     means = features.mean(axis=1)
-    return _fit_on_centered(features - means[:, None], means, targets, k)
+    xc = features - means[:, None]
+    return _fit_on_centered(xc, _top_components(xc, k), means, targets)
 
 
 def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
@@ -107,6 +116,15 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     must then pass the sweep's grid check: nonempty, finite, nonnegative,
     no repeats.  The targets are never modified; test features stay clean
     and are centered with the training means.
+
+    The centered training features are factored once.  At each ratio the
+    refit's components come from the attack's 2x2 core: ``u_1 .. u_{k-1}``
+    plus ``[u_k, e] w`` (``report._core_split``).  The regression depends
+    only on their span, so this matches a dense SVD of the attacked features
+    to rounding.  That split leaves a margin of ``TIE_TOL`` (1e-9) relative
+    to sigma_1, so the attacked rank is at least k by ``RANK_TOL`` (1e-10)
+    and needs no check.  When the core does not split cleanly, the refit
+    factors the attacked features instead.
     """
     if strategy not in ATTACKS:
         raise InvalidDimension(f"strategy must be one of {tuple(ATTACKS)}")
@@ -132,7 +150,11 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     reports = []
     for ratio in grid:
         _, _, core = closed_form(svd, k, check_eta(ratio * scale))
-        model = _fit_on_centered(xc + lift(svd, k, core), means, y_train, k)
+        attacked = xc + lift(svd, k, core)
+        w = _core_split(svd, k, core)
+        components = (_top_components(attacked, k) if w is None else
+                      np.column_stack([svd.u[:, :k - 1], frames(svd, k)[0] @ w]))
+        model = _fit_on_centered(attacked, components, means, y_train)
         reports.append(RegressionReport(ratio, strategy, model.r2_train,
                                         r_squared(model.predict(x_test), y_test)))
     return reports

@@ -6,7 +6,8 @@ off the column space when k = min(d, n).  ``X + delta`` is then block
 diagonal in the clean singular bases, so the achieved distance can be read
 from the core (``_core_angle``, which sweep cells use) as well as measured
 by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
-which every report uses and sweep cells fall back to).
+which every report uses and sweep cells fall back to).  The same core gives
+the perturbed top-k subspace (``_core_split``), which PCR refits read.
 """
 
 from __future__ import annotations
@@ -95,18 +96,25 @@ def lift(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray:
     return left @ core[:, :right.shape[1]] @ right.T
 
 
-def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
-    """Achieved distance ``atan2(|w_2|, |w_1|)``, with ``w`` the leading left
-    singular vector of ``diag(sigma_k, sigma_{k+1}) + core``, or None unless
-    its singular values ``s_1 >= s_2`` split cleanly from the rest:
-    ``min(sigma_{k-1}, s_1) - max(s_2, sigma_{k+2}) > TIE_TOL * max(sigma_1, s_1)``.
-    The perturbed truncation is then not tied."""
+def _core_split(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray | None:
+    """The leading left singular vector ``w`` of ``diag(sigma_k, sigma_{k+1}) +
+    core``, or None unless its singular values ``s_1 >= s_2`` split cleanly
+    from the rest: ``min(sigma_{k-1}, s_1) - max(s_2, sigma_{k+2}) > TIE_TOL *
+    max(sigma_1, s_1)``.  The perturbed truncation is then not tied, and its
+    top-k left singular subspace is ``u_1 .. u_{k-1}`` plus ``L w``."""
     sigma = np.concatenate([svd.sigma, [0.0, 0.0]])    # implicit trailing zeros
     w, s, _ = np.linalg.svd(np.diag(sigma[k - 1:k + 1]) + core)
     above = sigma[k - 2] if k > 1 else math.inf
     if min(above, s[0]) - max(s[1], sigma[k + 1]) <= TIE_TOL * max(sigma[0], s[0]):
         return None
-    return math.atan2(abs(w[1, 0]), abs(w[0, 0]))
+    return w[:, 0]
+
+
+def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
+    """Achieved distance ``atan2(|w_2|, |w_1|)`` with ``w`` from ``_core_split``,
+    or None when the core does not split cleanly."""
+    w = _core_split(svd, k, core)
+    return None if w is None else math.atan2(abs(w[1]), abs(w[0]))
 
 
 def build_report(strategy: str, svd: SvdTriple, k: int, eta: float,

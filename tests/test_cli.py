@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pcattack import (ParseError, experiments, read_matrix_csv, synth_low_rank,
-                      synthetic_collinear, write_matrix_csv)
+from pcattack import (InvalidDimension, ParseError, experiments, read_matrix_csv,
+                      synth_gaussian, synth_low_rank, synthetic_collinear,
+                      write_matrix_csv)
 from pcattack.cli import main
 
 
@@ -216,3 +217,45 @@ class TestVerifyCommand:
                      "--trials", "400", "--seed", "1"])
         assert code == 0
         assert "rank-one grid" in capsys.readouterr().out
+
+    @pytest.fixture
+    def full_column_rank_csv(self, tmp_path):
+        path = tmp_path / "g.csv"
+        write_matrix_csv(path, synth_gaussian(9, 6, seed=3))
+        return path
+
+    def test_k_equal_n_checks_rank_one_and_skips_unconstrained(self, full_column_rank_csv,
+                                                              capsys):
+        code = main(["verify", str(full_column_rank_csv), "--k", "6", "--eta", "0.3",
+                     "--trials", "400", "--seed", "1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 2
+        assert lines[0].startswith("rank-one random") and lines[0].endswith(" ok")
+        assert lines[1] == ("unconstrained          skipped: attack needs room "
+                            "at index k+1=7 in a 9x6 matrix")
+
+    def test_k_equal_n_exit_code_follows_the_checked_family(self, full_column_rank_csv,
+                                                            monkeypatch):
+        closed_form, oracle = experiments.ATTACKS["rank_one"]
+
+        def overshooting_oracle(x, k, eta, cfg):
+            attack, theta = oracle(x, k, eta, cfg)
+            return attack, theta + 2.0
+
+        monkeypatch.setitem(experiments.ATTACKS, "rank_one",
+                            (closed_form, overshooting_oracle))
+        assert main(["verify", str(full_column_rank_csv), "--k", "6", "--eta", "0.3",
+                     "--trials", "400", "--seed", "1"]) == 4
+
+    def test_no_applicable_family_exits_2(self, full_column_rank_csv, monkeypatch, capsys):
+        def no_room(svd, k, eta):
+            raise InvalidDimension("no room")
+
+        monkeypatch.setitem(experiments.ATTACKS, "rank_one",
+                            (no_room, experiments.ATTACKS["rank_one"][1]))
+        assert main(["verify", str(full_column_rank_csv), "--k", "6", "--eta", "0.3",
+                     "--trials", "400", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "attack needs room at index k+1=7" in captured.err

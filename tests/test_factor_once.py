@@ -4,16 +4,20 @@ An attack factors the clean matrix once and verifies by one independent
 re-PCA; ``verify`` factors once for both closed forms, builds no report, and
 lets each random oracle factor on its own; a sweep factors once and verifies
 its closed-form cells from their 2x2 cores; PCR factors the centered
-training features once and refits once per ratio, building no report.
+training features once and refits from the 2x2 cores, building no report,
+with one more SVD only for a ratio whose core ties.
 """
 
 import numpy as np
 import pytest
 
-from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained,
+from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, pcr,
                       run_sweep, synth_gaussian, synthetic_collinear, write_matrix_csv)
-from pcattack.pcr import SPLIT_FRACTION
 from pcattack.cli import main
+from pcattack.experiments import ATTACKS, _budget_unit
+from pcattack.linalg import full_svd
+from pcattack.pcr import SPLIT_FRACTION
+from pcattack.report import _core_split
 
 
 @pytest.fixture
@@ -50,14 +54,38 @@ def test_sweep_factors_once(svd_calls):
     assert svd_calls.count((12, 8)) == 1
 
 
+def _train_shape(features):
+    return features.shape[0], int(round(SPLIT_FRACTION * features.shape[1]))
+
+
 @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
 def test_pcr_factors_once(svd_calls, strategy):
     features, targets = synthetic_collinear(seed=2)
     grid = (0.1, 0.3, 0.5, 0.8, 1.1)
     reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
     assert len(reports) == len(grid)
-    train_shape = (features.shape[0], int(round(SPLIT_FRACTION * features.shape[1])))
-    assert svd_calls.count(train_shape) == 1 + len(grid)
+    assert svd_calls.count(_train_shape(features)) == 1
+
+
+def test_pcr_tied_core_falls_back(svd_calls, monkeypatch):
+    features, targets = synthetic_collinear(seed=2)
+    tie = 1.0 / np.sqrt(2.0)        # the unconstrained threshold ratio
+    grid = (0.3, tie, 0.9)
+    # the same split attack_pcr makes, to confirm that this ratio ties the core
+    n = features.shape[1]
+    train = np.random.Generator(np.random.PCG64(1)).permutation(n)[:_train_shape(features)[1]]
+    x_train = features[:, train]
+    svd = full_svd(x_train - x_train.mean(axis=1)[:, None])
+    closed_form, _ = ATTACKS["unconstrained"]
+    _, _, core = closed_form(svd, 4, tie * _budget_unit(svd, 4))
+    assert _core_split(svd, 4, core) is None
+    svd_calls.clear()
+
+    reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
+    assert svd_calls.count(_train_shape(features)) == 2
+    monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
+    dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
+    assert reports[1] == dense[1]
 
 
 def test_verify_factors_once_for_both_closed_forms(svd_calls, tmp_path):

@@ -4,14 +4,42 @@ import numpy as np
 import pytest
 from conftest import random_orthogonal, spearman
 
-from pcattack import (InvalidDimension, InvalidMatrix, ParseError, UndefinedR2,
-                      attack_pcr, fit_pcr, full_svd, load_feature_csv,
+from pcattack import (InvalidDimension, InvalidMatrix, ParseError, PcattackError,
+                      UndefinedR2, attack_pcr, fit_pcr, full_svd, load_feature_csv, pcr,
                       r_squared, synthetic_collinear)
 from pcattack.pcr import DEFAULT_ETA_RATIOS
 
 
 def toy_features(seed=0, d=6, n=30):
     return np.random.default_rng(seed).standard_normal((d, n))
+
+
+def low_rank_features(rank, seed=0, d=12, n=30):
+    """Features whose centered training set has rank exactly ``rank``."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+    return features + rng.standard_normal((d, 1)), rng.standard_normal(n)
+
+
+def _pcr_outcome(features, targets, k, ratio, strategy):
+    try:
+        [report] = attack_pcr(features, targets, k, [ratio], strategy, split_seed=3)
+    except PcattackError as exc:
+        return type(exc)
+    return report
+
+
+# Ratios at least 1% away from the regime thresholds 1/sqrt(2) and 1, where
+# the dense SVD of the attacked features is ill-conditioned.
+AGREEMENT_RATIOS = (0.0, 0.05, 0.3, 0.6, 0.69, 0.72, 0.85, 0.98, 1.02, 1.5)
+AGREEMENT_SETS = {
+    "wide-k1": (synthetic_collinear(seed=8, d=20, n=40), 1),
+    "wide-k4": (synthetic_collinear(seed=8, d=20, n=40), 4),
+    "tall-k1": (synthetic_collinear(seed=9, d=40, n=20, n_factors=3), 1),
+    "tall-k3": (synthetic_collinear(seed=9, d=40, n=20, n_factors=3), 3),
+    "low-rank-k3": (low_rank_features(3), 3),
+    "k-above-rank": (low_rank_features(3), 4),
+}
 
 
 class TestRSquared:
@@ -115,6 +143,20 @@ class TestAttackPcr:
         grid = [r.eta_ratio for r in reports]
         r2_test = [r.r2_test for r in reports]
         assert spearman(grid, r2_test) <= -0.9
+
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    @pytest.mark.parametrize("name", AGREEMENT_SETS)
+    def test_core_refit_agrees_with_dense_refit(self, name, strategy, monkeypatch):
+        (features, targets), k = AGREEMENT_SETS[name]
+        core = [_pcr_outcome(features, targets, k, r, strategy) for r in AGREEMENT_RATIOS]
+        monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
+        dense = [_pcr_outcome(features, targets, k, r, strategy) for r in AGREEMENT_RATIOS]
+        for ratio, got, want in zip(AGREEMENT_RATIOS, core, dense):
+            if isinstance(want, type):
+                assert got is want, ratio
+            else:
+                assert abs(got.r2_train - want.r2_train) < 1e-10, ratio
+                assert abs(got.r2_test - want.r2_test) < 1e-10, ratio
 
     def test_invalid_strategy(self):
         features, targets = synthetic_collinear(seed=0)
