@@ -6,6 +6,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -75,9 +76,10 @@ class SvdTriple:
     sigma: np.ndarray       # p nonnegative, nonincreasing
     v: np.ndarray           # n x p, orthonormal columns
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
-        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1."""
+        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.  Computed
+        once; each closed form reads it, so a sweep cell does not recount."""
         if self.sigma.size == 0 or self.sigma[0] <= 0.0:
             return 0
         return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
@@ -158,20 +160,45 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     The result carries ``ambiguous=True`` when sigma_k and sigma_{k+1} are
     tied within ``TIE_TOL`` relative to sigma_1 (the PCA truncation is then
     ill defined).  For d > n the implicit trailing singular values are zero.
+
+    Only the span and the singular values are needed, so a tall ``m`` skips
+    the d x n factor of a thin SVD (Chan's R-SVD, ACM TOMS 8, 1982):
+
+    * k = n < d: the span is the column space, the ``Q`` of a reduced QR of
+      ``m``; the singular values are those of its n x n ``R``.
+    * k < n, d >= 2n: the singular values and right vectors ``V`` come from
+      the n x n SVD of ``R`` (a Householder QR that keeps only ``R``), and
+      the basis is the ``Q`` of a QR of the d x k block ``m V_k``.  Since
+      ``m V_k = U_k S_k`` to eps * sigma_1 per column, its span is that of
+      ``U_k`` to O(eps sigma_1 / (sigma_k - sigma_{k+1})), the same order
+      as a dense SVD, and nothing is divided by a singular value.  Below
+      d = 2n the two QRs cost more than they save, and a thin SVD runs.
     """
+    m = as_matrix(m)
+    d, n = m.shape
+    k = check_k(k, (d, n))
+    if d > n and k == n:
+        q, r = np.linalg.qr(m)
+        return _truncation(q, np.linalg.svd(r, compute_uv=False), k, d)
+    if d >= 2 * n:
+        _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
+        return _truncation(np.linalg.qr(m @ vt[:k].T)[0], sigma, k, d)
     return _leading_from_svd(full_svd(m), k)
 
 
 def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
-    d = svd.u.shape[0]
-    n = svd.v.shape[0]
-    p = min(d, n)
+    d, n = svd.u.shape[0], svd.v.shape[0]
     k = check_k(k, (d, n))
-    sigma = svd.sigma
+    return _truncation(svd.u[:, :k].copy(), svd.sigma, k, d)
+
+
+def _truncation(columns: np.ndarray, sigma: np.ndarray, k: int, d: int) -> OrthonormalBasis:
+    """The basis ``columns`` of a top-k subspace in R^d, flagged when the
+    spectrum ``sigma`` (nonincreasing) ties at the truncation."""
     # for d > n the trailing spectrum is implicitly zero; at k = d the subspace is R^d
-    next_sigma = sigma[k] if k < p else 0.0 if k < d else None
+    next_sigma = sigma[k] if k < sigma.size else 0.0 if k < d else None
     ambiguous = next_sigma is not None and (sigma[k - 1] - next_sigma) <= TIE_TOL * sigma[0]
-    return OrthonormalBasis(svd.u[:, :k].copy(), ambiguous=bool(ambiguous))
+    return OrthonormalBasis(columns, ambiguous=bool(ambiguous))
 
 
 def principal_angles(a, b) -> np.ndarray:
@@ -203,7 +230,8 @@ def pca_distance(x, y, k: int) -> tuple[float, bool]:
     Returns ``(theta, ambiguous)`` where ``ambiguous`` is True if either
     truncation had a tied trailing singular value.
     """
-    return _pca_distance_from_svd(full_svd(x), y, k)
+    bx, by = leading_subspace(x, k), leading_subspace(y, k)
+    return asimov_distance(bx, by), bx.ambiguous or by.ambiguous
 
 
 def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:

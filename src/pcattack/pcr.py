@@ -114,8 +114,10 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     Ratios are relative to the centered training features: to sigma_k when
     they have rank k, else to sigma_k - sigma_{k+1}.  They are sorted, and
     must then pass the sweep's grid check: nonempty, finite, nonnegative,
-    no repeats.  The targets are never modified; test features stay clean
-    and are centered with the training means.
+    no repeats.  A k above the numerical rank of the centered training
+    features raises InvalidDimension for either strategy, before any attack.
+    The targets are never modified; test features stay clean and are
+    centered with the training means.
 
     The centered training features are factored once.  At each ratio the
     refit's components come from the attack's 2x2 core: ``u_1 .. u_{k-1}``
@@ -144,6 +146,8 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     xc = x_train - means[:, None]
     svd = full_svd(xc)
     k = check_k(k, xc.shape)
+    if svd.rank < k:
+        raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
     scale = _budget_unit(svd, k)
     closed_form, _ = ATTACKS[strategy]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
 from .linalg import SvdTriple, check_attack, full_svd
-from .report import AttackReport, Regime, build_report, core_case, frames, lift
+from .report import AttackReport, Regime, build_report, core_case, frames, lift, solve_core
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,16 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
 
 
 def _attack_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_rank_one`` on a matrix factored as ``svd``, after the checks
-    that some regime applies: ``(regime, theta_predicted, core)``."""
+    """``solve_rank_one`` on a matrix factored as ``svd``, in units of sigma_1
+    (``report.solve_core``), after the checks that some regime applies:
+    ``(regime, theta_predicted, core)``."""
     d, n = svd.u.shape[0], svd.v.shape[0]
-    sigma_k, sigma_k1, case = core_case(svd, k)
+    case = core_case(svd, k)[2]
     if case != "k<rank" and (k != svd.rank or svd.rank == d < n):
         raise RegimeError(f"no attack regime for k={k} with rank={svd.rank} on a {d}x{n} matrix")
     if case == "full_rank" and d == n and eta > 0.0:
         raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    return solve_rank_one(sigma_k, sigma_k1, eta, case)
+    return solve_core(solve_rank_one, svd, k, eta)
 
 
 def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,

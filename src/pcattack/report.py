@@ -8,6 +8,14 @@ from the core (``_core_angle``, which sweep cells use) as well as measured
 by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
 which every report uses and sweep cells fall back to).  The same core gives
 the perturbed top-k subspace (``_core_split``), which PCR refits read.
+
+The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``.
+On a tall d x n input at k = n, or at d >= 2n, it takes no thin SVD: a QR
+removes the long side, and the n x n SVD of its triangle gives the singular
+values (and V), from which the basis is the ``Q`` of a QR of ``m V_k``.  Its
+span is accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a dense
+SVD's is.  The solvers run in units of sigma_1 rounded to a power of two
+(``solve_core``), so an attack is the same at any scale of X and eta.
 """
 
 from __future__ import annotations
@@ -80,6 +88,18 @@ def core_case(svd: SvdTriple, k: int) -> tuple[float, float, str]:
     rank, p = svd.rank, svd.sigma.size
     case = "k<rank" if k < rank else "low_rank" if rank < p else "full_rank"
     return float(svd.sigma[k - 1]), float(svd.sigma[k]) if k < p else 0.0, case
+
+
+def solve_core(solve, svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
+    """``solve(sigma_k, sigma_{k+1}, eta, case)``, with ``core_case``'s
+    arguments, run in units of sigma_1 rounded to a power of two:
+    ``(regime, theta_predicted, core)``.  The closed forms are homogeneous
+    in (sigma, eta), and scaling by a power of two is exact, so the unit
+    changes no result; it keeps their squares in range at any scale of X."""
+    sigma_k, sigma_k1, case = core_case(svd, k)
+    unit = math.ldexp(1.0, math.frexp(svd.sigma[0])[1])
+    regime, theta, core = solve(sigma_k / unit, sigma_k1 / unit, eta / unit, case)
+    return regime, theta, core * unit
 
 
 def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, RegimeError
 from .linalg import SvdTriple, check_attack, full_svd
-from .report import AttackReport, Regime, build_report, core_case, lift
+from .report import AttackReport, Regime, build_report, lift, solve_core
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,13 @@ def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, Att
 
 
 def _attack_unconstrained(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_unconstrained`` on a matrix factored as ``svd``, after the
-    dimension check: ``(regime, theta_predicted, core)``."""
+    """``solve_unconstrained`` on a matrix factored as ``svd``, in units of
+    sigma_1 (``report.solve_core``), after the dimension check:
+    ``(regime, theta_predicted, core)``."""
     d, n = svd.u.shape[0], svd.v.shape[0]
     if k + 1 > min(d, n):
         raise InvalidDimension(f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
-    sigma_k, sigma_k1, case = core_case(svd, k)
-    return solve_unconstrained(sigma_k, sigma_k1, eta, case)
+    return solve_core(solve_unconstrained, svd, k, eta)
 
 
 def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,

@@ -174,6 +174,20 @@ class TestPcrCommand:
     def test_no_data_source_exits_2(self, tmp_path):
         assert main(["pcr", "--k", "4", "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_k_above_training_rank_exits_2(self, tmp_path, capsys, strategy):
+        # 12 features of centered rank 3: both strategies reject k = 4 alike,
+        # before any attack runs
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12)) + 2.0
+        path = tmp_path / "f.csv"
+        np.savetxt(path, np.column_stack([features, rng.standard_normal(30)]), delimiter=",")
+        out = tmp_path / "o.csv"
+        assert main(["pcr", str(path), "--k", "4", "--strategy", strategy,
+                     "--out", str(out)]) == 2
+        assert "k=4 exceeds the numerical rank 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0.3,0.3", "", "-0.5,0.2"])
     def test_bad_grid_exits_2(self, tmp_path, grid):
         out = tmp_path / "o.csv"

@@ -79,8 +79,10 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     assert solved_regime == regime
     core_theta = _core_angle(svd, k, core)
     full_theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
-    # one factor and one re-PCA; the core angle runs no dense SVD
-    assert svd_calls.count(x.shape) == 2
+    # one factor and one re-PCA; the core angle runs no dense SVD, and neither
+    # does the re-PCA of a tall input at k = n (a QR and an n x n SVD)
+    d, n = x.shape
+    assert svd_calls.count(x.shape) == (1 if d > n and (k == n or d >= 2 * n) else 2)
     assert core_theta is not None
     assert core_theta == pytest.approx(full_theta, abs=1e-10)
 

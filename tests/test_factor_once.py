@@ -1,11 +1,13 @@
 """Count the dense SVDs each entry point runs on its input's shape.
 
 An attack factors the clean matrix once and verifies by one independent
-re-PCA; ``verify`` factors once for both closed forms, builds no report, and
-lets each random oracle factor on its own; a sweep factors once and verifies
-its closed-form cells from their 2x2 cores; PCR factors the centered
-training features once and refits from the 2x2 cores, building no report,
-with one more SVD only for a ratio whose core ties.
+re-PCA, which is a dense SVD of the input's shape except on tall inputs at
+k = n or d >= 2n, where it is an SVD of the n x n triangle of a QR;
+``verify`` factors once for both closed forms, builds no report, and lets
+each random oracle factor on its own; a sweep factors once and verifies its
+closed-form cells from their 2x2 cores; PCR factors the centered training
+features once and refits from the 2x2 cores, building no report, with one
+more SVD only for a ratio whose core ties.
 """
 
 import numpy as np
@@ -40,10 +42,17 @@ def svd_calls(monkeypatch):
     (attack_rank_one, (4, 7), 2),
     (attack_unconstrained, (7, 5), 2),
     (attack_unconstrained, (4, 7), 3),
+    (attack_rank_one, (20, 5), 2),      # d >= 2n
+    (attack_rank_one, (20, 5), 5),
+    (attack_unconstrained, (20, 5), 2),
 ])
 def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     attack(synth_gaussian(*shape, seed=3), k, 0.1)
-    assert svd_calls.count(shape) == 2
+    # the factor, the re-PCA and the principal angles' k x k SVD; on a tall
+    # input at k = n or d >= 2n the re-PCA's one SVD is of an n x n triangle
+    d, n = shape
+    re_pca = (n, n) if d > n and (k == n or d >= 2 * n) else shape
+    assert svd_calls == [shape, re_pca, (k, k)]
 
 
 def test_sweep_factors_once(svd_calls):

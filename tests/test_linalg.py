@@ -6,7 +6,7 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
-from pcattack.linalg import complement_direction
+from pcattack.linalg import _leading_from_svd, complement_direction
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -102,6 +102,45 @@ class TestLeadingSubspace:
         x = np.zeros((4, 2))
         x[0, 0] = 1.0
         assert leading_subspace(x, 2).ambiguous
+
+
+def _rank_deficient(d, n, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+
+
+# (matrix, k): tall inputs with d >= 2n at k < n and k = n (QR paths), a
+# near-square tall one at k < n (thin SVD) and at k = n (QR), rank-deficient
+# tall ones at k = rank and above it, the zero matrix, and sigma_k = 1e-8 sigma_1.
+REFERENCE_CASES = {
+    "d>=2n-k<n": (np.random.default_rng(1).standard_normal((40, 10)), 3),
+    "d>=2n-k=n": (np.random.default_rng(2).standard_normal((40, 10)), 10),
+    "near-square-k<n": (np.random.default_rng(3).standard_normal((15, 10)), 3),
+    "near-square-k=n": (np.random.default_rng(4).standard_normal((12, 10)), 10),
+    "rank-deficient-k=rank": (_rank_deficient(40, 10, 4, seed=5), 4),
+    "rank-deficient-k>rank": (_rank_deficient(40, 10, 4, seed=6), 6),
+    "rank-deficient-k=n": (_rank_deficient(40, 10, 4, seed=7), 10),
+    "zero-k<n": (np.zeros((40, 10)), 3),
+    "zero-k=n": (np.zeros((40, 10)), 10),
+    "sigma_k=1e-8": (matrix_with_spectrum([1.0, 0.5, 1e-8, 1e-9], 40, 10, seed=8), 3),
+}
+
+
+@pytest.mark.parametrize("m, k", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_leading_subspace_matches_dense_svd(m, k):
+    # the reference basis comes straight from a dense SVD; the largest angle
+    # is read from its sine, which keeps its accuracy near 0
+    u, sigma, _ = np.linalg.svd(m, full_matrices=False)
+    basis = leading_subspace(m, k)
+    assert np.all(np.isfinite(basis.columns))
+    assert basis.ambiguous == _leading_from_svd(full_svd(m), k).ambiguous
+    ref = u[:, :k]
+    sine = np.linalg.norm(basis.columns - ref @ (ref.T @ basis.columns), 2)
+    angle = np.arcsin(min(sine, 1.0))
+    gap = sigma[k - 1] - (sigma[k] if k < sigma.size else 0.0)
+    eps = np.finfo(float).eps
+    bound = 1e-12 if gap >= 1e-3 * sigma[0] else 100 * eps * sigma[0] / max(gap, 1e-300)
+    assert angle <= bound, (angle, bound)
 
 
 class TestPrincipalAngles:

@@ -1,0 +1,60 @@
+"""The closed forms are homogeneous in (X, eta): scaling both by any c in
+[1e-150, 1e150] changes neither the regime nor the angle."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pcattack import attack_rank_one, attack_unconstrained, full_svd, synth_gaussian
+from pcattack.cli import main
+from pcattack.fileio import write_matrix_csv
+
+SCALES = (1e-150, 1e-100, 1.0, 1e100, 1e150)
+# (attack, shape, k): 6x5 re-PCAs by a thin SVD, 20x6 (d >= 2n) by the QR
+# route at k < n and at k = n
+CASES = [(attack, shape, 2) for attack in (attack_rank_one, attack_unconstrained)
+         for shape in ((6, 5), (20, 6))] + [(attack_rank_one, (20, 6), 6)]
+RATIOS = (0.3, 0.9, 1.5)    # of sigma_k - sigma_{k+1}, or of sigma_n at k = n
+
+
+def _budget_unit(x, k):
+    sigma = np.append(full_svd(x).sigma, 0.0)
+    return sigma[k - 1] - sigma[k]
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("attack, shape, k", CASES,
+                         ids=[f"{a.__name__}-{s[0]}x{s[1]}-k{k}" for a, s, k in CASES])
+def test_attack_scale_invariant(attack, shape, k, ratio):
+    x = synth_gaussian(*shape, seed=3)
+    eta = ratio * _budget_unit(x, k)
+    _, ref = attack(x, k, eta)
+    for c in SCALES:
+        _, report = attack(c * x, k, c * eta)
+        assert report.regime == ref.regime, c
+        assert report.theta_predicted == pytest.approx(ref.theta_predicted, rel=1e-12), c
+        assert abs(report.theta_achieved - ref.theta_achieved) < 1e-8, c
+        assert abs(report.theta_achieved - report.theta_predicted) < 1e-8, c
+        assert report.budget_used == pytest.approx(c * ref.budget_used, rel=1e-12), c
+        assert report.ambiguous_subspace == ref.ambiguous_subspace, c
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+def test_cli_attack_at_1e150(tmp_path, capsys, strategy):
+    x = synth_gaussian(6, 5, seed=3)
+    eta = float(0.3 * _budget_unit(x, 2))
+    attack = attack_rank_one if strategy == "rank_one" else attack_unconstrained
+    _, ref = attack(x, 2, eta)
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, 1e150 * x)
+    assert main(["attack", str(path), "--k", "2", "--eta", repr(1e150 * eta),
+                 "--strategy", strategy]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["regime"] == ref.regime.value
+    assert payload["theta_predicted"] == pytest.approx(ref.theta_predicted, rel=1e-12)
+    assert payload["theta_achieved"] == pytest.approx(ref.theta_achieved, abs=1e-8)
