@@ -13,7 +13,7 @@ import sys
 from .errors import InvalidDimension, PcattackError, RegimeError
 from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
 from .fileio import read_matrix_csv, write_matrix_csv
-from .linalg import check_attack, full_svd
+from .linalg import check_attack, spectrum_of
 from .oracle import SearchConfig, grid_search_angles
 from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
                   write_regression_csv)
@@ -67,15 +67,15 @@ def _cmd_pcr(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = SearchConfig(trials=args.trials, seed=args.seed)
     x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
-    # Both closed forms read one factorization; each oracle factors on its own
+    # Both closed forms read one values-only SVD; each oracle factors on its own
     # so that it stays independent of the closed form it checks.  A family with
     # no room for its attack (InvalidDimension) is skipped, not verified.
-    svd = full_svd(x)
+    spectrum = spectrum_of(x)
     checks = []
     for name, (closed_form, oracle) in ATTACKS.items():
         label = name.replace("_", "-")
         try:
-            regime, theta_predicted, _ = closed_form(svd, k, eta)
+            regime, theta_predicted, _ = closed_form(spectrum, k, eta)
         except InvalidDimension as exc:
             checks.append(f"{label:<22} skipped: {exc}")
             error = exc
@@ -84,7 +84,7 @@ def _cmd_verify(args) -> int:
         checks.append((f"{label} random", oracle_theta, theta_predicted, RANDOM_ORACLE_TOL))
         if regime == Regime.K_LT_RANK_CASE2:
             _, _, grid_theta = grid_search_angles(
-                float(svd.sigma[k - 1]), float(svd.sigma[k]), eta, cfg)
+                float(spectrum.sigma[k - 1]), float(spectrum.sigma[k]), eta, cfg)
             checks.append((f"{label} grid", grid_theta, theta_predicted, GRID_ORACLE_TOL))
     if all(isinstance(check, str) for check in checks):
         raise error

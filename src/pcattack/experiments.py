@@ -14,6 +14,7 @@ saturates the distance) and to sigma_k - sigma_{k+1} otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,14 +22,15 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import format_float, numbered_lines, read_matrix_csv
-from .linalg import SvdTriple, _pca_distance_from_svd, check_eta, check_k, full_svd
+from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, full_svd,
+                     spectrum_of)
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
-from .report import _core_angle, lift
+from .report import _core_angle, core_norm, lift
 from .unconstrained import _attack_unconstrained
 
-# Each attack family: its closed form on a factored matrix, its random oracle.
+# Each attack family: its closed form on a spectrum, its random oracle.
 ATTACKS = {
     "rank_one": (_attack_rank_one, random_rank_one),
     "unconstrained": (_attack_unconstrained, random_unconstrained),
@@ -98,11 +100,11 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     return portable_normal(seed, (d, n))
 
 
-def _budget_unit(svd: SvdTriple, k: int) -> float:
+def _budget_unit(spectrum: Spectrum, k: int) -> float:
     """Budget unit for ratio grids: sigma_k at rank k, else the spectral gap."""
-    if svd.rank <= k:
-        return float(svd.sigma[k - 1])
-    return float(svd.sigma[k - 1] - svd.sigma[k])
+    if spectrum.rank <= k:
+        return float(spectrum.sigma[k - 1])
+    return float(spectrum.sigma[k - 1] - spectrum.sigma[k])
 
 
 def check_ratio_grid(ratios) -> tuple[float, ...]:
@@ -134,37 +136,47 @@ def _sweep_data(spec: SweepSpec) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One row per (eta ratio, strategy), sorted, with errors recorded inline."""
+    """One row per (eta ratio, strategy), sorted, with errors recorded inline.
+
+    The closed forms read only the singular values, from one values-only
+    SVD of the data; the full factor is computed only if some cell needs it.
+    """
     x = _sweep_data(spec)
-    svd = full_svd(x)
+    spectrum = spectrum_of(x)
+    factor = functools.cache(lambda: full_svd(x))
     k = check_k(spec.k, x.shape)
-    scale = _budget_unit(svd, k)
+    scale = _budget_unit(spectrum, k)
     rows = []
     for ratio in spec.eta_grid:
         eta = check_eta(ratio * scale)
         for strategy in sorted(spec.strategies):
             try:
-                rows.append(_run_cell(x, svd, k, spec, strategy, ratio, eta))
+                rows.append(_run_cell(x, spectrum, factor, k, spec, strategy, ratio, eta))
             except PcattackError as exc:
                 rows.append(SweepRow(ratio, strategy, None, None, None, type(exc).__name__))
     rows.sort(key=lambda r: (r.eta_ratio, r.strategy))
     return rows
 
 
-def _run_cell(x, svd: SvdTriple, k: int, spec: SweepSpec, strategy: str,
+def _run_cell(x, spectrum: Spectrum, factor, k: int, spec: SweepSpec, strategy: str,
               ratio: float, eta: float) -> SweepRow:
-    # Closed forms read the sweep's one factorization and are verified from their
-    # 2x2 cores, or else by re-PCA; oracles factor on their own to stay independent.
+    # Closed forms read the sweep's singular values and are verified from their
+    # 2x2 cores.  A core that does not split cleanly is solved again on the full
+    # factor (``factor()``, computed once per sweep), so that the core, its lift
+    # and the re-PCA read one factorization.  Oracles factor on their own to stay
+    # independent.
     attack, by_oracle = STRATEGIES[strategy]
     closed_form, oracle = ATTACKS[attack]
     if by_oracle:
         result, theta = oracle(x, k, eta, spec.oracle_cfg)
         return SweepRow(ratio, strategy, theta, None, result.budget_used)
-    _, theta_predicted, core = closed_form(svd, k, eta)
-    theta = _core_angle(svd, k, core)
+    _, theta_predicted, core = closed_form(spectrum, k, eta)
+    theta = _core_angle(spectrum, k, core)
     if theta is None:
+        svd = factor()
+        _, theta_predicted, core = closed_form(svd, k, eta)
         theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
-    return SweepRow(ratio, strategy, theta, theta_predicted, float(np.linalg.norm(core)))
+    return SweepRow(ratio, strategy, theta, theta_predicted, core_norm(core))
 
 
 def write_sweep_csv(rows, path) -> None:

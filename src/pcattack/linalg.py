@@ -62,7 +62,34 @@ def check_attack(x, k, eta) -> tuple[np.ndarray, int, float]:
 
 
 @dataclass(frozen=True)
-class SvdTriple:
+class Spectrum:
+    """The singular values of a d x n matrix, without its singular vectors.
+
+    The closed forms, their regime checks and the split of a 2x2 core read
+    only ``sigma``, ``rank`` and ``shape``; an ``SvdTriple`` is a spectrum
+    that also holds the singular vectors.
+    """
+
+    sigma: np.ndarray       # min(d, n) nonnegative, nonincreasing
+    shape: tuple[int, int]
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.  Computed
+        once; each closed form reads it, so a sweep cell does not recount."""
+        if self.sigma.size == 0 or self.sigma[0] <= 0.0:
+            return 0
+        return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
+
+
+def spectrum_of(m) -> Spectrum:
+    """The singular values of a finite matrix, from one values-only SVD."""
+    m = as_matrix(m)
+    return Spectrum(np.linalg.svd(m, compute_uv=False), m.shape)
+
+
+@dataclass(frozen=True)
+class SvdTriple(Spectrum):
     """Thin SVD factors with nonincreasing singular values.
 
     With ``p = min(d, n)``, ``u`` is d x p and ``v`` is n x p, both with
@@ -73,16 +100,7 @@ class SvdTriple:
     """
 
     u: np.ndarray           # d x p, orthonormal columns
-    sigma: np.ndarray       # p nonnegative, nonincreasing
     v: np.ndarray           # n x p, orthonormal columns
-
-    @functools.cached_property
-    def rank(self) -> int:
-        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.  Computed
-        once; each closed form reads it, so a sweep cell does not recount."""
-        if self.sigma.size == 0 or self.sigma[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
@@ -136,7 +154,40 @@ def full_svd(m) -> SvdTriple:
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     cols = np.arange(sigma.size)
     signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0.0, -1.0, 1.0)
-    return SvdTriple(u=u * signs, sigma=sigma, v=vt.T * signs)
+    return SvdTriple(sigma=sigma, shape=m.shape, u=u * signs, v=vt.T * signs)
+
+
+def fro_norm(m) -> float:
+    """Frobenius norm of an array, taken after scaling it by the power of two
+    that brings its largest |entry| into [1/2, 1): that scaling is exact, so
+    no square overflows or underflows at any scale."""
+    m = np.asarray(m, dtype=float)
+    peak = float(np.abs(m).max()) if m.size else 0.0
+    if not 0.0 < peak < math.inf:
+        return peak
+    exponent = math.frexp(peak)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(m, -exponent))), exponent)
+
+
+def svd_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """``(s_1, s_2, w_1, w_2)``: the singular values ``s_1 >= s_2 >= 0`` of
+    ``[[a, b], [c, d]]`` and its leading left singular vector ``w``.
+
+    The matrix is ``Q Rot(a_2) + R Refl(a_1)``, a scaled rotation plus a
+    scaled reflection, with ``Q = hypot((a + d)/2, (c - b)/2)`` and ``R =
+    hypot((a - d)/2, (c + b)/2)``, so it equals ``Rot(phi) diag(Q + R, Q - R)
+    Rot(psi)`` with ``phi = (a_1 + a_2) / 2`` (Blinn, "Consider the lowly 2x2
+    matrix", 1996).  Only ``hypot`` and ``atan2`` touch the entries, so nothing
+    is squared.  Each ``atan2`` keeps its relative accuracy, so ``w`` is
+    accurate to O(eps s_1 / (s_1 - s_2)); and where both angles are small and
+    of one sign, as for a perturbation much smaller than the gap of a diagonal
+    matrix, so is ``phi``.
+    """
+    e, f = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
+    g, h = 0.5 * c + 0.5 * b, 0.5 * c - 0.5 * b
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    phi = 0.5 * (math.atan2(g, f) + math.atan2(h, e))
+    return q + r, abs(q - r), math.cos(phi), math.sin(phi)
 
 
 def complement_direction(u: np.ndarray) -> np.ndarray:
@@ -187,9 +238,8 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
 
 
 def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
-    d, n = svd.u.shape[0], svd.v.shape[0]
-    k = check_k(k, (d, n))
-    return _truncation(svd.u[:, :k].copy(), svd.sigma, k, d)
+    k = check_k(k, svd.shape)
+    return _truncation(svd.u[:, :k].copy(), svd.sigma, k, svd.shape[0])
 
 
 def _truncation(columns: np.ndarray, sigma: np.ndarray, k: int, d: int) -> OrthonormalBasis:

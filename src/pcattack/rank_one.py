@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
-from .linalg import SvdTriple, check_attack, full_svd
+from .linalg import Spectrum, check_attack, fro_norm, full_svd
 from .report import AttackReport, Regime, build_report, core_case, frames, lift, solve_core
 
 
@@ -34,7 +34,7 @@ class RankOneAttack:
 
     @property
     def budget_used(self) -> float:
-        return float(np.linalg.norm(self.a) * np.linalg.norm(self.b))
+        return fro_norm(self.a) * fro_norm(self.b)
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,22 @@ def _rotation_angle(sigma_k: float, sigma_k1: float, eta: float, alpha, beta):
 
     The two-coordinate attack leaves a symmetric 2 x 2 block in the
     (u_k, u_{k+1}) plane whose leading eigenvector sits at angle
-    ``atan2(ay, ax) / 2``; its magnitude is the subspace distance.
+    ``atan2(ay, ax) / 2``; its magnitude is the subspace distance.  Scalar
+    angles are evaluated with ``math``, arrays with numpy.
     """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
+    if np.isscalar(alpha) and np.isscalar(beta):
+        xp, atan2 = math, math.atan2
+    else:
+        xp, atan2 = np, np.arctan2
+        alpha, beta = np.asarray(alpha), np.asarray(beta)
+    ca, sa = xp.cos(alpha), xp.sin(alpha)
+    cb, sb = xp.cos(beta), xp.sin(beta)
     ax = (sigma_k**2 - sigma_k1**2
           + 2.0 * sigma_k * eta * ca * cb
           - 2.0 * sigma_k1 * eta * sa * sb
-          + eta**2 * np.cos(2.0 * np.asarray(alpha)))
+          + eta**2 * xp.cos(2.0 * alpha))
     ay = 2.0 * eta * (sigma_k * sa * cb + sigma_k1 * ca * sb + eta * ca * sa)
-    return 0.5 * np.arctan2(ay, ax)
+    return 0.5 * atan2(ay, ax)
 
 
 def theta_from_angles(sigma_k: float, sigma_k1: float, eta: float,
@@ -72,10 +78,9 @@ def theta_from_angles(sigma_k: float, sigma_k1: float, eta: float,
 
     ``alpha`` parametrizes the attack column ``a`` in the (u_k, u_{k+1})
     plane and ``beta`` the row ``b`` in the (v_k, v_{k+1}) plane.  Accepts
-    scalars or broadcasting arrays.
+    scalars, giving a float, or broadcasting arrays.
     """
-    theta = np.abs(_rotation_angle(sigma_k, sigma_k1, eta, alpha, beta))
-    return float(theta) if np.isscalar(alpha) and np.isscalar(beta) else theta
+    return abs(_rotation_angle(sigma_k, sigma_k1, eta, alpha, beta))
 
 
 def equivalent_solutions(alpha: float, beta: float) -> list[tuple[float, float]]:
@@ -96,7 +101,9 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
     which is exact and avoids cancellation near both regime boundaries.
     ``cos^2(alpha*) = (gap2 + eta^2 - sqrt(H)) / (2 gap2)`` is evaluated
     rationalized, as ``2 eta^2 sigma_k^2 / (gap2 (gap2 + eta^2 + sqrt(H)))``,
-    so a tiny budget keeps its relative accuracy.
+    and so is ``sin^2(beta*) = (gap2 - eta^2 - sqrt(H)) / (2 gap2) = 2 eta^2
+    sigma_{k+1}^2 / (gap2 (gap2 - eta^2 + sqrt(H)))``, so a tiny budget keeps
+    its relative accuracy.
     """
     H = ((sigma_k + sigma_k1) ** 2 - eta**2) * ((sigma_k - sigma_k1) ** 2 - eta**2)
     gap2 = sigma_k**2 - sigma_k1**2
@@ -106,9 +113,11 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
         raise RegimeError("closed form requires eta < sigma_k - sigma_{k+1}")
     root = math.sqrt(H)
     cos2_alpha = 2.0 * eta**2 * sigma_k**2 / (gap2 * (gap2 + eta**2 + root))
+    sin2_alpha = (gap2 - eta**2 + root) / (2.0 * gap2)
     cos2_beta = (gap2 + eta**2 + root) / (2.0 * gap2)
-    alpha = math.acos(math.sqrt(min(max(cos2_alpha, 0.0), 1.0)))
-    beta = math.acos(-math.sqrt(min(max(cos2_beta, 0.0), 1.0)))
+    sin2_beta = 2.0 * eta**2 * sigma_k1**2 / (gap2 * (gap2 - eta**2 + root))
+    alpha = math.atan2(math.sqrt(sin2_alpha), math.sqrt(cos2_alpha))
+    beta = math.atan2(math.sqrt(sin2_beta), -math.sqrt(cos2_beta))
     theta = theta_from_angles(sigma_k, sigma_k1, eta, alpha, beta)
     return RankOneClosedForm(alpha_star=alpha, beta_star=beta, H=H,
                              theta_star=theta, sigma_k=sigma_k, sigma_k1=sigma_k1)
@@ -134,17 +143,20 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
                                 {"a": attack.a, "b": attack.b})
 
 
-def _attack_rank_one(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_rank_one`` on a matrix factored as ``svd``, in units of sigma_1
+def _attack_rank_one(spectrum: Spectrum, k: int,
+                     eta: float) -> tuple[Regime, float, np.ndarray]:
+    """``solve_rank_one`` on a matrix with singular values ``spectrum`` (a
+    ``Spectrum``, or the ``SvdTriple`` that factors it), in units of sigma_1
     (``report.solve_core``), after the checks that some regime applies:
     ``(regime, theta_predicted, core)``."""
-    d, n = svd.u.shape[0], svd.v.shape[0]
-    case = core_case(svd, k)[2]
-    if case != "k<rank" and (k != svd.rank or svd.rank == d < n):
-        raise RegimeError(f"no attack regime for k={k} with rank={svd.rank} on a {d}x{n} matrix")
+    d, n = spectrum.shape
+    rank = spectrum.rank
+    case = core_case(spectrum, k)[2]
+    if case != "k<rank" and (k != rank or rank == d < n):
+        raise RegimeError(f"no attack regime for k={k} with rank={rank} on a {d}x{n} matrix")
     if case == "full_rank" and d == n and eta > 0.0:
         raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    return solve_core(solve_rank_one, svd, k, eta)
+    return solve_core(solve_rank_one, spectrum, k, eta)
 
 
 def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
@@ -158,9 +170,11 @@ def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
     """
     if case == "k<rank" and eta < sigma_k - sigma_k1:
         cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
-        a2 = eta * np.array([math.cos(cf.alpha_star), math.sin(cf.alpha_star)])
-        b2 = np.array([math.cos(cf.beta_star), math.sin(cf.beta_star)])
-        return Regime.K_LT_RANK_CASE2, cf.theta_star, np.outer(a2, b2)
+        # core = outer(a2, b2), a2 = eta (cos alpha*, sin alpha*), b2 = (cos beta*, sin beta*)
+        a_1, a_2 = eta * math.cos(cf.alpha_star), eta * math.sin(cf.alpha_star)
+        b_1, b_2 = math.cos(cf.beta_star), math.sin(cf.beta_star)
+        return (Regime.K_LT_RANK_CASE2, cf.theta_star,
+                np.array([[a_1 * b_1, a_1 * b_2], [a_2 * b_1, a_2 * b_2]]))
     if case == "k<rank" or (case == "low_rank" and eta > sigma_k):
         # All budget on e = u_{k+1}, paired with v_{k+1}.  At eta equal to the
         # gap the perturbed spectrum is tied, and the report is flagged.

@@ -9,6 +9,14 @@ by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
 which every report uses and sweep cells fall back to).  The same core gives
 the perturbed top-k subspace (``_core_split``), which PCR refits read.
 
+Solving a core (``core_case``, ``solve_core``) and splitting it
+(``_core_split``, ``_core_angle``) read only the singular values, the rank
+and the shape: a ``linalg.Spectrum`` from one values-only SVD serves them
+as well as a full ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
+``frames``, ``lift`` and ``build_report`` need the singular vectors.  The
+split is a closed-form 2 x 2 SVD (``linalg.svd_2x2``) on Python floats; it
+squares nothing, and a small rotation keeps its relative accuracy.
+
 The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``.
 On a tall d x n input at k = n, or at d >= 2n, it takes no thin SVD: a QR
 removes the long side, and the n x n SVD of its triangle gives the singular
@@ -26,7 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import TIE_TOL, SvdTriple, _pca_distance_from_svd, complement_direction
+from .linalg import (TIE_TOL, Spectrum, SvdTriple, _pca_distance_from_svd, complement_direction,
+                     svd_2x2)
 
 
 class Regime(str, Enum):
@@ -81,25 +90,32 @@ class AttackReport:
         }
 
 
-def core_case(svd: SvdTriple, k: int) -> tuple[float, float, str]:
+def core_case(spectrum: Spectrum, k: int) -> tuple[float, float, str]:
     """``(sigma_k, sigma_{k+1}, case)`` for a family's solver; ``case`` is
     ``"k<rank"``, ``"low_rank"`` (k >= rank, rank < min(d, n)) or
     ``"full_rank"`` (k = rank = min(d, n), where sigma_{k+1} is 0)."""
-    rank, p = svd.rank, svd.sigma.size
+    rank, p = spectrum.rank, spectrum.sigma.size
     case = "k<rank" if k < rank else "low_rank" if rank < p else "full_rank"
-    return float(svd.sigma[k - 1]), float(svd.sigma[k]) if k < p else 0.0, case
+    return float(spectrum.sigma[k - 1]), float(spectrum.sigma[k]) if k < p else 0.0, case
 
 
-def solve_core(solve, svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
+def solve_core(solve, spectrum: Spectrum, k: int,
+               eta: float) -> tuple[Regime, float, np.ndarray]:
     """``solve(sigma_k, sigma_{k+1}, eta, case)``, with ``core_case``'s
     arguments, run in units of sigma_1 rounded to a power of two:
     ``(regime, theta_predicted, core)``.  The closed forms are homogeneous
     in (sigma, eta), and scaling by a power of two is exact, so the unit
     changes no result; it keeps their squares in range at any scale of X."""
-    sigma_k, sigma_k1, case = core_case(svd, k)
-    unit = math.ldexp(1.0, math.frexp(svd.sigma[0])[1])
+    sigma_k, sigma_k1, case = core_case(spectrum, k)
+    unit = math.ldexp(1.0, math.frexp(spectrum.sigma[0])[1])
     regime, theta, core = solve(sigma_k / unit, sigma_k1 / unit, eta / unit, case)
     return regime, theta, core * unit
+
+
+def core_norm(core: np.ndarray) -> float:
+    """``||core||_F`` by ``math.hypot``, which squares nothing, so it neither
+    overflows nor underflows at any scale."""
+    return math.hypot(*core.ravel().tolist())
 
 
 def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,24 +132,28 @@ def lift(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray:
     return left @ core[:, :right.shape[1]] @ right.T
 
 
-def _core_split(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray | None:
+def _core_split(spectrum: Spectrum, k: int, core: np.ndarray) -> tuple[float, float] | None:
     """The leading left singular vector ``w`` of ``diag(sigma_k, sigma_{k+1}) +
     core``, or None unless its singular values ``s_1 >= s_2`` split cleanly
     from the rest: ``min(sigma_{k-1}, s_1) - max(s_2, sigma_{k+2}) > TIE_TOL *
     max(sigma_1, s_1)``.  The perturbed truncation is then not tied, and its
-    top-k left singular subspace is ``u_1 .. u_{k-1}`` plus ``L w``."""
-    sigma = np.concatenate([svd.sigma, [0.0, 0.0]])    # implicit trailing zeros
-    w, s, _ = np.linalg.svd(np.diag(sigma[k - 1:k + 1]) + core)
-    above = sigma[k - 2] if k > 1 else math.inf
-    if min(above, s[0]) - max(s[1], sigma[k + 1]) <= TIE_TOL * max(sigma[0], s[0]):
+    top-k left singular subspace is ``u_1 .. u_{k-1}`` plus ``L w``.  Singular
+    values past ``min(d, n)`` count as zero."""
+    sigma, p = spectrum.sigma, spectrum.sigma.size
+    (b_kk, b_kk1), (b_k1k, b_k1k1) = core.tolist()
+    sigma_k1 = float(sigma[k]) if k < p else 0.0
+    s_1, s_2, w_1, w_2 = svd_2x2(float(sigma[k - 1]) + b_kk, b_kk1, b_k1k, sigma_k1 + b_k1k1)
+    above = float(sigma[k - 2]) if k > 1 else math.inf
+    below = float(sigma[k + 1]) if k + 1 < p else 0.0
+    if min(above, s_1) - max(s_2, below) <= TIE_TOL * max(float(sigma[0]), s_1):
         return None
-    return w[:, 0]
+    return w_1, w_2
 
 
-def _core_angle(svd: SvdTriple, k: int, core: np.ndarray) -> float | None:
+def _core_angle(spectrum: Spectrum, k: int, core: np.ndarray) -> float | None:
     """Achieved distance ``atan2(|w_2|, |w_1|)`` with ``w`` from ``_core_split``,
     or None when the core does not split cleanly."""
-    w = _core_split(svd, k, core)
+    w = _core_split(spectrum, k, core)
     return None if w is None else math.atan2(abs(w[1]), abs(w[0]))
 
 
@@ -147,4 +167,4 @@ def build_report(strategy: str, svd: SvdTriple, k: int, eta: float,
     regime, theta_predicted, core = solved
     theta, ambiguous = _pca_distance_from_svd(svd, perturbed, k)
     return AttackReport(strategy, regime, k, eta, svd.sigma.copy(), theta_predicted, theta,
-                        float(np.linalg.norm(core)), bool(ambiguous), solution)
+                        core_norm(core), bool(ambiguous), solution)

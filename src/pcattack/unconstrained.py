@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, RegimeError
-from .linalg import SvdTriple, check_attack, full_svd
+from .linalg import Spectrum, SvdTriple, check_attack, fro_norm, full_svd
 from .report import AttackReport, Regime, build_report, lift, solve_core
 
 
@@ -28,7 +28,7 @@ class PerturbationMatrix:
 
     @property
     def budget_used(self) -> float:
-        return float(np.linalg.norm(self.delta))
+        return fro_norm(self.delta)
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,32 @@ def closed_form_lambda(sigma_k: float, sigma_k1: float, eta: float) -> ClosedFor
 def recover_entries(ci: ClosedFormIntermediates, sigma_k: float, sigma_k1: float) -> np.ndarray:
     """Canonical entries (b_kk, b_k1k, b_kk1, b_k1k1) of the optimal attack.
 
-    The feasibility minimizer v is rotated back through the block rotation
-    diag(P, P) and the clean spectrum is subtracted off; the result uses
-    the full budget: ``norm(entries) == eta``.
+    They are ``P V - diag(sigma_k, sigma_{k+1})``, the feasibility minimizer
+    ``V = r [[cos alpha, sin alpha], [cos beta, sin beta]]`` rotated back
+    through ``P = [[p11, -p21], [p21, p11]]`` with the clean spectrum
+    subtracted off; the result uses the full budget: ``norm(entries) ==
+    eta``.  That subtraction cancels as eta -> 0, so each entry is evaluated
+    in closed form instead.  With ``n_a = |(p11 sigma_k, p21 sigma_{k+1})|``
+    and ``n_b = |(p21 sigma_k, p11 sigma_{k+1})|``, all four carry the factor
+    ``n_b - n_a = 2 lam (lam + sqrt(lam^2 + 1)) p11^2 (sigma_k^2 -
+    sigma_{k+1}^2) / (n_a + n_b)``, which has no cancellation, so every
+    entry is accurate to a few eps relative to eta.
     """
-    p = np.array([[ci.p11, -ci.p21], [ci.p21, ci.p11]])
-    v = ci.r * np.array([[math.cos(ci.alpha), math.sin(ci.alpha)],
-                         [math.cos(ci.beta), math.sin(ci.beta)]])
-    return (p @ v - np.diag([sigma_k, sigma_k1])).ravel(order="F")
+    return np.array(_entries(ci, sigma_k, sigma_k1))
+
+
+def _entries(ci: ClosedFormIntermediates, sigma_k: float,
+             sigma_k1: float) -> tuple[float, float, float, float]:
+    p11, p21, lam = ci.p11, ci.p21, ci.lambda_max
+    n_a = math.hypot(p11 * sigma_k, p21 * sigma_k1)
+    n_b = math.hypot(p21 * sigma_k, p11 * sigma_k1)
+    spread = (2.0 * lam * (lam + math.sqrt(lam**2 + 1.0)) * p11**2
+              * (sigma_k - sigma_k1) * (sigma_k + sigma_k1) / (n_a + n_b))
+    mixed = ci.r * p11 * p21 * spread / (n_a * n_b)
+    return (0.5 * sigma_k * spread * (p11**2 / n_a - p21**2 / n_b),
+            sigma_k * mixed,
+            sigma_k1 * mixed,
+            0.5 * sigma_k1 * spread * (p21**2 / n_a - p11**2 / n_b))
 
 
 def paired_entries(entries) -> np.ndarray:
@@ -117,7 +135,7 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
         raise InvalidDimension("expected exactly four canonical entries")
     if k + 1 > svd.sigma.size:
         raise InvalidDimension(f"entries at row/col {k + 1} do not fit a "
-                               f"{svd.u.shape[0]}x{svd.v.shape[0]} matrix")
+                               f"{svd.shape[0]}x{svd.shape[1]} matrix")
     return PerturbationMatrix(delta=lift(svd, k, entries.reshape(2, 2, order="F")))
 
 
@@ -131,14 +149,16 @@ def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, Att
                                 {"entries": solved[2].ravel(order="F")})
 
 
-def _attack_unconstrained(svd: SvdTriple, k: int, eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_unconstrained`` on a matrix factored as ``svd``, in units of
-    sigma_1 (``report.solve_core``), after the dimension check:
-    ``(regime, theta_predicted, core)``."""
-    d, n = svd.u.shape[0], svd.v.shape[0]
+def _attack_unconstrained(spectrum: Spectrum, k: int,
+                          eta: float) -> tuple[Regime, float, np.ndarray]:
+    """``solve_unconstrained`` on a matrix with singular values ``spectrum``
+    (a ``Spectrum``, or the ``SvdTriple`` that factors it), in units of sigma_1
+    (``report.solve_core``), after the dimension check: ``(regime,
+    theta_predicted, core)``."""
+    d, n = spectrum.shape
     if k + 1 > min(d, n):
         raise InvalidDimension(f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
-    return solve_core(solve_unconstrained, svd, k, eta)
+    return solve_core(solve_unconstrained, spectrum, k, eta)
 
 
 def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
@@ -154,8 +174,8 @@ def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
         # The feasibility chain needs eta > 0; the zero attack is exact.
         return Regime.UNCONSTRAINED_CASE2, 0.0, np.zeros((2, 2))
     if eta >= (sigma_k - sigma_k1) / math.sqrt(2.0):
-        return (Regime.UNCONSTRAINED_CASE1, math.pi / 2,
-                np.diag([-eta / math.sqrt(2.0), eta / math.sqrt(2.0)]))
+        shift = eta / math.sqrt(2.0)
+        return Regime.UNCONSTRAINED_CASE1, math.pi / 2, np.array([[-shift, 0.0], [0.0, shift]])
     ci = closed_form_lambda(sigma_k, sigma_k1, eta)
-    core = recover_entries(ci, sigma_k, sigma_k1).reshape(2, 2, order="F")
-    return Regime.UNCONSTRAINED_CASE2, ci.theta_star, core
+    b_kk, b_k1k, b_kk1, b_k1k1 = _entries(ci, sigma_k, sigma_k1)
+    return Regime.UNCONSTRAINED_CASE2, ci.theta_star, np.array([[b_kk, b_kk1], [b_k1k, b_k1k1]])

@@ -1,4 +1,25 @@
 import numpy as np
+import pytest
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """``(shape, compute_uv)`` of each matrix passed to ``np.linalg.svd``, in
+    call order; ``compute_uv`` is False for a values-only SVD."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def svd_shapes(calls):
+    """The shapes alone of the calls that ``svd_calls`` recorded."""
+    return [shape for shape, _ in calls]
 
 
 def random_orthogonal(rng, n):

@@ -95,15 +95,28 @@ class TestAttackCommand:
         assert main(["attack", str(tmp_path / "nope.csv"), "--k", "2",
                      "--eta", "0.5"]) == 2
 
-    def test_overflowing_budget_exits_2(self, low_rank_csv, tmp_path):
+    def test_overflowing_budget_exits_2(self, tmp_path):
+        # the full-rank rank-one solver squares eta, which overflows; the
+        # unconstrained attack has no room at k = n
         tall = tmp_path / "tall.csv"
         write_matrix_csv(tall, np.random.default_rng(1).standard_normal((6, 3)))
         out = tmp_path / "r.json"
-        for path, k in ((low_rank_csv, "2"), (low_rank_csv, "3"), (tall, "3")):
-            for strategy in ("rank_one", "unconstrained"):
-                code = main(["attack", str(path), "--k", k, "--eta", "1e200",
-                             "--strategy", strategy, "--out", str(out)])
-                assert code == 2
+        for strategy in ("rank_one", "unconstrained"):
+            code = main(["attack", str(tall), "--k", "3", "--eta", "1e200",
+                         "--strategy", strategy, "--out", str(out)])
+            assert code == 2
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_huge_budget_reports_its_norm(self, low_rank_csv, tmp_path, k, strategy):
+        # a 1e200 core on an O(1) matrix: its norm squares to past the float
+        # range, but the report reads it without squaring
+        out = tmp_path / "r.json"
+        assert main(["attack", str(low_rank_csv), "--k", k, "--eta", "1e200",
+                     "--strategy", strategy, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["theta_predicted"] == pytest.approx(np.pi / 2)
+        assert report["delta_fro_norm"] == pytest.approx(1e200, rel=1e-12)
 
     def test_unknown_flag_exits_2(self, low_rank_csv):
         assert main(["attack", str(low_rank_csv), "--k", "3", "--eta", "0.5",

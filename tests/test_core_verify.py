@@ -2,26 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import svd_shapes
 
 from pcattack import (Regime, SweepSpec, full_svd, pca_distance, run_sweep,
                       synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
 from pcattack.report import _core_angle, lift
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.svd``, in call order."""
-    shapes = []
-    original = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return shapes
 
 
 def _k_lt_rank(shape, k, seed):
@@ -82,26 +69,40 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     # one factor and one re-PCA; the core angle runs no dense SVD, and neither
     # does the re-PCA of a tall input at k = n (a QR and an n x n SVD)
     d, n = x.shape
-    assert svd_calls.count(x.shape) == (1 if d > n and (k == n or d >= 2 * n) else 2)
+    assert svd_shapes(svd_calls).count(x.shape) == (1 if d > n and (k == n or d >= 2 * n) else 2)
     assert core_theta is not None
     assert core_theta == pytest.approx(full_theta, abs=1e-10)
 
 
 def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
     # wr-opt at eta exactly at the unconstrained threshold (sigma_2 - sigma_3)
-    # / sqrt(2) ties the core's singular values, so the sweep cell re-PCAs
+    # / sqrt(2) ties the core's singular values, so the sweep cell factors X
+    # in full, solves again on that factor and re-PCAs: the values-only SVD,
+    # the full factor and the re-PCA
     x = np.diag([3.0, 2.0, 1.0])
     path = tmp_path / "x.csv"
     write_matrix_csv(path, x)
     spec = SweepSpec(d=3, n=3, k=2, data_kind="from_file", data_path=str(path),
                      eta_grid=(1.0 / np.sqrt(2.0),), strategies=("wr-opt",))
     (row,) = run_sweep(spec)
-    assert svd_calls.count((3, 3)) == 2
+    assert [call for call in svd_calls if call[0] == (3, 3)] == [
+        ((3, 3), False), ((3, 3), True), ((3, 3), True)]
     svd = full_svd(x)
     closed_form, _ = ATTACKS["unconstrained"]
     _, _, core = closed_form(svd, 2, row.eta_ratio * _budget_unit(svd, 2))
     assert _core_angle(svd, 2, core) is None
     assert row.theta == _pca_distance_from_svd(svd, x + lift(svd, 2, core), 2)[0]
+
+
+def test_small_budget_core_angle_is_predicted():
+    # theta ~ eta / gap: the split must keep the angle's relative accuracy
+    spec = SweepSpec(d=200, n=100, k=10, data_kind="gaussian", seed=7,
+                     eta_grid=tuple(10.0**-e for e in range(12, 1, -1)),
+                     strategies=("r1-opt", "wr-opt"))
+    rows = run_sweep(spec)
+    assert len(rows) == 22
+    for row in rows:
+        assert row.theta == pytest.approx(row.theta_predicted, rel=1e-10, abs=0.0), row
 
 
 @pytest.mark.parametrize("spec", [

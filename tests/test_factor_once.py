@@ -3,15 +3,17 @@
 An attack factors the clean matrix once and verifies by one independent
 re-PCA, which is a dense SVD of the input's shape except on tall inputs at
 k = n or d >= 2n, where it is an SVD of the n x n triangle of a QR;
-``verify`` factors once for both closed forms, builds no report, and lets
-each random oracle factor on its own; a sweep factors once and verifies its
-closed-form cells from their 2x2 cores; PCR factors the centered training
-features once and refits from the 2x2 cores, building no report, with one
-more SVD only for a ratio whose core ties.
+``verify`` takes one values-only SVD for both closed forms, builds no
+report, and lets each random oracle factor on its own; a sweep takes one
+values-only SVD and verifies its closed-form cells from their 2x2 cores,
+factoring in full only for a cell whose core ties; PCR factors the centered
+training features once and refits from the 2x2 cores, building no report,
+with one more SVD only for a ratio whose core ties.
 """
 
 import numpy as np
 import pytest
+from conftest import svd_shapes
 
 from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, pcr,
                       run_sweep, synth_gaussian, synthetic_collinear, write_matrix_csv)
@@ -20,20 +22,6 @@ from pcattack.experiments import ATTACKS, _budget_unit
 from pcattack.linalg import full_svd
 from pcattack.pcr import SPLIT_FRACTION
 from pcattack.report import _core_split
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.svd``, in call order."""
-    shapes = []
-    original = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return shapes
 
 
 @pytest.mark.parametrize("attack, shape, k", [
@@ -52,7 +40,8 @@ def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     # input at k = n or d >= 2n the re-PCA's one SVD is of an n x n triangle
     d, n = shape
     re_pca = (n, n) if d > n and (k == n or d >= 2 * n) else shape
-    assert svd_calls == [shape, re_pca, (k, k)]
+    assert svd_shapes(svd_calls) == [shape, re_pca, (k, k)]
+    assert svd_calls[0] == (shape, True)
 
 
 def test_sweep_factors_once(svd_calls):
@@ -60,7 +49,8 @@ def test_sweep_factors_once(svd_calls):
                      eta_grid=(0.1, 0.4, 0.9, 1.3), strategies=("r1-opt", "wr-opt"))
     rows = run_sweep(spec)
     assert all(row.error is None for row in rows)
-    assert svd_calls.count((12, 8)) == 1
+    # the one SVD of X is values-only: no cell's core ties, so none needs U or V
+    assert [call for call in svd_calls if call[0] == (12, 8)] == [((12, 8), False)]
 
 
 def _train_shape(features):
@@ -73,7 +63,7 @@ def test_pcr_factors_once(svd_calls, strategy):
     grid = (0.1, 0.3, 0.5, 0.8, 1.1)
     reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
     assert len(reports) == len(grid)
-    assert svd_calls.count(_train_shape(features)) == 1
+    assert svd_shapes(svd_calls).count(_train_shape(features)) == 1
 
 
 def test_pcr_tied_core_falls_back(svd_calls, monkeypatch):
@@ -91,7 +81,7 @@ def test_pcr_tied_core_falls_back(svd_calls, monkeypatch):
     svd_calls.clear()
 
     reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
-    assert svd_calls.count(_train_shape(features)) == 2
+    assert svd_shapes(svd_calls).count(_train_shape(features)) == 2
     monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
     dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
     assert reports[1] == dense[1]
@@ -102,6 +92,6 @@ def test_verify_factors_once_for_both_closed_forms(svd_calls, tmp_path):
     write_matrix_csv(path, synth_gaussian(6, 5, seed=3))
     assert main(["verify", str(path), "--k", "2", "--eta", "0.3",
                  "--trials", "200", "--seed", "1"]) == 0
-    # one factorization shared by both closed forms, which need no re-PCA, and
-    # each of the two random oracles factors X on its own
-    assert svd_calls.count((6, 5)) == 3
+    # one values-only SVD shared by both closed forms, which need no re-PCA,
+    # and each of the two random oracles factors X on its own
+    assert [uv for shape, uv in svd_calls if shape == (6, 5)] == [False, True, True]

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import matrix_with_spectrum, random_basis, random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
-from pcattack.linalg import _leading_from_svd, complement_direction
+from pcattack.linalg import _leading_from_svd, complement_direction, fro_norm, svd_2x2
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -54,6 +58,81 @@ class TestFullSvd:
             assert np.max(np.abs(svd.u.T @ svd.u - np.eye(p))) < 1e-10
             assert np.max(np.abs(svd.v.T @ svd.v - np.eye(p))) < 1e-10
             assert np.all(np.diff(svd.sigma) <= 0)
+
+
+EPS = np.finfo(float).eps
+# zero, or at least 1e-8 in magnitude, so that no scaled entry is subnormal
+_UNIT = st.one_of(st.just(0.0), st.floats(1e-8, 1.0), st.floats(-1.0, -1e-8))
+
+
+@st.composite
+def _two_by_two(draw):
+    """Entries ``(a, b, c, d)`` of a 2x2 matrix at a scale from 1e-150 to
+    1e150: random, diagonal, near-tied (a rotation plus a relative
+    perturbation down to 1e-15) or zero."""
+    kind = draw(st.sampled_from(["random", "diagonal", "near-tied", "zero"]))
+    a, b, c, d = (draw(_UNIT) for _ in range(4))
+    if kind == "diagonal":
+        b = c = 0.0
+    elif kind == "near-tied":
+        t = draw(st.floats(0.0, 2.0 * math.pi))
+        tilt = 10.0 ** -draw(st.integers(1, 15))
+        a, b, c, d = (math.cos(t) + tilt * a, -math.sin(t) + tilt * b,
+                      math.sin(t) + tilt * c, math.cos(t) + tilt * d)
+    elif kind == "zero":
+        a = b = c = d = 0.0
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return scale * a, scale * b, scale * c, scale * d
+
+
+def _leading_sine(w, u):
+    """The sine of the angle between unit 2-vectors ``w`` and ``u``."""
+    return abs(w[0] * u[1] - w[1] * u[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_two_by_two())
+def test_svd_2x2_matches_lapack(entries):
+    # Against 40-digit mpmath, LAPACK's 2x2 SVD errs by up to ~12 eps s_1 in
+    # the singular values and ~20 eps s_1 / (s_1 - s_2) in the leading vector
+    # on near-tied inputs, the closed form by ~1 and ~1.5 of the same units
+    # (test_svd_2x2_against_mpmath); the bounds here cover the sum.
+    s_1, s_2, w_1, w_2 = svd_2x2(*entries)
+    u, s, _ = np.linalg.svd(np.reshape(entries, (2, 2)))
+    assert s_1 >= s_2 >= 0.0
+    assert abs(s_1 - s[0]) <= 16 * EPS * s[0]
+    assert abs(s_2 - s[1]) <= 16 * EPS * s[0]
+    assert math.hypot(w_1, w_2) == pytest.approx(1.0, abs=4 * EPS)
+    if s[0] > s[1]:
+        assert _leading_sine((w_1, w_2), u[:, 0]) <= 32 * EPS / (1.0 - s[1] / s[0])
+
+
+def test_svd_2x2_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        a, b, c, d = rng.uniform(-1.0, 1.0, 4)
+        if i % 2:       # near-tied: a rotation plus a relative tilt down to 1e-15
+            t, tilt = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** -(1 + i % 15)
+            a, b, c, d = (math.cos(t) + tilt * a, -math.sin(t) + tilt * b,
+                          math.sin(t) + tilt * c, math.cos(t) + tilt * d)
+        s_1, s_2, w_1, w_2 = svd_2x2(a, b, c, d)
+        u, s, _ = mp.svd_r(mp.matrix([[a, b], [c, d]]))
+        ref_1, ref_2 = float(s[0]), float(s[1])
+        assert abs(s_1 - ref_1) <= 2 * EPS * ref_1
+        assert abs(s_2 - ref_2) <= 2 * EPS * ref_1
+        if ref_1 > ref_2:
+            leading = (float(u[0, 0]), float(u[1, 0]))
+            assert _leading_sine((w_1, w_2), leading) <= 3 * EPS / (1.0 - ref_2 / ref_1)
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-100, 1.0, 1e100, 1e155, 1e300])
+def test_fro_norm_at_any_scale(c):
+    m = np.array([[3.0, 0.0], [4.0, 12.0]])
+    assert fro_norm(c * m) == pytest.approx(13.0 * c, rel=4 * EPS)
+    assert fro_norm(np.zeros((2, 3))) == 0.0
 
 
 class TestComplementDirection:

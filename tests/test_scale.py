@@ -1,16 +1,21 @@
 """The closed forms are homogeneous in (X, eta): scaling both by any c in
-[1e-150, 1e150] changes neither the regime nor the angle."""
+[1e-150, 1e150] changes neither the regime nor the angle, and the budget
+used scales by c.  At 1e155 and 1e-160 the squared Frobenius norm of the
+core leaves the range of normal floats, which ``budget_used`` must not
+notice."""
 
 import json
 
 import numpy as np
 import pytest
 
-from pcattack import attack_rank_one, attack_unconstrained, full_svd, synth_gaussian
+from pcattack import (SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
+                      read_matrix_csv, run_sweep, synth_gaussian)
 from pcattack.cli import main
 from pcattack.fileio import write_matrix_csv
 
 SCALES = (1e-150, 1e-100, 1.0, 1e100, 1e150)
+NORM_SCALES = (1e-160, 1e155)
 # (attack, shape, k): 6x5 re-PCAs by a thin SVD, 20x6 (d >= 2n) by the QR
 # route at k < n and at k = n
 CASES = [(attack, shape, 2) for attack in (attack_rank_one, attack_unconstrained)
@@ -58,3 +63,51 @@ def test_cli_attack_at_1e150(tmp_path, capsys, strategy):
     assert payload["regime"] == ref.regime.value
     assert payload["theta_predicted"] == pytest.approx(ref.theta_predicted, rel=1e-12)
     assert payload["theta_achieved"] == pytest.approx(ref.theta_achieved, abs=1e-8)
+
+
+@pytest.mark.parametrize("c", NORM_SCALES)
+@pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+def test_cli_attack_budget_past_the_squared_range(tmp_path, capsys, strategy, c):
+    x = synth_gaussian(6, 5, seed=3)
+    eta = float(0.3 * _budget_unit(x, 2))
+    attack = attack_rank_one if strategy == "rank_one" else attack_unconstrained
+    _, ref = attack(x, 2, eta)
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, c * x)
+    assert main(["attack", str(path), "--k", "2", "--eta", repr(c * eta),
+                 "--strategy", strategy]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["delta_fro_norm"] / c == pytest.approx(ref.budget_used, rel=1e-12)
+
+
+# (shape, k): 6x5 at k < rank; 20x6 at k = n, where every wr-opt cell is an
+# error row (no room at k + 1) and r1-opt runs the full-rank regimes
+SWEEP_CASES = (((6, 5), 2), ((20, 6), 6))
+
+
+@pytest.mark.parametrize("shape, k", SWEEP_CASES,
+                         ids=[f"{s[0]}x{s[1]}-k{k}" for s, k in SWEEP_CASES])
+def test_sweep_scale_invariant(tmp_path, shape, k):
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, synth_gaussian(*shape, seed=3))
+    # entries of at most 12 digits, so c * x is written as x with its exponent shifted
+    x = read_matrix_csv(path)
+
+    def sweep(c):
+        write_matrix_csv(path, c * x)
+        return run_sweep(SweepSpec(d=shape[0], n=shape[1], k=k, data_kind="from_file",
+                                   data_path=str(path), eta_grid=RATIOS,
+                                   strategies=("r1-opt", "wr-opt")))
+
+    ref = sweep(1.0)
+    assert any(row.error is None for row in ref)
+    for c in SCALES + NORM_SCALES:
+        for row, base in zip(sweep(c), ref, strict=True):
+            assert (row.eta_ratio, row.strategy, row.error) == (
+                base.eta_ratio, base.strategy, base.error), c
+            if base.error is None:
+                assert row.theta == pytest.approx(base.theta, rel=1e-12, abs=0.0), c
+                assert row.theta_predicted == pytest.approx(
+                    base.theta_predicted, rel=1e-12, abs=0.0), c
+                assert row.budget_used / c == pytest.approx(
+                    base.budget_used, rel=1e-12, abs=0.0), c

@@ -76,6 +76,38 @@ class TestClosedFormChain:
                           solve_unconstrained(sk, sk1, eta, "k<rank")[1]):
                 assert abs(theta - ref) / ref < 1e-12, (eta, theta, ref)
 
+    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99)])
+    def test_tiny_budget_entries(self, sk, sk1):
+        # P V - diag(sigma_k, sigma_{k+1}) from the same chain evaluated in
+        # 60-digit arithmetic; each entry must hold its accuracy relative to eta
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+
+        def reference(eta):
+            sk_, sk1_, eta_ = mp.mpf(sk), mp.mpf(sk1), mp.mpf(eta)
+            gap2 = sk_**2 - sk1_**2
+            w = ((sk_ - sk1_) ** 2 - 2 * eta_**2) * ((sk_ + sk1_) ** 2 - 2 * eta_**2) / (4 * gap2**2)
+            s = 2 * eta_ * mp.sqrt(sk_**2 + sk1_**2 - eta_**2) / gap2
+            e = (1 + s) / (2 * mp.sqrt(w))
+            lam = (e**2 - 1) / (2 * e)
+            root = mp.sqrt(lam**2 + 1)
+            p11 = 1 / mp.sqrt((root + lam) ** 2 + 1)
+            p21 = p11 * (root + lam)
+            n_a = mp.sqrt(p11**2 * sk_**2 + p21**2 * sk1_**2)
+            n_b = mp.sqrt(p21**2 * sk_**2 + p11**2 * sk1_**2)
+            r = (n_a + n_b) / 2
+            ca, sa = p11 * sk_ / n_a, p21 * sk1_ / n_a
+            cb, sb = -p21 * sk_ / n_b, p11 * sk1_ / n_b
+            return [r * (p11 * ca - p21 * cb) - sk_, r * (p21 * ca + p11 * cb),
+                    r * (p11 * sa - p21 * sb), r * (p21 * sa + p11 * sb) - sk1_]
+
+        for exponent in range(1, 13):
+            eta = 10.0**-exponent * (sk - sk1) / np.sqrt(2.0)
+            entries = recover_entries(closed_form_lambda(sk, sk1, eta), sk, sk1)
+            for got, ref in zip(entries, reference(eta)):
+                assert abs(got - ref) / eta < 1e-12, (eta, got, ref)
+
     def test_boundary_budget_limit(self):
         bound = 1.0 / np.sqrt(2.0)
         ci = closed_form_lambda(2.0, 1.0, bound * (1.0 - 1e-9))
