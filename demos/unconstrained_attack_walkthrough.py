@@ -30,6 +30,19 @@ print(f"  e          = sqrt((1 + s)/(1 - s)), s = sqrt(1 - 4w)  = {ci.e:.12f}")
 print(f"  lambda_max = (e^2 - 1) / (2e)                         = {ci.lambda_max:.12f}")
 print(f"  theta*     = atan(lambda_max) / 2                     = {ci.theta_star:.12f}")
 
+# The chain reduces to two terms, s gap^2 and sqrt(1 - s^2) gap^2, which the
+# solver evaluates; neither divides by gap^2 = sigma_k^2 - sigma_k1^2.
+y = 2 * eta * np.sqrt(sigma_k**2 + sigma_k1**2 - eta**2)
+x_term = np.sqrt(((sigma_k - sigma_k1) ** 2 - 2 * eta**2)
+                 * ((sigma_k + sigma_k1) ** 2 - 2 * eta**2))
+print("two-term form (sk, sk1 = sigma_k, sigma_k1):")
+for name, formula, value in [
+        ("y", "2 eta sqrt(sk^2 + sk1^2 - eta^2)", y),
+        ("x", "sqrt(((sk - sk1)^2 - 2 eta^2)((sk + sk1)^2 - 2 eta^2))", x_term),
+        ("lambda_max", "y / x", y / x_term),
+        ("theta*", "atan2(y, x) / 2", np.arctan2(y, x_term) / 2)]:
+    print(f"  {name:<10} = {formula:<54} = {value:.12f}")
+
 entries = recover_entries(ci, sigma_k, sigma_k1)
 print(f"\nrecovered 2x2 block entries (b_kk, b_k1k, b_kk1, b_k1k1):")
 print(f"  {np.round(entries, 9)}")

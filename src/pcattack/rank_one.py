@@ -45,8 +45,6 @@ class RankOneClosedForm:
     beta_star: float
     H: float
     theta_star: float
-    sigma_k: float
-    sigma_k1: float
 
 
 def _rotation_angle(sigma_k: float, sigma_k1: float, eta: float, alpha, beta):
@@ -94,33 +92,38 @@ def equivalent_solutions(alpha: float, beta: float) -> list[tuple[float, float]]
 
 
 def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOneClosedForm:
-    """Optimal (alpha*, beta*) for the k < rank regime at budget below the gap.
-
-    H is evaluated in the factored form
-    ``((sigma_k + sigma_k1)^2 - eta^2) * ((sigma_k - sigma_k1)^2 - eta^2)``,
-    which is exact and avoids cancellation near both regime boundaries.
-    ``cos^2(alpha*) = (gap2 + eta^2 - sqrt(H)) / (2 gap2)`` is evaluated
-    rationalized, as ``2 eta^2 sigma_k^2 / (gap2 (gap2 + eta^2 + sqrt(H)))``,
-    and so is ``sin^2(beta*) = (gap2 - eta^2 - sqrt(H)) / (2 gap2) = 2 eta^2
-    sigma_{k+1}^2 / (gap2 (gap2 - eta^2 + sqrt(H)))``, so a tiny budget keeps
-    its relative accuracy.
-    """
+    """Optimal (alpha*, beta*) and theta* of ``_stationary`` for the k < rank
+    regime at budget below the gap, with its ``H``."""
     H = ((sigma_k + sigma_k1) ** 2 - eta**2) * ((sigma_k - sigma_k1) ** 2 - eta**2)
-    gap2 = sigma_k**2 - sigma_k1**2
-    if gap2 <= 0.0:
+    if not sigma_k > abs(sigma_k1):
         raise RegimeError("closed form requires sigma_k > sigma_{k+1}")
-    if H < 0.0:
+    if not eta <= sigma_k - sigma_k1:
         raise RegimeError("closed form requires eta < sigma_k - sigma_{k+1}")
-    root = math.sqrt(H)
-    cos2_alpha = 2.0 * eta**2 * sigma_k**2 / (gap2 * (gap2 + eta**2 + root))
-    sin2_alpha = (gap2 - eta**2 + root) / (2.0 * gap2)
-    cos2_beta = (gap2 + eta**2 + root) / (2.0 * gap2)
-    sin2_beta = 2.0 * eta**2 * sigma_k1**2 / (gap2 * (gap2 - eta**2 + root))
-    alpha = math.atan2(math.sqrt(sin2_alpha), math.sqrt(cos2_alpha))
-    beta = math.atan2(math.sqrt(sin2_beta), -math.sqrt(cos2_beta))
-    theta = theta_from_angles(sigma_k, sigma_k1, eta, alpha, beta)
-    return RankOneClosedForm(alpha_star=alpha, beta_star=beta, H=H,
-                             theta_star=theta, sigma_k=sigma_k, sigma_k1=sigma_k1)
+    ca, sa, cb, sb, theta = _stationary(sigma_k, sigma_k1, eta)
+    return RankOneClosedForm(math.atan2(sa, ca), math.atan2(sb, cb), H, theta)
+
+
+def _stationary(sigma_k: float, sigma_k1: float,
+                eta: float) -> tuple[float, float, float, float, float]:
+    """``(cos alpha*, sin alpha*, cos beta*, sin beta*, theta*)`` for 0 <= eta <
+    sigma_k - sigma_{k+1}, with ``gap2 = sigma_k^2 - sigma_{k+1}^2`` taken as a
+    product, which does not cancel near a tie, and ``sqrt(H)`` factored, which
+    does not cancel near either regime boundary.  ``cos^2(alpha*) = (gap2 +
+    eta^2 - sqrt(H)) / (2 gap2)`` and ``sin^2(beta*) = (gap2 - eta^2 -
+    sqrt(H)) / (2 gap2)`` are rationalized, so a tiny budget keeps its
+    relative accuracy.  theta* is ``_rotation_angle``'s, from the same four
+    numbers, with ``cos 2 alpha* = (ca - sa)(ca + sa)``.
+    """
+    gap2 = (sigma_k - sigma_k1) * (sigma_k + sigma_k1)
+    root = math.sqrt(((sigma_k + sigma_k1) ** 2 - eta**2) * ((sigma_k - sigma_k1) ** 2 - eta**2))
+    ca = math.sqrt(2.0 * eta**2 * sigma_k**2 / (gap2 * (gap2 + eta**2 + root)))
+    sa = math.sqrt((gap2 - eta**2 + root) / (2.0 * gap2))
+    cb = -math.sqrt((gap2 + eta**2 + root) / (2.0 * gap2))
+    sb = math.sqrt(2.0 * eta**2 * sigma_k1**2 / (gap2 * (gap2 - eta**2 + root)))
+    ax = (gap2 + 2.0 * eta * (sigma_k * ca * cb - sigma_k1 * sa * sb)
+          + eta**2 * (ca - sa) * (ca + sa))
+    ay = 2.0 * eta * (sigma_k * sa * cb + sigma_k1 * ca * sb + eta * ca * sa)
+    return ca, sa, cb, sb, abs(0.5 * math.atan2(ay, ax))
 
 
 def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]:
@@ -169,20 +172,20 @@ def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
     arcsin(eta / sigma_k).  Past its threshold each saturates at pi/2.
     """
     if case == "k<rank" and eta < sigma_k - sigma_k1:
-        cf = klt_rank_closed_form(sigma_k, sigma_k1, eta)
+        ca, sa, cb, sb, theta = _stationary(sigma_k, sigma_k1, eta)
         # core = outer(a2, b2), a2 = eta (cos alpha*, sin alpha*), b2 = (cos beta*, sin beta*)
-        a_1, a_2 = eta * math.cos(cf.alpha_star), eta * math.sin(cf.alpha_star)
-        b_1, b_2 = math.cos(cf.beta_star), math.sin(cf.beta_star)
-        return (Regime.K_LT_RANK_CASE2, cf.theta_star,
-                np.array([[a_1 * b_1, a_1 * b_2], [a_2 * b_1, a_2 * b_2]]))
+        a_1, a_2 = eta * ca, eta * sa
+        return (Regime.K_LT_RANK_CASE2, theta,
+                np.array([[a_1 * cb, a_1 * sb], [a_2 * cb, a_2 * sb]]))
     if case == "k<rank" or (case == "low_rank" and eta > sigma_k):
         # All budget on e = u_{k+1}, paired with v_{k+1}.  At eta equal to the
         # gap the perturbed spectrum is tied, and the report is flagged.
         regime = Regime.K_LT_RANK_CASE1 if case == "k<rank" else Regime.LOW_RANK_CASE1
         return regime, math.pi / 2, np.array([[0.0, 0.0], [0.0, eta]])
     if eta > sigma_k:
-        return (Regime.FULL_RANK_CASE1, math.pi / 2,
-                np.array([[-sigma_k, 0.0], [math.sqrt(eta**2 - sigma_k**2), 0.0]]))
+        # sqrt(eta^2 - sigma_k^2), squaring neither, so a huge eta does not overflow
+        ortho = math.sqrt(eta - sigma_k) * math.sqrt(eta + sigma_k)
+        return Regime.FULL_RANK_CASE1, math.pi / 2, np.array([[-sigma_k, 0.0], [ortho, 0.0]])
     ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
     regime = Regime.LOW_RANK_CASE2 if case == "low_rank" else Regime.FULL_RANK_CASE2
     return regime, math.asin(eta / sigma_k), np.array([[-eta**2 / sigma_k, 0.0], [ortho, 0.0]])

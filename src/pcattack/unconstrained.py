@@ -33,58 +33,45 @@ class PerturbationMatrix:
 
 @dataclass(frozen=True)
 class ClosedFormIntermediates:
-    """Every quantity on the path from (sigma_k, sigma_{k+1}, eta) to theta*."""
+    """The feasibility chain from (sigma_k, sigma_{k+1}, eta) to theta*."""
 
     c: float
     w: float
     e: float
     lambda_max: float
-    p11: float
-    p21: float
-    r: float
-    alpha: float
-    beta: float
     theta_star: float
 
 
+def _terms(sigma_k: float, sigma_k1: float, eta: float) -> tuple[float, float]:
+    """``(y, x)`` with ``lambda_max = y / x`` and ``theta* = atan2(y, x) / 2``:
+    ``s gap2`` and ``sqrt(1 - s^2) gap2`` of the chain, ``gap2 = sigma_k^2 -
+    sigma_{k+1}^2``.  Neither divides by gap2 or forms it as a difference of
+    squares, so both keep their relative accuracy at a tiny budget and near a tie.
+    """
+    y = 2.0 * eta * math.sqrt(sigma_k**2 + sigma_k1**2 - eta**2)
+    x = math.sqrt(((sigma_k - sigma_k1) ** 2 - 2.0 * eta**2)
+                  * ((sigma_k + sigma_k1) ** 2 - 2.0 * eta**2))
+    return y, x
+
+
 def closed_form_lambda(sigma_k: float, sigma_k1: float, eta: float) -> ClosedFormIntermediates:
-    """Maximal objective ratio lambda and the recovery intermediates.
+    """Maximal objective ratio lambda, theta* and the feasibility chain.
 
     Valid for 0 < eta < (sigma_k - sigma_{k+1}) / sqrt(2) with
-    sigma_k > sigma_{k+1} >= 0.  The discriminant 1 - 4w is evaluated in
-    the exactly factored form 4 eta^2 (sigma_k^2 + sigma_{k+1}^2 - eta^2)
-    / (sigma_k^2 - sigma_{k+1}^2)^2 so the eta -> 0 limit does not cancel.
+    sigma_k > sigma_{k+1} >= 0.  With ``s = sqrt(1 - 4w)`` the chain's ``e =
+    sqrt((1 + s) / (1 - s))`` gives ``lambda = (e^2 - 1) / (2e) = s / sqrt(1 -
+    s^2)``; every field is read off the two terms of ``_terms``.
     """
     if not sigma_k > sigma_k1 >= 0.0:
         raise RegimeError(f"need sigma_k > sigma_k1 >= 0, got {sigma_k}, {sigma_k1}")
     bound = (sigma_k - sigma_k1) / math.sqrt(2.0)
     if not 0.0 < eta < bound:
         raise RegimeError(f"need 0 < eta < {bound}, got {eta}")
-
-    gap2 = sigma_k**2 - sigma_k1**2
-    c = (sigma_k**2 + sigma_k1**2) / 2.0 - eta**2
-    w = (((sigma_k - sigma_k1) ** 2 - 2.0 * eta**2)
-         * ((sigma_k + sigma_k1) ** 2 - 2.0 * eta**2)) / (4.0 * gap2**2)
-    s = 2.0 * eta * math.sqrt(sigma_k**2 + sigma_k1**2 - eta**2) / gap2
-    # e - 1 = (s + 1 - 2 sqrt(w)) / (2 sqrt(w)) and 1 - 2 sqrt(w) = s^2 / (1 + 2 sqrt(w)),
-    # so lam = (e - 1)(e + 1) / (2e) keeps its relative accuracy as eta -> 0.
-    e_minus_1 = (s + s**2 / (1.0 + 2.0 * math.sqrt(w))) / (2.0 * math.sqrt(w))
-    e = 1.0 + e_minus_1
-    lam = e_minus_1 * (e + 1.0) / (2.0 * e)
-    theta = math.atan(lam) / 2.0
-
-    root = math.sqrt(lam**2 + 1.0)
-    t = 1.0 / math.sqrt((root + lam) ** 2 + 1.0)
-    p11 = t
-    p21 = t * (root + lam)
-    norm_a = math.sqrt(p11**2 * sigma_k**2 + p21**2 * sigma_k1**2)
-    norm_b = math.sqrt(p21**2 * sigma_k**2 + p11**2 * sigma_k1**2)
-    r = 0.5 * (norm_a + norm_b)
-    alpha = math.atan2(p21 * sigma_k1 / norm_a, p11 * sigma_k / norm_a)
-    beta = math.atan2(p11 * sigma_k1 / norm_b, -p21 * sigma_k / norm_b)
-    return ClosedFormIntermediates(c=c, w=w, e=e, lambda_max=lam, p11=p11,
-                                   p21=p21, r=r, alpha=alpha, beta=beta,
-                                   theta_star=theta)
+    y, x = _terms(sigma_k, sigma_k1, eta)
+    gap2 = (sigma_k - sigma_k1) * (sigma_k + sigma_k1)
+    return ClosedFormIntermediates(c=(sigma_k**2 + sigma_k1**2) / 2.0 - eta**2,
+                                   w=(x / (2.0 * gap2)) ** 2, e=(gap2 + y) / x,
+                                   lambda_max=y / x, theta_star=0.5 * math.atan2(y, x))
 
 
 def recover_entries(ci: ClosedFormIntermediates, sigma_k: float, sigma_k1: float) -> np.ndarray:
@@ -101,17 +88,19 @@ def recover_entries(ci: ClosedFormIntermediates, sigma_k: float, sigma_k1: float
     sigma_{k+1}^2) / (n_a + n_b)``, which has no cancellation, so every
     entry is accurate to a few eps relative to eta.
     """
-    return np.array(_entries(ci, sigma_k, sigma_k1))
+    return np.array(_entries(ci.lambda_max, sigma_k, sigma_k1))
 
 
-def _entries(ci: ClosedFormIntermediates, sigma_k: float,
+def _entries(lam: float, sigma_k: float,
              sigma_k1: float) -> tuple[float, float, float, float]:
-    p11, p21, lam = ci.p11, ci.p21, ci.lambda_max
+    root = math.sqrt(lam**2 + 1.0)
+    p11 = 1.0 / math.sqrt((root + lam) ** 2 + 1.0)
+    p21 = p11 * (root + lam)
     n_a = math.hypot(p11 * sigma_k, p21 * sigma_k1)
     n_b = math.hypot(p21 * sigma_k, p11 * sigma_k1)
-    spread = (2.0 * lam * (lam + math.sqrt(lam**2 + 1.0)) * p11**2
+    spread = (2.0 * lam * (lam + root) * p11**2
               * (sigma_k - sigma_k1) * (sigma_k + sigma_k1) / (n_a + n_b))
-    mixed = ci.r * p11 * p21 * spread / (n_a * n_b)
+    mixed = 0.5 * (n_a + n_b) * p11 * p21 * spread / (n_a * n_b)
     return (0.5 * sigma_k * spread * (p11**2 / n_a - p21**2 / n_b),
             sigma_k * mixed,
             sigma_k1 * mixed,
@@ -176,6 +165,7 @@ def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
     if eta >= (sigma_k - sigma_k1) / math.sqrt(2.0):
         shift = eta / math.sqrt(2.0)
         return Regime.UNCONSTRAINED_CASE1, math.pi / 2, np.array([[-shift, 0.0], [0.0, shift]])
-    ci = closed_form_lambda(sigma_k, sigma_k1, eta)
-    b_kk, b_k1k, b_kk1, b_k1k1 = _entries(ci, sigma_k, sigma_k1)
-    return Regime.UNCONSTRAINED_CASE2, ci.theta_star, np.array([[b_kk, b_kk1], [b_k1k, b_k1k1]])
+    y, x = _terms(sigma_k, sigma_k1, eta)
+    b_kk, b_k1k, b_kk1, b_k1k1 = _entries(y / x, sigma_k, sigma_k1)
+    return (Regime.UNCONSTRAINED_CASE2, 0.5 * math.atan2(y, x),
+            np.array([[b_kk, b_kk1], [b_k1k, b_k1k1]]))

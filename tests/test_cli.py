@@ -95,16 +95,20 @@ class TestAttackCommand:
         assert main(["attack", str(tmp_path / "nope.csv"), "--k", "2",
                      "--eta", "0.5"]) == 2
 
-    def test_overflowing_budget_exits_2(self, tmp_path):
-        # the full-rank rank-one solver squares eta, which overflows; the
-        # unconstrained attack has no room at k = n
+    def test_huge_budget_full_rank(self, tmp_path):
+        # the full-rank rank-one core squares neither eta nor sigma_k, so a
+        # 1e200 budget saturates; the unconstrained attack has no room at k = n
         tall = tmp_path / "tall.csv"
         write_matrix_csv(tall, np.random.default_rng(1).standard_normal((6, 3)))
         out = tmp_path / "r.json"
-        for strategy in ("rank_one", "unconstrained"):
-            code = main(["attack", str(tall), "--k", "3", "--eta", "1e200",
-                         "--strategy", strategy, "--out", str(out)])
-            assert code == 2
+        assert main(["attack", str(tall), "--k", "3", "--eta", "1e200",
+                     "--strategy", "rank_one", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["regime"] == "FullRankCase1"
+        assert report["theta_predicted"] == pytest.approx(np.pi / 2)
+        assert report["delta_fro_norm"] == pytest.approx(1e200, rel=1e-12)
+        assert main(["attack", str(tall), "--k", "3", "--eta", "1e200",
+                     "--strategy", "unconstrained", "--out", str(out)]) == 2
 
     @pytest.mark.parametrize("k", ["2", "3"])
     @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])

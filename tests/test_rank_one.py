@@ -7,6 +7,7 @@ from pcattack import (InvalidDimension, NoOrthogonalComplement, Regime,
                       equivalent_solutions, full_svd, klt_rank_closed_form,
                       pca_distance, theta_from_angles)
 from pcattack.oracle import SearchConfig, random_rank_one, stationarity_residual
+from pcattack.rank_one import solve_rank_one
 
 # sigma_k = 2, sigma_{k+1} = 1, eta = 0.5 reference solution, frozen from the
 # closed form and confirmed by grid search, finite differences, and an
@@ -180,6 +181,45 @@ class TestKLtRank:
         for eta, ref in REF_TINY_THETA.items():
             cf = klt_rank_closed_form(2.0, 1.0, eta)
             assert cf.theta_star == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+    def test_near_tie_against_mpmath(self, gap):
+        # theta* and the core eta (cos a*, sin a*)^T (cos b*, sin b*) from the
+        # unrationalized cos^2 of the two angles, evaluated in 60-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        sk, sk1 = 1.0, 1.0 - gap
+
+        def reference(eta):
+            sk_, sk1_, eta_ = mp.mpf(sk), mp.mpf(sk1), mp.mpf(eta)
+            gap2 = sk_**2 - sk1_**2
+            root = mp.sqrt(((sk_ + sk1_) ** 2 - eta_**2) * ((sk_ - sk1_) ** 2 - eta_**2))
+            alpha = mp.acos(mp.sqrt((gap2 + eta_**2 - root) / (2 * gap2)))
+            beta = mp.pi - mp.acos(mp.sqrt((gap2 + eta_**2 + root) / (2 * gap2)))
+            ca, sa, cb, sb = mp.cos(alpha), mp.sin(alpha), mp.cos(beta), mp.sin(beta)
+            ax = (gap2 + 2 * eta_ * (sk_ * ca * cb - sk1_ * sa * sb)
+                  + eta_**2 * mp.cos(2 * alpha))
+            ay = 2 * eta_ * (sk_ * sa * cb + sk1_ * ca * sb + eta_ * ca * sa)
+            core = [eta_ * ca * cb, eta_ * ca * sb, eta_ * sa * cb, eta_ * sa * sb]
+            return abs(mp.atan2(ay, ax)) / 2, core
+
+        for frac in [0.5] + [10.0**-exponent for exponent in range(1, 13)]:
+            eta = frac * (sk - sk1)
+            theta_ref, core_ref = reference(eta)
+            regime, theta, core = solve_rank_one(sk, sk1, eta, "k<rank")
+            assert regime == Regime.K_LT_RANK_CASE2
+            for got in (theta, klt_rank_closed_form(sk, sk1, eta).theta_star):
+                assert abs(got - theta_ref) / theta_ref < 1e-12, (eta, got, theta_ref)
+            for got, ref in zip(core.ravel(), core_ref):
+                assert abs(got - ref) / eta < 1e-12, (eta, got, ref)
+
+    def test_rejects_out_of_regime(self):
+        # a tie, a budget past the gap, and one past sigma_k + sigma_{k+1},
+        # where H is positive again
+        for sk, sk1, eta in [(1.0, 1.0, 0.1), (2.0, 1.0, 1.5), (2.0, 1.0, 3.5)]:
+            with pytest.raises(RegimeError):
+                klt_rank_closed_form(sk, sk1, eta)
 
     def test_boundary_budget_flagged(self):
         x = self.fixture()

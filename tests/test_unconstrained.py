@@ -54,7 +54,8 @@ class TestClosedFormChain:
         assert ci.lambda_max < 1e-6
         assert ci.theta_star < 1e-6
 
-    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99)])
+    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99),
+                                         (1.0, 1.0 - 1e-6), (1.0, 1.0 - 1e-8)])
     def test_tiny_budget_relative_accuracy(self, sk, sk1):
         # theta* from the same chain evaluated in 60-digit arithmetic
         mpmath = pytest.importorskip("mpmath")
@@ -76,7 +77,8 @@ class TestClosedFormChain:
                           solve_unconstrained(sk, sk1, eta, "k<rank")[1]):
                 assert abs(theta - ref) / ref < 1e-12, (eta, theta, ref)
 
-    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99)])
+    @pytest.mark.parametrize("sk, sk1", [(2.0, 1.3), (2.0, 1.0), (1.0, 0.0), (5.0, 4.99),
+                                         (1.0, 1.0 - 1e-6), (1.0, 1.0 - 1e-8)])
     def test_tiny_budget_entries(self, sk, sk1):
         # P V - diag(sigma_k, sigma_{k+1}) from the same chain evaluated in
         # 60-digit arithmetic; each entry must hold its accuracy relative to eta
