@@ -23,11 +23,11 @@ def write_matrix_csv(path, m) -> None:
     """Write a d x n matrix with a ``# d=<d> n=<n>`` header line."""
     m = as_matrix(m)
     d, n = m.shape
-    lines = [f"# d={d} n={n}"]
-    for row in m:
-        lines.append(",".join(format_float(v) for v in row))
+    # one %-format of every value, "%.12g" as format_float writes it
+    row = ",".join(["%.12g"] * n)
+    body = "\n".join([row] * d) % tuple(m.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# d={d} n={n}\n{body}\n")
 
 
 def numbered_lines(path) -> list[tuple[int, str]]:

@@ -5,8 +5,9 @@ and factors the training features once, perturbs the centered matrix at a
 grid of energy budgets, refits the regression on the perturbed features
 without re-centering, and scores both the (perturbed) training fit and
 clean test predictions.  Each refit reads its components from the attack's
-2x2 core and runs a dense SVD only when that core's singular values tie
-with the rest of the spectrum.
+2x2 core and scores them in the factor's coordinates, in O(k n) per budget;
+only a ratio whose core ties with the rest of the spectrum builds the
+perturbed features and runs a dense SVD of them.
 """
 
 from __future__ import annotations
@@ -74,18 +75,15 @@ def _top_components(m: np.ndarray, k: int) -> np.ndarray:
     return svd.u[:, :k].copy()
 
 
-def _fit_on_centered(xc: np.ndarray, components: np.ndarray, means: np.ndarray,
-                     targets: np.ndarray) -> PcrModel:
-    k = components.shape[1]
-    scores = components.T @ xc
+def _least_squares(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Coefficients, intercept and training r2 of the targets regressed on
+    the k x n component scores; SingularFit unless the scores determine them."""
+    k = scores.shape[0]
     design = np.column_stack([scores.T, np.ones(targets.size)])
     coef, _, design_rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if design_rank < k + 1:
         raise SingularFit("component scores do not determine the fit")
-    fitted = coef[:k] @ scores + coef[k]
-    return PcrModel(components=components, coefficients=coef[:k],
-                    intercept=float(coef[k]), feature_means=means.copy(),
-                    r2_train=r_squared(fitted, targets))
+    return coef[:k], float(coef[k]), r_squared(coef[:k] @ scores + coef[k], targets)
 
 
 def _as_targets(targets, n: int) -> np.ndarray:
@@ -103,7 +101,10 @@ def fit_pcr(features, targets, k: int) -> PcrModel:
     targets = _as_targets(targets, features.shape[1])
     means = features.mean(axis=1)
     xc = features - means[:, None]
-    return _fit_on_centered(xc, _top_components(xc, k), means, targets)
+    components = _top_components(xc, k)
+    coefficients, intercept, r2_train = _least_squares(components.T @ xc, targets)
+    return PcrModel(components=components, coefficients=coefficients, intercept=intercept,
+                    feature_means=means, r2_train=r2_train)
 
 
 def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
@@ -114,19 +115,26 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     Ratios are relative to the centered training features: to sigma_k when
     they have rank k, else to sigma_k - sigma_{k+1}.  They are sorted, and
     must then pass the sweep's grid check: nonempty, finite, nonnegative,
-    no repeats.  A k above the numerical rank of the centered training
-    features raises InvalidDimension for either strategy, before any attack.
+    no repeats.  A k outside 1 .. min(d, n_train) raises InvalidDimension
+    before the training features are factored, and a k above their
+    numerical rank raises it for either strategy, before any attack.
     The targets are never modified; test features stay clean and are
     centered with the training means.
 
-    The centered training features are factored once.  At each ratio the
-    refit's components come from the attack's 2x2 core: ``u_1 .. u_{k-1}``
-    plus ``[u_k, e] w`` (``report._core_split``).  The regression depends
-    only on their span, so this matches a dense SVD of the attacked features
-    to rounding.  That split leaves a margin of ``TIE_TOL`` (1e-9) relative
-    to sigma_1, so the attacked rank is at least k by ``RANK_TOL`` (1e-10)
-    and needs no check.  When the core does not split cleanly, the refit
-    factors the attacked features instead.
+    The centered training features ``xc`` are factored once, and ``xc``
+    and the centered test features are projected once onto ``u_1 .. u_{k-1}``
+    and ``L = [u_k, e]`` (``report.frames``).  At each ratio the refit's
+    components are ``u_1 .. u_{k-1}`` plus ``L w``, from the attack's 2x2
+    core ``B`` (``report._core_split``).  Since ``L`` is orthonormal and
+    orthogonal to the ``u_i``, the attacked training scores are the clean
+    ones except the last row, ``w^T (L^T xc + B R^T)``, and the test scores
+    the clean ones except ``w^T L^T`` of the test features: O(k n) per ratio
+    and no dense ``X + delta``.  The regression depends only on the span of
+    the components, so this matches a dense SVD of the attacked features to
+    rounding.  That split leaves a margin of ``TIE_TOL`` (1e-9) relative to
+    sigma_1, so the attacked rank is at least k by ``RANK_TOL`` (1e-10) and
+    needs no check.  When the core does not split cleanly, the refit builds
+    ``xc + lift(core)`` and factors it instead.
     """
     if strategy not in ATTACKS:
         raise InvalidDimension(f"strategy must be one of {tuple(ATTACKS)}")
@@ -142,25 +150,36 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     train, test = perm[:n_train], perm[n_train:]
     x_train, y_train = features[:, train], targets[train]
     x_test, y_test = features[:, test], targets[test]
+    k = check_k(k, x_train.shape)
     means = x_train.mean(axis=1)
     xc = x_train - means[:, None]
+    test_c = x_test - means[:, None]
     svd = full_svd(xc)
-    k = check_k(k, xc.shape)
     if svd.rank < k:
         raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
     scale = _budget_unit(svd, k)
     closed_form, _ = ATTACKS[strategy]
+    left, right = frames(svd, k)
+    basis = np.column_stack([svd.u[:, :k - 1], left])
+    head, test_head = basis.T @ xc, basis.T @ test_c
 
     reports = []
     for ratio in grid:
         _, _, core = closed_form(svd, k, check_eta(ratio * scale))
-        attacked = xc + lift(svd, k, core)
         w = _core_split(svd, k, core)
-        components = (_top_components(attacked, k) if w is None else
-                      np.column_stack([svd.u[:, :k - 1], frames(svd, k)[0] @ w]))
-        model = _fit_on_centered(attacked, components, means, y_train)
-        reports.append(RegressionReport(ratio, strategy, model.r2_train,
-                                        r_squared(model.predict(x_test), y_test)))
+        if w is None:
+            attacked = xc + lift(svd, k, core)
+            components = _top_components(attacked, k)
+            scores, test_scores = components.T @ attacked, components.T @ test_c
+        else:
+            w = np.array(w)
+            # L^T (xc + L B R^T) = head[k - 1:] + B R^T, and u_i^T L = 0 for i < k
+            last = w @ (head[k - 1:] + core[:, :right.shape[1]] @ right.T)
+            scores = np.vstack([head[:k - 1], last])
+            test_scores = np.vstack([test_head[:k - 1], w @ test_head[k - 1:]])
+        coefficients, intercept, r2_train = _least_squares(scores, y_train)
+        reports.append(RegressionReport(ratio, strategy, r2_train,
+                                        r_squared(coefficients @ test_scores + intercept, y_test)))
     return reports
 
 

@@ -62,7 +62,7 @@ def _rotation_angle(sigma_k: float, sigma_k1: float, eta: float, alpha, beta):
         alpha, beta = np.asarray(alpha), np.asarray(beta)
     ca, sa = xp.cos(alpha), xp.sin(alpha)
     cb, sb = xp.cos(beta), xp.sin(beta)
-    ax = (sigma_k**2 - sigma_k1**2
+    ax = ((sigma_k - sigma_k1) * (sigma_k + sigma_k1)
           + 2.0 * sigma_k * eta * ca * cb
           - 2.0 * sigma_k1 * eta * sa * sb
           + eta**2 * xp.cos(2.0 * alpha))

@@ -7,6 +7,7 @@ from pcattack import (InvalidDimension, ParseError, experiments, read_matrix_csv
                       synth_gaussian, synth_low_rank, synthetic_collinear,
                       write_matrix_csv)
 from pcattack.cli import main
+from pcattack.fileio import format_float
 
 
 @pytest.fixture
@@ -24,6 +25,18 @@ class TestMatrixCsv:
         write_matrix_csv(path, x)
         back = read_matrix_csv(path)
         assert np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-300)) < 1e-9
+
+    def test_writes_format_float_bytes(self, tmp_path):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e11, 1e12, 123456789012.5, 1e-4, 1e-5, 1 / 3]
+        rng = np.random.default_rng(4)
+        scaled = rng.standard_normal((3, 4)) * 10.0 ** rng.choice([-300, 0, 300], (3, 4))
+        for x in (np.reshape(edge, (3, 4)), np.reshape(edge, (1, 12)), scaled):
+            path = tmp_path / "f.csv"
+            write_matrix_csv(path, x)
+            rows = [",".join(format_float(v) for v in row) for row in x]
+            expected = f"# d={x.shape[0]} n={x.shape[1]}\n" + "\n".join(rows) + "\n"
+            assert path.read_bytes() == expected.encode()
 
     def test_header_optional(self, tmp_path):
         path = tmp_path / "bare.csv"

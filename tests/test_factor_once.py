@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from conftest import svd_shapes
 
-from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, pcr,
-                      run_sweep, synth_gaussian, synthetic_collinear, write_matrix_csv)
+from pcattack import (InvalidDimension, SweepSpec, attack_pcr, attack_rank_one,
+                      attack_unconstrained, pcr, run_sweep, synth_gaussian, synthetic_collinear,
+                      write_matrix_csv)
 from pcattack.cli import main
 from pcattack.experiments import ATTACKS, _budget_unit
 from pcattack.linalg import full_svd
@@ -57,16 +58,41 @@ def _train_shape(features):
     return features.shape[0], int(round(SPLIT_FRACTION * features.shape[1]))
 
 
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """The cores of the dense perturbations that ``attack_pcr`` builds."""
+    calls = []
+    original = pcr.lift
+
+    def counting(svd, k, core):
+        calls.append(core)
+        return original(svd, k, core)
+
+    monkeypatch.setattr(pcr, "lift", counting)
+    return calls
+
+
 @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
-def test_pcr_factors_once(svd_calls, strategy):
+def test_pcr_factors_once(svd_calls, lift_calls, strategy):
     features, targets = synthetic_collinear(seed=2)
     grid = (0.1, 0.3, 0.5, 0.8, 1.1)
     reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
     assert len(reports) == len(grid)
     assert svd_shapes(svd_calls).count(_train_shape(features)) == 1
+    # every core splits, so each refit is scored in the factor's coordinates
+    assert lift_calls == []
 
 
-def test_pcr_tied_core_falls_back(svd_calls, monkeypatch):
+@pytest.mark.parametrize("k", [0, 9])
+def test_pcr_checks_k_before_factoring(svd_calls, k):
+    features, targets = synthetic_collinear(seed=2, d=8)
+    svd_calls.clear()
+    with pytest.raises(InvalidDimension, match="min\\(d, n\\)"):
+        attack_pcr(features, targets, k, (0.5,), split_seed=1)
+    assert svd_calls == []
+
+
+def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     features, targets = synthetic_collinear(seed=2)
     tie = 1.0 / np.sqrt(2.0)        # the unconstrained threshold ratio
     grid = (0.3, tie, 0.9)
@@ -82,6 +108,7 @@ def test_pcr_tied_core_falls_back(svd_calls, monkeypatch):
 
     reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
     assert svd_shapes(svd_calls).count(_train_shape(features)) == 2
+    assert len(lift_calls) == 1
     monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
     dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
     assert reports[1] == dense[1]

@@ -120,9 +120,9 @@ class TestGridSearch:
         ((2.0, 1.0, 0.5), 2, 2, (1.1992814827306169, 2.9777385557187546, 0.34543450331354875)),
         ((2.0, 1.0, 0.5), 2, 50, (1.2223938075951135, 2.9650923480855558, 0.3455223427773882)),
         ((2.0, 1.0, 0.5), 2, 400, (1.2251226930854395, 2.9635994727099444, 0.3455234244588851)),
-        ((3.1, 2.7, 0.3), 0, 2, (1.5707963267948966, 3.141592653589793, 0.3475895966378571)),
-        ((3.1, 2.7, 0.3), 0, 50, (1.121997376282069, 2.756907838864512, 0.4498434075204526)),
-        ((3.1, 2.7, 0.3), 0, 400, (1.121997376282069, 2.743972530767025, 0.4499038862127547)),
+        ((3.1, 2.7, 0.3), 0, 2, (1.5707963267948966, 3.141592653589793, 0.34758959663785716)),
+        ((3.1, 2.7, 0.3), 0, 50, (1.121997376282069, 2.756907838864512, 0.4498434075204527)),
+        ((3.1, 2.7, 0.3), 0, 400, (1.121997376282069, 2.743972530767025, 0.4499038862127548)),
         ((2.0, 1.0, 0.0), 0, 400, (0.0, 1.5707963267948966, 0.0)),
     ])
     def test_recorded_values(self, args, refine_steps, res, expected):

@@ -275,6 +275,31 @@ class TestThetaFromAngles:
             t2 = theta_from_angles(2.0, 1.0, 0.5, np.pi - alpha, np.pi - beta)
             assert t1 == pytest.approx(t2, abs=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+    def test_near_tie_against_mpmath(self, gap):
+        # the objective at the float stationary angles, evaluated on the same
+        # inputs in 60-digit arithmetic, where sigma_k^2 - sigma_{k+1}^2 is exact
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        sk, sk1 = 1.0, 1.0 - gap
+
+        def reference(eta, alpha, beta):
+            sk_, sk1_, eta_ = mp.mpf(sk), mp.mpf(sk1), mp.mpf(eta)
+            ca, sa = mp.cos(mp.mpf(alpha)), mp.sin(mp.mpf(alpha))
+            cb, sb = mp.cos(mp.mpf(beta)), mp.sin(mp.mpf(beta))
+            ax = (sk_**2 - sk1_**2 + 2 * eta_ * (sk_ * ca * cb - sk1_ * sa * sb)
+                  + eta_**2 * (ca**2 - sa**2))
+            ay = 2 * eta_ * (sk_ * sa * cb + sk1_ * ca * sb + eta_ * ca * sa)
+            return abs(mp.atan2(ay, ax)) / 2
+
+        for frac in [0.3] + [10.0**-exponent for exponent in range(1, 13)]:
+            eta = frac * (sk - sk1)
+            cf = klt_rank_closed_form(sk, sk1, eta)
+            ref = reference(eta, cf.alpha_star, cf.beta_star)
+            got = theta_from_angles(sk, sk1, eta, cf.alpha_star, cf.beta_star)
+            assert abs(got - ref) / ref < 1e-13, (eta, got, ref)
+
 
 class TestInvariants:
     def _random_instance(self, seed):
