@@ -279,6 +279,20 @@ class TestVerifyCommand:
         assert lines[1] == ("unconstrained          skipped: attack needs room "
                             "at index k+1=7 in a 9x6 matrix")
 
+    @pytest.mark.parametrize("k, expected", [
+        ("2", "rank-one random          0.10624147   0.18804631    +8.18e-02  ok\n"
+              "rank-one grid            0.18804630   0.18804631    +8.48e-09  ok\n"
+              "unconstrained random     0.09395547   0.23805600    +1.44e-01  ok\n"),
+        ("6", "rank-one random          0.57277837   0.97047003    +3.98e-01  ok\n"
+              "unconstrained          skipped: attack needs room at index k+1=7 "
+              "in a 9x6 matrix\n"),
+    ])
+    def test_output_is_pinned(self, full_column_rank_csv, capsys, k, expected):
+        assert main(["verify", str(full_column_rank_csv), "--k", k, "--eta", "0.3",
+                     "--trials", "300"]) == 0
+        header = "check                        oracle       closed       margin  status\n"
+        assert capsys.readouterr().out == header + expected
+
     def test_k_equal_n_exit_code_follows_the_checked_family(self, full_column_rank_csv,
                                                             monkeypatch):
         closed_form, oracle = experiments.ATTACKS["rank_one"]
