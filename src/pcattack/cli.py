@@ -12,13 +12,13 @@ import sys
 
 from .errors import InvalidDimension, PcattackError, RegimeError
 from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
-from .fileio import read_matrix_csv, write_matrix_csv
+from .fileio import read_matrix_csv, write_matrix_csv, write_text
 from .linalg import check_attack, spectrum_of
 from .oracle import SearchConfig, grid_search_angles
 from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
                   write_regression_csv)
 from .rank_one import attack_rank_one
-from .report import Regime
+from .report import Regime, core_case
 from .unconstrained import attack_unconstrained
 
 RANDOM_ORACLE_TOL = 1e-4
@@ -32,8 +32,7 @@ def _cmd_attack(args) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        write_text(args.out, payload)
     if args.emit_delta:
         write_matrix_csv(args.emit_delta, attack.delta)
     return 0
@@ -47,13 +46,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pcr(args) -> int:
-    if args.synthetic:
-        features, targets = synthetic_collinear(seed=args.seed)
-    else:
-        if args.data is None:
-            print("error: provide a data file or --synthetic", file=sys.stderr)
-            return 2
-        features, targets = load_feature_csv(args.data)
+    features, targets = (synthetic_collinear(seed=args.seed) if args.synthetic
+                         else load_feature_csv(args.data))
     if args.eta_grid is not None:
         grid = [float(v) for v in args.eta_grid.split(",")]
     else:
@@ -71,36 +65,29 @@ def _cmd_verify(args) -> int:
     # so that it stays independent of the closed form it checks.  A family with
     # no room for its attack (InvalidDimension) is skipped, not verified.
     spectrum = spectrum_of(x)
-    checks = []
+    lines = [f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status"]
+    skipped = failed = 0
     for name, (closed_form, oracle) in ATTACKS.items():
         label = name.replace("_", "-")
         try:
-            regime, theta_predicted, _ = closed_form(spectrum, k, eta)
+            regime, closed_theta, _ = closed_form(spectrum, k, eta)
         except InvalidDimension as exc:
-            checks.append(f"{label:<22} skipped: {exc}")
-            error = exc
+            skipped += 1
+            if skipped == len(ATTACKS):
+                raise
+            lines.append(f"{label:<22} skipped: {exc}")
             continue
-        _, oracle_theta = oracle(x, k, eta, cfg)
-        checks.append((f"{label} random", oracle_theta, theta_predicted, RANDOM_ORACLE_TOL))
+        checks = [("random", oracle(x, k, eta, cfg)[1], RANDOM_ORACLE_TOL)]
         if regime == Regime.K_LT_RANK_CASE2:
-            _, _, grid_theta = grid_search_angles(
-                float(spectrum.sigma[k - 1]), float(spectrum.sigma[k]), eta, cfg)
-            checks.append((f"{label} grid", grid_theta, theta_predicted, GRID_ORACLE_TOL))
-    if all(isinstance(check, str) for check in checks):
-        raise error
-
-    print(f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status")
-    failed = False
-    for check in checks:
-        if isinstance(check, str):
-            print(check)
-            continue
-        name, oracle_theta, closed_theta, tol = check
-        margin = closed_theta - oracle_theta
-        ok = oracle_theta <= closed_theta + tol
-        failed = failed or not ok
-        print(f"{name:<22} {oracle_theta:>12.8f} {closed_theta:>12.8f} "
-              f"{margin:>+12.2e}  {'ok' if ok else 'VIOLATION'}")
+            sigma_k, sigma_k1, _ = core_case(spectrum, k)
+            checks.append(("grid", grid_search_angles(sigma_k, sigma_k1, eta, cfg)[2],
+                           GRID_ORACLE_TOL))
+        for kind, oracle_theta, tol in checks:
+            ok = oracle_theta <= closed_theta + tol
+            failed += not ok
+            lines.append(f"{label + ' ' + kind:<22} {oracle_theta:>12.8f} {closed_theta:>12.8f} "
+                         f"{closed_theta - oracle_theta:>+12.2e}  {'ok' if ok else 'VIOLATION'}")
+    print("\n".join(lines))
     return 4 if failed else 0
 
 
@@ -127,10 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_pcr = sub.add_parser("pcr", help="PCR degradation study")
-    p_pcr.add_argument("data", nargs="?", default=None,
-                       help="feature CSV, one sample per row, target last")
-    p_pcr.add_argument("--synthetic", action="store_true",
-                       help="use the built-in collinear benchmark")
+    source = p_pcr.add_mutually_exclusive_group(required=True)
+    source.add_argument("data", nargs="?",
+                        help="feature CSV, one sample per row, target last")
+    source.add_argument("--synthetic", action="store_true",
+                        help="use the built-in collinear benchmark")
     p_pcr.add_argument("--k", type=int, required=True)
     p_pcr.add_argument("--eta-grid", default=None,
                        help="comma-separated budget ratios")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
-from .fileio import format_float, numbered_lines, read_matrix_csv
+from .fileio import numbered_lines, read_matrix_csv, write_table
 from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, full_svd,
                      spectrum_of)
 from .oracle import (SearchConfig, normal_stream, portable_normal,
@@ -154,7 +154,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 rows.append(_run_cell(x, spectrum, factor, k, spec, strategy, ratio, eta))
             except PcattackError as exc:
                 rows.append(SweepRow(ratio, strategy, None, None, None, type(exc).__name__))
-    rows.sort(key=lambda r: (r.eta_ratio, r.strategy))
     return rows
 
 
@@ -181,18 +180,10 @@ def _run_cell(x, spectrum: Spectrum, factor, k: int, spec: SweepSpec, strategy: 
 
 def write_sweep_csv(rows, path) -> None:
     """Plot-ready CSV; error rows carry the marker in the strategy column."""
-    lines = ["eta_ratio,strategy,theta,theta_predicted,budget_used"]
-    for row in rows:
-        strategy = row.strategy if row.error is None else f"{row.strategy}[error:{row.error}]"
-        lines.append(",".join([
-            format_float(row.eta_ratio),
-            strategy,
-            format_float(row.theta),
-            format_float(row.theta_predicted),
-            format_float(row.budget_used),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("eta_ratio", "strategy", "theta", "theta_predicted", "budget_used"),
+                [(row.eta_ratio,
+                  row.strategy if row.error is None else f"{row.strategy}[error:{row.error}]",
+                  row.theta, row.theta_predicted, row.budget_used) for row in rows])
 
 
 _SPEC_KEYS = {"d", "n", "k", "data_kind", "data_path", "eta_grid", "strategies",
@@ -223,18 +214,14 @@ def parse_sweep_spec(path) -> SweepSpec:
         for required in ("d", "n", "k"):
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
-        seed = int(values.get("seed", "0"))
-        cfg = SearchConfig(trials=int(values.get("trials", SearchConfig.trials)),
-                           seed=int(values.get("oracle_seed", str(seed))))
-        eta_grid = (tuple(float(v) for v in values["eta_grid"].split(","))
-                    if "eta_grid" in values else DEFAULT_ETA_RATIOS)
-        strategies = (tuple(s.strip() for s in values["strategies"].split(","))
-                      if "strategies" in values else STRATEGIES)
-        return SweepSpec(
-            d=int(values["d"]), n=int(values["n"]), k=int(values["k"]),
-            data_kind=values.get("data_kind", "low_rank"),
-            eta_grid=eta_grid, strategies=strategies, oracle_cfg=cfg,
-            seed=seed, data_path=values.get("data_path"),
-        )
-    except (ValueError, KeyError) as exc:
+        seed = int(values.pop("seed", 0))
+        cfg = SearchConfig(trials=int(values.pop("trials", SearchConfig.trials)),
+                           seed=int(values.pop("oracle_seed", seed)))
+        for key in ("d", "n", "k"):
+            values[key] = int(values[key])
+        for key in ("eta_grid", "strategies"):
+            if key in values:
+                values[key] = [v.strip() for v in values[key].split(",")]
+        return SweepSpec(**values, oracle_cfg=cfg, seed=seed)
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

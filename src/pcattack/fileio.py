@@ -1,4 +1,4 @@
-"""Matrix CSV round-trip and float formatting shared by the CSV artifacts."""
+"""Matrix CSV round-trip, and the one writer of every output file."""
 
 from __future__ import annotations
 
@@ -26,8 +26,23 @@ def write_matrix_csv(path, m) -> None:
     # one %-format of every value, "%.12g" as format_float writes it
     row = ",".join(["%.12g"] * n)
     body = "\n".join([row] * d) % tuple(m.ravel().tolist())
+    write_text(path, f"# d={d} n={n}\n{body}\n")
+
+
+def write_table(path, header, rows) -> None:
+    """CSV with a header line: ``str`` cells as they are, numbers and None
+    through ``format_float``."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else format_float(c) for c in row)
+              for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line ends; pcattack opens no other
+    file for writing."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# d={d} n={n}\n{body}\n")
+        fh.write(text)
 
 
 def numbered_lines(path) -> list[tuple[int, str]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
 from .experiments import ATTACKS, _budget_unit, check_ratio_grid
-from .fileio import format_float, numbered_lines, parse_rows
+from .fileio import numbered_lines, parse_rows, write_table
 from .linalg import as_matrix, check_eta, check_k, full_svd
 from .oracle import normal_stream
 from .report import _core_split, frames, lift
@@ -115,9 +115,10 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     Ratios are relative to the centered training features: to sigma_k when
     they have rank k, else to sigma_k - sigma_{k+1}.  They are sorted, and
     must then pass the sweep's grid check: nonempty, finite, nonnegative,
-    no repeats.  A k outside 1 .. min(d, n_train) raises InvalidDimension
-    before the training features are factored, and a k above their
-    numerical rank raises it for either strategy, before any attack.
+    no repeats.  A k outside 1 .. min(d, n_train) - 1 raises InvalidDimension
+    before the training features are factored (at k = min(d, n_train)
+    neither strategy has an attack), and a k above their numerical rank
+    raises it for either strategy, before any attack.
     The targets are never modified; test features stay clean and are
     centered with the training means.
 
@@ -151,6 +152,9 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     x_train, y_train = features[:, train], targets[train]
     x_test, y_test = features[:, test], targets[test]
     k = check_k(k, x_train.shape)
+    if k == min(x_train.shape):
+        raise InvalidDimension(f"attack needs room at index k+1={k + 1} in the "
+                               f"{x_train.shape[0]}x{n_train} training features")
     means = x_train.mean(axis=1)
     xc = x_train - means[:, None]
     test_c = x_test - means[:, None]
@@ -232,13 +236,5 @@ def _all_floats(text: str) -> bool:
 
 
 def write_regression_csv(reports, path) -> None:
-    lines = ["eta_ratio,strategy,r2_train,r2_test"]
-    for rep in reports:
-        lines.append(",".join([
-            format_float(rep.eta_ratio),
-            rep.strategy,
-            format_float(rep.r2_train),
-            format_float(rep.r2_test),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("eta_ratio", "strategy", "r2_train", "r2_test"),
+                [(rep.eta_ratio, rep.strategy, rep.r2_train, rep.r2_test) for rep in reports])

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,18 @@ def low_rank_csv(tmp_path):
     path = tmp_path / "x.csv"
     write_matrix_csv(path, synth_low_rank(5, 5, 3, seed=11))
     return path
+
+
+def test_only_fileio_opens_files():
+    # every output file is written through fileio.write_text
+    package = Path(__file__).resolve().parent.parent / "src" / "pcattack"
+    openers = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                openers.append(f"{module.name}:{node.lineno}")
+    assert openers and all(where.startswith("fileio.py:") for where in openers), openers
 
 
 class TestMatrixCsv:
@@ -216,6 +230,28 @@ class TestPcrCommand:
         assert main(["pcr", str(path), "--k", "4", "--strategy", strategy,
                      "--out", str(out)]) == 2
         assert "k=4 exceeds the numerical rank 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_k_equal_min_d_n_train_exits_2(self, tmp_path, capsys, svd_calls, strategy):
+        # 5 features of full row rank over 32 training samples: at k = d
+        # neither attack has room, and both strategies say so before factoring
+        features, targets = synthetic_collinear(seed=8, d=5, n=40, n_factors=3)
+        path = tmp_path / "f.csv"
+        np.savetxt(path, np.column_stack([features.T, targets]), delimiter=",")
+        svd_calls.clear()
+        assert main(["pcr", str(path), "--k", "5", "--strategy", strategy,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert svd_calls == []
+        assert capsys.readouterr().err == ("error: attack needs room at index k+1=6 "
+                                           "in the 5x32 training features\n")
+
+    def test_data_file_and_synthetic_exits_2(self, tmp_path):
+        features, targets = synthetic_collinear(seed=0)
+        path = tmp_path / "f.csv"
+        np.savetxt(path, np.column_stack([features.T, targets]), delimiter=",")
+        out = tmp_path / "o.csv"
+        assert main(["pcr", str(path), "--synthetic", "--k", "4", "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0.3,0.3", "", "-0.5,0.2"])
