@@ -322,7 +322,7 @@ class TestVerifyCommand:
         ("6", "rank-one random          0.57277837   0.97047003    +3.98e-01  ok\n"
               "unconstrained          skipped: attack needs room at index k+1=7 "
               "in a 9x6 matrix\n"),
-    ])
+    ], ids=["k2", "k6"])
     def test_output_is_pinned(self, full_column_rank_csv, capsys, k, expected):
         assert main(["verify", str(full_column_rank_csv), "--k", k, "--eta", "0.3",
                      "--trials", "300"]) == 0
