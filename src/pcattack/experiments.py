@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import numbered_lines, read_matrix_csv, write_table
-from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, full_svd,
+from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, leading_svd,
                      spectrum_of)
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
@@ -139,12 +139,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per (eta ratio, strategy), sorted, with errors recorded inline.
 
     The closed forms read only the singular values, from one values-only
-    SVD of the data; the full factor is computed only if some cell needs it.
+    SVD of the data; the factor of its leading k + 1 pairs is computed only
+    if some cell needs it.
     """
     x = _sweep_data(spec)
     spectrum = spectrum_of(x)
-    factor = functools.cache(lambda: full_svd(x))
     k = check_k(spec.k, x.shape)
+    factor = functools.cache(lambda: leading_svd(x, k + 1))
     scale = _budget_unit(spectrum, k)
     rows = []
     for ratio in spec.eta_grid:
@@ -160,7 +161,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def _run_cell(x, spectrum: Spectrum, factor, k: int, spec: SweepSpec, strategy: str,
               ratio: float, eta: float) -> SweepRow:
     # Closed forms read the sweep's singular values and are verified from their
-    # 2x2 cores.  A core that does not split cleanly is solved again on the full
+    # 2x2 cores.  A core that does not split cleanly is solved again on the
     # factor (``factor()``, computed once per sweep), so that the core, its lift
     # and the re-PCA read one factorization.  Oracles factor on their own to stay
     # independent.

@@ -90,20 +90,22 @@ def spectrum_of(m) -> Spectrum:
 
 @dataclass(frozen=True)
 class SvdTriple(Spectrum):
-    """Thin SVD factors with nonincreasing singular values.
+    """All ``p = min(d, n)`` singular values, nonincreasing, and the leading
+    ``j`` singular pairs.
 
-    With ``p = min(d, n)``, ``u`` is d x p and ``v`` is n x p, both with
-    orthonormal columns.  Signs are canonicalized: each left singular
-    vector has its largest-magnitude entry positive, with the paired right
-    vector flipped to preserve the product, so repeated factorizations are
-    bit-identical.
+    ``u`` is d x j and ``v`` is n x j, both with orthonormal columns: ``j =
+    p`` from ``full_svd``, any ``j <= p`` from ``leading_svd``.  Signs are
+    canonicalized: each left singular vector has its largest-magnitude entry
+    positive, with the paired right vector flipped to preserve the product,
+    so repeated factorizations are bit-identical.
     """
 
-    u: np.ndarray           # d x p, orthonormal columns
-    v: np.ndarray           # n x p, orthonormal columns
+    u: np.ndarray           # d x j, orthonormal columns
+    v: np.ndarray           # n x j, orthonormal columns
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
+        """The rank-j truncation ``U_j S_j V_j^T``; the matrix itself when j = p."""
+        return (self.u * self.sigma[:self.u.shape[1]]) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,39 @@ def full_svd(m) -> SvdTriple:
     """
     m = as_matrix(m)
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    cols = np.arange(sigma.size)
-    signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0.0, -1.0, 1.0)
-    return SvdTriple(sigma=sigma, shape=m.shape, u=u * signs, v=vt.T * signs)
+    return _signed_triple(sigma, m.shape, u, vt.T)
+
+
+def leading_svd(m, j: int) -> SvdTriple:
+    """All singular values of a finite matrix and its leading ``j`` singular
+    pairs, with ``full_svd``'s signs.
+
+    A tall d x n ``m`` (d >= 2n) with j < n skips the d x n factor of a thin
+    SVD (Chan's R-SVD, ACM TOMS 8, 1982): the singular values and ``V`` come
+    from the n x n SVD of the ``R`` of a Householder QR that keeps only
+    ``R``, and ``U_j`` is the ``Q`` of a QR of the d x j block ``m V_j``,
+    each column signed so that ``m v_i = sigma_i u_i``.  Since ``m V_j = U_j
+    S_j`` to eps * sigma_1 per column, each ``u_i`` is accurate to O(eps
+    sigma_1 / gap), the same order as a dense SVD, and nothing is divided by
+    a singular value: for a rank-deficient ``m`` a trailing ``u_i`` is still
+    a unit vector orthogonal to the leading ones.  Otherwise (below d = 2n
+    the two QRs cost more than they save) this is ``full_svd(m)``.
+    """
+    m = as_matrix(m)
+    d, n = m.shape
+    if d < 2 * n or j >= n:
+        return full_svd(m)
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
+    v = vt[:j].T
+    q, r = np.linalg.qr(m @ v)
+    return _signed_triple(sigma, m.shape, q * np.where(np.diag(r) < 0.0, -1.0, 1.0), v)
+
+
+def _signed_triple(sigma: np.ndarray, shape: tuple[int, int], u: np.ndarray,
+                   v: np.ndarray) -> SvdTriple:
+    """The triple with each ``u_i``'s largest-|entry| positive, ``v_i`` flipped with it."""
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    return SvdTriple(sigma=sigma, shape=shape, u=u * signs, v=v * signs)
 
 
 def fro_norm(m) -> float:
@@ -217,13 +249,10 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
 
     * k = n < d: the span is the column space, the ``Q`` of a reduced QR of
       ``m``; the singular values are those of its n x n ``R``.
-    * k < n, d >= 2n: the singular values and right vectors ``V`` come from
-      the n x n SVD of ``R`` (a Householder QR that keeps only ``R``), and
-      the basis is the ``Q`` of a QR of the d x k block ``m V_k``.  Since
-      ``m V_k = U_k S_k`` to eps * sigma_1 per column, its span is that of
-      ``U_k`` to O(eps sigma_1 / (sigma_k - sigma_{k+1})), the same order
-      as a dense SVD, and nothing is divided by a singular value.  Below
-      d = 2n the two QRs cost more than they save, and a thin SVD runs.
+    * k < n: ``leading_svd(m, k)``, which at d >= 2n takes the singular
+      values and ``V`` from the n x n SVD of ``R`` and ``U_k`` from a QR of
+      ``m V_k``; its span is that of a dense SVD's ``U_k`` to O(eps sigma_1 /
+      (sigma_k - sigma_{k+1})).  Below d = 2n a thin SVD runs.
     """
     m = as_matrix(m)
     d, n = m.shape
@@ -231,10 +260,7 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     if d > n and k == n:
         q, r = np.linalg.qr(m)
         return _truncation(q, np.linalg.svd(r, compute_uv=False), k, d)
-    if d >= 2 * n:
-        _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
-        return _truncation(np.linalg.qr(m @ vt[:k].T)[0], sigma, k, d)
-    return _leading_from_svd(full_svd(m), k)
+    return _leading_from_svd(leading_svd(m, k), k)
 
 
 def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
@@ -251,12 +277,8 @@ def _truncation(columns: np.ndarray, sigma: np.ndarray, k: int, d: int) -> Ortho
     return OrthonormalBasis(columns, ambiguous=bool(ambiguous))
 
 
-def principal_angles(a, b) -> np.ndarray:
-    """Principal angles (radians, nondecreasing) between two k-dim subspaces.
-
-    The angles are the arccosines of the singular values of ``a^T b``,
-    clamped to [0, 1] against roundoff.
-    """
+def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of two bases of k-dim subspaces of one R^d, and ``a^T b``."""
     a = _as_basis(a)
     b = _as_basis(b)
     if a.ambient_dim != b.ambient_dim:
@@ -265,13 +287,48 @@ def principal_angles(a, b) -> np.ndarray:
     if a.subspace_dim != b.subspace_dim:
         raise InvalidDimension(
             f"subspace dimensions differ: {a.subspace_dim} vs {b.subspace_dim}")
-    s = np.linalg.svd(a.columns.T @ b.columns, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
+    return a.columns, b.columns, a.columns.T @ b.columns
+
+
+def principal_angles(a, b) -> np.ndarray:
+    """Principal angles (radians, nondecreasing) between two k-dim subspaces.
+
+    An angle of at least pi/4 is the arccosine of a singular value of ``a^T
+    b``; a smaller one is the arcsine of a singular value of ``b - a (a^T
+    b)``, both clamped to [0, 1] against roundoff (Björck & Golub 1973;
+    Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  A cosine near 1
+    holds a small angle only to about sqrt(eps); its sine keeps it to about
+    eps absolute.
+    """
+    a, b, cross = _cross(a, b)
+    theta = np.arccos(np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0))
+    # the sines in decreasing order belong to the angles in increasing order
+    sines = np.linalg.svd(b - a @ cross, compute_uv=False)[::-1]
+    small = theta < math.pi / 4
+    theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
+    return theta
 
 
 def asimov_distance(a, b) -> float:
-    """Largest principal angle between two equal-dimensional subspaces."""
-    return float(principal_angles(a, b)[-1])
+    """Largest principal angle between two equal-dimensional subspaces.
+
+    A small angle is read from its sine, as in ``principal_angles``: here the
+    norm of ``b - a (a^T b)``, the square root of the largest eigenvalue of
+    its Gram matrix, which keeps the relative accuracy of the largest sine.
+    Once the sine reaches 1/4, the arccosine of the smallest singular value
+    of ``a^T b`` holds the angle to within four times the sine's error, and
+    its k x k SVD costs less than forming the d x k residual once d is a few
+    times k.  The squared sines sum
+    to ``k - ||a^T b||_F^2``; below (1/4)^2 no cosine is computed.
+    """
+    a, b, cross = _cross(a, b)
+    if a.shape[1] - float(np.sum(cross * cross)) >= 0.25**2:
+        theta = math.acos(min(1.0, max(0.0, float(np.linalg.svd(cross, compute_uv=False)[-1]))))
+        if math.sin(theta) >= 0.25:
+            return theta
+    residual = b - a @ cross
+    sine = math.sqrt(max(0.0, float(np.linalg.eigvalsh(residual.T @ residual)[-1])))
+    return math.asin(min(1.0, sine))
 
 
 def pca_distance(x, y, k: int) -> tuple[float, bool]:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
 from .experiments import ATTACKS, _budget_unit, check_ratio_grid
 from .fileio import numbered_lines, parse_rows, write_table
-from .linalg import as_matrix, check_eta, check_k, full_svd
+from .linalg import as_matrix, check_eta, check_k, full_svd, leading_svd
 from .oracle import normal_stream
 from .report import _core_split, frames, lift
 
@@ -69,7 +69,7 @@ def r_squared(predicted, actual) -> float:
 def _top_components(m: np.ndarray, k: int) -> np.ndarray:
     """The k leading left singular vectors of ``m``, or InvalidDimension
     unless its numerical rank is at least k."""
-    svd = full_svd(m)
+    svd = leading_svd(m, k)
     if not 1 <= k <= svd.rank:
         raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
     return svd.u[:, :k].copy()
@@ -158,7 +158,7 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     means = x_train.mean(axis=1)
     xc = x_train - means[:, None]
     test_c = x_test - means[:, None]
-    svd = full_svd(xc)
+    svd = leading_svd(xc, k + 1)
     if svd.rank < k:
         raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
     scale = _budget_unit(svd, k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
-from .linalg import Spectrum, check_attack, fro_norm, full_svd
+from .linalg import Spectrum, check_attack, fro_norm, leading_svd
 from .report import AttackReport, Regime, build_report, core_case, frames, lift, solve_core
 
 
@@ -133,7 +133,7 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
     ``ambiguous_subspace`` flag is set when either truncation was degenerate.
     """
     x, k, eta = check_attack(x, k, eta)
-    svd = full_svd(x)
+    svd = leading_svd(x, k + 1)
     solved = _attack_rank_one(svd, k, eta)
     core = solved[2]
     left, right = frames(svd, k)

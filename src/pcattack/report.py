@@ -12,18 +12,21 @@ the perturbed top-k subspace (``_core_split``), which PCR refits read.
 Solving a core (``core_case``, ``solve_core``) and splitting it
 (``_core_split``, ``_core_angle``) read only the singular values, the rank
 and the shape: a ``linalg.Spectrum`` from one values-only SVD serves them
-as well as a full ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
-``frames``, ``lift`` and ``build_report`` need the singular vectors.  The
+as well as an ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
+``frames``, ``lift`` and ``build_report`` need the singular vectors, and
+only the pairs k and k+1: an attack factors X by ``linalg.leading_svd(x, k +
+1)``, which on a tall d x n input (d >= 2n, k + 1 < n) takes no thin SVD but
+an R-only QR, the n x n SVD of its triangle and a QR of ``X V_{k+1}``.  The
 split is a closed-form 2 x 2 SVD (``linalg.svd_2x2``) on Python floats; it
 squares nothing, and a small rotation keeps its relative accuracy.
 
-The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``.
-On a tall d x n input at k = n, or at d >= 2n, it takes no thin SVD: a QR
-removes the long side, and the n x n SVD of its triangle gives the singular
-values (and V), from which the basis is the ``Q`` of a QR of ``m V_k``.  Its
-span is accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a dense
-SVD's is.  The solvers run in units of sigma_1 rounded to a power of two
-(``solve_core``), so an attack is the same at any scale of X and eta.
+The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``,
+by the same routine at d >= 2n and a reduced QR at k = n < d.  Its span is
+accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a dense SVD's is,
+and ``linalg.asimov_distance`` reads a small angle from its sine, so a tiny
+budget's achieved angle is accurate to that order as well.  The solvers run
+in units of sigma_1 rounded to a power of two (``solve_core``), so an attack
+is the same at any scale of X and eta.
 """
 
 from __future__ import annotations
@@ -120,8 +123,10 @@ def core_norm(core: np.ndarray) -> float:
 
 def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``L = [u_k, e]`` and ``R = [v_k, v_{k+1}]``; at k = n, ``R`` is ``[v_k]``
-    and a core's second column must be zero."""
-    d, p = svd.u.shape      # e = 0 only at k = d = n, which only the zero attack reaches
+    and a core's second column must be zero.  ``svd`` holds at least the
+    leading k + 1 pairs, or all of them at k = min(d, n)."""
+    # e = 0 only at k = d = n, which only the zero attack reaches
+    d, p = svd.shape[0], svd.sigma.size
     e = svd.u[:, k] if k < p else complement_direction(svd.u) if d > p else np.zeros(d)
     return np.column_stack([svd.u[:, k - 1], e]), svd.v[:, k - 1:k + 1]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, RegimeError
-from .linalg import Spectrum, SvdTriple, check_attack, fro_norm, full_svd
+from .linalg import Spectrum, SvdTriple, check_attack, fro_norm, leading_svd
 from .report import AttackReport, Regime, build_report, lift, solve_core
 
 
@@ -131,7 +131,7 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
 def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:
     """Optimal unconstrained attack on the k-dim PCA subspace of ``x``."""
     x, k, eta = check_attack(x, k, eta)
-    svd = full_svd(x)
+    svd = leading_svd(x, k + 1)
     solved = _attack_unconstrained(svd, k, eta)
     attack = PerturbationMatrix(lift(svd, k, solved[2]))
     return attack, build_report("unconstrained", svd, k, eta, solved, x + attack.delta,

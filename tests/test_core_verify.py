@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import svd_shapes
 
-from pcattack import (Regime, SweepSpec, full_svd, pca_distance, run_sweep,
-                      synth_gaussian, synth_low_rank, write_matrix_csv)
+from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
+                      pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
 from pcattack.report import _core_angle, lift
@@ -125,3 +125,19 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
         _, _, core = closed_form(svd, spec.k, row.eta_ratio * unit)
         theta, _ = pca_distance(x, x + lift(svd, spec.k, core), spec.k)
         assert row.theta == pytest.approx(theta, abs=1e-10), row
+
+
+# a tall input, whose factor and re-PCA take the R-SVD path, and a near-square
+# one, whose factor and re-PCA are thin SVDs
+@pytest.mark.parametrize("shape", [(120, 40), (60, 40)], ids=["tall", "near-square"])
+@pytest.mark.parametrize("attack", [attack_rank_one, attack_unconstrained])
+@pytest.mark.parametrize("ratio", [1e-5, 1e-8, 1e-12])
+def test_tiny_budget_angle_reaches_the_dense_svd_floor(shape, attack, ratio):
+    # an independent re-PCA fixes a span only to O(eps sigma_1 / gap), so that
+    # is the floor of the achieved angle, well below the angle at 1e-5
+    x, k = synth_gaussian(*shape, seed=7), 5
+    sigma = full_svd(x).sigma
+    gap = sigma[k - 1] - sigma[k]
+    _, report = attack(x, k, ratio * gap)
+    floor = np.finfo(float).eps * sigma[0] / gap
+    assert abs(report.theta_achieved - report.theta_predicted) <= 16 * floor

@@ -1,8 +1,11 @@
 """Count the dense SVDs each entry point runs on its input's shape.
 
 An attack factors the clean matrix once and verifies by one independent
-re-PCA, which is a dense SVD of the input's shape except on tall inputs at
-k = n or d >= 2n, where it is an SVD of the n x n triangle of a QR;
+re-PCA.  Each is a dense SVD of the input's shape, except on tall inputs:
+at d >= 2n the factor (for k + 1 < n) and the re-PCA (for k < n) are an SVD
+of the n x n triangle of a QR, and at k = n < d the re-PCA is; the achieved
+angle takes one k x k SVD, of its cosines, when its sine is at least 1/4,
+and none when it is smaller;
 ``verify`` takes one values-only SVD for both closed forms, builds no
 report, and lets each random oracle factor on its own; a sweep takes one
 values-only SVD and verifies its closed-form cells from their 2x2 cores,
@@ -34,15 +37,20 @@ from pcattack.report import _core_split
     (attack_rank_one, (20, 5), 2),      # d >= 2n
     (attack_rank_one, (20, 5), 5),
     (attack_unconstrained, (20, 5), 2),
+    (attack_rank_one, (9, 5), 2),       # d = 2n - 1
 ])
 def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
-    attack(synth_gaussian(*shape, seed=3), k, 0.1)
-    # the factor, the re-PCA and the principal angles' k x k SVD; on a tall
-    # input at k = n or d >= 2n the re-PCA's one SVD is of an n x n triangle
+    _, report = attack(synth_gaussian(*shape, seed=3), k, 0.1)
+    # the factor, the re-PCA and, for an angle whose sine is at least 1/4, the
+    # k x k SVD of the cosines; on a tall input the factor at d >= 2n and
+    # k + 1 < n, and the re-PCA at d >= 2n or k = n, is one SVD of an n x n
+    # triangle
     d, n = shape
+    factor = (n, n) if d >= 2 * n and k + 1 < n else shape
     re_pca = (n, n) if d > n and (k == n or d >= 2 * n) else shape
-    assert svd_shapes(svd_calls) == [shape, re_pca, (k, k)]
-    assert svd_calls[0] == (shape, True)
+    cosines = [(k, k)] if np.sin(report.theta_achieved) >= 0.25 else []
+    assert svd_shapes(svd_calls) == [factor, re_pca] + cosines
+    assert svd_calls[0] == (factor, True)
 
 
 def test_sweep_factors_once(svd_calls):

@@ -10,7 +10,8 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
-from pcattack.linalg import _leading_from_svd, complement_direction, fro_norm, svd_2x2
+from pcattack.linalg import (_leading_from_svd, complement_direction, fro_norm, leading_svd,
+                             svd_2x2)
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -58,6 +59,64 @@ class TestFullSvd:
             assert np.max(np.abs(svd.u.T @ svd.u - np.eye(p))) < 1e-10
             assert np.max(np.abs(svd.v.T @ svd.v - np.eye(p))) < 1e-10
             assert np.all(np.diff(svd.sigma) <= 0)
+
+
+class TestLeadingSvd:
+    @pytest.mark.parametrize("shape, j", [((40, 10), 4), ((100, 20), 7), ((60, 30), 29)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tall_matches_full_svd(self, shape, j, seed):
+        x = np.random.default_rng(seed).standard_normal(shape)
+        got, ref = leading_svd(x, j), full_svd(x)
+        sigma = ref.sigma
+        assert got.u.shape == (shape[0], j) and got.v.shape == (shape[1], j)
+        assert np.max(np.abs(got.sigma - sigma)) <= 1e-13 * sigma[0]
+        # each pair is determined, in sign too, to O(eps sigma_1 / its gap)
+        above = np.append(np.inf, sigma[:-1] - sigma[1:])
+        below = np.append(sigma[:-1] - sigma[1:], sigma[-1])
+        bound = 16 * EPS * sigma[0] / np.minimum(above, below)[:j]
+        assert np.all(np.linalg.norm(got.u - ref.u[:, :j], axis=0) <= bound)
+        assert np.all(np.linalg.norm(got.v - ref.v[:, :j], axis=0) <= bound)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_rank_deficient_trailing_vector_leaves_the_range(self, seed):
+        k = 4
+        x = _rank_deficient(40, 10, k, seed)
+        svd = leading_svd(x, k + 1)
+        u_k1 = svd.u[:, k]
+        assert np.linalg.norm(u_k1) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(svd.u[:, :k].T @ u_k1)) < 1e-14
+        assert np.linalg.norm(x.T @ u_k1) <= 16 * EPS * svd.sigma[0]
+
+    @pytest.mark.parametrize("shape, j, tall", [
+        ((19, 10), 4, False),       # d = 2n - 1
+        ((20, 10), 4, True),        # d = 2n
+        ((20, 10), 9, True),        # j = n - 1
+        ((20, 10), 10, False),      # j = n
+    ])
+    def test_path_boundaries(self, svd_calls, shape, j, tall):
+        svd = leading_svd(np.random.default_rng(3).standard_normal(shape), j)
+        n = shape[1]
+        assert svd_calls == [((n, n) if tall else shape, True)]
+        assert svd.u.shape[1] == (j if tall else n)
+
+    def test_zero_matrix(self):
+        svd = leading_svd(np.zeros((40, 10)), 3)
+        assert np.all(svd.sigma == 0.0) and svd.rank == 0
+        assert np.allclose(svd.u.T @ svd.u, np.eye(3))
+        assert np.allclose(svd.v.T @ svd.v, np.eye(3))
+
+    def test_bit_identical(self):
+        x = np.random.default_rng(9).standard_normal((50, 12))
+        first, second = leading_svd(x, 5), leading_svd(x, 5)
+        for name in ("sigma", "u", "v"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    def test_reconstruct_is_the_rank_j_truncation(self):
+        x = np.random.default_rng(4).standard_normal((30, 8))
+        full = full_svd(x)
+        assert np.linalg.norm(full.reconstruct() - x) <= 1e-13 * np.linalg.norm(x)
+        truncation = (full.u[:, :3] * full.sigma[:3]) @ full.v[:, :3].T
+        assert np.allclose(leading_svd(x, 3).reconstruct(), truncation, rtol=0.0, atol=1e-12)
 
 
 EPS = np.finfo(float).eps
@@ -264,6 +323,21 @@ class TestAsimovDistance:
             b1 = np.eye(4)[:, [0]]
             b2 = np.array([[np.cos(phi)], [np.sin(phi)], [0.0], [0.0]])
             assert asimov_distance(b1, b2) == pytest.approx(phi, abs=1e-12)
+
+    # angles on both sides of pi/4, and for asimov_distance on both sides of
+    # sin = 1/4: (0.2,) * 4 has squared sines summing past 1/16 with every
+    # sine below 1/4, so its cosines are taken and not used
+    @pytest.mark.parametrize("phi", [(1e-12,), (0.0, 0.0, 1e-9), (1e-12, 1e-6, 0.3, 1.2),
+                                     (0.2,) * 4, (0.3,), (0.0, np.pi / 2), (0.7, 0.9)])
+    def test_small_angles_keep_their_relative_accuracy(self, phi):
+        # b_i = cos(phi_i) e_i + sin(phi_i) e_{k+i}, both bases rotated at random
+        k = len(phi)
+        p = random_orthogonal(np.random.default_rng(k), 2 * k + 1)
+        a = p[:, :k]
+        b = a * np.cos(phi) + p[:, k:2 * k] * np.sin(phi)
+        want = np.sort(phi)
+        assert np.allclose(principal_angles(a, b), want, rtol=1e-12, atol=1e-15)
+        assert asimov_distance(a, b) == pytest.approx(want[-1], rel=1e-12, abs=1e-15)
 
 
 class TestCompression:
