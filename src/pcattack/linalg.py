@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .errors import InvalidDimension, InvalidMatrix, RankMismatch
 RANK_TOL = 1e-10   # sigma_i counts toward rank iff sigma_i > RANK_TOL * sigma_1
 TIE_TOL = 1e-9     # sigma_k ~ sigma_{k+1} within TIE_TOL * sigma_1 flags ambiguity
 ORTHO_TOL = 1e-10
+# leading_svd takes the R-SVD once max(d, n) >= RSVD_ASPECT * min(d, n): the
+# measured crossover against a thin SVD, in both orientations (README)
+RSVD_ASPECT = 1.6
 
 
 def as_matrix(x) -> np.ndarray:
@@ -85,7 +89,7 @@ class Spectrum:
 def spectrum_of(m) -> Spectrum:
     """The singular values of a finite matrix, from one values-only SVD."""
     m = as_matrix(m)
-    return Spectrum(np.linalg.svd(m, compute_uv=False), m.shape)
+    return Spectrum(_svd(m, compute_uv=False), m.shape)
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,10 @@ def full_svd(m) -> SvdTriple:
     """Thin SVD of a finite matrix, with deterministic sign choices.
 
     Returns d x p and n x p factors, ``p = min(d, n)``.  Raises
-    InvalidMatrix on non-finite input.
+    InvalidMatrix on non-finite input, or when sigma_1 overflows (``_svd``).
     """
     m = as_matrix(m)
-    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    u, sigma, vt = _svd(m)
     return _signed_triple(sigma, m.shape, u, vt.T)
 
 
@@ -161,25 +165,46 @@ def leading_svd(m, j: int) -> SvdTriple:
     """All singular values of a finite matrix and its leading ``j`` singular
     pairs, with ``full_svd``'s signs.
 
-    A tall d x n ``m`` (d >= 2n) with j < n skips the d x n factor of a thin
-    SVD (Chan's R-SVD, ACM TOMS 8, 1982): the singular values and ``V`` come
-    from the n x n SVD of the ``R`` of a Householder QR that keeps only
-    ``R``, and ``U_j`` is the ``Q`` of a QR of the d x j block ``m V_j``,
-    each column signed so that ``m v_i = sigma_i u_i``.  Since ``m V_j = U_j
-    S_j`` to eps * sigma_1 per column, each ``u_i`` is accurate to O(eps
-    sigma_1 / gap), the same order as a dense SVD, and nothing is divided by
-    a singular value: for a rank-deficient ``m`` a trailing ``u_i`` is still
-    a unit vector orthogonal to the leading ones.  Otherwise (below d = 2n
-    the two QRs cost more than they save) this is ``full_svd(m)``.
+    Once one side is long, ``max(d, n) >= RSVD_ASPECT * min(d, n)``, and j <
+    ``p = min(d, n)``, this skips the long factor of a thin SVD (Chan's R-SVD,
+    ACM TOMS 8, 1982).  With ``a`` the tall one of ``m`` and ``m^T``, the
+    singular values and the short side's vectors (``V`` of a tall ``m``,
+    ``U`` of a wide one) come from the p x p SVD of the ``R`` of a
+    Householder QR of ``a`` that keeps only ``R``.  The long side's leading
+    ``j`` vectors are the ``Q`` of a QR of the block ``a W_j``, where ``W_j``
+    holds the short side's leading ``j``, each column signed so that ``m v_i
+    = sigma_i u_i``.  Since ``a W_j`` is the long side's leading ``j``
+    vectors times ``S_j`` to eps * sigma_1 per column, each long vector is
+    accurate to O(eps sigma_1 / gap), the same order as a dense SVD, and
+    nothing is divided by a singular value: for a rank-deficient ``m`` a
+    trailing one is still a unit vector orthogonal to the leading ones.
+    Otherwise (nearer square, the two QRs cost more than they save; at j = p
+    there is nothing to skip) this is ``full_svd(m)``.
     """
     m = as_matrix(m)
     d, n = m.shape
-    if d < 2 * n or j >= n:
+    if max(d, n) < RSVD_ASPECT * min(d, n) or j >= min(d, n):
         return full_svd(m)
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
-    v = vt[:j].T
-    q, r = np.linalg.qr(m @ v)
-    return _signed_triple(sigma, m.shape, q * np.where(np.diag(r) < 0.0, -1.0, 1.0), v)
+    a = m.T if d < n else m
+    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"))
+    short = vt[:j].T
+    q, r = np.linalg.qr(a @ short)
+    long = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
+
+
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(a, full_matrices=False)`` of a finite matrix or of the
+    triangle of a QR of one, or InvalidMatrix when that matrix's largest
+    singular value overflows float64.  LAPACK then returns sigma_1 = inf (a
+    values-only SVD zeros the rest, so the rank reads 0), and the triangle of
+    a QR holds inf or nan, on which the SVD fails to converge."""
+    if np.isfinite(a).all():
+        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        if math.isfinite((out[1] if compute_uv else out)[0]):
+            return out
+    raise InvalidMatrix(f"entries are finite, but the largest singular value exceeds "
+                        f"the float64 range ({sys.float_info.max:.4g})")
 
 
 def _signed_triple(sigma: np.ndarray, shape: tuple[int, int], u: np.ndarray,
@@ -244,22 +269,26 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     tied within ``TIE_TOL`` relative to sigma_1 (the PCA truncation is then
     ill defined).  For d > n the implicit trailing singular values are zero.
 
-    Only the span and the singular values are needed, so a tall ``m`` skips
-    the d x n factor of a thin SVD (Chan's R-SVD, ACM TOMS 8, 1982):
+    Only the span and the singular values are needed, so an ``m`` with one
+    long side skips that side's factor of a thin SVD (Chan's R-SVD, ACM TOMS
+    8, 1982):
 
     * k = n < d: the span is the column space, the ``Q`` of a reduced QR of
       ``m``; the singular values are those of its n x n ``R``.
-    * k < n: ``leading_svd(m, k)``, which at d >= 2n takes the singular
-      values and ``V`` from the n x n SVD of ``R`` and ``U_k`` from a QR of
-      ``m V_k``; its span is that of a dense SVD's ``U_k`` to O(eps sigma_1 /
-      (sigma_k - sigma_{k+1})).  Below d = 2n a thin SVD runs.
+    * k < min(d, n): ``leading_svd(m, k)``.  Once ``max(d, n) >=
+      RSVD_ASPECT * min(d, n)`` it takes the singular values from the SVD of
+      the ``min(d, n)``-square triangle of a QR of ``m`` (tall) or ``m^T``
+      (wide).  A wide ``m``'s ``U_k`` is that SVD's, a tall one's the ``Q``
+      of a QR of ``m V_k``, whose span is that of a dense SVD's ``U_k`` to
+      O(eps sigma_1 / (sigma_k - sigma_{k+1})).  Nearer square, a thin SVD
+      runs.
     """
     m = as_matrix(m)
     d, n = m.shape
     k = check_k(k, (d, n))
     if d > n and k == n:
         q, r = np.linalg.qr(m)
-        return _truncation(q, np.linalg.svd(r, compute_uv=False), k, d)
+        return _truncation(q, _svd(r, compute_uv=False), k, d)
     return _leading_from_svd(leading_svd(m, k), k)
 
 

@@ -180,6 +180,11 @@ def grid_search_angles(sigma_k: float, sigma_k1: float, eta: float,
     golden-section rounds inside the best cell.  Returns (alpha, beta,
     theta); ties resolve to the lowest grid index.
     """
+    # The objective is homogeneous in (sigma_k, sigma_k1, eta), so it runs in
+    # units of the largest rounded down to a power of two, which is exact and
+    # keeps eta**2 in range at any scale.
+    unit = math.ldexp(1.0, math.frexp(max(sigma_k, eta))[1] - 1)
+    sigma_k, sigma_k1, eta = sigma_k / unit, sigma_k1 / unit, eta / unit
     res = cfg.grid_resolution
     alphas = np.linspace(0.0, math.pi / 2.0, res)
     betas = np.linspace(math.pi / 2.0, math.pi, res)

@@ -15,13 +15,15 @@ and the shape: a ``linalg.Spectrum`` from one values-only SVD serves them
 as well as an ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
 ``frames``, ``lift`` and ``build_report`` need the singular vectors, and
 only the pairs k and k+1: an attack factors X by ``linalg.leading_svd(x, k +
-1)``, which on a tall d x n input (d >= 2n, k + 1 < n) takes no thin SVD but
-an R-only QR, the n x n SVD of its triangle and a QR of ``X V_{k+1}``.  The
-split is a closed-form 2 x 2 SVD (``linalg.svd_2x2``) on Python floats; it
-squares nothing, and a small rotation keeps its relative accuracy.
+1)``, which on an input with one long side (``max(d, n) >= RSVD_ASPECT *
+min(d, n)``, 1.6, and k + 1 < min(d, n)) takes no thin SVD but an R-only QR of
+X (tall) or X^T (wide), the SVD of its min(d, n)-square triangle and a QR of
+the long side's block.  The split is a closed-form 2 x 2 SVD
+(``linalg.svd_2x2``) on Python floats; it squares nothing, and a small
+rotation keeps its relative accuracy.
 
 The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``,
-by the same routine at d >= 2n and a reduced QR at k = n < d.  Its span is
+by the same routine, or by a reduced QR at k = n < d.  Its span is
 accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a dense SVD's is,
 and ``linalg.asimov_distance`` reads a small angle from its sine, so a tiny
 budget's achieved angle is accurate to that order as well.  The solvers run
@@ -105,12 +107,13 @@ def core_case(spectrum: Spectrum, k: int) -> tuple[float, float, str]:
 def solve_core(solve, spectrum: Spectrum, k: int,
                eta: float) -> tuple[Regime, float, np.ndarray]:
     """``solve(sigma_k, sigma_{k+1}, eta, case)``, with ``core_case``'s
-    arguments, run in units of sigma_1 rounded to a power of two:
+    arguments, run in units of sigma_1 rounded down to a power of two:
     ``(regime, theta_predicted, core)``.  The closed forms are homogeneous
     in (sigma, eta), and scaling by a power of two is exact, so the unit
-    changes no result; it keeps their squares in range at any scale of X."""
+    changes no result; it keeps their squares in range at any scale of X.
+    Rounded up, the unit of a sigma_1 at or above 2^1023 would overflow."""
     sigma_k, sigma_k1, case = core_case(spectrum, k)
-    unit = math.ldexp(1.0, math.frexp(spectrum.sigma[0])[1])
+    unit = math.ldexp(1.0, math.frexp(spectrum.sigma[0])[1] - 1)
     regime, theta, core = solve(sigma_k / unit, sigma_k1 / unit, eta / unit, case)
     return regime, theta, core * unit
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pcattack.linalg import RSVD_ASPECT
+
 
 @pytest.fixture
 def svd_calls(monkeypatch):
@@ -20,6 +22,22 @@ def svd_calls(monkeypatch):
 def svd_shapes(calls):
     """The shapes alone of the calls that ``svd_calls`` recorded."""
     return [shape for shape, _ in calls]
+
+
+def factor_svd_shape(shape, j):
+    """The shape of the one dense SVD that ``linalg.leading_svd(m, j)`` runs on
+    a ``shape`` matrix: the p x p triangle of a QR (``p = min(d, n)``) once
+    ``max(d, n) >= RSVD_ASPECT * p`` and ``j < p``, else ``shape`` itself."""
+    p = min(shape)
+    return (p, p) if max(shape) >= RSVD_ASPECT * p and j < p else shape
+
+
+def re_pca_svd_shape(shape, k):
+    """The shape of the one dense SVD that ``linalg.leading_subspace(m, k)``
+    runs: the n x n triangle of a reduced QR at k = n < d, else
+    ``factor_svd_shape(shape, k)``."""
+    d, n = shape
+    return (n, n) if d > n and k == n else factor_svd_shape(shape, k)
 
 
 def random_orthogonal(rng, n):

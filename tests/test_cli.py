@@ -353,3 +353,24 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "attack needs room at index k+1=7" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "{x}", "--k", "2", "--eta", "1"],
+    ["attack", "{x}", "--k", "5", "--eta", "1", "--strategy", "rank_one"],
+    ["verify", "{x}", "--k", "2", "--eta", "1", "--trials", "50"],
+    ["verify", "{x}", "--k", "5", "--eta", "1", "--trials", "50"],
+    ["sweep", "{spec}", "--out", "{out}"],
+], ids=["attack-k2", "attack-k5", "verify-k2", "verify-k5", "sweep"])
+def test_sigma_1_past_the_float64_range_exits_2(tmp_path, capsys, argv):
+    # finite entries, but a first column of +-1.5e308 has an infinite norm
+    x = synth_gaussian(20, 5, seed=3)
+    x[:, 0] = 1.5e308 * np.where(np.arange(20) % 2, 1.0, -1.0)
+    path, spec, out = tmp_path / "x.csv", tmp_path / "s.txt", tmp_path / "o.csv"
+    write_matrix_csv(path, x)
+    spec.write_text(f"d=20\nn=5\nk=2\ndata_kind=from_file\ndata_path={path}\n"
+                    "eta_grid=0.3,0.9\nstrategies=r1-opt,wr-opt\n")
+    assert main([a.format(x=path, spec=spec, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == ("error: entries are finite, but the largest singular "
+                                       "value exceeds the float64 range (1.798e+308)\n")
+    assert not out.exists()

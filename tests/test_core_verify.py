@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import svd_shapes
+from conftest import re_pca_svd_shape, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
@@ -66,10 +66,9 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     assert solved_regime == regime
     core_theta = _core_angle(svd, k, core)
     full_theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
-    # one factor and one re-PCA; the core angle runs no dense SVD, and neither
-    # does the re-PCA of a tall input at k = n (a QR and an n x n SVD)
-    d, n = x.shape
-    assert svd_shapes(svd_calls).count(x.shape) == (1 if d > n and (k == n or d >= 2 * n) else 2)
+    # one factor and one re-PCA; the core angle runs no dense SVD, and the
+    # re-PCA runs one of x's shape unless it takes a QR's triangle
+    assert svd_shapes(svd_calls).count(x.shape) == 1 + (re_pca_svd_shape(x.shape, k) == x.shape)
     assert core_theta is not None
     assert core_theta == pytest.approx(full_theta, abs=1e-10)
 
@@ -127,9 +126,10 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
         assert row.theta == pytest.approx(theta, abs=1e-10), row
 
 
-# a tall input, whose factor and re-PCA take the R-SVD path, and a near-square
-# one, whose factor and re-PCA are thin SVDs
-@pytest.mark.parametrize("shape", [(120, 40), (60, 40)], ids=["tall", "near-square"])
+# a tall and a wide input, whose factor and re-PCA take the R-SVD path, and a
+# near-square one, whose factor and re-PCA are thin SVDs
+@pytest.mark.parametrize("shape", [(120, 40), (60, 40), (40, 120)],
+                         ids=["tall", "near-square", "wide"])
 @pytest.mark.parametrize("attack", [attack_rank_one, attack_unconstrained])
 @pytest.mark.parametrize("ratio", [1e-5, 1e-8, 1e-12])
 def test_tiny_budget_angle_reaches_the_dense_svd_floor(shape, attack, ratio):

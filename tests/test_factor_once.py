@@ -1,9 +1,12 @@
 """Count the dense SVDs each entry point runs on its input's shape.
 
 An attack factors the clean matrix once and verifies by one independent
-re-PCA.  Each is a dense SVD of the input's shape, except on tall inputs:
-at d >= 2n the factor (for k + 1 < n) and the re-PCA (for k < n) are an SVD
-of the n x n triangle of a QR, and at k = n < d the re-PCA is; the achieved
+re-PCA.  Each is a dense SVD of the input's shape, except where one side is
+long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <
+min(d, n)) and the re-PCA (for k < min(d, n)) are an SVD of the min(d,
+n)-square triangle of a QR of the input or its transpose, and at k = n < d
+the re-PCA is one of the triangle of a QR of the input
+(``conftest.factor_svd_shape`` and ``re_pca_svd_shape`` state the rule); the achieved
 angle takes one k x k SVD, of its cosines, when its sine is at least 1/4,
 and none when it is smaller;
 ``verify`` takes one values-only SVD for both closed forms, builds no
@@ -16,7 +19,7 @@ with one more SVD only for a ratio whose core ties.
 
 import numpy as np
 import pytest
-from conftest import svd_shapes
+from conftest import factor_svd_shape, re_pca_svd_shape, svd_shapes
 
 from pcattack import (InvalidDimension, SweepSpec, attack_pcr, attack_rank_one,
                       attack_unconstrained, pcr, run_sweep, synth_gaussian, synthetic_collinear,
@@ -34,20 +37,20 @@ from pcattack.report import _core_split
     (attack_rank_one, (4, 7), 2),
     (attack_unconstrained, (7, 5), 2),
     (attack_unconstrained, (4, 7), 3),
-    (attack_rank_one, (20, 5), 2),      # d >= 2n
+    (attack_rank_one, (20, 5), 2),      # d = 4n
     (attack_rank_one, (20, 5), 5),
     (attack_unconstrained, (20, 5), 2),
-    (attack_rank_one, (9, 5), 2),       # d = 2n - 1
+    (attack_rank_one, (9, 5), 2),       # d = 1.8n
+    (attack_rank_one, (8, 5), 2),       # d = 1.6n
+    (attack_unconstrained, (5, 8), 2),  # n = 1.6d
+    (attack_rank_one, (5, 8), 4),       # k + 1 = d: a thin factor, a triangle re-PCA
+    (attack_rank_one, (10, 15), 3),     # n = 1.5d
 ])
 def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     _, report = attack(synth_gaussian(*shape, seed=3), k, 0.1)
     # the factor, the re-PCA and, for an angle whose sine is at least 1/4, the
-    # k x k SVD of the cosines; on a tall input the factor at d >= 2n and
-    # k + 1 < n, and the re-PCA at d >= 2n or k = n, is one SVD of an n x n
-    # triangle
-    d, n = shape
-    factor = (n, n) if d >= 2 * n and k + 1 < n else shape
-    re_pca = (n, n) if d > n and (k == n or d >= 2 * n) else shape
+    # k x k SVD of the cosines
+    factor, re_pca = factor_svd_shape(shape, k + 1), re_pca_svd_shape(shape, k)
     cosines = [(k, k)] if np.sin(report.theta_achieved) >= 0.25 else []
     assert svd_shapes(svd_calls) == [factor, re_pca] + cosines
     assert svd_calls[0] == (factor, True)
@@ -86,7 +89,7 @@ def test_pcr_factors_once(svd_calls, lift_calls, strategy):
     grid = (0.1, 0.3, 0.5, 0.8, 1.1)
     reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
     assert len(reports) == len(grid)
-    assert svd_shapes(svd_calls).count(_train_shape(features)) == 1
+    assert svd_shapes(svd_calls).count(factor_svd_shape(_train_shape(features), 5)) == 1
     # every core splits, so each refit is scored in the factor's coordinates
     assert lift_calls == []
 
@@ -115,7 +118,9 @@ def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     svd_calls.clear()
 
     reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
-    assert svd_shapes(svd_calls).count(_train_shape(features)) == 2
+    # the factor of the leading 5 pairs and the refit's top 4 components
+    train = _train_shape(features)
+    assert svd_shapes(svd_calls) == [factor_svd_shape(train, 5), factor_svd_shape(train, 4)]
     assert len(lift_calls) == 1
     monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
     dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)

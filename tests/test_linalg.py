@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import matrix_with_spectrum, random_basis, random_orthogonal
+from conftest import factor_svd_shape, matrix_with_spectrum, random_basis, random_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,7 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
 from pcattack.linalg import (_leading_from_svd, complement_direction, fro_norm, leading_svd,
-                             svd_2x2)
+                             spectrum_of, svd_2x2)
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -61,21 +61,47 @@ class TestFullSvd:
             assert np.all(np.diff(svd.sigma) <= 0)
 
 
+def _check_matches_full_svd(x, j, units):
+    got, ref = leading_svd(x, j), full_svd(x)
+    sigma = ref.sigma
+    assert got.u.shape == (x.shape[0], j) and got.v.shape == (x.shape[1], j)
+    assert np.max(np.abs(got.sigma - sigma)) <= 1e-13 * sigma[0]
+    # each pair is determined, in sign too, to O(eps sigma_1 / its gap)
+    above = np.append(np.inf, sigma[:-1] - sigma[1:])
+    below = np.append(sigma[:-1] - sigma[1:], sigma[-1])
+    bound = units * EPS * sigma[0] / np.minimum(above, below)[:j]
+    assert np.all(np.linalg.norm(got.u - ref.u[:, :j], axis=0) <= bound)
+    assert np.all(np.linalg.norm(got.v - ref.v[:, :j], axis=0) <= bound)
+
+
+def _check_bit_identical(x, j):
+    first, second = leading_svd(x, j), leading_svd(x, j)
+    for name in ("sigma", "u", "v"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+def _check_zero_matrix(shape):
+    svd = leading_svd(np.zeros(shape), 3)
+    assert np.all(svd.sigma == 0.0) and svd.rank == 0
+    assert np.allclose(svd.u.T @ svd.u, np.eye(3))
+    assert np.allclose(svd.v.T @ svd.v, np.eye(3))
+
+
 class TestLeadingSvd:
     @pytest.mark.parametrize("shape, j", [((40, 10), 4), ((100, 20), 7), ((60, 30), 29)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tall_matches_full_svd(self, shape, j, seed):
-        x = np.random.default_rng(seed).standard_normal(shape)
-        got, ref = leading_svd(x, j), full_svd(x)
-        sigma = ref.sigma
-        assert got.u.shape == (shape[0], j) and got.v.shape == (shape[1], j)
-        assert np.max(np.abs(got.sigma - sigma)) <= 1e-13 * sigma[0]
-        # each pair is determined, in sign too, to O(eps sigma_1 / its gap)
-        above = np.append(np.inf, sigma[:-1] - sigma[1:])
-        below = np.append(sigma[:-1] - sigma[1:], sigma[-1])
-        bound = 16 * EPS * sigma[0] / np.minimum(above, below)[:j]
-        assert np.all(np.linalg.norm(got.u - ref.u[:, :j], axis=0) <= bound)
-        assert np.all(np.linalg.norm(got.v - ref.v[:, :j], axis=0) <= bound)
+        # at d >= 11/6 n LAPACK's thin SVD starts with the same QR
+        _check_matches_full_svd(np.random.default_rng(seed).standard_normal(shape), j, 16)
+
+    @pytest.mark.parametrize("shape, j", [((10, 40), 4), ((20, 100), 7), ((30, 60), 29),
+                                          ((20, 32), 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_matches_full_svd(self, shape, j, seed):
+        # the thin SVD of a wide input takes another route, so the two differ
+        # by two independent errors of O(eps sigma_1 / gap): up to 22 units on
+        # 100 seeds of each shape here
+        _check_matches_full_svd(np.random.default_rng(seed).standard_normal(shape), j, 32)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_rank_deficient_trailing_vector_leaves_the_range(self, seed):
@@ -87,29 +113,43 @@ class TestLeadingSvd:
         assert np.max(np.abs(svd.u[:, :k].T @ u_k1)) < 1e-14
         assert np.linalg.norm(x.T @ u_k1) <= 16 * EPS * svd.sigma[0]
 
-    @pytest.mark.parametrize("shape, j, tall", [
-        ((19, 10), 4, False),       # d = 2n - 1
-        ((20, 10), 4, True),        # d = 2n
-        ((20, 10), 9, True),        # j = n - 1
-        ((20, 10), 10, False),      # j = n
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_wide_rank_deficient_trailing_vector_leaves_the_row_space(self, seed):
+        k = 4
+        x = _rank_deficient(10, 40, k, seed)
+        svd = leading_svd(x, k + 1)
+        v_k1 = svd.v[:, k]
+        assert np.linalg.norm(v_k1) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(svd.v[:, :k].T @ v_k1)) < 1e-14
+        assert np.linalg.norm(x @ v_k1) <= 16 * EPS * svd.sigma[0]
+
+    @pytest.mark.parametrize("shape, j, rsvd", [
+        ((15, 10), 4, False),       # d = 1.5n, below RSVD_ASPECT
+        ((16, 10), 4, True),        # d = 1.6n
+        ((16, 10), 9, True),        # j = n - 1
+        ((16, 10), 10, False),      # j = n
+        ((10, 15), 4, False),       # n = 1.5d
+        ((10, 16), 4, True),        # n = 1.6d
+        ((10, 16), 9, True),        # j = d - 1
+        ((10, 16), 10, False),      # j = d
     ])
-    def test_path_boundaries(self, svd_calls, shape, j, tall):
+    def test_path_boundaries(self, svd_calls, shape, j, rsvd):
+        assert (factor_svd_shape(shape, j) != shape) == rsvd
         svd = leading_svd(np.random.default_rng(3).standard_normal(shape), j)
-        n = shape[1]
-        assert svd_calls == [((n, n) if tall else shape, True)]
-        assert svd.u.shape[1] == (j if tall else n)
+        assert svd_calls == [(factor_svd_shape(shape, j), True)]
+        assert (svd.u.shape[1], svd.v.shape[1]) == ((j, j) if rsvd else (10, 10))
 
     def test_zero_matrix(self):
-        svd = leading_svd(np.zeros((40, 10)), 3)
-        assert np.all(svd.sigma == 0.0) and svd.rank == 0
-        assert np.allclose(svd.u.T @ svd.u, np.eye(3))
-        assert np.allclose(svd.v.T @ svd.v, np.eye(3))
+        _check_zero_matrix((40, 10))
+
+    def test_wide_zero_matrix(self):
+        _check_zero_matrix((10, 40))
 
     def test_bit_identical(self):
-        x = np.random.default_rng(9).standard_normal((50, 12))
-        first, second = leading_svd(x, 5), leading_svd(x, 5)
-        for name in ("sigma", "u", "v"):
-            assert np.array_equal(getattr(first, name), getattr(second, name))
+        _check_bit_identical(np.random.default_rng(9).standard_normal((50, 12)), 5)
+
+    def test_wide_bit_identical(self):
+        _check_bit_identical(np.random.default_rng(9).standard_normal((12, 50)), 5)
 
     def test_reconstruct_is_the_rank_j_truncation(self):
         x = np.random.default_rng(4).standard_normal((30, 8))
@@ -192,6 +232,43 @@ def test_fro_norm_at_any_scale(c):
     m = np.array([[3.0, 0.0], [4.0, 12.0]])
     assert fro_norm(c * m) == pytest.approx(13.0 * c, rel=4 * EPS)
     assert fro_norm(np.zeros((2, 3))) == 0.0
+
+
+def overflowing(shape):
+    """A finite matrix whose sigma_1 exceeds the float64 range: a first column
+    of +-1.5e308 (each entry finite, the column's norm not)."""
+    x = np.random.default_rng(0).standard_normal(shape)
+    x[:, 0] = 1.5e308 * np.where(np.arange(shape[0]) % 2, 1.0, -1.0)
+    return x
+
+
+SIGMA_OVERFLOW = "largest singular value exceeds the float64 range"
+
+
+class TestSigmaOverflow:
+    # each SVD route: a values-only SVD, a thin SVD, and the SVD of a QR's
+    # triangle, which holds inf or nan (tall) or is finite with an infinite
+    # sigma_1 (wide)
+    def test_spectrum_of(self):
+        with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
+            spectrum_of(overflowing((20, 5)))
+
+    @pytest.mark.parametrize("shape, j", [((20, 5), 2), ((20, 5), 5), ((6, 5), 2), ((5, 20), 2)])
+    def test_leading_svd(self, shape, j):
+        with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
+            leading_svd(overflowing(shape), j)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_leading_subspace(self, k):
+        with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
+            leading_subspace(overflowing((20, 5)), k)
+
+    def test_sigma_1_near_the_top_of_the_range_is_finite(self):
+        x = np.zeros((4, 3))
+        x[:3, :3] = np.diag([1e308, 1e307, 1e306])
+        for m in (x, x.T):
+            for sigma in (spectrum_of(m).sigma, leading_svd(m, 2).sigma):
+                assert sigma == pytest.approx([1e308, 1e307, 1e306], rel=1e-15)
 
 
 class TestComplementDirection:

@@ -16,10 +16,10 @@ from pcattack.fileio import write_matrix_csv
 
 SCALES = (1e-150, 1e-100, 1.0, 1e100, 1e150)
 NORM_SCALES = (1e-160, 1e155)
-# (attack, shape, k): 6x5 re-PCAs by a thin SVD, 20x6 (d >= 2n) by the QR
-# route at k < n and at k = n
+# (attack, shape, k): 6x5 factors and re-PCAs by a thin SVD, 20x6 and 6x20
+# (one side long) by the R-SVD at k < min(d, n), and 20x6 by a QR at k = n
 CASES = [(attack, shape, 2) for attack in (attack_rank_one, attack_unconstrained)
-         for shape in ((6, 5), (20, 6))] + [(attack_rank_one, (20, 6), 6)]
+         for shape in ((6, 5), (20, 6), (6, 20))] + [(attack_rank_one, (20, 6), 6)]
 RATIOS = (0.3, 0.9, 1.5)    # of sigma_k - sigma_{k+1}, or of sigma_n at k = n
 
 
@@ -111,3 +111,40 @@ def test_sweep_scale_invariant(tmp_path, shape, k):
                     base.theta_predicted, rel=1e-12, abs=0.0), c
                 assert row.budget_used / c == pytest.approx(
                     base.budget_used, rel=1e-12, abs=0.0), c
+
+
+def _huge():
+    """sigma_1 = 1e308 >= 2^1023: a unit rounded up to a power of two overflows."""
+    x = np.zeros((4, 3))
+    x[:3, :3] = np.diag([1e308, 1e307, 1e306])
+    return x
+
+
+@pytest.mark.parametrize("strategy, k", [("rank_one", 1), ("unconstrained", 1), ("rank_one", 3)])
+def test_cli_attack_with_sigma_1_past_2_to_the_1023(tmp_path, capsys, strategy, k):
+    x = _huge()
+    c = 2.0**-1000      # exact: the same attack at a tame scale
+    eta = float(0.3 * _budget_unit(x, k))
+    attack = attack_rank_one if strategy == "rank_one" else attack_unconstrained
+    _, ref = attack(c * x, k, c * eta)
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, x)
+    assert main(["attack", str(path), "--k", str(k), "--eta", repr(eta),
+                 "--strategy", strategy]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["regime"] == ref.regime.value
+    assert payload["theta_predicted"] == pytest.approx(ref.theta_predicted, rel=1e-12)
+    assert payload["theta_achieved"] == pytest.approx(ref.theta_achieved, abs=1e-8)
+    assert payload["delta_fro_norm"] * c == pytest.approx(ref.budget_used, rel=1e-12)
+
+
+def test_cli_verify_and_sweep_with_sigma_1_past_2_to_the_1023(tmp_path, capsys):
+    path, spec = tmp_path / "x.csv", tmp_path / "s.txt"
+    write_matrix_csv(path, _huge())
+    eta = float(0.3 * _budget_unit(_huge(), 1))
+    assert main(["verify", str(path), "--k", "1", "--eta", repr(eta), "--trials", "200"]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 3
+    spec.write_text(f"d=4\nn=3\nk=1\ndata_kind=from_file\ndata_path={path}\n"
+                    "eta_grid=0.3,0.9,1.5\nstrategies=r1-opt,wr-opt\n")
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "o.csv")]) == 0
+    assert "error" not in (tmp_path / "o.csv").read_text()
