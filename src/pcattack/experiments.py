@@ -27,7 +27,7 @@ from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, leadi
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
-from .report import _core_angle, core_norm, lift
+from .report import _core_angle, core_norm, frames, lift
 from .unconstrained import _attack_unconstrained
 
 # Each attack family: its closed form on a spectrum, its random oracle.
@@ -175,7 +175,7 @@ def _run_cell(x, spectrum: Spectrum, factor, k: int, spec: SweepSpec, strategy: 
     if theta is None:
         svd = factor()
         _, theta_predicted, core = closed_form(svd, k, eta)
-        theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
+        theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core), k)
     return SweepRow(ratio, strategy, theta, theta_predicted, core_norm(core))
 
 

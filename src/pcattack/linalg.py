@@ -19,9 +19,16 @@ from .errors import InvalidDimension, InvalidMatrix, RankMismatch
 RANK_TOL = 1e-10   # sigma_i counts toward rank iff sigma_i > RANK_TOL * sigma_1
 TIE_TOL = 1e-9     # sigma_k ~ sigma_{k+1} within TIE_TOL * sigma_1 flags ambiguity
 ORTHO_TOL = 1e-10
-# leading_svd takes the R-SVD once max(d, n) >= RSVD_ASPECT * min(d, n): the
-# measured crossover against a thin SVD, in both orientations (README)
+# leading_svd takes the R-SVD once max(d, n) >= RSVD_ASPECT * p and j <=
+# RSVD_SHARE * p, p = min(d, n): the measured crossovers against a thin SVD,
+# in both orientations (README)
 RSVD_ASPECT = 1.6
+RSVD_SHARE = 0.9
+# A factor runs on m as given while sigma_1 < 2^UNIT_EXPONENT: a factor's
+# intermediates grow only a few sqrt(d n) times past its entries, which are at
+# most sigma_1, so none comes near overflow.  Past that it runs again on
+# m / 2^e, e the exponent of m's largest |entry| (``_unit_safe``).
+UNIT_EXPONENT = 511
 
 
 def as_matrix(x) -> np.ndarray:
@@ -32,6 +39,24 @@ def as_matrix(x) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix("matrix entries must be finite")
     return m
+
+
+class _NearOverflow(Exception):
+    """A factor of a matrix as given found sigma_1 >= 2^UNIT_EXPONENT."""
+
+
+def _unit_safe(factor, m: np.ndarray, *args):
+    """``factor(m, 0, *args)`` of a finite matrix ``m``, where ``factor(a, e,
+    ...)`` factors the matrix ``2^e a`` and reads its singular values through
+    ``_svd``.  Once that raises ``_NearOverflow``, ``factor`` runs again on ``m
+    / 2^e``, ``e`` the exponent of m's largest |entry|.  Scaling by a power of
+    two is exact, so the unit changes no result, and below the top of the
+    range it costs nothing: no pass looks for the largest entry there."""
+    try:
+        return factor(m, 0, *args)
+    except _NearOverflow:
+        e = math.frexp(max(float(m.max()), -float(m.min())))[1]
+        return factor(np.ldexp(m, -e), e, *args)
 
 
 def check_eta(eta) -> float:
@@ -89,7 +114,7 @@ class Spectrum:
 def spectrum_of(m) -> Spectrum:
     """The singular values of a finite matrix, from one values-only SVD."""
     m = as_matrix(m)
-    return Spectrum(_svd(m, compute_uv=False), m.shape)
+    return Spectrum(_unit_safe(_svd, m, False), m.shape)
 
 
 @dataclass(frozen=True)
@@ -157,54 +182,72 @@ def full_svd(m) -> SvdTriple:
     InvalidMatrix on non-finite input, or when sigma_1 overflows (``_svd``).
     """
     m = as_matrix(m)
-    u, sigma, vt = _svd(m)
-    return _signed_triple(sigma, m.shape, u, vt.T)
+    return _unit_safe(_factor, m, min(m.shape))
 
 
 def leading_svd(m, j: int) -> SvdTriple:
     """All singular values of a finite matrix and its leading ``j`` singular
     pairs, with ``full_svd``'s signs.
 
-    Once one side is long, ``max(d, n) >= RSVD_ASPECT * min(d, n)``, and j <
-    ``p = min(d, n)``, this skips the long factor of a thin SVD (Chan's R-SVD,
-    ACM TOMS 8, 1982).  With ``a`` the tall one of ``m`` and ``m^T``, the
-    singular values and the short side's vectors (``V`` of a tall ``m``,
-    ``U`` of a wide one) come from the p x p SVD of the ``R`` of a
-    Householder QR of ``a`` that keeps only ``R``.  The long side's leading
-    ``j`` vectors are the ``Q`` of a QR of the block ``a W_j``, where ``W_j``
-    holds the short side's leading ``j``, each column signed so that ``m v_i
-    = sigma_i u_i``.  Since ``a W_j`` is the long side's leading ``j``
-    vectors times ``S_j`` to eps * sigma_1 per column, each long vector is
-    accurate to O(eps sigma_1 / gap), the same order as a dense SVD, and
-    nothing is divided by a singular value: for a rank-deficient ``m`` a
-    trailing one is still a unit vector orthogonal to the leading ones.
-    Otherwise (nearer square, the two QRs cost more than they save; at j = p
-    there is nothing to skip) this is ``full_svd(m)``.
+    Once one side is long, ``max(d, n) >= RSVD_ASPECT * p`` with ``p = min(d,
+    n)``, and few pairs are asked for, ``j <= RSVD_SHARE * p``, this skips the
+    long factor of a thin SVD (Chan's R-SVD, ACM TOMS 8, 1982).  With ``a``
+    the tall one of ``m`` and ``m^T``, the singular values and the short
+    side's vectors (``V`` of a tall ``m``, ``U`` of a wide one) come from the
+    p x p SVD of the ``R`` of a Householder QR of ``a`` that keeps only
+    ``R``.  The long side's leading ``j`` vectors are the ``Q`` of a QR of the
+    block ``a W_j``, where ``W_j`` holds the short side's leading ``j``, each
+    column signed so that ``m v_i = sigma_i u_i``.  Since ``a W_j`` is the
+    long side's leading ``j`` vectors times ``S_j`` to eps * sigma_1 per
+    column, each long vector is accurate to O(eps sigma_1 / gap), the same
+    order as a dense SVD, and nothing is divided by a singular value: for a
+    rank-deficient ``m`` a trailing one is still a unit vector orthogonal to
+    the leading ones.  Otherwise (nearer square, or with nearly all pairs, the
+    two QRs cost as much as they save) a thin SVD runs, as in ``full_svd``,
+    and its leading ``j`` pairs are kept.
     """
-    m = as_matrix(m)
+    return _unit_safe(_factor, as_matrix(m), j)
+
+
+def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
+    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``."""
     d, n = m.shape
-    if max(d, n) < RSVD_ASPECT * min(d, n) or j >= min(d, n):
-        return full_svd(m)
+    p = min(d, n)
+    if max(d, n) < RSVD_ASPECT * p or j > RSVD_SHARE * p:
+        u, sigma, vt = _svd(m, e)
+        return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
-    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"))
+    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
     short = vt[:j].T
     q, r = np.linalg.qr(a @ short)
     long = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
 
 
-def _svd(a: np.ndarray, compute_uv: bool = True):
-    """``np.linalg.svd(a, full_matrices=False)`` of a finite matrix or of the
-    triangle of a QR of one, or InvalidMatrix when that matrix's largest
-    singular value overflows float64.  LAPACK then returns sigma_1 = inf (a
-    values-only SVD zeros the rest, so the rank reads 0), and the triangle of
-    a QR holds inf or nan, on which the SVD fails to converge."""
-    if np.isfinite(a).all():
+def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
+    """``np.linalg.svd(a, full_matrices=False)`` of a matrix ``a`` in the unit
+    2^e, or of the triangle of a QR of one, with the singular values scaled
+    back by 2^e.  At e = 0 it raises ``_NearOverflow`` unless sigma_1 <
+    2^UNIT_EXPONENT: from there a QR may have overflowed, leaving inf or nan
+    in its triangle, on which the SVD fails or returns nan.  In a unit, it
+    raises InvalidMatrix when sigma_1 overflows float64."""
+    try:
         out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-        if math.isfinite((out[1] if compute_uv else out)[0]):
-            return out
-    raise InvalidMatrix(f"entries are finite, but the largest singular value exceeds "
-                        f"the float64 range ({sys.float_info.max:.4g})")
+    except np.linalg.LinAlgError:
+        if e:
+            raise
+        raise _NearOverflow from None
+    sigma = out[1] if compute_uv else out
+    if e == 0:
+        if not sigma[0] < 2.0**UNIT_EXPONENT:
+            raise _NearOverflow
+        return out
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(sigma, e)
+    if not math.isfinite(sigma[0]):
+        raise InvalidMatrix(f"entries are finite, but the largest singular value exceeds "
+                            f"the float64 range ({sys.float_info.max:.4g})")
+    return (out[0], sigma, out[2]) if compute_uv else sigma
 
 
 def _signed_triple(sigma: np.ndarray, shape: tuple[int, int], u: np.ndarray,
@@ -276,34 +319,38 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     * k = n < d: the span is the column space, the ``Q`` of a reduced QR of
       ``m``; the singular values are those of its n x n ``R``.
     * k < min(d, n): ``leading_svd(m, k)``.  Once ``max(d, n) >=
-      RSVD_ASPECT * min(d, n)`` it takes the singular values from the SVD of
-      the ``min(d, n)``-square triangle of a QR of ``m`` (tall) or ``m^T``
-      (wide).  A wide ``m``'s ``U_k`` is that SVD's, a tall one's the ``Q``
-      of a QR of ``m V_k``, whose span is that of a dense SVD's ``U_k`` to
-      O(eps sigma_1 / (sigma_k - sigma_{k+1})).  Nearer square, a thin SVD
-      runs.
+      RSVD_ASPECT * min(d, n)`` and ``k <= RSVD_SHARE * min(d, n)`` it takes
+      the singular values from the SVD of the ``min(d, n)``-square triangle
+      of a QR of ``m`` (tall) or ``m^T`` (wide).  A wide ``m``'s ``U_k`` is
+      that SVD's, a tall one's the ``Q`` of a QR of ``m V_k``, whose span is
+      that of a dense SVD's ``U_k`` to O(eps sigma_1 / (sigma_k -
+      sigma_{k+1})).  Otherwise a thin SVD runs.
     """
     m = as_matrix(m)
+    return _unit_safe(_leading, m, check_k(k, m.shape))
+
+
+def _leading(m: np.ndarray, e: int, k: int) -> OrthonormalBasis:
+    """``leading_subspace`` of the matrix ``2^e m``."""
     d, n = m.shape
-    k = check_k(k, (d, n))
     if d > n and k == n:
         q, r = np.linalg.qr(m)
-        return _truncation(q, _svd(r, compute_uv=False), k, d)
-    return _leading_from_svd(leading_svd(m, k), k)
+        return OrthonormalBasis(q, _tied(_svd(r, e, compute_uv=False), k, d))
+    return _leading_from_svd(_factor(m, e, k), k)
 
 
 def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
     k = check_k(k, svd.shape)
-    return _truncation(svd.u[:, :k].copy(), svd.sigma, k, svd.shape[0])
+    return OrthonormalBasis(svd.u[:, :k].copy(), _tied(svd.sigma, k, svd.shape[0]))
 
 
-def _truncation(columns: np.ndarray, sigma: np.ndarray, k: int, d: int) -> OrthonormalBasis:
-    """The basis ``columns`` of a top-k subspace in R^d, flagged when the
-    spectrum ``sigma`` (nonincreasing) ties at the truncation."""
+def _tied(sigma: np.ndarray, k: int, d: int) -> bool:
+    """Whether the top-k truncation of a matrix with ``d`` rows and the
+    nonincreasing spectrum ``sigma`` is tied: sigma_k - sigma_{k+1} <=
+    ``TIE_TOL * sigma_1``."""
     # for d > n the trailing spectrum is implicitly zero; at k = d the subspace is R^d
     next_sigma = sigma[k] if k < sigma.size else 0.0 if k < d else None
-    ambiguous = next_sigma is not None and (sigma[k - 1] - next_sigma) <= TIE_TOL * sigma[0]
-    return OrthonormalBasis(columns, ambiguous=bool(ambiguous))
+    return next_sigma is not None and bool(sigma[k - 1] - next_sigma <= TIE_TOL * sigma[0])
 
 
 def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,23 +386,32 @@ def principal_angles(a, b) -> np.ndarray:
 
 
 def asimov_distance(a, b) -> float:
-    """Largest principal angle between two equal-dimensional subspaces.
-
-    A small angle is read from its sine, as in ``principal_angles``: here the
-    norm of ``b - a (a^T b)``, the square root of the largest eigenvalue of
-    its Gram matrix, which keeps the relative accuracy of the largest sine.
-    Once the sine reaches 1/4, the arccosine of the smallest singular value
-    of ``a^T b`` holds the angle to within four times the sine's error, and
-    its k x k SVD costs less than forming the d x k residual once d is a few
-    times k.  The squared sines sum
-    to ``k - ||a^T b||_F^2``; below (1/4)^2 no cosine is computed.
-    """
+    """Largest principal angle between two equal-dimensional subspaces:
+    ``_largest_angle`` of ``a^T b`` and ``b - a (a^T b)``."""
     a, b, cross = _cross(a, b)
-    if a.shape[1] - float(np.sum(cross * cross)) >= 0.25**2:
-        theta = math.acos(min(1.0, max(0.0, float(np.linalg.svd(cross, compute_uv=False)[-1]))))
+    return _largest_angle(cross, lambda: b - a @ cross)
+
+
+def _largest_angle(cosines: np.ndarray, sines) -> float:
+    """The largest principal angle between two k-dim subspaces, from the k x
+    k matrix ``cosines``, whose singular values are the angles' cosines, or
+    from the matrix ``sines()``, whose singular values are their sines.
+
+    A small angle is read from its sine, as in ``principal_angles``: the
+    square root of the largest eigenvalue of the Gram matrix of ``sines()``,
+    which keeps the relative accuracy of the largest sine.  Once the sine
+    reaches 1/4, the arccosine of the smallest singular value of
+    ``cosines`` holds the angle to within four times the sine's error, and
+    its k x k SVD costs less than forming the sines' d x k matrix once d is
+    a few times k.  The squared sines sum to ``k - ||cosines||_F^2``; below
+    (1/4)^2 no cosine is computed.
+    """
+    if cosines.shape[1] - float(np.sum(cosines * cosines)) >= 0.25**2:
+        smallest = float(np.linalg.svd(cosines, compute_uv=False)[-1])
+        theta = math.acos(min(1.0, max(0.0, smallest)))
         if math.sin(theta) >= 0.25:
             return theta
-    residual = b - a @ cross
+    residual = sines()
     sine = math.sqrt(max(0.0, float(np.linalg.eigvalsh(residual.T @ residual)[-1])))
     return math.asin(min(1.0, sine))
 
@@ -372,9 +428,33 @@ def pca_distance(x, y, k: int) -> tuple[float, bool]:
 
 def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     """``pca_distance`` with ``x`` given by its factors; ``y`` is factored
-    on its own, so a perturbed ``y`` is checked independently of them."""
-    bx = _leading_from_svd(svd, k)
-    by = leading_subspace(y, k)
+    on its own, so a perturbed ``y`` is checked independently of them.
+
+    At k = n < d the top-n subspace of ``y`` is its column space, whose
+    basis ``Q = y R^-1`` comes from an R-only QR of ``y``, and ``Q`` is
+    never formed (Björck & Golub 1973): with ``U`` the clean basis, the
+    cosines are those of ``U^T Q = (U^T y) R^-1``, and the sines those of
+    ``(y - U (U^T y)) R^-1``.  Each is one solve with the n x n ``R``, whose
+    condition, sigma_1 / sigma_n of ``y``, is below 1 / ``TIE_TOL`` when
+    its truncation is not tied, and scales the error of either by at most
+    what it scales the span's own error.  A tied ``y`` is read from the
+    ``Q`` of a reduced QR by ``leading_subspace``'s route, and flagged.
+    """
+    return _unit_safe(_distance, as_matrix(y), _leading_from_svd(svd, k), k)
+
+
+def _distance(y: np.ndarray, e: int, bx: OrthonormalBasis, k: int) -> tuple[float, bool]:
+    """``_pca_distance_from_svd`` of the matrix ``2^e y`` from the clean basis ``bx``."""
+    d, n = y.shape
+    if d > n and k == n:
+        r = np.linalg.qr(y, mode="r")
+        if not _tied(_svd(r, e, compute_uv=False), k, d):
+            u, r_t = bx.columns, r.T
+            cross = u.T @ y
+            theta = _largest_angle(np.linalg.solve(r_t, cross.T).T,
+                                   lambda: np.linalg.solve(r_t, (y - u @ cross).T).T)
+            return theta, bx.ambiguous
+    by = _leading(y, e, k)
     return asimov_distance(bx, by), bx.ambiguous or by.ambiguous
 
 

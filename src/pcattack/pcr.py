@@ -172,7 +172,7 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
         _, _, core = closed_form(svd, k, check_eta(ratio * scale))
         w = _core_split(svd, k, core)
         if w is None:
-            attacked = xc + lift(svd, k, core)
+            attacked = xc + lift(left, right, core)
             components = _top_components(attacked, k)
             scores, test_scores = components.T @ attacked, components.T @ test_c
         else:

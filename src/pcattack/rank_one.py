@@ -142,7 +142,7 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
     b2 = row / math.hypot(*row) if row.any() else np.array([1.0, 0.0])
     b2 = -b2 if (b2[1], b2[0]) < (0.0, 0.0) else b2
     attack = RankOneAttack(a=left @ (core @ b2), b=right @ b2[:right.shape[1]])
-    return attack, build_report("rank_one", svd, k, eta, solved, x + lift(svd, k, core),
+    return attack, build_report("rank_one", svd, k, eta, solved, x + lift(left, right, core),
                                 {"a": attack.a, "b": attack.b})
 
 

@@ -16,19 +16,24 @@ as well as an ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
 ``frames``, ``lift`` and ``build_report`` need the singular vectors, and
 only the pairs k and k+1: an attack factors X by ``linalg.leading_svd(x, k +
 1)``, which on an input with one long side (``max(d, n) >= RSVD_ASPECT *
-min(d, n)``, 1.6, and k + 1 < min(d, n)) takes no thin SVD but an R-only QR of
-X (tall) or X^T (wide), the SVD of its min(d, n)-square triangle and a QR of
-the long side's block.  The split is a closed-form 2 x 2 SVD
-(``linalg.svd_2x2``) on Python floats; it squares nothing, and a small
-rotation keeps its relative accuracy.
+min(d, n)``, 1.6, and k + 1 <= ``RSVD_SHARE * min(d, n)``, 0.9) takes no thin
+SVD but an R-only QR of X (tall) or X^T (wide), the SVD of its min(d,
+n)-square triangle and a QR of the long side's block.  ``lift`` reads the
+pair of ``frames`` that its caller builds once.  The split is a closed-form 2
+x 2 SVD (``linalg.svd_2x2``) on Python floats; it squares nothing, and a
+small rotation keeps its relative accuracy.
 
-The independent PCA (``linalg.leading_subspace``) reads only ``X + delta``,
-by the same routine, or by a reduced QR at k = n < d.  Its span is
-accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a dense SVD's is,
-and ``linalg.asimov_distance`` reads a small angle from its sine, so a tiny
-budget's achieved angle is accurate to that order as well.  The solvers run
-in units of sigma_1 rounded to a power of two (``solve_core``), so an attack
-is the same at any scale of X and eta.
+The independent PCA (``linalg._pca_distance_from_svd``) reads only ``X +
+delta``.  At k < n it factors it by the same routine.  At k = n < d, where
+the top-k subspace is the column space, it takes an R-only QR of ``X +
+delta`` and reads the angles through that triangle, without forming the
+QR's ``Q``.  Either way the span is accurate to O(eps sigma_1 / (sigma_k -
+sigma_{k+1})), as a dense SVD's is, and a small angle is read from its sine,
+so a tiny budget's achieved angle is accurate to that order as well.  Every
+factor runs again in a power-of-two unit once sigma_1 reaches 2^511
+(``linalg._unit_safe``), and the solvers in units of sigma_1 rounded to a
+power of two (``solve_core``), so an attack is the same at any scale of X
+and eta.
 """
 
 from __future__ import annotations
@@ -134,9 +139,8 @@ def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([svd.u[:, k - 1], e]), svd.v[:, k - 1:k + 1]
 
 
-def lift(svd: SvdTriple, k: int, core: np.ndarray) -> np.ndarray:
-    """The dense perturbation ``L @ core @ R^T``."""
-    left, right = frames(svd, k)
+def lift(left: np.ndarray, right: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """The dense perturbation ``L @ core @ R^T``, from the ``frames`` ``(L, R)``."""
     return left @ core[:, :right.shape[1]] @ right.T
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDimension, RegimeError
 from .linalg import Spectrum, SvdTriple, check_attack, fro_norm, leading_svd
-from .report import AttackReport, Regime, build_report, lift, solve_core
+from .report import AttackReport, Regime, build_report, frames, lift, solve_core
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     if k + 1 > svd.sigma.size:
         raise InvalidDimension(f"entries at row/col {k + 1} do not fit a "
                                f"{svd.shape[0]}x{svd.shape[1]} matrix")
-    return PerturbationMatrix(delta=lift(svd, k, entries.reshape(2, 2, order="F")))
+    return PerturbationMatrix(delta=lift(*frames(svd, k), entries.reshape(2, 2, order="F")))
 
 
 def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:
@@ -133,7 +133,7 @@ def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, Att
     x, k, eta = check_attack(x, k, eta)
     svd = leading_svd(x, k + 1)
     solved = _attack_unconstrained(svd, k, eta)
-    attack = PerturbationMatrix(lift(svd, k, solved[2]))
+    attack = PerturbationMatrix(lift(*frames(svd, k), solved[2]))
     return attack, build_report("unconstrained", svd, k, eta, solved, x + attack.delta,
                                 {"entries": solved[2].ravel(order="F")})
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcattack.linalg import RSVD_ASPECT
+from pcattack.linalg import RSVD_ASPECT, RSVD_SHARE
 
 
 @pytest.fixture
@@ -27,9 +27,10 @@ def svd_shapes(calls):
 def factor_svd_shape(shape, j):
     """The shape of the one dense SVD that ``linalg.leading_svd(m, j)`` runs on
     a ``shape`` matrix: the p x p triangle of a QR (``p = min(d, n)``) once
-    ``max(d, n) >= RSVD_ASPECT * p`` and ``j < p``, else ``shape`` itself."""
+    ``max(d, n) >= RSVD_ASPECT * p`` and ``j <= RSVD_SHARE * p``, else
+    ``shape`` itself."""
     p = min(shape)
-    return (p, p) if max(shape) >= RSVD_ASPECT * p and j < p else shape
+    return (p, p) if max(shape) >= RSVD_ASPECT * p and j <= RSVD_SHARE * p else shape
 
 
 def re_pca_svd_shape(shape, k):

@@ -1,14 +1,16 @@
 """The angle read from a 2x2 attack core against the independent re-PCA."""
 
+import math
+
 import numpy as np
 import pytest
-from conftest import re_pca_svd_shape, svd_shapes
+from conftest import matrix_with_spectrum, re_pca_svd_shape, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
-from pcattack.report import _core_angle, lift
+from pcattack.report import _core_angle, frames, lift
 
 
 def _k_lt_rank(shape, k, seed):
@@ -65,7 +67,7 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     solved_regime, _, core = closed_form(svd, k, ratio * unit)
     assert solved_regime == regime
     core_theta = _core_angle(svd, k, core)
-    full_theta, _ = _pca_distance_from_svd(svd, x + lift(svd, k, core), k)
+    full_theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core), k)
     # one factor and one re-PCA; the core angle runs no dense SVD, and the
     # re-PCA runs one of x's shape unless it takes a QR's triangle
     assert svd_shapes(svd_calls).count(x.shape) == 1 + (re_pca_svd_shape(x.shape, k) == x.shape)
@@ -90,7 +92,7 @@ def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
     closed_form, _ = ATTACKS["unconstrained"]
     _, _, core = closed_form(svd, 2, row.eta_ratio * _budget_unit(svd, 2))
     assert _core_angle(svd, 2, core) is None
-    assert row.theta == _pca_distance_from_svd(svd, x + lift(svd, 2, core), 2)[0]
+    assert row.theta == _pca_distance_from_svd(svd, x + lift(*frames(svd, 2), core), 2)[0]
 
 
 def test_small_budget_core_angle_is_predicted():
@@ -122,7 +124,7 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
     for row in rows:
         closed_form, _ = ATTACKS[STRATEGIES[row.strategy][0]]
         _, _, core = closed_form(svd, spec.k, row.eta_ratio * unit)
-        theta, _ = pca_distance(x, x + lift(svd, spec.k, core), spec.k)
+        theta, _ = pca_distance(x, x + lift(*frames(svd, spec.k), core), spec.k)
         assert row.theta == pytest.approx(theta, abs=1e-10), row
 
 
@@ -141,3 +143,37 @@ def test_tiny_budget_angle_reaches_the_dense_svd_floor(shape, attack, ratio):
     _, report = attack(x, k, ratio * gap)
     floor = np.finfo(float).eps * sigma[0] / gap
     assert abs(report.theta_achieved - report.theta_predicted) <= 16 * floor
+
+
+# the 120x40 input above, and 120x40 spectra log-spaced down to 1e-4 and 1e-8
+FULL_RANK_INPUTS = {
+    "gaussian": lambda: synth_gaussian(120, 40, seed=7),
+    "kappa-1e4": lambda: matrix_with_spectrum(np.logspace(0.0, -4.0, 40), 120, 40, seed=7),
+    "kappa-1e8": lambda: matrix_with_spectrum(np.logspace(0.0, -8.0, 40), 120, 40, seed=7),
+}
+
+
+@pytest.mark.parametrize("data", FULL_RANK_INPUTS)
+@pytest.mark.parametrize("ratio", [1e-5, 1e-8, 1e-12, 0.5])
+def test_tiny_budget_angle_at_k_equal_n_reaches_the_dense_svd_floor(data, ratio):
+    # at k = n < d the re-PCA reads the column space of X + delta through the
+    # triangle of its QR, whose span, as a dense SVD's, is fixed only to
+    # O(eps sigma_1 / sigma_n); the budget 0.5 sigma_n reads the cosines
+    x = FULL_RANK_INPUTS[data]()
+    k = x.shape[1]
+    sigma = full_svd(x).sigma
+    _, report = attack_rank_one(x, k, ratio * sigma[-1])
+    assert report.regime == Regime.FULL_RANK_CASE2
+    assert not report.ambiguous_subspace
+    floor = np.finfo(float).eps * sigma[0] / sigma[-1]
+    assert abs(report.theta_achieved - report.theta_predicted) <= 16 * floor
+
+
+def test_budget_at_sigma_n_ties_the_perturbed_column_space():
+    # the attack removes sigma_n, so X + delta has rank n - 1 and its top-n
+    # subspace is not defined: the report says so, with a finite angle
+    x = synth_gaussian(120, 40, seed=7)
+    _, report = attack_rank_one(x, 40, full_svd(x).sigma[-1])
+    assert report.regime == Regime.FULL_RANK_CASE2
+    assert report.ambiguous_subspace
+    assert 0.0 <= report.theta_achieved <= math.pi / 2

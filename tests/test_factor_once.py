@@ -2,13 +2,14 @@
 
 An attack factors the clean matrix once and verifies by one independent
 re-PCA.  Each is a dense SVD of the input's shape, except where one side is
-long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <
-min(d, n)) and the re-PCA (for k < min(d, n)) are an SVD of the min(d,
-n)-square triangle of a QR of the input or its transpose, and at k = n < d
-the re-PCA is one of the triangle of a QR of the input
-(``conftest.factor_svd_shape`` and ``re_pca_svd_shape`` state the rule); the achieved
-angle takes one k x k SVD, of its cosines, when its sine is at least 1/4,
-and none when it is smaller;
+long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <=
+RSVD_SHARE * min(d, n)) and the re-PCA (for k <= RSVD_SHARE * min(d, n)) are
+an SVD of the min(d, n)-square triangle of a QR of the input or its
+transpose, and at k = n < d the re-PCA is a values-only one of the triangle
+of an R-only QR of the input (``conftest.factor_svd_shape`` and
+``re_pca_svd_shape`` state the rule); the achieved angle takes one k x k
+SVD, of its cosines, when its sine is at least 1/4, and none when it is
+smaller;
 ``verify`` takes one values-only SVD for both closed forms, builds no
 report, and lets each random oracle factor on its own; a sweep takes one
 values-only SVD and verifies its closed-form cells from their 2x2 cores,
@@ -56,6 +57,21 @@ def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     assert svd_calls[0] == (factor, True)
 
 
+def test_full_rank_re_pca_forms_no_q(monkeypatch):
+    # at k = n < d the angles are read through the triangle of X + delta's QR
+    modes = []
+    original = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return original(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    _, report = attack_rank_one(synth_gaussian(20, 5, seed=3), 5, 0.1)
+    assert not report.ambiguous_subspace
+    assert modes == ["r"]
+
+
 def test_sweep_factors_once(svd_calls):
     spec = SweepSpec(d=12, n=8, k=3, data_kind="gaussian", seed=4,
                      eta_grid=(0.1, 0.4, 0.9, 1.3), strategies=("r1-opt", "wr-opt"))
@@ -75,9 +91,9 @@ def lift_calls(monkeypatch):
     calls = []
     original = pcr.lift
 
-    def counting(svd, k, core):
+    def counting(left, right, core):
         calls.append(core)
-        return original(svd, k, core)
+        return original(left, right, core)
 
     monkeypatch.setattr(pcr, "lift", counting)
     return calls

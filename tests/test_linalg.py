@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import factor_svd_shape, matrix_with_spectrum, random_basis, random_orthogonal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
@@ -88,14 +88,17 @@ def _check_zero_matrix(shape):
 
 
 class TestLeadingSvd:
-    @pytest.mark.parametrize("shape, j", [((40, 10), 4), ((100, 20), 7), ((60, 30), 29)])
+    # j = 27 is RSVD_SHARE * min(d, n), the most pairs the R-SVD takes; at 29 a
+    # thin SVD runs and keeps its leading j pairs
+    @pytest.mark.parametrize("shape, j", [((40, 10), 4), ((100, 20), 7), ((60, 30), 29),
+                                          ((60, 30), 27)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tall_matches_full_svd(self, shape, j, seed):
         # at d >= 11/6 n LAPACK's thin SVD starts with the same QR
         _check_matches_full_svd(np.random.default_rng(seed).standard_normal(shape), j, 16)
 
     @pytest.mark.parametrize("shape, j", [((10, 40), 4), ((20, 100), 7), ((30, 60), 29),
-                                          ((20, 32), 5)])
+                                          ((20, 32), 5), ((30, 60), 27)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_matches_full_svd(self, shape, j, seed):
         # the thin SVD of a wide input takes another route, so the two differ
@@ -126,18 +129,21 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("shape, j, rsvd", [
         ((15, 10), 4, False),       # d = 1.5n, below RSVD_ASPECT
         ((16, 10), 4, True),        # d = 1.6n
-        ((16, 10), 9, True),        # j = n - 1
+        ((16, 10), 9, True),        # j = n - 1 = RSVD_SHARE * n
         ((16, 10), 10, False),      # j = n
         ((10, 15), 4, False),       # n = 1.5d
         ((10, 16), 4, True),        # n = 1.6d
-        ((10, 16), 9, True),        # j = d - 1
+        ((10, 16), 9, True),        # j = d - 1 = RSVD_SHARE * d
         ((10, 16), 10, False),      # j = d
+        ((32, 20), 18, True),       # j = RSVD_SHARE * n
+        ((32, 20), 19, False),      # j = n - 1 > RSVD_SHARE * n
+        ((20, 32), 19, False),
     ])
     def test_path_boundaries(self, svd_calls, shape, j, rsvd):
         assert (factor_svd_shape(shape, j) != shape) == rsvd
         svd = leading_svd(np.random.default_rng(3).standard_normal(shape), j)
         assert svd_calls == [(factor_svd_shape(shape, j), True)]
-        assert (svd.u.shape[1], svd.v.shape[1]) == ((j, j) if rsvd else (10, 10))
+        assert (svd.u.shape[1], svd.v.shape[1]) == (j, j)
 
     def test_zero_matrix(self):
         _check_zero_matrix((40, 10))
@@ -189,27 +195,35 @@ def _leading_sine(w, u):
     return abs(w[0] * u[1] - w[1] * u[0])
 
 
-@settings(max_examples=400, deadline=None)
-@given(_two_by_two())
-def test_svd_2x2_matches_lapack(entries):
-    # Against 40-digit mpmath, LAPACK's 2x2 SVD errs by up to ~12 eps s_1 in
-    # the singular values and ~20 eps s_1 / (s_1 - s_2) in the leading vector
-    # on near-tied inputs, the closed form by ~1 and ~1.5 of the same units
-    # (test_svd_2x2_against_mpmath); the bounds here cover the sum.
-    s_1, s_2, w_1, w_2 = svd_2x2(*entries)
-    u, s, _ = np.linalg.svd(np.reshape(entries, (2, 2)))
-    assert s_1 >= s_2 >= 0.0
-    assert abs(s_1 - s[0]) <= 16 * EPS * s[0]
-    assert abs(s_2 - s[1]) <= 16 * EPS * s[0]
-    assert math.hypot(w_1, w_2) == pytest.approx(1.0, abs=4 * EPS)
-    if s[0] > s[1]:
-        assert _leading_sine((w_1, w_2), u[:, 0]) <= 32 * EPS / (1.0 - s[1] / s[0])
-
-
-def test_svd_2x2_against_mpmath():
+def _svd_2x2_reference(a, b, c, d):
+    """``(s_1, s_2, (u_1, u_2))`` of ``[[a, b], [c, d]]`` in 40-digit arithmetic,
+    ``u`` its leading left singular vector."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
+    u, s, _ = mp.svd_r(mp.matrix([[a, b], [c, d]]))
+    return float(s[0]), float(s[1]), (float(u[0, 0]), float(u[1, 0]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example((1.0, 0.0, -7.421875e-15, 1.0))
+@given(_two_by_two())
+def test_svd_2x2_matches_mpmath(entries):
+    # The closed form errs by ~1 eps s_1 in the singular values and ~1.5 eps
+    # s_1 / (s_1 - s_2) in the leading vector (test_svd_2x2_against_mpmath);
+    # the bounds leave room.  The explicit example is one on which LAPACK's
+    # own s_1 is 17 eps off, so LAPACK cannot be the reference.
+    s_1, s_2, w_1, w_2 = svd_2x2(*entries)
+    ref_1, ref_2, leading = _svd_2x2_reference(*entries)
+    assert s_1 >= s_2 >= 0.0
+    assert abs(s_1 - ref_1) <= 16 * EPS * ref_1
+    assert abs(s_2 - ref_2) <= 16 * EPS * ref_1
+    assert math.hypot(w_1, w_2) == pytest.approx(1.0, abs=4 * EPS)
+    if ref_1 > ref_2:
+        assert _leading_sine((w_1, w_2), leading) <= 32 * EPS / (1.0 - ref_2 / ref_1)
+
+
+def test_svd_2x2_against_mpmath():
     rng = np.random.default_rng(5)
     for i in range(300):
         a, b, c, d = rng.uniform(-1.0, 1.0, 4)
@@ -218,12 +232,10 @@ def test_svd_2x2_against_mpmath():
             a, b, c, d = (math.cos(t) + tilt * a, -math.sin(t) + tilt * b,
                           math.sin(t) + tilt * c, math.cos(t) + tilt * d)
         s_1, s_2, w_1, w_2 = svd_2x2(a, b, c, d)
-        u, s, _ = mp.svd_r(mp.matrix([[a, b], [c, d]]))
-        ref_1, ref_2 = float(s[0]), float(s[1])
+        ref_1, ref_2, leading = _svd_2x2_reference(a, b, c, d)
         assert abs(s_1 - ref_1) <= 2 * EPS * ref_1
         assert abs(s_2 - ref_2) <= 2 * EPS * ref_1
         if ref_1 > ref_2:
-            leading = (float(u[0, 0]), float(u[1, 0]))
             assert _leading_sine((w_1, w_2), leading) <= 3 * EPS / (1.0 - ref_2 / ref_1)
 
 

@@ -2,9 +2,11 @@
 [1e-150, 1e150] changes neither the regime nor the angle, and the budget
 used scales by c.  At 1e155 and 1e-160 the squared Frobenius norm of the
 core leaves the range of normal floats, which ``budget_used`` must not
-notice."""
+notice.  Near the float64 maximum every factor runs in a power-of-two unit,
+so an attack whose sigma_1 is finite holds its angle there too."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pcattack import (SweepSpec, attack_rank_one, attack_unconstrained, full_svd
 from pcattack.cli import main
 from pcattack.fileio import write_matrix_csv
 
+EPS = np.finfo(float).eps
 SCALES = (1e-150, 1e-100, 1.0, 1e100, 1e150)
 NORM_SCALES = (1e-160, 1e155)
 # (attack, shape, k): 6x5 factors and re-PCAs by a thin SVD, 20x6 and 6x20
@@ -148,3 +151,49 @@ def test_cli_verify_and_sweep_with_sigma_1_past_2_to_the_1023(tmp_path, capsys):
                     "eta_grid=0.3,0.9,1.5\nstrategies=r1-opt,wr-opt\n")
     assert main(["sweep", str(spec), "--out", str(tmp_path / "o.csv")]) == 0
     assert "error" not in (tmp_path / "o.csv").read_text()
+
+
+# (attack, shape, k): tall, wide and near-square inputs at k < n, and the tall
+# and near-square ones at k = n
+TOP_CASES = [(attack, shape, 3) for attack in (attack_rank_one, attack_unconstrained)
+             for shape in ((40, 10), (10, 40), (12, 10))]
+TOP_CASES += [(attack_rank_one, shape, 10) for shape in ((40, 10), (12, 10))]
+
+
+def _gap(sigma, k):
+    return sigma[k - 1] - (sigma[k] if k < sigma.size else 0.0)
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.99])
+@pytest.mark.parametrize("attack, shape, k", TOP_CASES,
+                         ids=[f"{a.__name__}-{s[0]}x{s[1]}-k{k}" for a, s, k in TOP_CASES])
+def test_attack_near_the_float64_maximum(attack, shape, k, fraction):
+    x = synth_gaussian(*shape, seed=3)
+    x *= fraction * sys.float_info.max / full_svd(x).sigma[0]
+    sigma = full_svd(x).sigma
+    assert sigma[0] == pytest.approx(fraction * sys.float_info.max, rel=1e-14)
+    eta = 0.3 * _gap(sigma, k)
+    c = 2.0**-1024      # exact: the same attack at a tame scale
+    _, ref = attack(c * x, k, c * eta)
+    _, report = attack(x, k, eta)
+    assert report.regime == ref.regime
+    assert report.theta_predicted == pytest.approx(ref.theta_predicted, rel=1e-12)
+    assert abs(report.theta_achieved - report.theta_predicted) <= 16 * EPS * sigma[0] / _gap(
+        sigma, k)
+    assert not report.ambiguous_subspace
+    assert report.budget_used * c == pytest.approx(ref.budget_used, rel=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+def test_cli_attack_wide_at_sigma_1_of_1_7e308(tmp_path, capsys, strategy):
+    # a wide input whose R-SVD, run on X as given, overflowed in a QR
+    path = tmp_path / "x.csv"
+    x = synth_gaussian(10, 40, seed=3)
+    write_matrix_csv(path, x * (1.7e308 / full_svd(x).sigma[0]))
+    sigma = full_svd(read_matrix_csv(path)).sigma
+    eta = float(0.3 * _gap(sigma, 3))
+    assert main(["attack", str(path), "--k", "3", "--eta", repr(eta),
+                 "--strategy", strategy]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert abs(payload["theta_achieved"] - payload["theta_predicted"]) <= (
+        16 * EPS * sigma[0] / _gap(sigma, 3))
