@@ -19,11 +19,9 @@ from .errors import InvalidDimension, InvalidMatrix, RankMismatch
 RANK_TOL = 1e-10   # sigma_i counts toward rank iff sigma_i > RANK_TOL * sigma_1
 TIE_TOL = 1e-9     # sigma_k ~ sigma_{k+1} within TIE_TOL * sigma_1 flags ambiguity
 ORTHO_TOL = 1e-10
-# leading_svd takes the R-SVD once max(d, n) >= RSVD_ASPECT * p and j <=
-# RSVD_SHARE * p, p = min(d, n): the measured crossovers against a thin SVD,
-# in both orientations (README)
+# the aspect max(d, n) / min(d, n) from which leading_svd takes the R-SVD:
+# the measured crossover against a thin SVD, in both orientations (README)
 RSVD_ASPECT = 1.6
-RSVD_SHARE = 0.9
 # A factor runs on m as given while sigma_1 < 2^UNIT_EXPONENT: a factor's
 # intermediates grow only a few sqrt(d n) times past its entries, which are at
 # most sigma_1, so none comes near overflow.  Past that it runs again on
@@ -189,22 +187,24 @@ def leading_svd(m, j: int) -> SvdTriple:
     """All singular values of a finite matrix and its leading ``j`` singular
     pairs, with ``full_svd``'s signs.
 
-    Once one side is long, ``max(d, n) >= RSVD_ASPECT * p`` with ``p = min(d,
-    n)``, and few pairs are asked for, ``j <= RSVD_SHARE * p``, this skips the
-    long factor of a thin SVD (Chan's R-SVD, ACM TOMS 8, 1982).  With ``a``
-    the tall one of ``m`` and ``m^T``, the singular values and the short
-    side's vectors (``V`` of a tall ``m``, ``U`` of a wide one) come from the
-    p x p SVD of the ``R`` of a Householder QR of ``a`` that keeps only
-    ``R``.  The long side's leading ``j`` vectors are the ``Q`` of a QR of the
-    block ``a W_j``, where ``W_j`` holds the short side's leading ``j``, each
-    column signed so that ``m v_i = sigma_i u_i``.  Since ``a W_j`` is the
-    long side's leading ``j`` vectors times ``S_j`` to eps * sigma_1 per
-    column, each long vector is accurate to O(eps sigma_1 / gap), the same
-    order as a dense SVD, and nothing is divided by a singular value: for a
-    rank-deficient ``m`` a trailing one is still a unit vector orthogonal to
-    the leading ones.  Otherwise (nearer square, or with nearly all pairs, the
-    two QRs cost as much as they save) a thin SVD runs, as in ``full_svd``,
-    and its leading ``j`` pairs are kept.
+    ``full_svd`` is this routine at ``j = p``, ``p = min(d, n)``, and
+    ``leading_subspace`` and an attack's re-PCA read their bases from it, so
+    its routing rule is stated here only.  Once one side is long, ``max(d, n)
+    >= RSVD_ASPECT * p``, and fewer than ``p`` pairs are asked for, it skips
+    the long factor of a thin SVD (Chan's R-SVD, ACM TOMS 8, 1982).  With
+    ``a`` the tall one of ``m`` and ``m^T``, the singular values and the
+    short side's vectors (``V`` of a tall ``m``, ``U`` of a wide one) come
+    from the p x p SVD of the ``R`` of a Householder QR of ``a`` that keeps
+    only ``R``.  The long side's leading ``j`` vectors are the ``Q`` of a QR
+    of the block ``a W_j``, where ``W_j`` holds the short side's leading
+    ``j``, each column signed so that ``m v_i = sigma_i u_i``.  Since ``a
+    W_j`` is the long side's leading ``j`` vectors times ``S_j`` to eps *
+    sigma_1 per column, each long vector is accurate to O(eps sigma_1 /
+    gap), the same order as a dense SVD, and nothing is divided by a
+    singular value: for a rank-deficient ``m`` a trailing one is still a unit
+    vector orthogonal to the leading ones.  Otherwise (nearer square, where
+    the two QRs cost as much as they save, or with all ``p`` pairs) a thin
+    SVD runs and its leading ``j`` pairs are kept.
     """
     return _unit_safe(_factor, as_matrix(m), j)
 
@@ -213,7 +213,7 @@ def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
     """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``."""
     d, n = m.shape
     p = min(d, n)
-    if max(d, n) < RSVD_ASPECT * p or j > RSVD_SHARE * p:
+    if max(d, n) < RSVD_ASPECT * p or j >= p:
         u, sigma, vt = _svd(m, e)
         return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
@@ -311,37 +311,12 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     The result carries ``ambiguous=True`` when sigma_k and sigma_{k+1} are
     tied within ``TIE_TOL`` relative to sigma_1 (the PCA truncation is then
     ill defined).  For d > n the implicit trailing singular values are zero.
-
-    Only the span and the singular values are needed, so an ``m`` with one
-    long side skips that side's factor of a thin SVD (Chan's R-SVD, ACM TOMS
-    8, 1982):
-
-    * k = n < d: the span is the column space, the ``Q`` of a reduced QR of
-      ``m``; the singular values are those of its n x n ``R``.
-    * k < min(d, n): ``leading_svd(m, k)``.  Once ``max(d, n) >=
-      RSVD_ASPECT * min(d, n)`` and ``k <= RSVD_SHARE * min(d, n)`` it takes
-      the singular values from the SVD of the ``min(d, n)``-square triangle
-      of a QR of ``m`` (tall) or ``m^T`` (wide).  A wide ``m``'s ``U_k`` is
-      that SVD's, a tall one's the ``Q`` of a QR of ``m V_k``, whose span is
-      that of a dense SVD's ``U_k`` to O(eps sigma_1 / (sigma_k -
-      sigma_{k+1})).  Otherwise a thin SVD runs.
+    The columns are ``leading_svd(m, k).u``.
     """
     m = as_matrix(m)
-    return _unit_safe(_leading, m, check_k(k, m.shape))
-
-
-def _leading(m: np.ndarray, e: int, k: int) -> OrthonormalBasis:
-    """``leading_subspace`` of the matrix ``2^e m``."""
-    d, n = m.shape
-    if d > n and k == n:
-        q, r = np.linalg.qr(m)
-        return OrthonormalBasis(q, _tied(_svd(r, e, compute_uv=False), k, d))
-    return _leading_from_svd(_factor(m, e, k), k)
-
-
-def _leading_from_svd(svd: SvdTriple, k: int) -> OrthonormalBasis:
-    k = check_k(k, svd.shape)
-    return OrthonormalBasis(svd.u[:, :k].copy(), _tied(svd.sigma, k, svd.shape[0]))
+    k = check_k(k, m.shape)
+    svd = leading_svd(m, k)
+    return OrthonormalBasis(svd.u, _tied(svd.sigma, k, m.shape[0]))
 
 
 def _tied(sigma: np.ndarray, k: int, d: int) -> bool:
@@ -437,25 +412,30 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     ``(y - U (U^T y)) R^-1``.  Each is one solve with the n x n ``R``, whose
     condition, sigma_1 / sigma_n of ``y``, is below 1 / ``TIE_TOL`` when
     its truncation is not tied, and scales the error of either by at most
-    what it scales the span's own error.  A tied ``y`` is read from the
-    ``Q`` of a reduced QR by ``leading_subspace``'s route, and flagged.
+    what it scales the span's own error.  Otherwise, a tied k = n ``y``
+    included, ``y``'s basis is the ``u`` of ``leading_svd(y, k)``.
     """
-    return _unit_safe(_distance, as_matrix(y), _leading_from_svd(svd, k), k)
+    ambiguous = _tied(svd.sigma, k, svd.shape[0])
+    return _unit_safe(_distance, as_matrix(y), svd.u[:, :k], ambiguous, k)
 
 
-def _distance(y: np.ndarray, e: int, bx: OrthonormalBasis, k: int) -> tuple[float, bool]:
-    """``_pca_distance_from_svd`` of the matrix ``2^e y`` from the clean basis ``bx``."""
+def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
+              k: int) -> tuple[float, bool]:
+    """``_pca_distance_from_svd`` of the matrix ``2^e y`` from the clean
+    basis ``u``, whose truncation was tied when ``ambiguous``."""
     d, n = y.shape
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
         if not _tied(_svd(r, e, compute_uv=False), k, d):
-            u, r_t = bx.columns, r.T
+            r_t = r.T
             cross = u.T @ y
             theta = _largest_angle(np.linalg.solve(r_t, cross.T).T,
                                    lambda: np.linalg.solve(r_t, (y - u @ cross).T).T)
-            return theta, bx.ambiguous
-    by = _leading(y, e, k)
-    return asimov_distance(bx, by), bx.ambiguous or by.ambiguous
+            return theta, ambiguous
+    svd = _factor(y, e, k)
+    cross = u.T @ svd.u
+    return (_largest_angle(cross, lambda: svd.u - u @ cross),
+            ambiguous or _tied(svd.sigma, k, d))
 
 
 def unitary_conjugate(x, p, t) -> np.ndarray:

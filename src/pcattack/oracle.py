@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, OracleTooExpensive
-from .linalg import _as_basis, _leading_from_svd, check_attack, full_svd
+from .linalg import _as_basis, check_attack, full_svd
 from .rank_one import RankOneAttack, _rotation_angle, theta_from_angles
 from .unconstrained import PerturbationMatrix
 
@@ -107,7 +107,7 @@ def _best_of_trials(x, k, eta, cfg: SearchConfig, width, candidates):
     """
     x, k, eta = check_attack(x, k, eta)
     d, n = x.shape
-    basis = _leading_from_svd(full_svd(x), k).columns
+    basis = full_svd(x).u[:, :k]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     chunk = max(1, _CHUNK_BYTES // (8 * max(d, n) ** 2))
 

@@ -77,13 +77,18 @@ def _top_components(m: np.ndarray, k: int) -> np.ndarray:
 
 def _least_squares(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Coefficients, intercept and training r2 of the targets regressed on
-    the k x n component scores; SingularFit unless the scores determine them."""
-    k = scores.shape[0]
-    design = np.column_stack([scores.T, np.ones(targets.size)])
-    coef, _, design_rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if design_rank < k + 1:
+    the k x n component scores; SingularFit unless the scores determine them.
+
+    The centered targets are regressed on the centered scores, and the
+    intercept taken from the means, so no column of ones sits beside scores
+    of another scale: the fit is the same at any scale of the features."""
+    score_means, target_mean = scores.mean(axis=1), float(targets.mean())
+    centered = (scores - score_means[:, None]).T
+    coef, _, rank, _ = np.linalg.lstsq(centered, targets - target_mean, rcond=None)
+    if rank < scores.shape[0]:
         raise SingularFit("component scores do not determine the fit")
-    return coef[:k], float(coef[k]), r_squared(coef[:k] @ scores + coef[k], targets)
+    intercept = target_mean - float(coef @ score_means)
+    return coef, intercept, r_squared(coef @ scores + intercept, targets)
 
 
 def _as_targets(targets, n: int) -> np.ndarray:

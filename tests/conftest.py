@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcattack.linalg import RSVD_ASPECT, RSVD_SHARE
+from pcattack.linalg import RSVD_ASPECT
 
 
 @pytest.fixture
@@ -27,15 +27,15 @@ def svd_shapes(calls):
 def factor_svd_shape(shape, j):
     """The shape of the one dense SVD that ``linalg.leading_svd(m, j)`` runs on
     a ``shape`` matrix: the p x p triangle of a QR (``p = min(d, n)``) once
-    ``max(d, n) >= RSVD_ASPECT * p`` and ``j <= RSVD_SHARE * p``, else
-    ``shape`` itself."""
+    ``max(d, n) >= RSVD_ASPECT * p`` and ``j < p``, else ``shape`` itself."""
     p = min(shape)
-    return (p, p) if max(shape) >= RSVD_ASPECT * p and j <= RSVD_SHARE * p else shape
+    return (p, p) if max(shape) >= RSVD_ASPECT * p and j < p else shape
 
 
 def re_pca_svd_shape(shape, k):
-    """The shape of the one dense SVD that ``linalg.leading_subspace(m, k)``
-    runs: the n x n triangle of a reduced QR at k = n < d, else
+    """The shape of the one dense SVD that an attack's re-PCA runs on a
+    ``shape`` matrix whose truncation at ``k`` is not tied: the values-only
+    one of the n x n triangle of an R-only QR at k = n < d, else
     ``factor_svd_shape(shape, k)``."""
     d, n = shape
     return (n, n) if d > n and k == n else factor_svd_shape(shape, k)

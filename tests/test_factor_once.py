@@ -2,20 +2,20 @@
 
 An attack factors the clean matrix once and verifies by one independent
 re-PCA.  Each is a dense SVD of the input's shape, except where one side is
-long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <=
-RSVD_SHARE * min(d, n)) and the re-PCA (for k <= RSVD_SHARE * min(d, n)) are
-an SVD of the min(d, n)-square triangle of a QR of the input or its
-transpose, and at k = n < d the re-PCA is a values-only one of the triangle
-of an R-only QR of the input (``conftest.factor_svd_shape`` and
-``re_pca_svd_shape`` state the rule); the achieved angle takes one k x k
-SVD, of its cosines, when its sine is at least 1/4, and none when it is
-smaller;
-``verify`` takes one values-only SVD for both closed forms, builds no
-report, and lets each random oracle factor on its own; a sweep takes one
-values-only SVD and verifies its closed-form cells from their 2x2 cores,
-factoring in full only for a cell whose core ties; PCR factors the centered
-training features once and refits from the 2x2 cores, building no report,
-with one more SVD only for a ratio whose core ties.
+long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <
+min(d, n)) and the re-PCA (for k < min(d, n)) are an SVD of the min(d,
+n)-square triangle of a QR of the input or its transpose, and at k = n < d
+the re-PCA is a values-only one of the triangle of an R-only QR of the
+input, followed by a thin SVD of the input only when that triangle's
+truncation ties (``conftest.factor_svd_shape`` and ``re_pca_svd_shape``
+state the rule); the achieved angle takes one k x k SVD, of its cosines,
+when its sine is at least 1/4, and none when it is smaller; ``verify``
+takes one values-only SVD for both closed forms, builds no report, and lets
+each random oracle factor on its own; a sweep takes one values-only SVD and
+verifies its closed-form cells from their 2x2 cores, factoring in full only
+for a cell whose core ties; PCR factors the centered training features once
+and refits from the 2x2 cores, building no report, with one more SVD only
+for a ratio whose core ties.
 """
 
 import numpy as np
@@ -23,8 +23,8 @@ import pytest
 from conftest import factor_svd_shape, re_pca_svd_shape, svd_shapes
 
 from pcattack import (InvalidDimension, SweepSpec, attack_pcr, attack_rank_one,
-                      attack_unconstrained, pcr, run_sweep, synth_gaussian, synthetic_collinear,
-                      write_matrix_csv)
+                      attack_unconstrained, leading_subspace, pcr, run_sweep, synth_gaussian,
+                      synthetic_collinear, write_matrix_csv)
 from pcattack.cli import main
 from pcattack.experiments import ATTACKS, _budget_unit
 from pcattack.linalg import full_svd
@@ -57,8 +57,9 @@ def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     assert svd_calls[0] == (factor, True)
 
 
-def test_full_rank_re_pca_forms_no_q(monkeypatch):
-    # at k = n < d the angles are read through the triangle of X + delta's QR
+@pytest.fixture
+def qr_modes(monkeypatch):
+    """The ``mode`` of each ``np.linalg.qr`` call, in call order."""
     modes = []
     original = np.linalg.qr
 
@@ -67,9 +68,35 @@ def test_full_rank_re_pca_forms_no_q(monkeypatch):
         return original(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
+    return modes
+
+
+def test_full_rank_re_pca_forms_no_q(qr_modes):
+    # at k = n < d the angles are read through the triangle of X + delta's QR
     _, report = attack_rank_one(synth_gaussian(20, 5, seed=3), 5, 0.1)
     assert not report.ambiguous_subspace
-    assert modes == ["r"]
+    assert qr_modes == ["r"]
+
+
+def test_tied_full_rank_re_pca_factors_y_once(svd_calls, qr_modes):
+    # the budget sigma_n removes sigma_n, so X + delta's truncation at k = n
+    # ties: after the R-only QR and its values-only triangle SVD, Y's basis
+    # comes from one thin SVD of Y, and no other QR runs
+    x = synth_gaussian(120, 40, seed=7)
+    eta = full_svd(x).sigma[-1]
+    svd_calls.clear()
+    _, report = attack_rank_one(x, 40, eta)
+    assert report.ambiguous_subspace
+    cosines = [((40, 40), False)] if np.sin(report.theta_achieved) >= 0.25 else []
+    assert svd_calls == [((120, 40), True), ((40, 40), False), ((120, 40), True)] + cosines
+    assert qr_modes == ["r"]
+
+
+def test_full_rank_leading_subspace_is_one_thin_svd(svd_calls, qr_modes):
+    basis = leading_subspace(synth_gaussian(40, 10, seed=2), 10)
+    assert basis.columns.shape == (40, 10)
+    assert svd_calls == [((40, 10), True)]
+    assert qr_modes == []
 
 
 def test_sweep_factors_once(svd_calls):

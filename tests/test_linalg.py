@@ -10,8 +10,8 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
-from pcattack.linalg import (_leading_from_svd, complement_direction, fro_norm, leading_svd,
-                             spectrum_of, svd_2x2)
+from pcattack.linalg import (_tied, complement_direction, fro_norm, leading_svd, spectrum_of,
+                             svd_2x2)
 from pcattack.oracle import SearchConfig, brute_force_principal_angles
 
 
@@ -88,8 +88,7 @@ def _check_zero_matrix(shape):
 
 
 class TestLeadingSvd:
-    # j = 27 is RSVD_SHARE * min(d, n), the most pairs the R-SVD takes; at 29 a
-    # thin SVD runs and keeps its leading j pairs
+    # j = 29 = min(d, n) - 1 is the most pairs the R-SVD takes
     @pytest.mark.parametrize("shape, j", [((40, 10), 4), ((100, 20), 7), ((60, 30), 29),
                                           ((60, 30), 27)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -129,15 +128,15 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("shape, j, rsvd", [
         ((15, 10), 4, False),       # d = 1.5n, below RSVD_ASPECT
         ((16, 10), 4, True),        # d = 1.6n
-        ((16, 10), 9, True),        # j = n - 1 = RSVD_SHARE * n
+        ((16, 10), 9, True),        # j = n - 1
         ((16, 10), 10, False),      # j = n
         ((10, 15), 4, False),       # n = 1.5d
         ((10, 16), 4, True),        # n = 1.6d
-        ((10, 16), 9, True),        # j = d - 1 = RSVD_SHARE * d
+        ((10, 16), 9, True),        # j = d - 1
         ((10, 16), 10, False),      # j = d
-        ((32, 20), 18, True),       # j = RSVD_SHARE * n
-        ((32, 20), 19, False),      # j = n - 1 > RSVD_SHARE * n
-        ((20, 32), 19, False),
+        ((32, 20), 18, True),
+        ((32, 20), 19, True),       # j = n - 1
+        ((20, 32), 19, True),
     ])
     def test_path_boundaries(self, svd_calls, shape, j, rsvd):
         assert (factor_svd_shape(shape, j) != shape) == rsvd
@@ -336,9 +335,9 @@ def _rank_deficient(d, n, rank, seed):
     return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
 
 
-# (matrix, k): tall inputs with d >= 2n at k < n and k = n (QR paths), a
-# near-square tall one at k < n (thin SVD) and at k = n (QR), rank-deficient
-# tall ones at k = rank and above it, the zero matrix, and sigma_k = 1e-8 sigma_1.
+# (matrix, k): tall inputs with d >= 2n at k < n (R-SVD) and k = n (thin SVD),
+# a near-square tall one at k < n and k = n (thin SVD), rank-deficient tall
+# ones at k = rank and above it, the zero matrix, and sigma_k = 1e-8 sigma_1.
 REFERENCE_CASES = {
     "d>=2n-k<n": (np.random.default_rng(1).standard_normal((40, 10)), 3),
     "d>=2n-k=n": (np.random.default_rng(2).standard_normal((40, 10)), 10),
@@ -360,7 +359,7 @@ def test_leading_subspace_matches_dense_svd(m, k):
     u, sigma, _ = np.linalg.svd(m, full_matrices=False)
     basis = leading_subspace(m, k)
     assert np.all(np.isfinite(basis.columns))
-    assert basis.ambiguous == _leading_from_svd(full_svd(m), k).ambiguous
+    assert basis.ambiguous == _tied(full_svd(m).sigma, k, m.shape[0])
     ref = u[:, :k]
     sine = np.linalg.norm(basis.columns - ref @ (ref.T @ basis.columns), 2)
     angle = np.arcsin(min(sine, 1.0))

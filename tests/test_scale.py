@@ -3,7 +3,9 @@
 used scales by c.  At 1e155 and 1e-160 the squared Frobenius norm of the
 core leaves the range of normal floats, which ``budget_used`` must not
 notice.  Near the float64 maximum every factor runs in a power-of-two unit,
-so an attack whose sigma_1 is finite holds its angle there too."""
+so an attack whose sigma_1 is finite holds its angle there too.  A PCR fit
+and its attacked refits keep their r2 at any feature scale in [1e-150,
+1e150]."""
 
 import json
 import sys
@@ -11,8 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from pcattack import (SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
-                      read_matrix_csv, run_sweep, synth_gaussian)
+from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, fit_pcr,
+                      full_svd, read_matrix_csv, run_sweep, synth_gaussian, synthetic_collinear)
 from pcattack.cli import main
 from pcattack.fileio import write_matrix_csv
 
@@ -197,3 +199,41 @@ def test_cli_attack_wide_at_sigma_1_of_1_7e308(tmp_path, capsys, strategy):
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert abs(payload["theta_achieved"] - payload["theta_predicted"]) <= (
         16 * EPS * sigma[0] / _gap(sigma, 3))
+
+
+PCR_SCALES = (1e-150, 1e-20, 1e20, 1e150)
+
+
+def _pcr_r2(features, targets):
+    """``fit_pcr``'s training r2, then each ratio's (r2_train, r2_test) from
+    ``attack_pcr`` with either strategy, at k = 4."""
+    r2 = [fit_pcr(features, targets, 4).r2_train]
+    for strategy in ("rank_one", "unconstrained"):
+        r2 += [v for rep in attack_pcr(features, targets, 4, strategy=strategy)
+               for v in (rep.r2_train, rep.r2_test)]
+    return np.array(r2)
+
+
+@pytest.mark.parametrize("c", PCR_SCALES)
+def test_pcr_scale_invariant(c):
+    # the regression centers its scores, so no column of ones is lost beside
+    # scores far from unit scale
+    features, targets = synthetic_collinear(seed=0)
+    ref = _pcr_r2(features, targets)
+    assert np.max(np.abs(_pcr_r2(c * features, targets) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", PCR_SCALES)
+@pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+def test_cli_pcr_scale_invariant(tmp_path, strategy, c):
+    features, targets = synthetic_collinear(seed=0)
+
+    def r2_rows(scale):
+        data, out = tmp_path / f"f{scale!r}.csv", tmp_path / f"o{scale!r}.csv"
+        data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in np.column_stack([scale * features.T, targets])))
+        assert main(["pcr", str(data), "--k", "4", "--strategy", strategy,
+                     "--out", str(out)]) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1, usecols=(2, 3))
+
+    assert np.max(np.abs(r2_rows(c) - r2_rows(1.0))) <= 1e-12
