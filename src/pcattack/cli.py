@@ -18,7 +18,7 @@ from .oracle import SearchConfig, grid_search_angles
 from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
                   write_regression_csv)
 from .rank_one import attack_rank_one
-from .report import Regime, core_case
+from .report import Regime, core_spectrum
 from .unconstrained import attack_unconstrained
 
 RANDOM_ORACLE_TOL = 1e-4
@@ -65,12 +65,13 @@ def _cmd_verify(args) -> int:
     # so that it stays independent of the closed form it checks.  A family with
     # no room for its attack (InvalidDimension) is skipped, not verified.
     spectrum = spectrum_of(x)
+    at = core_spectrum(spectrum, k)
     lines = [f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status"]
     skipped = failed = 0
     for name, (closed_form, oracle) in ATTACKS.items():
         label = name.replace("_", "-")
         try:
-            regime, closed_theta, _ = closed_form(spectrum, k, eta)
+            regime, closed_theta, _ = closed_form(at, eta)
         except InvalidDimension as exc:
             skipped += 1
             if skipped == len(ATTACKS):
@@ -79,7 +80,7 @@ def _cmd_verify(args) -> int:
             continue
         checks = [("random", oracle(x, k, eta, cfg)[1], RANDOM_ORACLE_TOL)]
         if regime == Regime.K_LT_RANK_CASE2:
-            sigma_k, sigma_k1, _ = core_case(spectrum, k)
+            sigma_k, sigma_k1 = spectrum.sigma[k - 1:k + 1].tolist()
             checks.append(("grid", grid_search_angles(sigma_k, sigma_k1, eta, cfg)[2],
                            GRID_ORACLE_TOL))
         for kind, oracle_theta, tol in checks:

@@ -22,15 +22,15 @@ import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import numbered_lines, read_matrix_csv, write_table
-from .linalg import (Spectrum, _pca_distance_from_svd, check_eta, check_k, leading_svd,
-                     spectrum_of)
+from .linalg import Spectrum, _pca_distance_from_svd, check_eta, check_k, spectrum_of
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one
-from .report import _core_angle, core_norm, frames, lift
+from .report import (CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum,
+                     frames, lift)
 from .unconstrained import _attack_unconstrained
 
-# Each attack family: its closed form on a spectrum, its random oracle.
+# Each attack family: its closed form on a ``report.CoreSpectrum``, its random oracle.
 ATTACKS = {
     "rank_one": (_attack_rank_one, random_rank_one),
     "unconstrained": (_attack_unconstrained, random_unconstrained),
@@ -139,44 +139,51 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per (eta ratio, strategy), sorted, with errors recorded inline.
 
     The closed forms read only the singular values, from one values-only
-    SVD of the data; the factor of its leading k + 1 pairs is computed only
-    if some cell needs it.
+    SVD of the data and its ``report.CoreSpectrum``, taken once; each cell
+    is then a float solve, verified from its 2x2 core.  The factor of the
+    leading k + 1 pairs is computed only if some cell needs it.
     """
     x = _sweep_data(spec)
     spectrum = spectrum_of(x)
     k = check_k(spec.k, x.shape)
-    factor = functools.cache(lambda: leading_svd(x, k + 1))
+    at = core_spectrum(spectrum, k)
+    factor = functools.cache(lambda: attack_factor(x, k))
     scale = _budget_unit(spectrum, k)
+    cells = []      # (strategy, its closed form, or None where its oracle runs, its oracle)
+    for strategy in sorted(spec.strategies):
+        attack, by_oracle = STRATEGIES[strategy]
+        closed_form, oracle = ATTACKS[attack]
+        cells.append((strategy, None if by_oracle else closed_form, oracle))
     rows = []
     for ratio in spec.eta_grid:
         eta = check_eta(ratio * scale)
-        for strategy in sorted(spec.strategies):
+        for strategy, closed_form, oracle in cells:
             try:
-                rows.append(_run_cell(x, spectrum, factor, k, spec, strategy, ratio, eta))
+                if closed_form is None:
+                    # an oracle factors on its own, to stay independent
+                    result, theta = oracle(x, k, eta, spec.oracle_cfg)
+                    rows.append(SweepRow(ratio, strategy, theta, None, result.budget_used))
+                else:
+                    rows.append(_closed_form_cell(x, at, factor, closed_form, strategy,
+                                                  ratio, eta))
             except PcattackError as exc:
                 rows.append(SweepRow(ratio, strategy, None, None, None, type(exc).__name__))
     return rows
 
 
-def _run_cell(x, spectrum: Spectrum, factor, k: int, spec: SweepSpec, strategy: str,
-              ratio: float, eta: float) -> SweepRow:
-    # Closed forms read the sweep's singular values and are verified from their
-    # 2x2 cores.  A core that does not split cleanly is solved again on the
-    # factor (``factor()``, computed once per sweep), so that the core, its lift
-    # and the re-PCA read one factorization.  Oracles factor on their own to stay
-    # independent.
-    attack, by_oracle = STRATEGIES[strategy]
-    closed_form, oracle = ATTACKS[attack]
-    if by_oracle:
-        result, theta = oracle(x, k, eta, spec.oracle_cfg)
-        return SweepRow(ratio, strategy, theta, None, result.budget_used)
-    _, theta_predicted, core = closed_form(spectrum, k, eta)
-    theta = _core_angle(spectrum, k, core)
+def _closed_form_cell(x, at: CoreSpectrum, factor, closed_form, strategy: str, ratio: float,
+                      eta: float) -> SweepRow:
+    # A closed form solves on the sweep's spectrum and is verified from its 2x2
+    # core.  A core that does not split cleanly is solved again on the factor
+    # (``factor()``, computed once per sweep, with its own ``CoreSpectrum``), so
+    # that the core, its lift and the re-PCA read one factorization.
+    _, theta_predicted, core = closed_form(at, eta)
+    theta = _core_angle(at, core)
     if theta is None:
-        svd = factor()
-        _, theta_predicted, core = closed_form(svd, k, eta)
-        theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core), k)
-    return SweepRow(ratio, strategy, theta, theta_predicted, core_norm(core))
+        svd, at = factor()
+        _, theta_predicted, core = closed_form(at, eta)
+        theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, at.k), core, at.unit), at.k)
+    return SweepRow(ratio, strategy, theta, theta_predicted, at.unit * core_norm(core))
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -204,9 +204,11 @@ def leading_svd(m, j: int) -> SvdTriple:
     singular value: for a rank-deficient ``m`` a trailing one is still a unit
     vector orthogonal to the leading ones.  Otherwise (nearer square, where
     the two QRs cost as much as they save, or with all ``p`` pairs) a thin
-    SVD runs and its leading ``j`` pairs are kept.
+    SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1 ..
+    ``p`` raises InvalidDimension, as ``check_k`` does for k.
     """
-    return _unit_safe(_factor, as_matrix(m), j)
+    m = as_matrix(m)
+    return _unit_safe(_factor, m, check_k(j, m.shape))
 
 
 def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
@@ -395,10 +397,16 @@ def pca_distance(x, y, k: int) -> tuple[float, bool]:
     """Asimov distance between the k-dim PCA subspaces of two matrices.
 
     Returns ``(theta, ambiguous)`` where ``ambiguous`` is True if either
-    truncation had a tied trailing singular value.
+    truncation had a tied trailing singular value.  ``x`` is factored by
+    ``leading_svd(x, k)`` and ``y`` read as an attack's re-PCA reads it
+    (``_pca_distance_from_svd``).
     """
-    bx, by = leading_subspace(x, k), leading_subspace(y, k)
-    return asimov_distance(bx, by), bx.ambiguous or by.ambiguous
+    x, y = as_matrix(x), as_matrix(y)
+    k = check_k(k, x.shape)
+    check_k(k, y.shape)
+    if x.shape[0] != y.shape[0]:
+        raise InvalidDimension(f"ambient dimensions differ: {x.shape[0]} vs {y.shape[0]}")
+    return _pca_distance_from_svd(leading_svd(x, k), y, k)
 
 
 def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:

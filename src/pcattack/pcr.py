@@ -21,7 +21,7 @@ from .experiments import ATTACKS, _budget_unit, check_ratio_grid
 from .fileio import numbered_lines, parse_rows, write_table
 from .linalg import as_matrix, check_eta, check_k, full_svd, leading_svd
 from .oracle import normal_stream
-from .report import _core_split, frames, lift
+from .report import _core_array, _core_split, core_spectrum, frames, lift
 
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
 SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
@@ -167,6 +167,7 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     if svd.rank < k:
         raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
     scale = _budget_unit(svd, k)
+    at = core_spectrum(svd, k)
     closed_form, _ = ATTACKS[strategy]
     left, right = frames(svd, k)
     basis = np.column_stack([svd.u[:, :k - 1], left])
@@ -174,16 +175,16 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
 
     reports = []
     for ratio in grid:
-        _, _, core = closed_form(svd, k, check_eta(ratio * scale))
-        w = _core_split(svd, k, core)
+        _, _, core = closed_form(at, check_eta(ratio * scale))
+        w = _core_split(at, core)
         if w is None:
-            attacked = xc + lift(left, right, core)
+            attacked = xc + lift(left, right, core, at.unit)
             components = _top_components(attacked, k)
             scores, test_scores = components.T @ attacked, components.T @ test_c
         else:
             w = np.array(w)
             # L^T (xc + L B R^T) = head[k - 1:] + B R^T, and u_i^T L = 0 for i < k
-            last = w @ (head[k - 1:] + core[:, :right.shape[1]] @ right.T)
+            last = w @ (head[k - 1:] + _core_array(core, at.unit)[:, :right.shape[1]] @ right.T)
             scores = np.vstack([head[:k - 1], last])
             test_scores = np.vstack([test_head[:k - 1], w @ test_head[k - 1:]])
         coefficients, intercept, r2_train = _least_squares(scores, y_train)

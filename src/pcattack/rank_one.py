@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOrthogonalComplement, RegimeError
-from .linalg import Spectrum, check_attack, fro_norm, leading_svd
-from .report import AttackReport, Regime, build_report, core_case, frames, lift, solve_core
+from .linalg import check_attack, fro_norm
+from .report import (AttackReport, CoreSpectrum, Regime, _core_array, attack_factor,
+                     build_report, frames, lift)
 
 
 @dataclass(frozen=True)
@@ -133,39 +134,38 @@ def attack_rank_one(x, k: int, eta: float) -> tuple[RankOneAttack, AttackReport]
     ``ambiguous_subspace`` flag is set when either truncation was degenerate.
     """
     x, k, eta = check_attack(x, k, eta)
-    svd = leading_svd(x, k + 1)
-    solved = _attack_rank_one(svd, k, eta)
-    core = solved[2]
+    svd, at = attack_factor(x, k)
+    solved = _attack_rank_one(at, eta)
+    core = _core_array(solved[2], at.unit)
     left, right = frames(svd, k)
     # core = outer(a2, b2): b2 is its unit row, signed so its last nonzero entry is positive
     row = core[np.argmax(np.abs(core).sum(axis=1))]
     b2 = row / math.hypot(*row) if row.any() else np.array([1.0, 0.0])
     b2 = -b2 if (b2[1], b2[0]) < (0.0, 0.0) else b2
     attack = RankOneAttack(a=left @ (core @ b2), b=right @ b2[:right.shape[1]])
-    return attack, build_report("rank_one", svd, k, eta, solved, x + lift(left, right, core),
+    return attack, build_report("rank_one", svd, at, eta, solved,
+                                x + lift(left, right, solved[2], at.unit),
                                 {"a": attack.a, "b": attack.b})
 
 
-def _attack_rank_one(spectrum: Spectrum, k: int,
-                     eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_rank_one`` on a matrix with singular values ``spectrum`` (a
-    ``Spectrum``, or the ``SvdTriple`` that factors it), in units of sigma_1
-    (``report.solve_core``), after the checks that some regime applies:
-    ``(regime, theta_predicted, core)``."""
-    d, n = spectrum.shape
-    rank = spectrum.rank
-    case = core_case(spectrum, k)[2]
-    if case != "k<rank" and (k != rank or rank == d < n):
-        raise RegimeError(f"no attack regime for k={k} with rank={rank} on a {d}x{n} matrix")
-    if case == "full_rank" and d == n and eta > 0.0:
+def _attack_rank_one(at: CoreSpectrum, eta: float) -> tuple[Regime, float, tuple]:
+    """``solve_rank_one`` on the spectrum ``at`` (``report.core_spectrum``), in
+    its unit, after the checks that some regime applies: ``(regime,
+    theta_predicted, core)``, the core in ``at.unit``."""
+    d, n = at.shape
+    if at.case != "k<rank" and (at.k != at.rank or at.rank == d < n):
+        raise RegimeError(f"no attack regime for k={at.k} with rank={at.rank} "
+                          f"on a {d}x{n} matrix")
+    if at.case == "full_rank" and d == n and eta > 0.0:
         raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    return solve_core(solve_rank_one, spectrum, k, eta)
+    return solve_rank_one(at.sigma_k, at.sigma_k1, eta / at.unit, at.case)
 
 
 def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
-                   case: str) -> tuple[Regime, float, np.ndarray]:
-    """Regime, predicted distance and 2 x 2 core of the optimal rank-one attack
-    in the regime that ``case`` (as ``report.core_case`` names it) and eta pick.
+                   case: str) -> tuple[Regime, float, tuple[float, float, float, float]]:
+    """Regime, predicted distance and row-major 2 x 2 core ``(b_kk, b_kk1,
+    b_k1k, b_k1k1)`` of the optimal rank-one attack in the regime that ``case``
+    (as ``report.CoreSpectrum`` names it) and eta pick.
 
     Below the gap, k < rank mixes u_k, u_{k+1} and v_k, v_{k+1} at the
     stationary angles (alpha*, beta*); k = rank bends u_k toward ``e`` by
@@ -175,17 +175,16 @@ def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
         ca, sa, cb, sb, theta = _stationary(sigma_k, sigma_k1, eta)
         # core = outer(a2, b2), a2 = eta (cos alpha*, sin alpha*), b2 = (cos beta*, sin beta*)
         a_1, a_2 = eta * ca, eta * sa
-        return (Regime.K_LT_RANK_CASE2, theta,
-                np.array([[a_1 * cb, a_1 * sb], [a_2 * cb, a_2 * sb]]))
+        return Regime.K_LT_RANK_CASE2, theta, (a_1 * cb, a_1 * sb, a_2 * cb, a_2 * sb)
     if case == "k<rank" or (case == "low_rank" and eta > sigma_k):
         # All budget on e = u_{k+1}, paired with v_{k+1}.  At eta equal to the
         # gap the perturbed spectrum is tied, and the report is flagged.
         regime = Regime.K_LT_RANK_CASE1 if case == "k<rank" else Regime.LOW_RANK_CASE1
-        return regime, math.pi / 2, np.array([[0.0, 0.0], [0.0, eta]])
+        return regime, math.pi / 2, (0.0, 0.0, 0.0, eta)
     if eta > sigma_k:
         # sqrt(eta^2 - sigma_k^2), squaring neither, so a huge eta does not overflow
         ortho = math.sqrt(eta - sigma_k) * math.sqrt(eta + sigma_k)
-        return Regime.FULL_RANK_CASE1, math.pi / 2, np.array([[-sigma_k, 0.0], [ortho, 0.0]])
+        return Regime.FULL_RANK_CASE1, math.pi / 2, (-sigma_k, 0.0, ortho, 0.0)
     ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
     regime = Regime.LOW_RANK_CASE2 if case == "low_rank" else Regime.FULL_RANK_CASE2
-    return regime, math.asin(eta / sigma_k), np.array([[-eta**2 / sigma_k, 0.0], [ortho, 0.0]])
+    return regime, math.asin(eta / sigma_k), (-eta**2 / sigma_k, 0.0, ortho, 0.0)

@@ -9,16 +9,22 @@ by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
 which every report uses and sweep cells fall back to).  The same core gives
 the perturbed top-k subspace (``_core_split``), which PCR refits read.
 
-Solving a core (``core_case``, ``solve_core``) and splitting it
-(``_core_split``, ``_core_angle``) read only the singular values, the rank
-and the shape: a ``linalg.Spectrum`` from one values-only SVD serves them
-as well as an ``SvdTriple``, which sweeps and ``verify`` rely on.  Only
-``frames``, ``lift`` and ``build_report`` need the singular vectors, and
-only the pairs k and k+1: an attack factors X by ``linalg.leading_svd(x, k +
-1)``, whose docstring states when that skips the long factor of a thin SVD.
-``lift`` reads the pair of ``frames`` that its caller builds once.  The
-split is a closed-form 2 x 2 SVD (``linalg.svd_2x2``) on Python floats; it
-squares nothing, and a small rotation keeps its relative accuracy.
+Solving a core and splitting it (``_core_split``, ``_core_angle``) read
+only a ``CoreSpectrum``: the few singular values around k, the case, the
+rank and the shape, taken once per (spectrum, k) by ``core_spectrum`` from
+a ``linalg.Spectrum`` of one values-only SVD, which sweeps and ``verify``
+rely on, or from an ``SvdTriple``.  A solver returns its core as four
+Python floats ``(b_kk, b_kk1, b_k1k, b_k1k1)``, row-major, in the record's
+unit, so a sweep cell is a few float operations.  Only ``frames``, ``lift``
+and ``build_report`` need the singular vectors, and only the pairs k and
+k+1: an attack factors X by ``linalg.leading_svd`` of its leading k + 1
+pairs (``attack_factor``); ``leading_svd``'s docstring states when that
+skips the long factor of a thin SVD.  ``lift`` reads the pair of ``frames`` that its
+caller builds once; it, the rank-one attack vectors and the PCR refit are
+the only code that turns a core into a 2 x 2 array in the data's scale
+(``_core_array``).  The split is a closed-form 2 x 2 SVD
+(``linalg.svd_2x2``) on Python floats; it squares nothing, and a small
+rotation keeps its relative accuracy.
 
 The independent PCA (``linalg._pca_distance_from_svd``) reads only ``X +
 delta``.  At k = n < d, where the top-k subspace is the column space, it
@@ -30,7 +36,7 @@ dense SVD's is, and a small angle is read from its sine, so a tiny budget's
 achieved angle is accurate to that order as well.  Every factor runs again
 in a power-of-two unit once sigma_1 reaches 2^511 (``linalg._unit_safe``),
 and the solvers in units of sigma_1 rounded to a power of two
-(``solve_core``), so an attack is the same at any scale of X and eta.
+(``core_spectrum``), so an attack is the same at any scale of X and eta.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (TIE_TOL, Spectrum, SvdTriple, _pca_distance_from_svd, complement_direction,
-                     svd_2x2)
+                     leading_svd, svd_2x2)
 
 
 class Regime(str, Enum):
@@ -97,33 +103,61 @@ class AttackReport:
         }
 
 
-def core_case(spectrum: Spectrum, k: int) -> tuple[float, float, str]:
-    """``(sigma_k, sigma_{k+1}, case)`` for a family's solver; ``case`` is
-    ``"k<rank"``, ``"low_rank"`` (k >= rank, rank < min(d, n)) or
-    ``"full_rank"`` (k = rank = min(d, n), where sigma_{k+1} is 0)."""
-    rank, p = spectrum.rank, spectrum.sigma.size
+@dataclass(frozen=True)
+class CoreSpectrum:
+    """What the closed forms, their regime checks and the split of a 2x2 core
+    read of a matrix's spectrum at ``k``, built once per (spectrum, k) by
+    ``core_spectrum``.
+
+    ``case`` is ``"k<rank"``, ``"low_rank"`` (k >= rank, rank < min(d, n)) or
+    ``"full_rank"`` (k = rank = min(d, n)).  The singular values are Python
+    floats in ``unit``, sigma_1 rounded down to a power of two: ``sigma_k``,
+    ``sigma_k1`` (sigma_{k+1}, 0 past min(d, n)), and the split's neighbours
+    ``above`` (sigma_{k-1}, inf at k = 1), ``below`` (sigma_{k+2}, 0 past
+    min(d, n)) and ``top`` (sigma_1).
+    """
+
+    shape: tuple[int, int]
+    k: int
+    rank: int
+    case: str
+    unit: float
+    sigma_k: float
+    sigma_k1: float
+    above: float
+    below: float
+    top: float
+
+
+def core_spectrum(spectrum: Spectrum, k: int) -> CoreSpectrum:
+    """The ``CoreSpectrum`` of a ``Spectrum`` (or an ``SvdTriple``) at ``k``.
+
+    The closed forms are homogeneous in (sigma, eta), and scaling by a power
+    of two is exact, so solving and splitting in the unit changes no result;
+    it keeps their squares in range at any scale of X.  Rounded up, the unit
+    of a sigma_1 at or above 2^1023 would overflow."""
+    sigma, rank = spectrum.sigma.tolist(), spectrum.rank
+    p = len(sigma)
     case = "k<rank" if k < rank else "low_rank" if rank < p else "full_rank"
-    return float(spectrum.sigma[k - 1]), float(spectrum.sigma[k]) if k < p else 0.0, case
+    unit = math.ldexp(1.0, math.frexp(sigma[0])[1] - 1)
+    return CoreSpectrum(spectrum.shape, k, rank, case, unit, sigma[k - 1] / unit,
+                        sigma[k] / unit if k < p else 0.0,
+                        sigma[k - 2] / unit if k > 1 else math.inf,
+                        sigma[k + 1] / unit if k + 1 < p else 0.0, sigma[0] / unit)
 
 
-def solve_core(solve, spectrum: Spectrum, k: int,
-               eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve(sigma_k, sigma_{k+1}, eta, case)``, with ``core_case``'s
-    arguments, run in units of sigma_1 rounded down to a power of two:
-    ``(regime, theta_predicted, core)``.  The closed forms are homogeneous
-    in (sigma, eta), and scaling by a power of two is exact, so the unit
-    changes no result; it keeps their squares in range at any scale of X.
-    Rounded up, the unit of a sigma_1 at or above 2^1023 would overflow."""
-    sigma_k, sigma_k1, case = core_case(spectrum, k)
-    unit = math.ldexp(1.0, math.frexp(spectrum.sigma[0])[1] - 1)
-    regime, theta, core = solve(sigma_k / unit, sigma_k1 / unit, eta / unit, case)
-    return regime, theta, core * unit
+def attack_factor(x: np.ndarray, k: int) -> tuple[SvdTriple, CoreSpectrum]:
+    """What an attack at ``k`` on the checked matrix ``x`` reads: its
+    ``leading_svd`` of the leading k + 1 pairs (all of them at k = min(d,
+    n)), and that factor's ``CoreSpectrum``."""
+    svd = leading_svd(x, min(k + 1, min(x.shape)))
+    return svd, core_spectrum(svd, k)
 
 
-def core_norm(core: np.ndarray) -> float:
+def core_norm(core: tuple[float, float, float, float]) -> float:
     """``||core||_F`` by ``math.hypot``, which squares nothing, so it neither
     overflows nor underflows at any scale."""
-    return math.hypot(*core.ravel().tolist())
+    return math.hypot(*core)
 
 
 def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,44 +170,49 @@ def frames(svd: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([svd.u[:, k - 1], e]), svd.v[:, k - 1:k + 1]
 
 
-def lift(left: np.ndarray, right: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """The dense perturbation ``L @ core @ R^T``, from the ``frames`` ``(L, R)``."""
-    return left @ core[:, :right.shape[1]] @ right.T
+def _core_array(core: tuple[float, float, float, float], unit: float) -> np.ndarray:
+    """The row-major ``core`` in ``unit`` as a 2 x 2 array in the data's scale."""
+    return np.array(core).reshape(2, 2) * unit
 
 
-def _core_split(spectrum: Spectrum, k: int, core: np.ndarray) -> tuple[float, float] | None:
+def lift(left: np.ndarray, right: np.ndarray, core: tuple[float, float, float, float],
+         unit: float) -> np.ndarray:
+    """The dense perturbation ``L @ core @ R^T``, from the ``frames`` ``(L, R)``
+    and a row-major core in ``unit``."""
+    return left @ _core_array(core, unit)[:, :right.shape[1]] @ right.T
+
+
+def _core_split(at: CoreSpectrum, core: tuple[float, float, float, float]
+                ) -> tuple[float, float] | None:
     """The leading left singular vector ``w`` of ``diag(sigma_k, sigma_{k+1}) +
     core``, or None unless its singular values ``s_1 >= s_2`` split cleanly
     from the rest: ``min(sigma_{k-1}, s_1) - max(s_2, sigma_{k+2}) > TIE_TOL *
     max(sigma_1, s_1)``.  The perturbed truncation is then not tied, and its
-    top-k left singular subspace is ``u_1 .. u_{k-1}`` plus ``L w``.  Singular
-    values past ``min(d, n)`` count as zero."""
-    sigma, p = spectrum.sigma, spectrum.sigma.size
-    (b_kk, b_kk1), (b_k1k, b_k1k1) = core.tolist()
-    sigma_k1 = float(sigma[k]) if k < p else 0.0
-    s_1, s_2, w_1, w_2 = svd_2x2(float(sigma[k - 1]) + b_kk, b_kk1, b_k1k, sigma_k1 + b_k1k1)
-    above = float(sigma[k - 2]) if k > 1 else math.inf
-    below = float(sigma[k + 1]) if k + 1 < p else 0.0
-    if min(above, s_1) - max(s_2, below) <= TIE_TOL * max(float(sigma[0]), s_1):
+    top-k left singular subspace is ``u_1 .. u_{k-1}`` plus ``L w``.  All of
+    it is read in ``at.unit``."""
+    b_kk, b_kk1, b_k1k, b_k1k1 = core
+    s_1, s_2, w_1, w_2 = svd_2x2(at.sigma_k + b_kk, b_kk1, b_k1k, at.sigma_k1 + b_k1k1)
+    if min(at.above, s_1) - max(s_2, at.below) <= TIE_TOL * max(at.top, s_1):
         return None
     return w_1, w_2
 
 
-def _core_angle(spectrum: Spectrum, k: int, core: np.ndarray) -> float | None:
+def _core_angle(at: CoreSpectrum, core: tuple[float, float, float, float]) -> float | None:
     """Achieved distance ``atan2(|w_2|, |w_1|)`` with ``w`` from ``_core_split``,
     or None when the core does not split cleanly."""
-    w = _core_split(spectrum, k, core)
+    w = _core_split(at, core)
     return None if w is None else math.atan2(abs(w[1]), abs(w[0]))
 
 
-def build_report(strategy: str, svd: SvdTriple, k: int, eta: float,
-                 solved: tuple[Regime, float, np.ndarray], perturbed: np.ndarray,
+def build_report(strategy: str, svd: SvdTriple, at: CoreSpectrum, eta: float,
+                 solved: tuple[Regime, float, tuple], perturbed: np.ndarray,
                  solution: dict) -> AttackReport:
     """Report the attack that turned the matrix factored as ``svd`` into
     ``perturbed``; its closed form returned ``solved = (regime,
-    theta_predicted, core)``.  The achieved angle comes from an independent
-    PCA of ``perturbed``, and ``budget_used`` is ``||core||_F``."""
+    theta_predicted, core)`` on ``at = core_spectrum(svd, k)``.  The achieved
+    angle comes from an independent PCA of ``perturbed``, and ``budget_used``
+    is ``||core||_F``."""
     regime, theta_predicted, core = solved
-    theta, ambiguous = _pca_distance_from_svd(svd, perturbed, k)
-    return AttackReport(strategy, regime, k, eta, svd.sigma.copy(), theta_predicted, theta,
-                        core_norm(core), bool(ambiguous), solution)
+    theta, ambiguous = _pca_distance_from_svd(svd, perturbed, at.k)
+    return AttackReport(strategy, regime, at.k, eta, svd.sigma.copy(), theta_predicted, theta,
+                        at.unit * core_norm(core), bool(ambiguous), solution)

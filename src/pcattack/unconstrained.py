@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, RegimeError
-from .linalg import Spectrum, SvdTriple, check_attack, fro_norm, leading_svd
-from .report import AttackReport, Regime, build_report, frames, lift, solve_core
+from .linalg import SvdTriple, check_attack, fro_norm
+from .report import AttackReport, CoreSpectrum, Regime, attack_factor, build_report, frames, lift
 
 
 @dataclass(frozen=True)
@@ -125,47 +125,46 @@ def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     if k + 1 > svd.sigma.size:
         raise InvalidDimension(f"entries at row/col {k + 1} do not fit a "
                                f"{svd.shape[0]}x{svd.shape[1]} matrix")
-    return PerturbationMatrix(delta=lift(*frames(svd, k), entries.reshape(2, 2, order="F")))
+    return PerturbationMatrix(delta=lift(*frames(svd, k), entries[[0, 2, 1, 3]], 1.0))
 
 
 def attack_unconstrained(x, k: int, eta: float) -> tuple[PerturbationMatrix, AttackReport]:
     """Optimal unconstrained attack on the k-dim PCA subspace of ``x``."""
     x, k, eta = check_attack(x, k, eta)
-    svd = leading_svd(x, k + 1)
-    solved = _attack_unconstrained(svd, k, eta)
-    attack = PerturbationMatrix(lift(*frames(svd, k), solved[2]))
-    return attack, build_report("unconstrained", svd, k, eta, solved, x + attack.delta,
-                                {"entries": solved[2].ravel(order="F")})
+    svd, at = attack_factor(x, k)
+    solved = _attack_unconstrained(at, eta)
+    b_kk, b_kk1, b_k1k, b_k1k1 = solved[2]
+    attack = PerturbationMatrix(lift(*frames(svd, k), solved[2], at.unit))
+    return attack, build_report("unconstrained", svd, at, eta, solved, x + attack.delta,
+                                {"entries": np.array([b_kk, b_k1k, b_kk1, b_k1k1]) * at.unit})
 
 
-def _attack_unconstrained(spectrum: Spectrum, k: int,
-                          eta: float) -> tuple[Regime, float, np.ndarray]:
-    """``solve_unconstrained`` on a matrix with singular values ``spectrum``
-    (a ``Spectrum``, or the ``SvdTriple`` that factors it), in units of sigma_1
-    (``report.solve_core``), after the dimension check: ``(regime,
-    theta_predicted, core)``."""
-    d, n = spectrum.shape
-    if k + 1 > min(d, n):
-        raise InvalidDimension(f"attack needs room at index k+1={k + 1} in a {d}x{n} matrix")
-    return solve_core(solve_unconstrained, spectrum, k, eta)
+def _attack_unconstrained(at: CoreSpectrum, eta: float) -> tuple[Regime, float, tuple]:
+    """``solve_unconstrained`` on the spectrum ``at`` (``report.core_spectrum``),
+    in its unit, after the dimension check: ``(regime, theta_predicted,
+    core)``, the core in ``at.unit``."""
+    d, n = at.shape
+    if at.k + 1 > min(d, n):
+        raise InvalidDimension(f"attack needs room at index k+1={at.k + 1} in a {d}x{n} matrix")
+    return solve_unconstrained(at.sigma_k, at.sigma_k1, eta / at.unit, at.case)
 
 
 def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
-                        case: str) -> tuple[Regime, float, np.ndarray]:
-    """Regime, predicted distance and 2 x 2 core of the optimal unconstrained attack.
+                        case: str) -> tuple[Regime, float, tuple[float, float, float, float]]:
+    """Regime, predicted distance and row-major 2 x 2 core ``(b_kk, b_kk1,
+    b_k1k, b_k1k1)`` of the optimal unconstrained attack.
 
-    Unless k < rank (``case``, as ``report.core_case`` names it), sigma_{k+1}
+    Unless k < rank (``case``, as ``report.CoreSpectrum`` names it), sigma_{k+1}
     counts as zero, which reduces the chain to the rank-deficient setting.
     """
     if case != "k<rank":
         sigma_k1 = 0.0
     if eta == 0.0:
         # The feasibility chain needs eta > 0; the zero attack is exact.
-        return Regime.UNCONSTRAINED_CASE2, 0.0, np.zeros((2, 2))
+        return Regime.UNCONSTRAINED_CASE2, 0.0, (0.0, 0.0, 0.0, 0.0)
     if eta >= (sigma_k - sigma_k1) / math.sqrt(2.0):
         shift = eta / math.sqrt(2.0)
-        return Regime.UNCONSTRAINED_CASE1, math.pi / 2, np.array([[-shift, 0.0], [0.0, shift]])
+        return Regime.UNCONSTRAINED_CASE1, math.pi / 2, (-shift, 0.0, 0.0, shift)
     y, x = _terms(sigma_k, sigma_k1, eta)
     b_kk, b_k1k, b_kk1, b_k1k1 = _entries(y / x, sigma_k, sigma_k1)
-    return (Regime.UNCONSTRAINED_CASE2, 0.5 * math.atan2(y, x),
-            np.array([[b_kk, b_kk1], [b_k1k, b_k1k1]]))
+    return Regime.UNCONSTRAINED_CASE2, 0.5 * math.atan2(y, x), (b_kk, b_kk1, b_k1k, b_k1k1)

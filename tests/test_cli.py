@@ -343,7 +343,7 @@ class TestVerifyCommand:
                      "--trials", "400", "--seed", "1"]) == 4
 
     def test_no_applicable_family_exits_2(self, full_column_rank_csv, monkeypatch, capsys):
-        def no_room(svd, k, eta):
+        def no_room(at, eta):
             raise InvalidDimension("no room")
 
         monkeypatch.setitem(experiments.ATTACKS, "rank_one",

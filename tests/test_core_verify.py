@@ -10,7 +10,7 @@ from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, 
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
-from pcattack.report import _core_angle, frames, lift
+from pcattack.report import _core_angle, core_spectrum, frames, lift
 
 
 def _k_lt_rank(shape, k, seed):
@@ -64,10 +64,11 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
         unit /= np.sqrt(2.0)
     closed_form, _ = ATTACKS[family]
     svd = full_svd(x)
-    solved_regime, _, core = closed_form(svd, k, ratio * unit)
+    at = core_spectrum(svd, k)
+    solved_regime, _, core = closed_form(at, ratio * unit)
     assert solved_regime == regime
-    core_theta = _core_angle(svd, k, core)
-    full_theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core), k)
+    core_theta = _core_angle(at, core)
+    full_theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core, at.unit), k)
     # one factor and one re-PCA; the core angle runs no dense SVD, and the
     # re-PCA runs one of x's shape unless it takes a QR's triangle
     assert svd_shapes(svd_calls).count(x.shape) == 1 + (re_pca_svd_shape(x.shape, k) == x.shape)
@@ -90,9 +91,11 @@ def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
         ((3, 3), False), ((3, 3), True), ((3, 3), True)]
     svd = full_svd(x)
     closed_form, _ = ATTACKS["unconstrained"]
-    _, _, core = closed_form(svd, 2, row.eta_ratio * _budget_unit(svd, 2))
-    assert _core_angle(svd, 2, core) is None
-    assert row.theta == _pca_distance_from_svd(svd, x + lift(*frames(svd, 2), core), 2)[0]
+    at = core_spectrum(svd, 2)
+    _, _, core = closed_form(at, row.eta_ratio * _budget_unit(svd, 2))
+    assert _core_angle(at, core) is None
+    assert row.theta == _pca_distance_from_svd(svd, x + lift(*frames(svd, 2), core, at.unit),
+                                               2)[0]
 
 
 def test_small_budget_core_angle_is_predicted():
@@ -119,12 +122,13 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
     x = _sweep_data(spec)
     svd = full_svd(x)
     unit = _budget_unit(svd, spec.k)
+    at = core_spectrum(svd, spec.k)
     rows = run_sweep(spec)
     assert len(rows) == 2 * len(spec.eta_grid)
     for row in rows:
         closed_form, _ = ATTACKS[STRATEGIES[row.strategy][0]]
-        _, _, core = closed_form(svd, spec.k, row.eta_ratio * unit)
-        theta, _ = pca_distance(x, x + lift(*frames(svd, spec.k), core), spec.k)
+        _, _, core = closed_form(at, row.eta_ratio * unit)
+        theta, _ = pca_distance(x, x + lift(*frames(svd, spec.k), core, at.unit), spec.k)
         assert row.theta == pytest.approx(theta, abs=1e-10), row
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,11 @@ from pcattack import (InvalidDimension, ParseError, SweepSpec, full_svd,
                       synth_low_rank, write_sweep_csv)
 from pcattack.cli import main
 from pcattack.oracle import SearchConfig
+
+# Every row of the benchmark-shaped sweep (200x100, k = 10, r1-opt and wr-opt,
+# the default grid) on one gaussian and one rank-k matrix, each float stored
+# by ``float.hex``, so that a change to the sweep's float path shows at once.
+SWEEP_PINS = json.loads((Path(__file__).parent / "sweep_200x100_pins.json").read_text())
 
 FOUR_STRATEGY_CSV = (
     "eta_ratio,strategy,theta,theta_predicted,budget_used\n"
@@ -149,6 +157,17 @@ class TestSweepCsv:
         path = tmp_path / "four.csv"
         write_sweep_csv(run_sweep(spec), path)
         assert path.read_text() == FOUR_STRATEGY_CSV
+
+
+@pytest.mark.parametrize("pinned", SWEEP_PINS, ids=[p["data_kind"] for p in SWEEP_PINS])
+def test_benchmark_shaped_sweep_is_pinned_bit_for_bit(pinned):
+    spec = SweepSpec(d=200, n=100, k=10, data_kind=pinned["data_kind"], seed=pinned["seed"],
+                     strategies=("r1-opt", "wr-opt"))
+    rows = [[row.eta_ratio.hex(), row.strategy,
+             *(None if v is None else float(v).hex()
+               for v in (row.theta, row.theta_predicted, row.budget_used)),
+             row.error] for row in run_sweep(spec)]
+    assert rows == pinned["rows"]
 
 
 class TestSweepSpecValidation:

@@ -15,21 +15,22 @@ each random oracle factor on its own; a sweep takes one values-only SVD and
 verifies its closed-form cells from their 2x2 cores, factoring in full only
 for a cell whose core ties; PCR factors the centered training features once
 and refits from the 2x2 cores, building no report, with one more SVD only
-for a ratio whose core ties.
+for a ratio whose core ties.  A sweep also reads its spectrum at k into one
+``report.CoreSpectrum``, and its cells solve to cores of four Python floats.
 """
 
 import numpy as np
 import pytest
 from conftest import factor_svd_shape, re_pca_svd_shape, svd_shapes
 
-from pcattack import (InvalidDimension, SweepSpec, attack_pcr, attack_rank_one,
-                      attack_unconstrained, leading_subspace, pcr, run_sweep, synth_gaussian,
-                      synthetic_collinear, write_matrix_csv)
+from pcattack import (InvalidDimension, Regime, SweepSpec, attack_pcr, attack_rank_one,
+                      attack_unconstrained, leading_subspace, pca_distance, pcr, report, run_sweep,
+                      synth_gaussian, synth_low_rank, synthetic_collinear, write_matrix_csv)
 from pcattack.cli import main
 from pcattack.experiments import ATTACKS, _budget_unit
-from pcattack.linalg import full_svd
+from pcattack.linalg import full_svd, spectrum_of
 from pcattack.pcr import SPLIT_FRACTION
-from pcattack.report import _core_split
+from pcattack.report import _core_split, core_spectrum
 
 
 @pytest.mark.parametrize("attack, shape, k", [
@@ -78,6 +79,15 @@ def test_full_rank_re_pca_forms_no_q(qr_modes):
     assert qr_modes == ["r"]
 
 
+def test_full_rank_pca_distance_forms_no_q(qr_modes):
+    # pca_distance reads y as an attack's re-PCA does: at k = n < d through
+    # the triangle of an R-only QR, after a thin SVD of x
+    x = synth_gaussian(20, 5, seed=3)
+    _, ambiguous = pca_distance(x, x + 0.1 * synth_gaussian(20, 5, seed=4), 5)
+    assert not ambiguous
+    assert qr_modes == ["r"]
+
+
 def test_tied_full_rank_re_pca_factors_y_once(svd_calls, qr_modes):
     # the budget sigma_n removes sigma_n, so X + delta's truncation at k = n
     # ties: after the R-only QR and its values-only triangle SVD, Y's basis
@@ -108,6 +118,60 @@ def test_sweep_factors_once(svd_calls):
     assert [call for call in svd_calls if call[0] == (12, 8)] == [((12, 8), False)]
 
 
+@pytest.fixture
+def core_spectra(monkeypatch):
+    """The k of each ``report.CoreSpectrum`` built, in build order."""
+    built = []
+    original = report.CoreSpectrum
+
+    def counting(*fields):
+        record = original(*fields)
+        built.append(record.k)
+        return record
+
+    monkeypatch.setattr(report, "CoreSpectrum", counting)
+    return built
+
+
+def test_sweep_reads_its_spectrum_once(core_spectra):
+    spec = SweepSpec(d=12, n=8, k=3, data_kind="gaussian", seed=4,
+                     eta_grid=(0.1, 0.4, 0.9, 1.3), strategies=("r1-opt", "wr-opt"))
+    rows = run_sweep(spec)
+    assert all(row.error is None for row in rows)
+    assert core_spectra == [3]
+
+
+def test_tied_sweep_reads_the_factor_once_more(core_spectra, tmp_path):
+    # wr-opt at the unconstrained threshold ties its core, so the sweep factors
+    # X (once, for all such cells) and reads that factor's spectrum
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, np.diag([3.0, 2.0, 1.0]))
+    spec = SweepSpec(d=3, n=3, k=2, data_kind="from_file", data_path=str(path),
+                     eta_grid=(0.3, 1.0 / np.sqrt(2.0), 0.9), strategies=("r1-opt", "wr-opt"))
+    rows = run_sweep(spec)
+    assert all(row.error is None for row in rows)
+    assert core_spectra == [2, 2]
+
+
+def test_cores_are_four_python_floats_in_every_regime():
+    # what a sweep cell solves: each family's closed form on the record of a
+    # values-only SVD, at k < rank, at k = rank < n and at k = n
+    regimes = set()
+    for x, k in [(synth_gaussian(9, 6, seed=1), 2), (synth_low_rank(9, 6, 2, seed=1), 2),
+                 (synth_gaussian(9, 6, seed=1), 6)]:
+        at = core_spectrum(spectrum_of(x), k)
+        gap = (at.sigma_k - (at.sigma_k1 if at.case == "k<rank" else 0.0)) * at.unit
+        for closed_form, _ in ATTACKS.values():
+            for ratio in (0.0, 0.3, 2.0):
+                try:
+                    regime, _, core = closed_form(at, ratio * gap)
+                except InvalidDimension:
+                    continue
+                regimes.add(regime)
+                assert len(core) == 4 and all(type(v) is float for v in core), (regime, core)
+    assert regimes == set(Regime)
+
+
 def _train_shape(features):
     return features.shape[0], int(round(SPLIT_FRACTION * features.shape[1]))
 
@@ -118,9 +182,9 @@ def lift_calls(monkeypatch):
     calls = []
     original = pcr.lift
 
-    def counting(left, right, core):
+    def counting(left, right, core, unit):
         calls.append(core)
-        return original(left, right, core)
+        return original(left, right, core, unit)
 
     monkeypatch.setattr(pcr, "lift", counting)
     return calls
@@ -156,8 +220,9 @@ def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     x_train = features[:, train]
     svd = full_svd(x_train - x_train.mean(axis=1)[:, None])
     closed_form, _ = ATTACKS["unconstrained"]
-    _, _, core = closed_form(svd, 4, tie * _budget_unit(svd, 4))
-    assert _core_split(svd, 4, core) is None
+    at = core_spectrum(svd, 4)
+    _, _, core = closed_form(at, tie * _budget_unit(svd, 4))
+    assert _core_split(at, core) is None
     svd_calls.clear()
 
     reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
@@ -165,7 +230,7 @@ def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     train = _train_shape(features)
     assert svd_shapes(svd_calls) == [factor_svd_shape(train, 5), factor_svd_shape(train, 4)]
     assert len(lift_calls) == 1
-    monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
+    monkeypatch.setattr(pcr, "_core_split", lambda at, core: None)
     dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
     assert reports[1] == dense[1]
 

@@ -156,6 +156,11 @@ class TestLeadingSvd:
     def test_wide_bit_identical(self):
         _check_bit_identical(np.random.default_rng(9).standard_normal((12, 50)), 5)
 
+    @pytest.mark.parametrize("j", [-1, 0, 12])
+    def test_rejects_j_outside_1_to_p(self, j):
+        with pytest.raises(InvalidDimension, match="min\\(d, n\\)=10"):
+            leading_svd(np.random.default_rng(5).standard_normal((40, 10)), j)
+
     def test_reconstruct_is_the_rank_j_truncation(self):
         x = np.random.default_rng(4).standard_normal((30, 8))
         full = full_svd(x)
@@ -395,6 +400,23 @@ class TestPrincipalAngles:
             principal_angles(e[:, :2], e[:, :3])
         with pytest.raises(InvalidDimension):
             principal_angles(np.eye(3)[:, :2], np.eye(4)[:, :2])
+
+
+class TestPcaDistance:
+    def test_different_ambient_dimension(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(InvalidDimension, match="ambient dimensions differ: 8 vs 9"):
+            pca_distance(rng.standard_normal((8, 5)), rng.standard_normal((9, 5)), 2)
+
+    @pytest.mark.parametrize("shape, k", [((30, 8), 3), ((8, 30), 3), ((30, 8), 8)])
+    def test_matches_the_distance_of_the_leading_subspaces(self, shape, k):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape)
+        y = x + 0.1 * rng.standard_normal(shape)
+        theta, ambiguous = pca_distance(x, y, k)
+        assert not ambiguous
+        ref = asimov_distance(leading_subspace(x, k), leading_subspace(y, k))
+        assert theta == pytest.approx(ref, rel=1e-12)
 
 
 class TestAsimovDistance:

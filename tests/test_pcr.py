@@ -149,7 +149,7 @@ class TestAttackPcr:
     def test_core_refit_agrees_with_dense_refit(self, name, strategy, monkeypatch):
         (features, targets), k = AGREEMENT_SETS[name]
         core = [_pcr_outcome(features, targets, k, r, strategy) for r in AGREEMENT_RATIOS]
-        monkeypatch.setattr(pcr, "_core_split", lambda svd, k, core: None)
+        monkeypatch.setattr(pcr, "_core_split", lambda at, core: None)
         dense = [_pcr_outcome(features, targets, k, r, strategy) for r in AGREEMENT_RATIOS]
         for ratio, got, want in zip(AGREEMENT_RATIOS, core, dense):
             if isinstance(want, type):

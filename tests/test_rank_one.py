@@ -211,7 +211,7 @@ class TestKLtRank:
             assert regime == Regime.K_LT_RANK_CASE2
             for got in (theta, klt_rank_closed_form(sk, sk1, eta).theta_star):
                 assert abs(got - theta_ref) / theta_ref < 1e-12, (eta, got, theta_ref)
-            for got, ref in zip(core.ravel(), core_ref):
+            for got, ref in zip(core, core_ref):
                 assert abs(got - ref) / eta < 1e-12, (eta, got, ref)
 
     def test_rejects_out_of_regime(self):

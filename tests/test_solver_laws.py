@@ -1,7 +1,7 @@
 """Laws of the pure closed-form solvers, over every case and budget regime.
 
 The solvers take and return floats, so each draw costs microseconds.  The
-draws run in units of sigma_1, as ``report.solve_core`` calls the solvers:
+draws run in units of sigma_1, as ``report.core_spectrum`` gives the solvers:
 sigma_k in [1e-3, 1], sigma_{k+1} / sigma_k in [0, 1 - 1e-12], and eta from
 1e-12 of the gap to twice it, past every regime threshold.  Each draw
 checks every law: a fixed, derandomized run of the test takes under two
