@@ -17,23 +17,32 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import numbered_lines, read_matrix_csv, write_table
-from .linalg import Spectrum, _pca_distance_from_svd, check_eta, check_k, spectrum_of
+from .linalg import _pca_distance_from_svd, check_eta, check_k, spectrum_of
 from .oracle import (SearchConfig, normal_stream, portable_normal,
                      random_rank_one, random_unconstrained)
-from .rank_one import _attack_rank_one
-from .report import (CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum,
-                     frames, lift)
-from .unconstrained import _attack_unconstrained
+from .rank_one import _attack_rank_one, attack_rank_one
+from .report import CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum, frames, lift
+from .unconstrained import _attack_unconstrained, attack_unconstrained
 
-# Each attack family: its closed form on a ``report.CoreSpectrum``, its random oracle.
+
+class Family(NamedTuple):
+    """An attack family: its closed form on a ``report.CoreSpectrum``, its
+    attack on a matrix (``pcattack attack``), and its random oracle."""
+
+    closed_form: Callable
+    attack: Callable
+    oracle: Callable
+
+
 ATTACKS = {
-    "rank_one": (_attack_rank_one, random_rank_one),
-    "unconstrained": (_attack_unconstrained, random_unconstrained),
+    "rank_one": Family(_attack_rank_one, attack_rank_one, random_rank_one),
+    "unconstrained": Family(_attack_unconstrained, attack_unconstrained, random_unconstrained),
 }
 # Each sweep strategy: the attack family, and whether its oracle replaces the
 # closed form.
@@ -73,8 +82,7 @@ class SweepSpec:
         object.__setattr__(self, "strategies", tuple(self.strategies))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     eta_ratio: float
     strategy: str
     theta: float | None
@@ -98,13 +106,6 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     if d < 1 or n < 1:
         raise InvalidDimension("d and n must be positive")
     return portable_normal(seed, (d, n))
-
-
-def _budget_unit(spectrum: Spectrum, k: int) -> float:
-    """Budget unit for ratio grids: sigma_k at rank k, else the spectral gap."""
-    if spectrum.rank <= k:
-        return float(spectrum.sigma[k - 1])
-    return float(spectrum.sigma[k - 1] - spectrum.sigma[k])
 
 
 def check_ratio_grid(ratios) -> tuple[float, ...]:
@@ -144,19 +145,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     leading k + 1 pairs is computed only if some cell needs it.
     """
     x = _sweep_data(spec)
-    spectrum = spectrum_of(x)
-    k = check_k(spec.k, x.shape)
-    at = core_spectrum(spectrum, k)
+    at = core_spectrum(spectrum_of(x), check_k(spec.k, x.shape))
+    k = at.k
     factor = functools.cache(lambda: attack_factor(x, k))
-    scale = _budget_unit(spectrum, k)
     cells = []      # (strategy, its closed form, or None where its oracle runs, its oracle)
     for strategy in sorted(spec.strategies):
-        attack, by_oracle = STRATEGIES[strategy]
-        closed_form, oracle = ATTACKS[attack]
-        cells.append((strategy, None if by_oracle else closed_form, oracle))
+        name, by_oracle = STRATEGIES[strategy]
+        family = ATTACKS[name]
+        cells.append((strategy, None if by_oracle else family.closed_form, family.oracle))
     rows = []
     for ratio in spec.eta_grid:
-        eta = check_eta(ratio * scale)
+        eta = check_eta(ratio * at.ratio_scale)
         for strategy, closed_form, oracle in cells:
             try:
                 if closed_form is None:

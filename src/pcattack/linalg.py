@@ -6,7 +6,6 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -100,10 +99,11 @@ class Spectrum:
     sigma: np.ndarray       # min(d, n) nonnegative, nonincreasing
     shape: tuple[int, int]
 
-    @functools.cached_property
+    @property
     def rank(self) -> int:
-        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.  Computed
-        once; each closed form reads it, so a sweep cell does not recount."""
+        """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.
+        ``report.core_spectrum`` reads it once per record, and every closed
+        form reads the record's ``rank``."""
         if self.sigma.size == 0 or self.sigma[0] <= 0.0:
             return 0
         return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
@@ -159,14 +159,6 @@ class OrthonormalBasis:
         if np.max(np.abs(gram - np.eye(k))) > ORTHO_TOL:
             raise InvalidMatrix("basis columns are not orthonormal")
         object.__setattr__(self, "columns", cols)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.columns.shape[1]
 
 
 def _as_basis(b) -> OrthonormalBasis:
@@ -332,15 +324,12 @@ def _tied(sigma: np.ndarray, k: int, d: int) -> bool:
 
 def _cross(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of two bases of k-dim subspaces of one R^d, and ``a^T b``."""
-    a = _as_basis(a)
-    b = _as_basis(b)
-    if a.ambient_dim != b.ambient_dim:
-        raise InvalidDimension(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.subspace_dim != b.subspace_dim:
-        raise InvalidDimension(
-            f"subspace dimensions differ: {a.subspace_dim} vs {b.subspace_dim}")
-    return a.columns, b.columns, a.columns.T @ b.columns
+    a, b = _as_basis(a).columns, _as_basis(b).columns
+    if a.shape[0] != b.shape[0]:
+        raise InvalidDimension(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[1] != b.shape[1]:
+        raise InvalidDimension(f"subspace dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    return a, b, a.T @ b
 
 
 def principal_angles(a, b) -> np.ndarray:

@@ -305,17 +305,14 @@ def brute_force_principal_angles(a, b, cfg: SearchConfig) -> np.ndarray:
     projection; the outer one is an angle-grid search), then both subspaces
     are deflated.  Intended purely as a small-scale test oracle.
     """
-    a = _as_basis(a)
-    b = _as_basis(b)
-    if a.subspace_dim != b.subspace_dim or a.ambient_dim != b.ambient_dim:
+    cols_a, cols_b = _as_basis(a).columns.copy(), _as_basis(b).columns.copy()
+    if cols_a.shape != cols_b.shape:
         raise InvalidDimension("bases must match in shape")
-    if a.subspace_dim > 3 or a.ambient_dim > 6:
-        raise OracleTooExpensive(
-            f"brute force limited to k <= 3, d <= 6; got k={a.subspace_dim}, d={a.ambient_dim}")
-    cols_a = a.columns.copy()
-    cols_b = b.columns.copy()
+    d, k = cols_a.shape
+    if k > 3 or d > 6:
+        raise OracleTooExpensive(f"brute force limited to k <= 3, d <= 6; got k={k}, d={d}")
     angles = []
-    for _ in range(a.subspace_dim):
+    for _ in range(k):
         g = cols_b.T @ cols_a
         c, best = _max_on_sphere(g, cfg)
         u = cols_a @ c

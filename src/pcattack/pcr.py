@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
-from .experiments import ATTACKS, _budget_unit, check_ratio_grid
+from .experiments import ATTACKS, check_ratio_grid
 from .fileio import numbered_lines, parse_rows, write_table
 from .linalg import as_matrix, check_eta, check_k, full_svd, leading_svd
 from .oracle import normal_stream
-from .report import _core_array, _core_split, core_spectrum, frames, lift
+from .report import _core_array, _core_split, attack_factor, frames, lift
 
 DEFAULT_ETA_RATIOS = tuple(np.linspace(0.08, 0.92, 12))
 SPLIT_FRACTION = 0.8    # share of the samples that attack_pcr trains on
@@ -163,19 +163,17 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     means = x_train.mean(axis=1)
     xc = x_train - means[:, None]
     test_c = x_test - means[:, None]
-    svd = leading_svd(xc, k + 1)
-    if svd.rank < k:
-        raise InvalidDimension(f"k={k} exceeds the numerical rank {svd.rank}")
-    scale = _budget_unit(svd, k)
-    at = core_spectrum(svd, k)
-    closed_form, _ = ATTACKS[strategy]
+    svd, at = attack_factor(xc, k)
+    if at.rank < k:
+        raise InvalidDimension(f"k={k} exceeds the numerical rank {at.rank}")
+    closed_form = ATTACKS[strategy].closed_form
     left, right = frames(svd, k)
     basis = np.column_stack([svd.u[:, :k - 1], left])
     head, test_head = basis.T @ xc, basis.T @ test_c
 
     reports = []
     for ratio in grid:
-        _, _, core = closed_form(at, check_eta(ratio * scale))
+        _, _, core = closed_form(at, check_eta(ratio * at.ratio_scale))
         w = _core_split(at, core)
         if w is None:
             attacked = xc + lift(left, right, core, at.unit)

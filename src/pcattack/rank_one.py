@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NoOrthogonalComplement, RegimeError
 from .linalg import check_attack, fro_norm
 from .report import (AttackReport, CoreSpectrum, Regime, _core_array, attack_factor,
-                     build_report, frames, lift)
+                     budget_in_unit, build_report, frames, lift)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def _attack_rank_one(at: CoreSpectrum, eta: float) -> tuple[Regime, float, tuple
                           f"on a {d}x{n} matrix")
     if at.case == "full_rank" and d == n and eta > 0.0:
         raise NoOrthogonalComplement("d = n: no direction leaves the column space")
-    return solve_rank_one(at.sigma_k, at.sigma_k1, eta / at.unit, at.case)
+    return solve_rank_one(at.sigma_k, at.sigma_k1, budget_in_unit(at, eta), at.case)
 
 
 def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,

@@ -13,7 +13,10 @@ Solving a core and splitting it (``_core_split``, ``_core_angle``) read
 only a ``CoreSpectrum``: the few singular values around k, the case, the
 rank and the shape, taken once per (spectrum, k) by ``core_spectrum`` from
 a ``linalg.Spectrum`` of one values-only SVD, which sweeps and ``verify``
-rely on, or from an ``SvdTriple``.  A solver returns its core as four
+rely on, or from an ``SvdTriple``.  The record also holds what those
+callers read besides, the scale of a budget ratio and whether the clean
+truncation is tied, so no module outside ``linalg`` and this one reads a
+``Spectrum``.  A solver returns its core as four
 Python floats ``(b_kk, b_kk1, b_k1k, b_k1k1)``, row-major, in the record's
 unit, so a sweep cell is a few float operations.  Only ``frames``, ``lift``
 and ``build_report`` need the singular vectors, and only the pairs k and
@@ -47,8 +50,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (TIE_TOL, Spectrum, SvdTriple, _pca_distance_from_svd, complement_direction,
-                     leading_svd, svd_2x2)
+from .linalg import (TIE_TOL, Spectrum, SvdTriple, _pca_distance_from_svd, _tied,
+                     complement_direction, leading_svd, svd_2x2)
 
 
 class Regime(str, Enum):
@@ -114,7 +117,11 @@ class CoreSpectrum:
     floats in ``unit``, sigma_1 rounded down to a power of two: ``sigma_k``,
     ``sigma_k1`` (sigma_{k+1}, 0 past min(d, n)), and the split's neighbours
     ``above`` (sigma_{k-1}, inf at k = 1), ``below`` (sigma_{k+2}, 0 past
-    min(d, n)) and ``top`` (sigma_1).
+    min(d, n)) and ``top`` (sigma_1).  ``ratio_scale``, in the data's scale,
+    is what a sweep's or PCR's budget ratio multiplies: sigma_k when rank <=
+    k, else the gap sigma_k - sigma_{k+1}.  ``tied`` is set when the clean
+    top-k truncation is tied (``linalg._tied``), so its subspace, and any
+    angle measured from it, is tie-break dependent.
     """
 
     shape: tuple[int, int]
@@ -127,6 +134,8 @@ class CoreSpectrum:
     above: float
     below: float
     top: float
+    ratio_scale: float
+    tied: bool
 
 
 def core_spectrum(spectrum: Spectrum, k: int) -> CoreSpectrum:
@@ -143,7 +152,19 @@ def core_spectrum(spectrum: Spectrum, k: int) -> CoreSpectrum:
     return CoreSpectrum(spectrum.shape, k, rank, case, unit, sigma[k - 1] / unit,
                         sigma[k] / unit if k < p else 0.0,
                         sigma[k - 2] / unit if k > 1 else math.inf,
-                        sigma[k + 1] / unit if k + 1 < p else 0.0, sigma[0] / unit)
+                        sigma[k + 1] / unit if k + 1 < p else 0.0, sigma[0] / unit,
+                        sigma[k - 1] if rank <= k else sigma[k - 1] - sigma[k],
+                        _tied(spectrum.sigma, k, spectrum.shape[0]))
+
+
+def budget_in_unit(at: CoreSpectrum, eta: float) -> float:
+    """``eta`` in ``at.unit``, or ValueError when it overflows there, past
+    about 1e308 sigma_1: a core in that unit could not hold such a budget."""
+    eta_in_unit = eta / at.unit
+    if eta_in_unit == math.inf:
+        raise ValueError(f"energy budget {eta!r} exceeds sigma_1 = {at.top * at.unit!r} "
+                         f"by more than the float64 range")
+    return eta_in_unit
 
 
 def attack_factor(x: np.ndarray, k: int) -> tuple[SvdTriple, CoreSpectrum]:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidDimension, RegimeError
 from .linalg import SvdTriple, check_attack, fro_norm
-from .report import AttackReport, CoreSpectrum, Regime, attack_factor, build_report, frames, lift
+from .report import (AttackReport, CoreSpectrum, Regime, attack_factor, budget_in_unit,
+                     build_report, frames, lift)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _attack_unconstrained(at: CoreSpectrum, eta: float) -> tuple[Regime, float, 
     d, n = at.shape
     if at.k + 1 > min(d, n):
         raise InvalidDimension(f"attack needs room at index k+1={at.k + 1} in a {d}x{n} matrix")
-    return solve_unconstrained(at.sigma_k, at.sigma_k1, eta / at.unit, at.case)
+    return solve_unconstrained(at.sigma_k, at.sigma_k1, budget_in_unit(at, eta), at.case)
 
 
 def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,

@@ -29,8 +29,7 @@ ABSENT_SPAN_SITES = {
     "pcattack.experiments.full_svd", "pcattack.rank_one.attack_k_lt_rank",
     "pcattack.rank_one.attack_full_rank", "pcattack.rank_one.attack_low_rank",
     "pcattack.rank_one.predicted_theta", "pcattack.experiments.eta_scale",
-    "pcattack.pcr.eta_scale", "pcattack.experiments.attack_rank_one",
-    "pcattack.experiments.attack_unconstrained", "pcattack.pcr.attack_rank_one",
+    "pcattack.pcr.eta_scale", "pcattack.pcr.attack_rank_one",
     "pcattack.pcr.attack_unconstrained",
 }
 

@@ -153,6 +153,31 @@ class TestAttackCommand:
         assert main(["attack", str(low_rank_csv), "--k", "3", "--eta", "0.5",
                      "--frobulate"]) == 2
 
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_budget_past_the_range_of_the_unit_exits_2(self, tmp_path, capsys, strategy):
+        # eta / sigma_1 = 1e350 overflows the solvers' unit; the attack would
+        # lift an infinite core, so it is refused with one error line
+        path = tmp_path / "tiny.csv"
+        write_matrix_csv(path, np.array([[1e-150, 0.0], [0.0, 5e-151], [0.0, 0.0]]))
+        assert main(["attack", str(path), "--k", "1", "--eta", "1e200",
+                     "--strategy", strategy]) == 2
+        assert capsys.readouterr().err == ("error: energy budget 1e+200 exceeds sigma_1 = "
+                                           "1e-150 by more than the float64 range\n")
+
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_strategy_runs_the_attack_of_its_family(self, low_rank_csv, monkeypatch, strategy):
+        family = experiments.ATTACKS[strategy]
+        called = []
+
+        def recording(x, k, eta):
+            called.append((x.shape, k, eta))
+            return family.attack(x, k, eta)
+
+        monkeypatch.setitem(experiments.ATTACKS, strategy, family._replace(attack=recording))
+        assert main(["attack", str(low_rank_csv), "--k", "3", "--eta", "0.5",
+                     "--strategy", strategy]) == 0
+        assert called == [((5, 5), 3, 0.5)]
+
 
 class TestSweepCommand:
     def _spec(self, tmp_path, eta="0.3,0.6,0.8"):
@@ -271,14 +296,14 @@ class TestVerifyCommand:
         assert "ok" in out and "VIOLATION" not in out
 
     def test_injected_offset_detected(self, low_rank_csv, monkeypatch, capsys):
-        closed_form, oracle = experiments.ATTACKS["rank_one"]
+        family = experiments.ATTACKS["rank_one"]
 
         def overshooting_oracle(x, k, eta, cfg):
-            attack, theta = oracle(x, k, eta, cfg)
+            attack, theta = family.oracle(x, k, eta, cfg)
             return attack, theta + 0.2
 
         monkeypatch.setitem(experiments.ATTACKS, "rank_one",
-                            (closed_form, overshooting_oracle))
+                            family._replace(oracle=overshooting_oracle))
         code = main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",
                      "--trials", "400", "--seed", "3"])
         assert code == 4
@@ -331,23 +356,34 @@ class TestVerifyCommand:
 
     def test_k_equal_n_exit_code_follows_the_checked_family(self, full_column_rank_csv,
                                                             monkeypatch):
-        closed_form, oracle = experiments.ATTACKS["rank_one"]
+        family = experiments.ATTACKS["rank_one"]
 
         def overshooting_oracle(x, k, eta, cfg):
-            attack, theta = oracle(x, k, eta, cfg)
+            attack, theta = family.oracle(x, k, eta, cfg)
             return attack, theta + 2.0
 
         monkeypatch.setitem(experiments.ATTACKS, "rank_one",
-                            (closed_form, overshooting_oracle))
+                            family._replace(oracle=overshooting_oracle))
         assert main(["verify", str(full_column_rank_csv), "--k", "6", "--eta", "0.3",
                      "--trials", "400", "--seed", "1"]) == 4
+
+    @pytest.mark.parametrize("x", [np.diag([2.0, 2.0, 2.0]), 2.0 * np.linalg.qr(
+        np.random.default_rng(0).standard_normal((3, 3)))[0]], ids=["diag", "rotated"])
+    def test_tied_truncation_is_flagged_not_failed(self, tmp_path, capsys, x):
+        # sigma = (2, 2, 2) at k = 2: the top-2 subspace is a tie-break, so
+        # the oracles' and the closed forms' differ by one and no check can fail
+        path = tmp_path / "t.csv"
+        write_matrix_csv(path, x)
+        assert main(["verify", str(path), "--k", "2", "--eta", "0", "--trials", "64"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines and all(line.endswith("  tied") for line in lines), lines
 
     def test_no_applicable_family_exits_2(self, full_column_rank_csv, monkeypatch, capsys):
         def no_room(at, eta):
             raise InvalidDimension("no room")
 
         monkeypatch.setitem(experiments.ATTACKS, "rank_one",
-                            (no_room, experiments.ATTACKS["rank_one"][1]))
+                            experiments.ATTACKS["rank_one"]._replace(closed_form=no_room))
         assert main(["verify", str(full_column_rank_csv), "--k", "6", "--eta", "0.3",
                      "--trials", "400", "--seed", "1"]) == 2
         captured = capsys.readouterr()

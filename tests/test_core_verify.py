@@ -8,7 +8,7 @@ from conftest import matrix_with_spectrum, re_pca_svd_shape, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
-from pcattack.experiments import ATTACKS, STRATEGIES, _budget_unit, _sweep_data
+from pcattack.experiments import ATTACKS, STRATEGIES, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
 from pcattack.report import _core_angle, core_spectrum, frames, lift
 
@@ -62,7 +62,7 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     x, k, unit = instance
     if family == "unconstrained":
         unit /= np.sqrt(2.0)
-    closed_form, _ = ATTACKS[family]
+    closed_form = ATTACKS[family].closed_form
     svd = full_svd(x)
     at = core_spectrum(svd, k)
     solved_regime, _, core = closed_form(at, ratio * unit)
@@ -90,9 +90,9 @@ def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
     assert [call for call in svd_calls if call[0] == (3, 3)] == [
         ((3, 3), False), ((3, 3), True), ((3, 3), True)]
     svd = full_svd(x)
-    closed_form, _ = ATTACKS["unconstrained"]
+    closed_form = ATTACKS["unconstrained"].closed_form
     at = core_spectrum(svd, 2)
-    _, _, core = closed_form(at, row.eta_ratio * _budget_unit(svd, 2))
+    _, _, core = closed_form(at, row.eta_ratio * at.ratio_scale)
     assert _core_angle(at, core) is None
     assert row.theta == _pca_distance_from_svd(svd, x + lift(*frames(svd, 2), core, at.unit),
                                                2)[0]
@@ -121,13 +121,12 @@ def test_sweep_theta_is_the_pca_distance_of_the_lifted_delta(spec):
                      strategies=("r1-opt", "wr-opt"))
     x = _sweep_data(spec)
     svd = full_svd(x)
-    unit = _budget_unit(svd, spec.k)
     at = core_spectrum(svd, spec.k)
     rows = run_sweep(spec)
     assert len(rows) == 2 * len(spec.eta_grid)
     for row in rows:
-        closed_form, _ = ATTACKS[STRATEGIES[row.strategy][0]]
-        _, _, core = closed_form(at, row.eta_ratio * unit)
+        closed_form = ATTACKS[STRATEGIES[row.strategy][0]].closed_form
+        _, _, core = closed_form(at, row.eta_ratio * at.ratio_scale)
         theta, _ = pca_distance(x, x + lift(*frames(svd, spec.k), core, at.unit), spec.k)
         assert row.theta == pytest.approx(theta, abs=1e-10), row
 

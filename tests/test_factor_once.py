@@ -27,7 +27,7 @@ from pcattack import (InvalidDimension, Regime, SweepSpec, attack_pcr, attack_ra
                       attack_unconstrained, leading_subspace, pca_distance, pcr, report, run_sweep,
                       synth_gaussian, synth_low_rank, synthetic_collinear, write_matrix_csv)
 from pcattack.cli import main
-from pcattack.experiments import ATTACKS, _budget_unit
+from pcattack.experiments import ATTACKS
 from pcattack.linalg import full_svd, spectrum_of
 from pcattack.pcr import SPLIT_FRACTION
 from pcattack.report import _core_split, core_spectrum
@@ -161,7 +161,7 @@ def test_cores_are_four_python_floats_in_every_regime():
                  (synth_gaussian(9, 6, seed=1), 6)]:
         at = core_spectrum(spectrum_of(x), k)
         gap = (at.sigma_k - (at.sigma_k1 if at.case == "k<rank" else 0.0)) * at.unit
-        for closed_form, _ in ATTACKS.values():
+        for closed_form in (family.closed_form for family in ATTACKS.values()):
             for ratio in (0.0, 0.3, 2.0):
                 try:
                     regime, _, core = closed_form(at, ratio * gap)
@@ -219,9 +219,9 @@ def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     train = np.random.Generator(np.random.PCG64(1)).permutation(n)[:_train_shape(features)[1]]
     x_train = features[:, train]
     svd = full_svd(x_train - x_train.mean(axis=1)[:, None])
-    closed_form, _ = ATTACKS["unconstrained"]
+    closed_form = ATTACKS["unconstrained"].closed_form
     at = core_spectrum(svd, 4)
-    _, _, core = closed_form(at, tie * _budget_unit(svd, 4))
+    _, _, core = closed_form(at, tie * at.ratio_scale)
     assert _core_split(at, core) is None
     svd_calls.clear()
 
