@@ -9,14 +9,20 @@ space).
 Reproducibility contract: randomness comes from a PCG64 stream seeded with
 ``cfg.seed``; trial i consumes the i-th fixed-size block of that uniform
 stream, and normals are produced from uniforms by the Box-Muller transform.
-Results are therefore independent of chunking and identical across runs,
-and the best over trials is reduced with a lowest-index tie-break.
+Each trial is transformed and scored by the same numpy calls on the same
+numbers whichever slice of a chunk it falls in, so results are independent
+of chunking and of the number of scoring threads, and identical across
+runs; the best over trials is reduced with a lowest-index tie-break.  The
+thread count is the number of cores in the process's CPU affinity, read
+once at import; there is no option for it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,13 @@ from .unconstrained import PerturbationMatrix
 # Bytes of one chunk's largest temporary (the d x n stack, its Gram matrix or
 # their eigenvectors), each within 8 * max(d, n)**2 per trial.
 _CHUNK_BYTES = 16 * 2**20
+
+# Row slices of a chunk run concurrently, one per usable core: numpy releases
+# the GIL in batched eigh/eigvalsh/matmul and in float ufuncs.  A batch
+# shorter than two slices of _MIN_SLICE rows runs as one call, with no thread.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_MIN_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -68,12 +81,52 @@ def portable_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     return normal_stream(np.random.Generator(np.random.PCG64(seed)), shape)
 
 
+def _by_rows(fn, rows: int, *arrays: np.ndarray) -> np.ndarray:
+    """``fn(*arrays)``, computed over contiguous row slices of the arrays'
+    leading axis, one per usable core and none under ``_MIN_SLICE`` rows.
+
+    Slice 0 runs on the calling thread and the others on their own threads.
+    All are joined before the results are concatenated in slice order, or
+    before the exception of the first slice that raised is re-raised."""
+    parts = min(_WORKERS, rows // _MIN_SLICE)
+    if parts <= 1:
+        return fn(*arrays)
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    results, errors = [None] * parts, [None] * parts
+
+    def run(i):
+        try:
+            results[i] = fn(*(a[bounds[i]:bounds[i + 1]] for a in arrays))
+        except BaseException as exc:    # re-raised on the calling thread
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return np.concatenate(results)
+
+
 def _trial_normals(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
     block = 2 * ((count + 1) // 2)
-    return _box_muller(rng.random((rows, block)), count)
+    return _by_rows(lambda u: _box_muller(u, count), rows, rng.random((rows, block)))
 
 
 def _batched_theta(basis: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Achieved Asimov distance for a stack of candidate perturbations,
+    scored by ``_slice_theta`` over row slices of the stack (``_by_rows``)."""
+    return _by_rows(lambda part: _slice_theta(basis, x, part), len(deltas), deltas)
+
+
+def _slice_theta(basis: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Achieved Asimov distance for a stack of candidate perturbations.
 
     Each trial ``m = x + delta`` is first scaled by the power of two that

@@ -12,8 +12,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pcattack import oracle
 from pcattack.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,18 @@ def test_one_cycle_and_cli_call_pass_their_checks(workloads, name, tmp_path, cap
     capsys.readouterr()
     assert main(cli.argv) == 0
     assert cli.check(capsys.readouterr().out) == []
+
+
+def test_sliced_scoring_keeps_one_span_per_chunk(monkeypatch):
+    # The benchmark's toy oracle calls are too small to be sliced across
+    # threads; 5000 trials in chunks of 1700 are, on two workers.
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 8 * 5 ** 2 * 1700)
+    tracer = _import_perfbench("spans").Tracer()
+    x = np.random.default_rng(1).standard_normal((5, 5))
+    with tracer.installed(), tracer.span("operation") as operation:
+        oracle.random_unconstrained(x, 3, 0.1, oracle.SearchConfig(trials=5000, seed=1))
+    scored = [s for s in tracer.spans if s["name"] == "oracle.batched_theta"]
+    assert len(scored) == 3
+    assert all(s["parent"] == operation["id"] for s in scored)
+    assert all(s["parent"] in (None, operation["id"]) for s in tracer.spans)

@@ -1,11 +1,14 @@
 import operator
+import sys
+import threading
 
 import numpy as np
 import pytest
 from conftest import random_basis
 
 from pcattack import (InvalidMatrix, OracleTooExpensive, attack_rank_one,
-                      closed_form_lambda, klt_rank_closed_form, principal_angles)
+                      closed_form_lambda, klt_rank_closed_form, principal_angles,
+                      synth_gaussian, synth_low_rank)
 from pcattack import oracle
 from pcattack.linalg import full_svd
 from pcattack.oracle import (SearchConfig, brute_force_principal_angles,
@@ -231,10 +234,12 @@ def _pin_instance():
 
 
 def _record_batches(monkeypatch, score):
-    """Replace the batch scorer with one that logs each batch's angles."""
-    batches = []
+    """Replace the batch scorer with one that logs each batch's angles, and
+    check that every batch is scored from the calling thread."""
+    batches, caller = [], threading.get_ident()
 
     def recording(basis, x, deltas):
+        assert threading.get_ident() == caller
         batches.append(score(basis, x, deltas))
         return batches[-1]
 
@@ -309,6 +314,86 @@ class TestBestOfTrials:
         theta = search(x, k, eta, cfg)[1]
         for c in (1e-170, 1e-150, 1e150, 1e160):
             assert search(c * x, k, c * eta, cfg)[1] == pytest.approx(theta, abs=1e-12)
+
+
+ORACLES = [random_rank_one, random_unconstrained]
+
+
+def _no_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading, "Thread", refuse)
+
+
+class TestScoringThreads:
+    # The last two cross the 4096-trial chunk of earlier versions; 63 and 64
+    # run as one slice, 129 as two.
+    TRIALS = (1, 63, 64, 129, 4097, 5000)
+
+    @pytest.mark.parametrize("search", ORACLES)
+    @pytest.mark.parametrize("d, n, k", [(5, 5, 3), (20, 30, 5), (30, 12, 4)])
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch, search, d, n, k):
+        x, k, eta = _gaussian_instance(d, n, k, 6)
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_WORKERS", workers)
+            runs[workers] = [search(x, k, eta, SearchConfig(trials=t, seed=2))
+                             for t in self.TRIALS]
+        for workers in (2, 3):
+            for (attack, theta), (ref, ref_theta) in zip(runs[workers], runs[1]):
+                assert theta == ref_theta
+                for name in vars(ref):
+                    assert np.array_equal(getattr(attack, name), getattr(ref, name)), name
+
+    def test_slices_concatenate_in_order_under_frequent_switches(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond.
+        monkeypatch.setattr(oracle, "_WORKERS", 5)
+        rows = np.arange(4099.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                assert np.array_equal(oracle._by_rows(lambda r: r + 0.5, rows.size, rows),
+                                      rows + 0.5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_row_draws_start_no_thread(self, monkeypatch):
+        def draws():
+            return [portable_normal(0, (200, 100)), synth_gaussian(200, 100, seed=3),
+                    synth_low_rank(200, 100, 10, seed=3)]
+
+        one = draws()
+        monkeypatch.setattr(oracle, "_WORKERS", 3)
+        _no_threads(monkeypatch)
+        assert all(np.array_equal(a, b) for a, b in zip(draws(), one))
+
+    @pytest.mark.parametrize("search", ORACLES)
+    def test_one_worker_starts_no_thread(self, monkeypatch, search):
+        x, k, eta = _pin_instance()
+        monkeypatch.setattr(oracle, "_WORKERS", 1)
+        _no_threads(monkeypatch)
+        search(x, k, eta, SearchConfig(trials=5000, seed=1))
+
+    @pytest.mark.parametrize("search", ORACLES)
+    @pytest.mark.parametrize("failing", ["calling thread", "worker thread"])
+    def test_failing_slice_raises_after_every_thread_ends(self, monkeypatch, search, failing):
+        # With two workers, slice 0 runs on the calling thread and slice 1
+        # on a worker.
+        caller, score = threading.get_ident(), oracle._slice_theta
+
+        def fails_on_one_slice(basis, x, deltas):
+            if (threading.get_ident() == caller) == (failing == "calling thread"):
+                raise FloatingPointError(failing)
+            return score(basis, x, deltas)
+
+        monkeypatch.setattr(oracle, "_WORKERS", 2)
+        monkeypatch.setattr(oracle, "_slice_theta", fails_on_one_slice)
+        before = threading.active_count()
+        x, k, eta = _pin_instance()
+        with pytest.raises(FloatingPointError, match=failing):
+            search(x, k, eta, SearchConfig(trials=5000, seed=1))
+        assert threading.active_count() == before
 
 
 def _svd_theta(basis, x, deltas):

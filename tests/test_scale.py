@@ -237,3 +237,15 @@ def test_cli_pcr_scale_invariant(tmp_path, strategy, c):
         return np.loadtxt(out, delimiter=",", skiprows=1, usecols=(2, 3))
 
     assert np.max(np.abs(r2_rows(c) - r2_rows(1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [3.7e-294, 1e-290])
+@pytest.mark.parametrize("attack", [attack_rank_one, attack_unconstrained])
+def test_budget_subnormal_in_the_unit_is_not_overspent(attack, eta):
+    # eta is normal but below 2.2e-308 in the solvers' unit (2^100): a core
+    # solved from its few bits spent 1.7x and 3.4x of 3.7e-294, and 1 + 2e-4
+    # of 1e-290.  Such a budget gets the zero attack.
+    x = np.diag([2.0**100, 2.0**99, 2.0**98])
+    _, report = attack(x, 1, eta)
+    assert report.budget_used <= eta
+    assert report.theta_predicted == report.theta_achieved == 0.0
