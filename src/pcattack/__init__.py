@@ -5,6 +5,10 @@ perturbation that maximally rotates the span of the k leading principal
 components, measured by the Asimov distance (largest principal angle).
 Closed forms cover rank-one and unconstrained perturbations across all
 budget regimes; search-based oracles verify them independently.
+
+The package exports what the CLI, the demos, the tests and the benchmark
+use.  Result types such as ``RankOneAttack``, ``PerturbationMatrix``,
+``SvdTriple`` or ``SweepRow`` are imported from their modules.
 """
 
 from .errors import (InvalidDimension, InvalidMatrix, NoOrthogonalComplement,

@@ -33,7 +33,10 @@ from .unconstrained import _attack_unconstrained, attack_unconstrained
 
 class Family(NamedTuple):
     """An attack family: its closed form on a ``report.CoreSpectrum``, its
-    attack on a matrix (``pcattack attack``), and its random oracle."""
+    attack on a matrix, and its random oracle.  ``pcattack attack`` runs the
+    attack, ``verify`` the closed form and the oracle, a sweep the closed
+    form or, for the ``-rnd`` strategies, the oracle, and ``pcr`` the closed
+    form."""
 
     closed_form: Callable
     attack: Callable
@@ -202,7 +205,8 @@ def parse_sweep_spec(path) -> SweepSpec:
 
     Recognized keys: d, n, k, data_kind, data_path, eta_grid (comma-separated
     ratios), strategies (comma-separated), seed, trials, oracle_seed.  Blank
-    lines and ``#`` comments are ignored.
+    lines and ``#`` comments are ignored.  Sweeps run only the random
+    oracles, so grid-search settings are not keys.
     """
     values: dict[str, str] = {}
     for lineno, text in numbered_lines(path):

@@ -5,41 +5,22 @@ Every optimal attack is ``delta = L B R^T`` with ``L = [u_k, e]``, ``R =
 off the column space when k = min(d, n).  ``X + delta`` is then block
 diagonal in the clean singular bases, so the achieved distance can be read
 from the core (``_core_angle``, which sweep cells use) as well as measured
-by an independent PCA of ``X + delta`` (``linalg._pca_distance_from_svd``,
-which every report uses and sweep cells fall back to).  The same core gives
-the perturbed top-k subspace (``_core_split``), which PCR refits read.
+by an independent PCA of ``X + delta``, which every report uses and sweep
+cells fall back to; ``linalg._pca_distance_from_svd`` states how that PCA
+reads ``X + delta`` and how accurate it is.  The same core gives the
+perturbed top-k subspace (``_core_split``), which PCR refits read.
 
-Solving a core and splitting it (``_core_split``, ``_core_angle``) read
-only a ``CoreSpectrum``: the few singular values around k, the case, the
-rank and the shape, taken once per (spectrum, k) by ``core_spectrum`` from
-a ``linalg.Spectrum`` of one values-only SVD, which sweeps and ``verify``
-rely on, or from an ``SvdTriple``.  The record also holds what those
-callers read besides, the scale of a budget ratio and whether the clean
-truncation is tied, so no module outside ``linalg`` and this one reads a
-``Spectrum``.  A solver returns its core as four
-Python floats ``(b_kk, b_kk1, b_k1k, b_k1k1)``, row-major, in the record's
-unit, so a sweep cell is a few float operations.  Only ``frames``, ``lift``
-and ``build_report`` need the singular vectors, and only the pairs k and
-k+1: an attack factors X by ``linalg.leading_svd`` of its leading k + 1
-pairs (``attack_factor``); ``leading_svd``'s docstring states when that
-skips the long factor of a thin SVD.  ``lift`` reads the pair of ``frames`` that its
-caller builds once; it, the rank-one attack vectors and the PCR refit are
-the only code that turns a core into a 2 x 2 array in the data's scale
-(``_core_array``).  The split is a closed-form 2 x 2 SVD
-(``linalg.svd_2x2``) on Python floats; it squares nothing, and a small
-rotation keeps its relative accuracy.
-
-The independent PCA (``linalg._pca_distance_from_svd``) reads only ``X +
-delta``.  At k = n < d, where the top-k subspace is the column space, it
-takes an R-only QR of ``X + delta`` and reads the angles through that
-triangle, without forming the QR's ``Q``; otherwise, a tied truncation at
-k = n included, it factors ``X + delta`` by ``leading_svd``.  Either way
-the span is accurate to O(eps sigma_1 / (sigma_k - sigma_{k+1})), as a
-dense SVD's is, and a small angle is read from its sine, so a tiny budget's
-achieved angle is accurate to that order as well.  Every factor runs again
-in a power-of-two unit once sigma_1 reaches 2^511 (``linalg._unit_safe``),
-and the solvers in units of sigma_1 rounded to a power of two
-(``core_spectrum``), so an attack is the same at any scale of X and eta.
+Solving a core and splitting it read only a ``CoreSpectrum``, built once
+per (spectrum, k) by ``core_spectrum`` from one values-only SVD or from an
+``SvdTriple``, so no module outside ``linalg`` and this one reads a
+``Spectrum``.  A solver returns its core as four Python floats ``(b_kk,
+b_kk1, b_k1k, b_k1k1)``, row-major, in the record's unit (``core_spectrum``
+states the unit, ``budget_in_unit`` the budgets it cannot hold), so a sweep
+cell is a few float operations.  Only ``frames``, ``lift`` and
+``build_report`` need singular vectors, and only the pairs k and k+1, which
+``attack_factor`` asks ``linalg.leading_svd`` for.  ``lift``, the rank-one
+attack vectors and the PCR refit are the only code that turns a core into a
+2 x 2 array in the data's scale (``_core_array``).
 """
 
 from __future__ import annotations
@@ -142,10 +123,14 @@ class CoreSpectrum:
 def core_spectrum(spectrum: Spectrum, k: int) -> CoreSpectrum:
     """The ``CoreSpectrum`` of a ``Spectrum`` (or an ``SvdTriple``) at ``k``.
 
-    The closed forms are homogeneous in (sigma, eta), and scaling by a power
-    of two is exact, so solving and splitting in the unit changes no result;
-    it keeps their squares in range at any scale of X.  Rounded up, the unit
-    of a sigma_1 at or above 2^1023 would overflow."""
+    Its unit is sigma_1 rounded down to a power of two.  The closed forms
+    are homogeneous in (sigma, eta), and scaling by a power of two is exact,
+    so solving and splitting in the unit changes no result: an attack is the
+    same at every scale of X and eta, and no square in a solver overflows or
+    underflows, from 1e-150 to 1e150 (``tests/test_scale.py``) and beyond.
+    Rounded down, the unit stays finite up to the largest float, so an
+    attack on ``diag(1e308, 1e307, 1e306)`` runs; rounded up, the unit of a
+    sigma_1 at or above 2^1023 would overflow."""
     sigma, rank = spectrum.sigma.tolist(), spectrum.rank
     p = len(sigma)
     case = "k<rank" if k < rank else "low_rank" if rank < p else "full_rank"

@@ -1,5 +1,6 @@
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,3 +411,24 @@ def test_sigma_1_past_the_float64_range_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ("error: entries are finite, but the largest singular "
                                        "value exceeds the float64 range (1.798e+308)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategies", ["r1-rnd", "wr-rnd"])
+def test_budget_near_the_float64_maximum_runs_the_oracles(tmp_path, capsys, strategies):
+    # eta / ||a|| overflowed for this budget: every trial scored nan, and the
+    # oracle returned no trial at all
+    x = synth_gaussian(2, 3, seed=0)
+    path, spec, out = tmp_path / "m.csv", tmp_path / "s.txt", tmp_path / "o.csv"
+    write_matrix_csv(path, x / np.linalg.svd(x, compute_uv=False)[0] * 2e307)
+    spec.write_text(f"d=2\nn=3\nk=1\ndata_kind=from_file\ndata_path={path}\n"
+                    f"eta_grid=0.5,1,2\nstrategies={strategies}\ntrials=64\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main(["verify", str(path), "--k", "1", "--eta", "1.5e308", "--trials", "64"]),
+                 main(["sweep", str(spec), "--out", str(out)])]
+    err = capsys.readouterr().err
+    assert set(codes) <= {0, 2}, codes
+    assert "Traceback" not in err and all(line.startswith("error: ")
+                                          for line in err.splitlines())
+    if codes[1] == 0:
+        assert "nan" not in out.read_text() and "inf" not in out.read_text()

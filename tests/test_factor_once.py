@@ -1,22 +1,25 @@
 """Count the dense SVDs each entry point runs on its input's shape.
 
-An attack factors the clean matrix once and verifies by one independent
-re-PCA.  Each is a dense SVD of the input's shape, except where one side is
-long: once ``max(d, n) >= RSVD_ASPECT * min(d, n)``, the factor (for k + 1 <
-min(d, n)) and the re-PCA (for k < min(d, n)) are an SVD of the min(d,
-n)-square triangle of a QR of the input or its transpose, and at k = n < d
-the re-PCA is a values-only one of the triangle of an R-only QR of the
-input, followed by a thin SVD of the input only when that triangle's
-truncation ties (``conftest.factor_svd_shape`` and ``re_pca_svd_shape``
-state the rule); the achieved angle takes one k x k SVD, of its cosines,
-when its sine is at least 1/4, and none when it is smaller; ``verify``
-takes one values-only SVD for both closed forms, builds no report, and lets
-each random oracle factor on its own; a sweep takes one values-only SVD and
-verifies its closed-form cells from their 2x2 cores, factoring in full only
-for a cell whose core ties; PCR factors the centered training features once
-and refits from the 2x2 cores, building no report, with one more SVD only
-for a ratio whose core ties.  A sweep also reads its spectrum at k into one
-``report.CoreSpectrum``, and its cells solve to cores of four Python floats.
+* One attack (``attack_*``, ``pcattack attack``): 2, the factor and one
+  independent re-PCA.  Once one side is long, ``max(d, n) >= RSVD_ASPECT *
+  p`` with ``p = min(d, n)``, the factor (for k + 1 < p) and the re-PCA (for
+  k < p) are each an SVD of the p x p triangle of a QR of the input or its
+  transpose instead.  At k = n < d the re-PCA is a values-only SVD of the
+  triangle of an R-only QR of the input, followed by a thin SVD of the input
+  only when that triangle's truncation ties (``conftest.factor_svd_shape``
+  and ``re_pca_svd_shape`` state the rule).  The achieved angle takes one k
+  x k SVD, of its cosines, when its sine is at least 1/4, and none when it
+  is smaller.
+* ``pcattack verify``: 3, one values-only SVD for both closed forms, which
+  build no report, and one factor per random oracle, each on its own.
+* ``run_sweep`` / ``pcattack sweep``: one values-only SVD, read at k into one
+  ``report.CoreSpectrum``, plus one per random-oracle cell.  Its closed-form
+  cells solve to cores of four Python floats and are verified from them; a
+  cell whose core ties adds one factor for the sweep and one re-PCA, as for
+  an attack.
+* ``attack_pcr`` / ``pcattack pcr``: one, of the centered training features.
+  It refits from the 2x2 cores and builds no report, with one more SVD only
+  for a ratio whose core ties.
 """
 
 import numpy as np

@@ -315,6 +315,18 @@ class TestBestOfTrials:
         for c in (1e-170, 1e-150, 1e150, 1e160):
             assert search(c * x, k, c * eta, cfg)[1] == pytest.approx(theta, abs=1e-12)
 
+    @pytest.mark.parametrize("search", [random_rank_one, random_unconstrained])
+    def test_non_finite_angles_are_skipped(self, search, monkeypatch):
+        # a trial whose angle is not finite is skipped, and with none left
+        # there is no best trial to return
+        x, k, eta = _pin_instance()
+        scores = np.full(10, np.nan)
+        monkeypatch.setattr(oracle, "_batched_theta", lambda basis, x, deltas: scores.copy())
+        with pytest.raises(ArithmeticError, match="scored a finite angle"):
+            search(x, k, eta, SearchConfig(trials=10, seed=0))
+        scores[[3, 7]] = 0.5, 0.25
+        assert search(x, k, eta, SearchConfig(trials=10, seed=0))[1] == 0.5
+
 
 ORACLES = [random_rank_one, random_unconstrained]
 
