@@ -9,79 +9,49 @@ budget regimes; search-based oracles verify them independently.
 The package exports what the CLI, the demos, the tests and the benchmark
 use.  Result types such as ``RankOneAttack``, ``PerturbationMatrix``,
 ``SvdTriple`` or ``SweepRow`` are imported from their modules.
+``import pcattack`` loads no submodule: an exported name loads its module
+on first use (PEP 562), so a CLI command pays only for what it runs.
 """
 
-from .errors import (InvalidDimension, InvalidMatrix, NoOrthogonalComplement,
-                     OracleTooExpensive, ParseError, PcattackError, RankMismatch,
-                     RegimeError, SingularFit, UndefinedR2)
-from .experiments import (SweepSpec, parse_sweep_spec, run_sweep, synth_gaussian,
-                          synth_low_rank, write_sweep_csv)
-from .fileio import read_matrix_csv, write_matrix_csv
-from .linalg import (OrthonormalBasis, asimov_distance, compress_rank_one_problem,
-                     full_svd, leading_subspace, pca_distance, principal_angles,
-                     unitary_conjugate)
-from .oracle import (SearchConfig, brute_force_principal_angles,
-                     grid_search_angles, portable_normal, random_rank_one,
-                     random_unconstrained, stationarity_residual)
-from .pcr import (attack_pcr, fit_pcr, load_feature_csv, r_squared,
-                  synthetic_collinear, write_regression_csv)
-from .rank_one import (attack_rank_one, equivalent_solutions, klt_rank_closed_form,
-                       theta_from_angles)
-from .report import AttackReport, Regime
-from .unconstrained import (attack_unconstrained, closed_form_lambda,
-                            lift_to_data_space, paired_entries, recover_entries)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackReport",
-    "InvalidDimension",
-    "InvalidMatrix",
-    "NoOrthogonalComplement",
-    "OracleTooExpensive",
-    "OrthonormalBasis",
-    "ParseError",
-    "PcattackError",
-    "RankMismatch",
-    "Regime",
-    "RegimeError",
-    "SearchConfig",
-    "SingularFit",
-    "SweepSpec",
-    "UndefinedR2",
-    "asimov_distance",
-    "attack_pcr",
-    "attack_rank_one",
-    "attack_unconstrained",
-    "brute_force_principal_angles",
-    "closed_form_lambda",
-    "compress_rank_one_problem",
-    "equivalent_solutions",
-    "fit_pcr",
-    "full_svd",
-    "grid_search_angles",
-    "klt_rank_closed_form",
-    "leading_subspace",
-    "lift_to_data_space",
-    "load_feature_csv",
-    "paired_entries",
-    "parse_sweep_spec",
-    "pca_distance",
-    "portable_normal",
-    "principal_angles",
-    "r_squared",
-    "random_rank_one",
-    "random_unconstrained",
-    "read_matrix_csv",
-    "recover_entries",
-    "run_sweep",
-    "stationarity_residual",
-    "synth_gaussian",
-    "synth_low_rank",
-    "synthetic_collinear",
-    "theta_from_angles",
-    "unitary_conjugate",
-    "write_matrix_csv",
-    "write_regression_csv",
-    "write_sweep_csv",
-]
+# Each exported name and the submodule that defines it.
+_SUBMODULE = {
+    **dict.fromkeys(("InvalidDimension", "InvalidMatrix", "NoOrthogonalComplement",
+                     "OracleTooExpensive", "ParseError", "PcattackError", "RankMismatch",
+                     "RegimeError", "SingularFit", "UndefinedR2"), "errors"),
+    **dict.fromkeys(("SweepSpec", "parse_sweep_spec", "run_sweep", "synth_gaussian",
+                     "synth_low_rank", "write_sweep_csv"), "experiments"),
+    **dict.fromkeys(("read_matrix_csv", "write_matrix_csv"), "fileio"),
+    **dict.fromkeys(("OrthonormalBasis", "asimov_distance", "compress_rank_one_problem",
+                     "full_svd", "leading_subspace", "pca_distance", "principal_angles",
+                     "unitary_conjugate"), "linalg"),
+    **dict.fromkeys(("SearchConfig", "brute_force_principal_angles", "grid_search_angles",
+                     "portable_normal", "random_rank_one", "random_unconstrained",
+                     "stationarity_residual"), "oracle"),
+    **dict.fromkeys(("attack_pcr", "fit_pcr", "load_feature_csv", "r_squared",
+                     "synthetic_collinear", "write_regression_csv"), "pcr"),
+    **dict.fromkeys(("attack_rank_one", "equivalent_solutions", "klt_rank_closed_form",
+                     "theta_from_angles"), "rank_one"),
+    **dict.fromkeys(("AttackReport", "Regime"), "report"),
+    **dict.fromkeys(("attack_unconstrained", "closed_form_lambda", "lift_to_data_space",
+                     "paired_entries", "recover_entries"), "unconstrained"),
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 usage or parse failure, 3 no applicable attack
 regime, 4 an oracle beat a closed form on an untied input (verification
 failure).  On an input whose clean top-k truncation is tied, the top-k
 subspace is not defined, so ``verify`` marks each check ``tied`` instead.
+
+``pcr`` and ``oracle`` are imported only by the commands that run them, so
+``attack`` loads neither.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from .errors import InvalidDimension, PcattackError, RegimeError
 from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
 from .fileio import read_matrix_csv, write_matrix_csv, write_text
 from .linalg import check_attack, spectrum_of
-from .oracle import SearchConfig, grid_search_angles
-from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
-                  write_regression_csv)
 from .report import Regime, core_spectrum
 
 RANDOM_ORACLE_TOL = 1e-4
@@ -46,6 +46,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pcr(args) -> int:
+    from .pcr import (DEFAULT_ETA_RATIOS, attack_pcr, load_feature_csv, synthetic_collinear,
+                      write_regression_csv)
     features, targets = (synthetic_collinear(seed=args.seed) if args.synthetic
                          else load_feature_csv(args.data))
     if args.eta_grid is not None:
@@ -59,7 +61,9 @@ def _cmd_pcr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SearchConfig(trials=args.trials, seed=args.seed)
+    from .oracle import SearchConfig, grid_search_angles
+    cfg = (SearchConfig(seed=args.seed) if args.trials is None
+           else SearchConfig(trials=args.trials, seed=args.seed))
     x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
     # Both closed forms read one values-only SVD; each oracle factors on its own
     # so that it stays independent of the closed form it checks.  A family with
@@ -132,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[matrix],
                               help="check closed forms against oracles")
-    p_verify.add_argument("--trials", type=int, default=SearchConfig.trials)
+    p_verify.add_argument("--trials", type=int)     # None: SearchConfig's default
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

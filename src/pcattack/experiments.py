@@ -17,18 +17,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
 from .fileio import numbered_lines, read_matrix_csv, write_table
 from .linalg import _pca_distance_from_svd, check_eta, check_k, spectrum_of
-from .oracle import (SearchConfig, normal_stream, portable_normal,
-                     random_rank_one, random_unconstrained)
 from .rank_one import _attack_rank_one, attack_rank_one
 from .report import CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum, frames, lift
 from .unconstrained import _attack_unconstrained, attack_unconstrained
+
+if TYPE_CHECKING:
+    from .oracle import SearchConfig
+
+
+def _oracle():
+    """The ``oracle`` module, imported on first use, so that ``pcattack
+    attack``, which reads ``ATTACKS`` but runs no oracle, never loads it."""
+    from . import oracle
+    return oracle
+
+
+def _random_oracle(name: str) -> Callable:
+    """``oracle.<name>``, looked up when it is called."""
+    return lambda x, k, eta, cfg: getattr(_oracle(), name)(x, k, eta, cfg)
 
 
 class Family(NamedTuple):
@@ -44,8 +57,9 @@ class Family(NamedTuple):
 
 
 ATTACKS = {
-    "rank_one": Family(_attack_rank_one, attack_rank_one, random_rank_one),
-    "unconstrained": Family(_attack_unconstrained, attack_unconstrained, random_unconstrained),
+    "rank_one": Family(_attack_rank_one, attack_rank_one, _random_oracle("random_rank_one")),
+    "unconstrained": Family(_attack_unconstrained, attack_unconstrained,
+                            _random_oracle("random_unconstrained")),
 }
 # Each sweep strategy: the attack family, and whether its oracle replaces the
 # closed form.
@@ -66,7 +80,7 @@ class SweepSpec:
     data_kind: str = "low_rank"          # low_rank | gaussian | from_file
     eta_grid: tuple = DEFAULT_ETA_RATIOS
     strategies: tuple = tuple(STRATEGIES)
-    oracle_cfg: SearchConfig = field(default_factory=SearchConfig)
+    oracle_cfg: SearchConfig = field(default_factory=lambda: _oracle().SearchConfig())
     seed: int = 0
     data_path: str | None = None
 
@@ -99,6 +113,7 @@ def synth_low_rank(d: int, n: int, k: int, seed: int) -> np.ndarray:
     if not 1 <= k <= min(d, n):
         raise InvalidDimension(f"need 1 <= k <= min(d, n), got k={k}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    normal_stream = _oracle().normal_stream
     left = normal_stream(rng, (d, k))
     right = normal_stream(rng, (n, k))
     return left @ right.T
@@ -108,7 +123,7 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. standard-normal matrix; full rank almost surely."""
     if d < 1 or n < 1:
         raise InvalidDimension("d and n must be positive")
-    return portable_normal(seed, (d, n))
+    return _oracle().portable_normal(seed, (d, n))
 
 
 def check_ratio_grid(ratios) -> tuple[float, ...]:
@@ -226,8 +241,9 @@ def parse_sweep_spec(path) -> SweepSpec:
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
         seed = int(values.pop("seed", 0))
-        cfg = SearchConfig(trials=int(values.pop("trials", SearchConfig.trials)),
-                           seed=int(values.pop("oracle_seed", seed)))
+        search_config = _oracle().SearchConfig
+        cfg = search_config(trials=int(values.pop("trials", search_config.trials)),
+                            seed=int(values.pop("oracle_seed", seed)))
         for key in ("d", "n", "k"):
             values[key] = int(values[key])
         for key in ("eta_grid", "strategies"):

@@ -54,12 +54,22 @@ def numbered_lines(path) -> list[tuple[int, str]]:
 def parse_rows(path, lines) -> np.ndarray:
     """Float matrix from numbered comma-separated lines; blank lines are skipped.
 
-    Every row must be as wide as the first; errors cite ``path:lineno``.
+    Every row must be as wide as the first, and every cell is read as
+    ``float()`` reads it; errors cite ``path:lineno``.  ``np.loadtxt`` reads
+    the lines first and gives the same floats, bit for bit.  On any
+    ValueError (a bad or ragged row, or a cell it is stricter about than
+    ``float()``: ``1_0``, non-ASCII digits) the lines are read again cell by
+    cell, which accepts those cells and names the line of any other.
     """
+    lines = [(lineno, text) for lineno, text in lines if text]
+    if not lines:
+        raise ParseError(f"{path}: no data rows")
+    try:
+        return np.loadtxt([text for _, text in lines], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
     rows = []
     for lineno, text in lines:
-        if not text:
-            continue
         try:
             rows.append([float(c) for c in text.split(",")])
         except ValueError as exc:
@@ -67,8 +77,6 @@ def parse_rows(path, lines) -> np.ndarray:
         if len(rows[-1]) != len(rows[0]):
             raise ParseError(f"{path}:{lineno}: ragged row "
                              f"({len(rows[-1])} cells, expected {len(rows[0])})")
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
 
 

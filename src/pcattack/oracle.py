@@ -159,10 +159,17 @@ def _best_of_trials(x, k, eta, cfg: SearchConfig, width, candidates):
     ``_CHUNK_BYTES`` per temporary.  Returns the records of the first best
     trial and its angle.  A trial whose angle is not finite is skipped, and
     ArithmeticError is raised when no trial scores a finite angle.
+
+    ``x + delta`` can pass the float64 maximum only when ``|x|`` or eta is
+    past a quarter of it; the trials are then scored on ``x / 4`` and
+    ``delta / 4``, which span the same subspaces, and the records stay in
+    the data's scale.  Otherwise they are scored as they are.
     """
     x, k, eta = check_attack(x, k, eta)
     d, n = x.shape
     basis = full_svd(x).u[:, :k]
+    shrink = 4.0 if max(float(np.abs(x).max()), eta) >= 2.0**1021 else 1.0
+    scored = x / shrink
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     chunk = max(1, _CHUNK_BYTES // (8 * max(d, n) ** 2))
 
@@ -171,7 +178,8 @@ def _best_of_trials(x, k, eta, cfg: SearchConfig, width, candidates):
         # the normals live only until the candidates are built, not while they score
         records, deltas = candidates(_trial_normals(rng, min(chunk, cfg.trials - done),
                                                      width(d, n)), d, n, eta)
-        theta = np.nan_to_num(_batched_theta(basis, x, deltas), nan=-1.0)
+        theta = np.nan_to_num(_batched_theta(basis, scored, deltas if shrink == 1.0
+                                             else deltas / shrink), nan=-1.0)
         i = int(np.argmax(theta))
         if theta[i] > best_theta:
             best_theta, best = float(theta[i]), tuple(r[i].copy() for r in records)

@@ -185,9 +185,14 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
             last = w @ (head[k - 1:] + _core_array(core, at.unit)[:, :right.shape[1]] @ right.T)
             scores = np.vstack([head[:k - 1], last])
             test_scores = np.vstack([test_head[:k - 1], w @ test_head[k - 1:]])
-        coefficients, intercept, r2_train = _least_squares(scores, y_train)
-        reports.append(RegressionReport(ratio, strategy, r2_train,
-                                        r_squared(coefficients @ test_scores + intercept, y_test)))
+        # The refit reads the scores in units of a power of two near their
+        # largest |entry|, which r2 does not see: an attack that leaves the
+        # last scores near zero can leave them subnormal in the data's scale,
+        # where the coefficients would overflow.
+        e = np.frexp(np.abs(scores).max())[1]
+        coefficients, intercept, r2_train = _least_squares(np.ldexp(scores, -e), y_train)
+        r2_test = r_squared(coefficients @ np.ldexp(test_scores, -e) + intercept, y_test)
+        reports.append(RegressionReport(ratio, strategy, r2_train, r2_test))
     return reports
 
 

@@ -1,19 +1,31 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, and a
+command loads only the modules it runs.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with ``ast``: every name bound by an import must be read
 somewhere in the module as a plain name (an attribute chain counts by its
-root, an annotation by its names).  ``__init__.py`` is skipped, since its
-imports are the package's re-exports.
+root, an annotation by its names).  ``__init__.py`` is checked too: it
+exports names through a table that loads their modules on first use, not
+through imports.
+
+Which submodules a command loads is read from ``sys.modules`` in a fresh
+interpreter, since this one has loaded them all.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pcattack
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcattack"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +49,42 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _submodules_loaded_by(code: str) -> list[str]:
+    """The ``pcattack.*`` modules loaded once a fresh interpreter has run ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    report = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('pcattack.'))))"
+    proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\n{report}"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_pcattack_loads_no_submodule():
+    assert _submodules_loaded_by("import pcattack") == []
+
+
+def test_attack_loads_neither_oracle_nor_pcr(tmp_path):
+    matrix, delta = tmp_path / "x.csv", tmp_path / "delta.csv"
+    matrix.write_text("3,0,0\n0,2,0\n0,0,1\n")
+    argv = ["attack", str(matrix), "--k", "1", "--eta", "0.5", "--strategy", "unconstrained",
+            "--out", str(tmp_path / "report.json"), "--emit-delta", str(delta)]
+    loaded = _submodules_loaded_by(f"from pcattack.cli import main\nassert main({argv!r}) == 0")
+    assert delta.exists()
+    assert "pcattack.rank_one" in loaded    # the family table, dispatched through
+    assert "pcattack.oracle" not in loaded and "pcattack.pcr" not in loaded, loaded
+
+
+def test_every_export_resolves_through_the_table():
+    assert pcattack.__all__ == sorted(pcattack._SUBMODULE)
+    assert set(pcattack.__all__) <= set(dir(pcattack))
+    for name in pcattack.__all__:
+        module = importlib.import_module(f"pcattack.{pcattack._SUBMODULE[name]}")
+        assert getattr(pcattack, name) is getattr(module, name), name
+    namespace = {}
+    exec("from pcattack import *", namespace)
+    assert set(pcattack.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pcattack.no_such_name
