@@ -15,7 +15,9 @@ whichever slice of a chunk it falls in, so results are independent of
 chunking and of the number of scoring threads, and identical across runs;
 the best over trials is reduced with a lowest-index tie-break.  The thread
 count is the number of cores in the process's CPU affinity, read once at
-import; there is no option or environment variable for it.
+import; there is no option or environment variable for it.  The scoring
+threads start on first use and stay, idle between calls, for the life of
+the process.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -86,9 +89,10 @@ def _by_rows(fn, rows: int, *arrays: np.ndarray) -> np.ndarray:
     """``fn(*arrays)``, computed over contiguous row slices of the arrays'
     leading axis, one per usable core and none under ``_MIN_SLICE`` rows.
 
-    Slice 0 runs on the calling thread and the others on their own threads.
-    All are joined before the results are concatenated in slice order, or
-    before the exception of the first slice that raised is re-raised."""
+    Slice 0 runs on the calling thread and the others on ``_slice_workers``.
+    Every slice has ended before the results are concatenated in slice
+    order, or before the exception of the first slice that raised is
+    re-raised."""
     parts = min(_WORKERS, rows // _MIN_SLICE)
     if parts <= 1:
         return fn(*arrays)
@@ -101,19 +105,56 @@ def _by_rows(fn, rows: int, *arrays: np.ndarray) -> np.ndarray:
         except BaseException as exc:    # re-raised on the calling thread
             errors[i] = exc
 
-    threads = []
-    try:
-        for i in range(1, parts):
-            threads.append(threading.Thread(target=run, args=(i,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
+    tasks, done = _slice_workers(parts - 1), queue.SimpleQueue()
+    for i in range(1, parts):
+        tasks.put((run, i, done))
+    run(0)
+    for _ in range(1, parts):
+        done.get()
     for exc in errors:
         if exc is not None:
             raise exc
     return np.concatenate(results)
+
+
+_tasks = queue.SimpleQueue()
+_workers: list[threading.Thread] = []
+_workers_lock = threading.Lock()
+
+
+def _slice_workers(count: int) -> queue.SimpleQueue:
+    """The task queue of at least ``count`` daemon threads, started on first
+    need and kept for the life of the process: a thread started per call
+    can take a fresh malloc arena before the last one has handed its arena
+    back, and each arena keeps the freed slice temporaries.  A task is
+    ``(run, i, done)``: the worker calls ``run(i)``, which does not raise,
+    then puts ``i`` on ``done``."""
+    with _workers_lock:
+        while len(_workers) < count:
+            _workers.append(threading.Thread(target=_serve, name="pcattack-slice", daemon=True))
+            _workers[-1].start()
+    return _tasks
+
+
+def _forget_workers() -> None:
+    """Start afresh in a forked child, which inherits the queue and the lock
+    but none of the threads."""
+    global _tasks, _workers_lock
+    _tasks, _workers_lock = queue.SimpleQueue(), threading.Lock()
+    _workers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _serve() -> None:
+    while True:
+        run, i, done = _tasks.get()
+        run(i)
+        # an idle worker holds nothing of the last call: its arrays and results
+        run = None
+        done.put(i)
 
 
 def _trial_normals(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:

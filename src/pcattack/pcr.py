@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
 from .experiments import ATTACKS, check_ratio_grid
-from .fileio import numbered_lines, parse_rows, write_table
+from .fileio import parse_rows, write_table
 from .linalg import as_matrix, check_eta, check_k, full_svd, leading_svd
 from .oracle import normal_stream
 from .report import _core_array, _core_split, attack_factor, frames, lift
@@ -225,12 +225,24 @@ def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     A single leading header line is skipped when it contains any
     non-numeric cell; it must be as wide as the data rows.
     """
-    lines = [(i, text) for i, text in numbered_lines(path) if text]
-    header = lines.pop(0) if lines and not _all_floats(lines[0][1]) else None
-    data = parse_rows(path, lines)
-    if header is not None and len(header[1].split(",")) != data.shape[1]:
-        raise ParseError(f"{path}:{header[0]}: header is not as wide as the "
-                         f"{data.shape[1]}-column data rows")
+    headers = []
+
+    def data_lines(lines):
+        headers.clear()
+        lines = ((lineno, text) for lineno, text in lines if text)
+        for lineno, text in lines:      # the first non-blank line
+            if _all_floats(text):
+                yield lineno, text
+            else:
+                headers.append((lineno, text))
+            break
+        yield from lines
+
+    data = parse_rows(path, data_lines)
+    for lineno, text in headers:
+        if len(text.split(",")) != data.shape[1]:
+            raise ParseError(f"{path}:{lineno}: header is not as wide as the "
+                             f"{data.shape[1]}-column data rows")
     if data.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column plus a target")
     return data[:, :-1].T.copy(), data[:, -1].copy()

@@ -4,8 +4,8 @@ over feature CSVs.
 
 The space: shapes from 1x1 to 30x12, gaussian, low-rank, exactly tied and
 nearly tied (relative gap 1e-12 to 1e-3) spectra at k, scales 1, 1e+-150,
-1e+-300 and 1e307, budgets from 1e-14 to 10 of the scale plus 0, 1e-300 and
-1e200, both strategies, and ``verify --trials 64`` on about one case in four.
+1e+-300 and 1e307, budgets from 1e-14 to 10 of the scale plus 0, the
+subnormal 5e-324 and 1e-310, 2e-308, 1e-300 and 1e200, both strategies, and ``verify --trials 64`` on about one case in four.
 Each case checks the CLI's contract:
 
 * the exit code is 0, 2, 3 or 4, and exit 2 or 3 writes one ``error:`` line
@@ -93,7 +93,7 @@ def _case(draw):
     kind = draw(st.sampled_from(["gaussian", "low-rank", "tie", "near-tie"]))
     x = _matrix(kind, shape, k, draw(st.integers(0, 2**32 - 1)), draw(st.floats(-12.0, -3.0)))
     scale = draw(st.sampled_from(SCALES))
-    eta = draw(st.one_of(st.sampled_from([0.0, 1e-300, 1e200]),
+    eta = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2e-308, 1e-300, 1e200]),
                          st.floats(-14.0, 1.0).map(lambda e: scale * 10.0**e)))
     strategy = draw(st.sampled_from(["rank_one", "unconstrained"]))
     return x * scale, k, eta, strategy, draw(st.integers(0, 3)) == 0

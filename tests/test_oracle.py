@@ -1,6 +1,10 @@
 import operator
+import os
+import signal
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -391,21 +395,61 @@ class TestScoringThreads:
     @pytest.mark.parametrize("failing", ["calling thread", "worker thread"])
     def test_failing_slice_raises_after_every_thread_ends(self, monkeypatch, search, failing):
         # With two workers, slice 0 runs on the calling thread and slice 1
-        # on a worker.
+        # on a worker.  The worker outlives the call, so what must have
+        # ended when the exception arrives is every slice, each kept
+        # running for a while so that a caller that did not wait would see it.
         caller, score = threading.get_ident(), oracle._slice_theta
+        running, lock = [0], threading.Lock()
 
         def fails_on_one_slice(basis, x, deltas):
-            if (threading.get_ident() == caller) == (failing == "calling thread"):
-                raise FloatingPointError(failing)
-            return score(basis, x, deltas)
+            with lock:
+                running[0] += 1
+            try:
+                time.sleep(0.02)
+                if (threading.get_ident() == caller) == (failing == "calling thread"):
+                    raise FloatingPointError(failing)
+                return score(basis, x, deltas)
+            finally:
+                with lock:
+                    running[0] -= 1
 
         monkeypatch.setattr(oracle, "_WORKERS", 2)
         monkeypatch.setattr(oracle, "_slice_theta", fails_on_one_slice)
-        before = threading.active_count()
         x, k, eta = _pin_instance()
         with pytest.raises(FloatingPointError, match=failing):
             search(x, k, eta, SearchConfig(trials=5000, seed=1))
-        assert threading.active_count() == before
+        assert running[0] == 0
+
+    def test_workers_outlive_the_call_and_hold_none_of_it(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_WORKERS", 3)
+        rows = np.arange(300.0)
+        oracle._by_rows(lambda r: r, rows.size, rows)
+        started = threading.active_count()
+        for _ in range(20):
+            assert np.array_equal(oracle._by_rows(lambda r: 2 * r, rows.size, rows), 2 * rows)
+        assert threading.active_count() == started
+        assert all(t.daemon and t.is_alive() for t in oracle._workers)
+        # an idle worker keeps no reference to the last call's arrays
+        last = weakref.ref(rows)
+        del rows
+        assert last() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_workers(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_WORKERS", 2)
+        rows = np.arange(300.0)
+        oracle._by_rows(lambda r: r, rows.size, rows)
+        pid = os.fork()
+        if pid == 0:    # the child: exit 0 once its sliced call returns
+            os._exit(0 if np.array_equal(oracle._by_rows(lambda r: r + 1, rows.size, rows),
+                                         rows + 1) else 1)
+        deadline = time.monotonic() + 30.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def _svd_theta(basis, x, deltas):
