@@ -69,8 +69,9 @@ def write_text(path, text) -> None:
 
 
 def numbered_lines(path) -> list[tuple[int, str]]:
-    """The file's lines, stripped, with their 1-based line numbers."""
-    with open(path, encoding="utf-8") as fh:
+    """The file's lines, stripped, with their 1-based line numbers; a
+    leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return [(i, line.strip()) for i, line in enumerate(fh.read().splitlines(), start=1)]
 
 
@@ -78,7 +79,7 @@ def _streamed_lines(path):
     """``numbered_lines``, read lazily.  The file object splits at ``\\n``,
     ``\\r\\n`` and ``\\r``, and ``str.splitlines`` at the rest (``\\v``,
     ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``)."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = (part for line in fh for part in line.splitlines())
         yield from ((i, line.strip()) for i, line in enumerate(lines, start=1))
 
@@ -98,7 +99,8 @@ def parse_rows(path, data_lines) -> np.ndarray:
     line, ``numbered_lines`` reads the file again, whole, and the lines are
     parsed cell by cell, which accepts those cells and names the line of any
     other.  The whole read raises a decoding error as it always has, at the
-    byte's offset in the file.
+    byte's offset in the file, counted past the byte-order mark if there is
+    one.
     """
     texts = (text for _, text in data_lines(_streamed_lines(path)) if text)
     try:

@@ -16,17 +16,19 @@ chunking and of the number of scoring threads, and identical across runs;
 the best over trials is reduced with a lowest-index tie-break.  The thread
 count is the number of cores in the process's CPU affinity, read once at
 import; there is no option or environment variable for it.  The scoring
-threads start on first use and stay, idle between calls, for the life of
-the process.
+threads are a standard ``concurrent.futures.ThreadPoolExecutor``: the first
+batch long enough to slice imports ``concurrent.futures`` and makes the
+pool, of ``_WORKERS - 1`` threads as ``_WORKERS`` reads at that moment, and
+its threads stay, idle between calls, for the life of the process.  A
+process that never slices a batch starts no thread and never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +58,15 @@ class SearchConfig:
     refine_steps: int = 2
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be >= 2")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
+        for name, least in (("trials", 1), ("grid_resolution", 2), ("refine_steps", 0)):
+            count = getattr(self, name)
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {count!r}") from None
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, count)
 
 
 def _box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
@@ -89,72 +94,41 @@ def _by_rows(fn, rows: int, *arrays: np.ndarray) -> np.ndarray:
     """``fn(*arrays)``, computed over contiguous row slices of the arrays'
     leading axis, one per usable core and none under ``_MIN_SLICE`` rows.
 
-    Slice 0 runs on the calling thread and the others on ``_slice_workers``.
-    Every slice has ended before the results are concatenated in slice
-    order, or before the exception of the first slice that raised is
+    Slice 0 runs on the calling thread and the others on ``_slice_pool()``,
+    a standard ``concurrent.futures.ThreadPoolExecutor`` that the first call
+    with more than one slice imports and makes, of ``_WORKERS - 1`` threads
+    as ``_WORKERS`` reads at that moment.  Every slice has ended
+    (``concurrent.futures.wait``) before the results are concatenated in
+    slice order, or before the exception of the first slice that raised is
     re-raised."""
     parts = min(_WORKERS, rows // _MIN_SLICE)
     if parts <= 1:
         return fn(*arrays)
+    from concurrent.futures import wait
     bounds = [rows * i // parts for i in range(parts + 1)]
-    results, errors = [None] * parts, [None] * parts
-
-    def run(i):
-        try:
-            results[i] = fn(*(a[bounds[i]:bounds[i + 1]] for a in arrays))
-        except BaseException as exc:    # re-raised on the calling thread
-            errors[i] = exc
-
-    tasks, done = _slice_workers(parts - 1), queue.SimpleQueue()
-    for i in range(1, parts):
-        tasks.put((run, i, done))
-    run(0)
-    for _ in range(1, parts):
-        done.get()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return np.concatenate(results)
+    rest = [_slice_pool().submit(fn, *(a[bounds[i]:bounds[i + 1]] for a in arrays))
+            for i in range(1, parts)]
+    try:
+        first = fn(*(a[:bounds[1]] for a in arrays))
+    finally:
+        wait(rest)
+    return np.concatenate([first] + [part.result() for part in rest])
 
 
-_tasks = queue.SimpleQueue()
-_workers: list[threading.Thread] = []
-_workers_lock = threading.Lock()
+@functools.cache
+def _slice_pool():
+    """The slice pool of ``_by_rows``, made once per process and not per
+    call: a thread started per call can take a fresh malloc arena before
+    the last one has handed its arena back, and each arena keeps the freed
+    slice temporaries.  A worker drops each slice once it has run it, so an
+    idle one holds nothing of the last call.  Two first calls at once may
+    each make a pool; the one not kept is collected with its threads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pcattack-slice")
 
 
-def _slice_workers(count: int) -> queue.SimpleQueue:
-    """The task queue of at least ``count`` daemon threads, started on first
-    need and kept for the life of the process: a thread started per call
-    can take a fresh malloc arena before the last one has handed its arena
-    back, and each arena keeps the freed slice temporaries.  A task is
-    ``(run, i, done)``: the worker calls ``run(i)``, which does not raise,
-    then puts ``i`` on ``done``."""
-    with _workers_lock:
-        while len(_workers) < count:
-            _workers.append(threading.Thread(target=_serve, name="pcattack-slice", daemon=True))
-            _workers[-1].start()
-    return _tasks
-
-
-def _forget_workers() -> None:
-    """Start afresh in a forked child, which inherits the queue and the lock
-    but none of the threads."""
-    global _tasks, _workers_lock
-    _tasks, _workers_lock = queue.SimpleQueue(), threading.Lock()
-    _workers.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _serve() -> None:
-    while True:
-        run, i, done = _tasks.get()
-        run(i)
-        # an idle worker holds nothing of the last call: its arrays and results
-        run = None
-        done.put(i)
+if hasattr(os, "register_at_fork"):     # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_slice_pool.cache_clear)
 
 
 def _trial_normals(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:

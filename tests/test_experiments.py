@@ -208,6 +208,12 @@ class TestSpecFile:
         assert spec.oracle_cfg.trials == 500
         assert spec.oracle_cfg.seed == 11
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.spec"
+        path.write_text("d = 5\nn = 5\nk = 3\n", encoding="utf-8-sig")
+        spec = parse_sweep_spec(path)
+        assert (spec.d, spec.n, spec.k) == (5, 5, 3)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("d = 5\nn = 5\nk = 3\nbogus = 1\n")

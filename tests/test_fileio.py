@@ -138,6 +138,17 @@ def test_a_byte_past_the_first_block_that_is_not_utf8(tmp_path, reader, first):
     assert str(exc.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("text", ["1,2\n3,4\n", "# d=2 n=2\n1,2\n3,4\n", "1_0,2\n3,4\n"],
+                         ids=["plain", "header", "fallback"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, text):
+    # Excel's "CSV UTF-8" starts the file with one
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(read_matrix_csv(marked), read_matrix_csv(plain))
+
+
 def _one_format(m):
     """The whole matrix in one ``%``-format: the text the writer must give."""
     d, n = m.shape

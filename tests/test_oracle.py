@@ -29,6 +29,13 @@ class TestSearchConfig:
             SearchConfig(trials=0)
         with pytest.raises(ValueError):
             SearchConfig(grid_resolution=1)
+        for name in ("trials", "grid_resolution", "refine_steps"):
+            for bad in (2.5, 3.0, "4", None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    SearchConfig(**{name: bad})
+        cfg = SearchConfig(trials=np.int64(7), grid_resolution=np.int32(9), refine_steps=True)
+        assert (cfg.trials, cfg.grid_resolution, cfg.refine_steps) == (7, 9, 1)
+        assert all(type(v) is int for v in (cfg.trials, cfg.grid_resolution, cfg.refine_steps))
 
 
 class TestPortableNormal:
@@ -421,18 +428,37 @@ class TestScoringThreads:
         assert running[0] == 0
 
     def test_workers_outlive_the_call_and_hold_none_of_it(self, monkeypatch):
+        # A fresh pool of two threads, once the threads of earlier tests'
+        # pool have ended: the first call's slices overlap, so it starts
+        # both, and no later call needs a third.
         monkeypatch.setattr(oracle, "_WORKERS", 3)
+        oracle._slice_pool().shutdown()
+        oracle._slice_pool.cache_clear()
         rows = np.arange(300.0)
-        oracle._by_rows(lambda r: r, rows.size, rows)
-        started = threading.active_count()
-        for _ in range(20):
-            assert np.array_equal(oracle._by_rows(lambda r: 2 * r, rows.size, rows), 2 * rows)
-        assert threading.active_count() == started
-        assert all(t.daemon and t.is_alive() for t in oracle._workers)
-        # an idle worker keeps no reference to the last call's arrays
-        last = weakref.ref(rows)
-        del rows
-        assert last() is None
+
+        def slow(r):
+            time.sleep(0.02)
+            return r
+
+        oracle._by_rows(slow, rows.size, rows)
+        pool, started = oracle._slice_pool(), threading.active_count()
+        try:
+            slicers = {t for t in threading.enumerate() if t.name.startswith("pcattack-slice")}
+            for _ in range(20):
+                assert np.array_equal(oracle._by_rows(lambda r: 2 * r, rows.size, rows), 2 * rows)
+            assert threading.active_count() == started
+            assert len(slicers) >= 2 and all(t.is_alive() for t in slicers)
+            # a worker drops its slice once it has run it, so the last
+            # call's arrays die with the caller's reference
+            last = weakref.ref(rows)
+            del rows
+            deadline = time.monotonic() + 5.0
+            while last() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert last() is None
+        finally:
+            pool.shutdown()
+            oracle._slice_pool.cache_clear()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_workers(self, monkeypatch):

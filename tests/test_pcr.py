@@ -203,6 +203,15 @@ class TestFeatureCsv:
         assert features.shape == (2, 2)
         assert np.array_equal(targets, [10.0, 20.0])
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # a headerless file keeps its first sample; a header is still skipped
+        path = tmp_path / "bom.csv"
+        for header in ("", "f1,f2,target\n"):
+            path.write_text(header + "1,2,10\n3,4,20\n5,6,30\n7,8,40\n", encoding="utf-8-sig")
+            features, targets = load_feature_csv(path)
+            assert features.shape == (2, 4)
+            assert np.array_equal(targets, [10.0, 20.0, 30.0, 40.0])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
