@@ -29,12 +29,12 @@ def _cmd_attack(args) -> int:
     x = read_matrix_csv(args.matrix)
     attack, report = ATTACKS[args.strategy].attack(x, args.k, args.eta)
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
+    if args.emit_delta:     # first, so that a failed write leaves no report behind
+        write_matrix_csv(args.emit_delta, attack.delta)
     if args.out == "-":
         sys.stdout.write(payload)
     else:
         write_text(args.out, payload)
-    if args.emit_delta:
-        write_matrix_csv(args.emit_delta, attack.delta)
     return 0
 
 
@@ -98,6 +98,12 @@ def _cmd_verify(args) -> int:
     return 4 if failed else 0
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcattack",
@@ -130,14 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pcr.add_argument("--eta-grid", default=None,
                        help="comma-separated budget ratios")
     p_pcr.add_argument("--strategy", choices=ATTACKS, default="unconstrained")
-    p_pcr.add_argument("--seed", type=int, default=0)
+    p_pcr.add_argument("--seed", type=_seed, default=0)
     p_pcr.add_argument("--out", required=True, help="report CSV path")
     p_pcr.set_defaults(func=_cmd_pcr)
 
     p_verify = sub.add_parser("verify", parents=[matrix],
                               help="check closed forms against oracles")
     p_verify.add_argument("--trials", type=int)     # None: SearchConfig's default
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
-from .fileio import numbered_lines, read_matrix_csv, write_table
+from .fileio import _data_lines, numbered_lines, read_matrix_csv, write_table
 from .linalg import _pca_distance_from_svd, check_eta, check_k, spectrum_of
 from .rank_one import _attack_rank_one, attack_rank_one
 from .report import CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum, frames, lift
@@ -224,9 +224,7 @@ def parse_sweep_spec(path) -> SweepSpec:
     oracles, so grid-search settings are not keys.
     """
     values: dict[str, str] = {}
-    for lineno, text in numbered_lines(path):
-        if not text or text.startswith("#"):
-            continue
+    for lineno, text in _data_lines(numbered_lines(path), []):
         if "=" not in text:
             raise ParseError(f"{path}:{lineno}: expected key = value")
         key, _, val = text.partition("=")

@@ -1,4 +1,9 @@
-"""Matrix CSV round-trip, and the one writer of every output file.
+"""Matrix CSV round-trip, the one writer of every output file, and the one
+rule for which input lines are data.
+
+Matrix CSVs, feature CSVs and sweep specs skip blank lines and lines that
+start with ``#``; ``_data_lines`` drops them, and every reader reads its
+lines through it, ``parse_rows`` on both of its passes.
 
 Matrix CSVs are streamed in blocks, so beyond the matrix itself a read or a
 write holds one block.  The writer formats ``_BLOCK`` = 2^14 values at a
@@ -84,37 +89,65 @@ def _streamed_lines(path):
         yield from ((i, line.strip()) for i, line in enumerate(lines, start=1))
 
 
-def parse_rows(path, data_lines) -> np.ndarray:
-    """Float matrix from the comma-separated data lines of a file; blank lines
-    are skipped.
+def _all_floats(text: str) -> bool:
+    try:
+        [float(c) for c in text.split(",")]
+    except ValueError:
+        return False
+    return True
 
-    ``data_lines`` maps the file's numbered, stripped lines to the numbered
-    data lines; it runs once per read of the file and may record what it
-    skips.  Every row must be as wide as the first, and every cell is read as
-    ``float()`` reads it; errors cite ``path:lineno``.  ``np.loadtxt`` reads
-    the data lines first, one at a time as ``_streamed_lines`` reads them,
-    and gives the same floats, bit for bit.  On any ValueError (a bad or
-    ragged row, a cell it is stricter about than ``float()``: ``1_0``,
-    non-ASCII digits; or a byte that is not UTF-8), or when there is no data
-    line, ``numbered_lines`` reads the file again, whole, and the lines are
-    parsed cell by cell, which accepts those cells and names the line of any
-    other.  The whole read raises a decoding error as it always has, at the
-    byte's offset in the file, counted past the byte-order mark if there is
-    one.
+
+def _data_lines(lines, comments: list, header: list | None = None):
+    """The data lines among ``lines``, ``(lineno, stripped text)`` pairs as
+    ``numbered_lines`` gives them.  Blank lines are dropped, and lines that
+    start with ``#`` go to ``comments``.  Given a ``header`` list, the first
+    remaining line goes there instead when ``float()`` refuses one of its
+    cells."""
+    first = header is not None
+    for lineno, text in lines:
+        if text.startswith("#"):
+            comments.append((lineno, text))
+        elif text:
+            if first and not _all_floats(text):
+                header.append((lineno, text))
+            else:
+                yield lineno, text
+            first = False
+
+
+def parse_rows(path, header=False):
+    """``(matrix, comments, header)``: the float matrix of the comma-separated
+    data lines of a file, and the numbered lines it skipped that start with
+    ``#`` and, given ``header``, the one that it took as the header.
+
+    ``_data_lines`` picks the data lines: blank lines and ``#`` lines are
+    skipped, and with ``header``, so is a first remaining line that holds a
+    cell ``float()`` refuses.  Every row must be as wide as the first, and
+    every cell is read as ``float()`` reads it; errors cite ``path:lineno``.
+    ``np.loadtxt`` reads the data lines first, one at a time as
+    ``_streamed_lines`` reads them, and gives the same floats, bit for bit.
+    On any ValueError (a bad or ragged row, a cell it is stricter about than
+    ``float()``: ``1_0``, non-ASCII digits; or a byte that is not UTF-8), or
+    when there is no data line, ``numbered_lines`` reads the file again,
+    whole, and the lines are parsed cell by cell, which accepts those cells
+    and names the line of any other.  The whole read raises a decoding error
+    as it always has, at the byte's offset in the file, counted past the
+    byte-order mark if there is one.
     """
-    texts = (text for _, text in data_lines(_streamed_lines(path)) if text)
+    comments, headers = [], []
+    texts = (text for _, text in _data_lines(_streamed_lines(path), comments,
+                                             headers if header else None))
     try:
         first = next(texts, None)
         if first is not None:
-            return np.loadtxt(chain([first], texts), delimiter=",", comments=None, ndmin=2)
+            return (np.loadtxt(chain([first], texts), delimiter=",", comments=None, ndmin=2),
+                    comments, headers)
     except ValueError:
         pass
     finally:
         texts.close()
-    rows = []
-    for lineno, text in data_lines(numbered_lines(path)):
-        if not text:
-            continue
+    rows, comments, headers = [], [], []    # the whole read records its own
+    for lineno, text in _data_lines(numbered_lines(path), comments, headers if header else None):
         try:
             rows.append([float(c) for c in text.split(",")])
         except ValueError as exc:
@@ -124,7 +157,7 @@ def parse_rows(path, data_lines) -> np.ndarray:
                              f"({len(rows[-1])} cells, expected {len(rows[0])})")
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float), comments, headers
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -133,17 +166,9 @@ def read_matrix_csv(path) -> np.ndarray:
     Lines starting with ``#`` are comments; the last ``# d=<d> n=<n>`` one,
     before or after the data, fixes the expected shape.
     """
-    headers = []
-
-    def data_lines(lines):
-        headers.clear()
-        for lineno, text in lines:
-            if not text.startswith("#"):
-                yield lineno, text
-            elif match := _HEADER_RE.match(text):
-                headers.append((int(match.group(1)), int(match.group(2))))
-
-    m = parse_rows(path, data_lines)
-    if headers and m.shape != headers[-1]:
-        raise ParseError(f"{path}: header says {headers[-1]}, data is {m.shape}")
+    m, comments, _ = parse_rows(path)
+    shapes = [tuple(map(int, match.groups())) for _, text in comments
+              if (match := _HEADER_RE.match(text))]
+    if shapes and m.shape != shapes[-1]:
+        raise ParseError(f"{path}: header says {shapes[-1]}, data is {m.shape}")
     return m

@@ -58,7 +58,8 @@ class SearchConfig:
     refine_steps: int = 2
 
     def __post_init__(self):
-        for name, least in (("trials", 1), ("grid_resolution", 2), ("refine_steps", 0)):
+        for name, least in (("trials", 1), ("seed", 0), ("grid_resolution", 2),
+                            ("refine_steps", 0)):
             count = getattr(self, name)
             try:
                 count = operator.index(count)

@@ -222,38 +222,18 @@ def synthetic_collinear(seed: int, d: int = 20, n: int = 40,
 def load_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Samples as rows, last column the target; features return transposed.
 
-    A single leading header line is skipped when it contains any
-    non-numeric cell; it must be as wide as the data rows.
+    Lines are skipped as ``fileio.parse_rows`` skips them: blank lines, lines
+    that start with ``#``, and a header, the first other line when it holds
+    a non-numeric cell.  The header must be as wide as the data rows.
     """
-    headers = []
-
-    def data_lines(lines):
-        headers.clear()
-        lines = ((lineno, text) for lineno, text in lines if text)
-        for lineno, text in lines:      # the first non-blank line
-            if _all_floats(text):
-                yield lineno, text
-            else:
-                headers.append((lineno, text))
-            break
-        yield from lines
-
-    data = parse_rows(path, data_lines)
-    for lineno, text in headers:
+    data, _, header = parse_rows(path, header=True)
+    for lineno, text in header:
         if len(text.split(",")) != data.shape[1]:
             raise ParseError(f"{path}:{lineno}: header is not as wide as the "
                              f"{data.shape[1]}-column data rows")
     if data.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column plus a target")
     return data[:, :-1].T.copy(), data[:, -1].copy()
-
-
-def _all_floats(text: str) -> bool:
-    try:
-        [float(c) for c in text.split(",")]
-    except ValueError:
-        return False
-    return True
 
 
 def write_regression_csv(reports, path) -> None:

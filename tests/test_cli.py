@@ -111,6 +111,14 @@ class TestAttackCommand:
         payload = json.loads(out.read_text())
         assert np.linalg.norm(delta) == pytest.approx(payload["delta_fro_norm"], rel=1e-9)
 
+    def test_failed_emit_delta_prints_no_report(self, low_rank_csv, tmp_path, capsys):
+        # the delta path is a directory: the command fails, so stdout stays empty
+        code = main(["attack", str(low_rank_csv), "--k", "3", "--eta", "0.4",
+                     "--emit-delta", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_bad_k_exits_2(self, low_rank_csv):
         assert main(["attack", str(low_rank_csv), "--k", "9", "--eta", "0.5"]) == 2
 
@@ -210,6 +218,12 @@ class TestSweepCommand:
         spec.write_text("d = 5\nn = 5\nk = 3\neta_grid = \n")
         assert main(["sweep", str(spec), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("d = 5\nn = 5\nk = 3\nseed = -1\n")
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: seed must be >= 0\n"
+
 
 class TestPcrCommand:
     def test_synthetic_run(self, tmp_path):
@@ -288,6 +302,14 @@ class TestPcrCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("seed", ["-1", "2.5"])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, seed):
+        out = tmp_path / "o.csv"
+        assert main(["pcr", "--synthetic", "--k", "2", "--seed", seed, "--out", str(out)]) == 2
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_clean_instance_passes(self, low_rank_csv, capsys):
         code = main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",
@@ -311,6 +333,12 @@ class TestVerifyCommand:
         status = {line[:22].strip(): line.split()[-1]
                   for line in capsys.readouterr().out.splitlines()[1:]}
         assert status == {"rank-one random": "VIOLATION", "unconstrained random": "ok"}
+
+    @pytest.mark.parametrize("seed", ["-1", "2.5"])
+    def test_bad_seed_exits_2_naming_it(self, low_rank_csv, capsys, seed):
+        assert main(["verify", str(low_rank_csv), "--k", "1", "--eta", "0.1",
+                     "--seed", seed]) == 2
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
     def test_zero_trials_exits_2(self, low_rank_csv):
         assert main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",

@@ -1,13 +1,16 @@
 """The matrix CSV writer and both CSV readers: what they accept, what they
 write, and the memory they hold.
 
-``fileio.parse_rows`` reads with ``np.loadtxt`` first, from lines read
-lazily from the file, and on any ValueError reads the file again, whole, and
-parses it line by line with ``float()``.  Each case here is read twice by
+Both readers read through ``fileio.parse_rows``, which skips the same lines
+for both: blank ones, ``#`` comments and, for ``pcr.load_feature_csv``, a
+header.  It reads with ``np.loadtxt`` first, from lines read lazily from the
+file, and on any ValueError reads the file again, whole, and parses it line
+by line with ``float()``.  Each case here is read twice by
 ``read_matrix_csv`` and by ``pcr.load_feature_csv``: as it stands, and with
 ``np.loadtxt`` made to fail, so that only the fallback runs.  The two reads
 must give the same arrays, bit for bit, or the same ParseError text, which
-also checks that the lazy read splits lines where ``str.splitlines`` does.
+also checks that the lazy read splits lines where ``str.splitlines`` does,
+and that both reads skip the same comments and header.
 """
 
 import re
@@ -48,6 +51,7 @@ CASES = {
     "byte-order-mark": "\ufeff1,2\n",
     "names-header": "a,b,y\n1,2,3\n4,5,6\n",
     "narrow-header": "a,b\n1,2,3\n4,5,6\n",
+    "names-header-comments": "# a,b\na,b,y\n1,2,3\n# note\n4,5,6\n# end",
     "bad-second-line": "1,2\n3,x\n",
     "crlf": "1,2\r\n3,4\r\n",
     "lone-cr": "1,2\r3,4\r",

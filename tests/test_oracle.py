@@ -29,13 +29,18 @@ class TestSearchConfig:
             SearchConfig(trials=0)
         with pytest.raises(ValueError):
             SearchConfig(grid_resolution=1)
-        for name in ("trials", "grid_resolution", "refine_steps"):
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                SearchConfig(seed=seed)
+        for name in ("trials", "seed", "grid_resolution", "refine_steps"):
             for bad in (2.5, 3.0, "4", None):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
                     SearchConfig(**{name: bad})
-        cfg = SearchConfig(trials=np.int64(7), grid_resolution=np.int32(9), refine_steps=True)
-        assert (cfg.trials, cfg.grid_resolution, cfg.refine_steps) == (7, 9, 1)
-        assert all(type(v) is int for v in (cfg.trials, cfg.grid_resolution, cfg.refine_steps))
+        cfg = SearchConfig(trials=np.int64(7), seed=np.uint8(5), grid_resolution=np.int32(9),
+                           refine_steps=True)
+        values = (cfg.trials, cfg.seed, cfg.grid_resolution, cfg.refine_steps)
+        assert values == (7, 5, 9, 1)
+        assert all(type(v) is int for v in values)
 
 
 class TestPortableNormal:

@@ -230,6 +230,33 @@ class TestFeatureCsv:
         with pytest.raises(ParseError, match="hdr.csv:2"):
             load_feature_csv(path)
 
+    @pytest.mark.parametrize("header", ["", "f1,f2,target\n"], ids=["no-header", "header"])
+    def test_comment_lines_skipped(self, tmp_path, header):
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        plain.write_text(header + "1,2,10\n3,4,20\n5,6,30\n")
+        commented.write_text("# before\n" + header + "1,2,10\n# between\n3,4,20\n"
+                             "  # indented\n5,6,30\n# d=3 n=2")
+        for got, expected in zip(load_feature_csv(commented), load_feature_csv(plain)):
+            assert np.array_equal(got, expected)
+        assert load_feature_csv(plain)[0].shape == (2, 3)
+
+    def test_commented_names_are_not_a_header(self, tmp_path):
+        # the header is the first line that is neither blank nor a comment
+        path = tmp_path / "hdr.csv"
+        path.write_text("# a,b,y\nf1,f2,target\n1,2,10\n3,4,20\n")
+        features, targets = load_feature_csv(path)
+        assert np.array_equal(features, [[1.0, 3.0], [2.0, 4.0]])
+        assert np.array_equal(targets, [10.0, 20.0])
+
+    def test_comments_never_meet_the_header_width_check(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        for first in ("# note\n", "# one,two,three,four\n", "# note\nf1,f2,target\n"):
+            path.write_text(first + "1,2,10\n3,4,20\n")
+            assert load_feature_csv(path)[0].shape == (2, 2)
+        path.write_text("# one,two,three\nf1,target\n1,2,10\n3,4,20\n")
+        with pytest.raises(ParseError, match="hdr.csv:2: header is not as wide"):
+            load_feature_csv(path)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,10\n3,oops,20\n")
