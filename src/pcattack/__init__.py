@@ -30,7 +30,7 @@ _SUBMODULE = {
                      "unitary_conjugate"), "linalg"),
     **dict.fromkeys(("SearchConfig", "brute_force_principal_angles", "grid_search_angles",
                      "portable_normal", "random_rank_one", "random_unconstrained",
-                     "stationarity_residual"), "oracle"),
+                     "stationarity_residual", "verify"), "oracle"),
     **dict.fromkeys(("attack_pcr", "fit_pcr", "load_feature_csv", "r_squared",
                      "synthetic_collinear", "write_regression_csv"), "pcr"),
     **dict.fromkeys(("attack_rank_one", "equivalent_solutions", "klt_rank_closed_form",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage or parse failure, 3 no applicable attack
 regime, 4 an oracle beat a closed form on an untied input (verification
-failure).  On an input whose clean top-k truncation is tied, the top-k
-subspace is not defined, so ``verify`` marks each check ``tied`` instead.
+failure).  ``verify`` prints one line per record of ``oracle.verify``, which
+decides each check, and exits 4 when one reads ``VIOLATION``.
 
 ``pcr`` and ``oracle`` are imported only by the commands that run them, so
 ``attack`` loads neither.
@@ -15,14 +15,9 @@ import argparse
 import json
 import sys
 
-from .errors import InvalidDimension, PcattackError, RegimeError
+from .errors import PcattackError, RegimeError
 from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
-from .fileio import read_matrix_csv, write_matrix_csv, write_text
-from .linalg import check_attack, spectrum_of
-from .report import Regime, core_spectrum
-
-RANDOM_ORACLE_TOL = 1e-4
-GRID_ORACLE_TOL = 1e-6
+from .fileio import parse_count, read_matrix_csv, write_matrix_csv, write_text
 
 
 def _cmd_attack(args) -> int:
@@ -61,47 +56,24 @@ def _cmd_pcr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import SearchConfig, grid_search_angles
-    cfg = (SearchConfig(seed=args.seed) if args.trials is None
-           else SearchConfig(trials=args.trials, seed=args.seed))
-    x, k, eta = check_attack(read_matrix_csv(args.matrix), args.k, args.eta)
-    # Both closed forms read one values-only SVD; each oracle factors on its own
-    # so that it stays independent of the closed form it checks.  A family with
-    # no room for its attack (InvalidDimension) is skipped, not verified.  On a
-    # tied truncation the oracle's top-k basis and the closed form's differ by a
-    # tie-break, so a check there is reported as tied and never fails.
-    at = core_spectrum(spectrum_of(x), k)
-    lines = [f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status"]
-    skipped = failed = 0
-    for name, family in ATTACKS.items():
-        label = name.replace("_", "-")
-        try:
-            regime, closed_theta, _ = family.closed_form(at, eta)
-        except InvalidDimension as exc:
-            skipped += 1
-            if skipped == len(ATTACKS):
-                raise
-            lines.append(f"{label:<22} skipped: {exc}")
-            continue
-        checks = [("random", family.oracle(x, k, eta, cfg)[1], RANDOM_ORACLE_TOL)]
-        if regime == Regime.K_LT_RANK_CASE2:
-            # the unit is a power of two, so these are sigma_k and sigma_{k+1} exactly
-            checks.append(("grid", grid_search_angles(at.sigma_k * at.unit, at.sigma_k1 * at.unit,
-                                                      eta, cfg)[2], GRID_ORACLE_TOL))
-        for kind, oracle_theta, tol in checks:
-            ok = oracle_theta <= closed_theta + tol
-            status = "tied" if at.tied else "ok" if ok else "VIOLATION"
-            failed += status == "VIOLATION"
-            lines.append(f"{label + ' ' + kind:<22} {oracle_theta:>12.8f} {closed_theta:>12.8f} "
-                         f"{closed_theta - oracle_theta:>+12.2e}  {status}")
-    print("\n".join(lines))
-    return 4 if failed else 0
+    from .oracle import SearchConfig, verify
+    cfg = SearchConfig(trials=args.trials or SearchConfig.trials, seed=args.seed)
+    checks = verify(read_matrix_csv(args.matrix), args.k, args.eta, cfg)
+    print(f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status")
+    for check in checks:
+        label = check.family.replace("_", "-")
+        print(f"{label:<22} skipped: {check.reason}" if check.status == "skipped" else
+              f"{label + ' ' + check.kind:<22} {check.oracle:>12.8f} {check.closed:>12.8f} "
+              f"{check.closed - check.oracle:>+12.2e}  {check.status}")
+    return 4 if any(check.status == "VIOLATION" for check in checks) else 0
 
 
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _count(text: str, least: int = 0) -> int:
+    """An integer >= ``least`` from decimal digits alone (``fileio.parse_count``)."""
+    try:
+        return parse_count(text, least)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pcr.add_argument("--eta-grid", default=None,
                        help="comma-separated budget ratios")
     p_pcr.add_argument("--strategy", choices=ATTACKS, default="unconstrained")
-    p_pcr.add_argument("--seed", type=_seed, default=0)
+    p_pcr.add_argument("--seed", type=_count, default=0)
     p_pcr.add_argument("--out", required=True, help="report CSV path")
     p_pcr.set_defaults(func=_cmd_pcr)
 
     p_verify = sub.add_parser("verify", parents=[matrix],
                               help="check closed forms against oracles")
-    p_verify.add_argument("--trials", type=int)     # None: SearchConfig's default
-    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--trials", type=lambda text: _count(text, 1))
+    p_verify.add_argument("--seed", type=_count, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

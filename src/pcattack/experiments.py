@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidDimension, ParseError, PcattackError
-from .fileio import _data_lines, numbered_lines, read_matrix_csv, write_table
+from .fileio import _data_lines, numbered_lines, parse_count, read_matrix_csv, write_table
 from .linalg import _pca_distance_from_svd, check_eta, check_k, spectrum_of
 from .rank_one import _attack_rank_one, attack_rank_one
 from .report import CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum, frames, lift
@@ -221,7 +221,9 @@ def parse_sweep_spec(path) -> SweepSpec:
     Recognized keys: d, n, k, data_kind, data_path, eta_grid (comma-separated
     ratios), strategies (comma-separated), seed, trials, oracle_seed.  Blank
     lines and ``#`` comments are ignored.  Sweeps run only the random
-    oracles, so grid-search settings are not keys.
+    oracles, so grid-search settings are not keys.  ``seed``, ``oracle_seed``
+    and ``trials`` are read by ``fileio.parse_count``, and an error names the
+    key.
     """
     values: dict[str, str] = {}
     for lineno, text in _data_lines(numbered_lines(path), []):
@@ -238,10 +240,16 @@ def parse_sweep_spec(path) -> SweepSpec:
         for required in ("d", "n", "k"):
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
-        seed = int(values.pop("seed", 0))
+        for key, least in (("seed", 0), ("oracle_seed", 0), ("trials", 1)):
+            if key in values:
+                try:
+                    values[key] = parse_count(values[key], least)
+                except ValueError as exc:
+                    raise ValueError(f"{key} {exc}") from None
+        seed = values.pop("seed", 0)
         search_config = _oracle().SearchConfig
-        cfg = search_config(trials=int(values.pop("trials", search_config.trials)),
-                            seed=int(values.pop("oracle_seed", seed)))
+        cfg = search_config(trials=values.pop("trials", search_config.trials),
+                            seed=values.pop("oracle_seed", seed))
         for key in ("d", "n", "k"):
             values[key] = int(values[key])
         for key in ("eta_grid", "strategies"):

@@ -1,5 +1,6 @@
-"""Matrix CSV round-trip, the one writer of every output file, and the one
-rule for which input lines are data.
+"""Matrix CSV round-trip, the one writer of every output file, the one rule
+for which input lines are data, and the one for how a count is written
+(``parse_count``).
 
 Matrix CSVs, feature CSVs and sweep specs skip blank lines and lines that
 start with ``#``; ``_data_lines`` drops them, and every reader reads its
@@ -87,6 +88,19 @@ def _streamed_lines(path):
     with open(path, encoding="utf-8-sig") as fh:
         lines = (part for line in fh for part in line.splitlines())
         yield from ((i, line.strip()) for i, line in enumerate(lines, start=1))
+
+
+def parse_count(text: str, least: int = 0) -> int:
+    """A count or seed, as a sweep spec or a command line gives it: an integer
+    >= ``least`` in decimal digits alone.  ``int`` would also take a sign,
+    ``_`` between digits and spaces around them.  The ValueError says ``must
+    be >= <least>`` for digits, or ``-`` and digits, below ``least``, and
+    names ``text`` for anything else, ``-0`` included."""
+    if text.isdecimal() and int(text) >= least:
+        return int(text)
+    if text.removeprefix("-").isdecimal() and int(text) < least:
+        raise ValueError(f"must be >= {least}")
+    raise ValueError(f"must be an integer >= {least}, got {text!r}")
 
 
 def _all_floats(text: str) -> bool:

@@ -1,10 +1,23 @@
-"""Search-based verification oracles for the closed-form attacks.
+"""Search-based verification oracles for the closed-form attacks, and
+``verify``, the one table of checks that ``pcattack verify`` prints.
 
 Randomized baselines, exhaustive grid search over the two-angle reduction,
 finite-difference stationarity checks, and a from-the-definition principal
 angle solver.  These never consult the closed forms they are used to check
 (beyond evaluating the shared two-angle objective where that IS the search
 space).
+
+``verify(x, k, eta, cfg)`` checks each family of ``experiments.ATTACKS``,
+read when it is called: its closed form against its random oracle, and
+rank-one in ``KLtRankCase2`` against ``grid_search_angles`` too.  It returns
+one ``Check`` per check, in family order.  A check passes when ``oracle <=
+closed + tol``, with ``tol`` from ``_tolerance``: 1e-4 rad for a random
+oracle and 1e-6 rad for the grid, absolute at every scale.  On a tied clean
+top-k truncation (``report.CoreSpectrum.tied``) the oracles' top-k basis and
+the closed forms' differ by a tie-break, so every check reads ``tied`` and
+none fails.  A family with no room for its attack (``InvalidDimension``)
+gives one ``skipped`` record with the reason, and when every family is
+skipped, the last one's ``InvalidDimension`` is raised instead.
 
 Reproducibility contract: randomness comes from a PCG64 stream seeded with
 ``cfg.seed``; trial i consumes the i-th fixed-size block of that uniform
@@ -30,12 +43,15 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDimension, OracleTooExpensive
-from .linalg import _as_basis, check_attack, full_svd
+from .experiments import ATTACKS
+from .linalg import _as_basis, check_attack, full_svd, spectrum_of
 from .rank_one import RankOneAttack, _rotation_angle, theta_from_angles
+from .report import CoreSpectrum, Regime, core_spectrum
 from .unconstrained import PerturbationMatrix
 
 # Bytes of one chunk's largest temporary (the d x n stack, its Gram matrix or
@@ -298,6 +314,60 @@ def grid_search_angles(sigma_k: float, sigma_k1: float, eta: float,
             best = (alpha, beta, t)
         half *= 0.5
     return best
+
+
+class Check(NamedTuple):
+    """One check of ``verify``: the ``experiments.ATTACKS`` family and its
+    ``kind`` (``random`` or ``grid``), the oracle's and the closed form's
+    angles, the tolerance and the status: ``ok``, ``VIOLATION``, ``tied`` or
+    ``skipped``.  A ``skipped`` record has only a family and the reason."""
+
+    family: str
+    kind: str | None
+    oracle: float | None
+    closed: float | None
+    tol: float | None
+    status: str
+    reason: str | None = None
+
+
+def _tolerance(kind: str, closed: float, at: CoreSpectrum) -> float:
+    """How far a ``kind`` oracle's angle may pass the closed form's angle
+    ``closed`` on the spectrum ``at``: an absolute angle per kind, whatever
+    ``closed`` and ``at``."""
+    return 1e-4 if kind == "random" else 1e-6
+
+
+def _check(family: str, kind: str, oracle: float, closed: float, at: CoreSpectrum) -> Check:
+    """The record of one check: the one place that compares the angles."""
+    tol = _tolerance(kind, closed, at)
+    return Check(family, kind, oracle, closed, tol,
+                 "tied" if at.tied else "ok" if oracle <= closed + tol else "VIOLATION")
+
+
+def verify(x, k: int, eta: float, cfg: SearchConfig) -> list[Check]:
+    """The checks of each attack family at budget eta, as the module
+    docstring states them.
+
+    Both closed forms read one values-only SVD of ``x``; each oracle factors
+    on its own, so that it stays independent of the closed form it checks."""
+    x, k, eta = check_attack(x, k, eta)
+    at = core_spectrum(spectrum_of(x), k)
+    checks = []
+    for name, family in ATTACKS.items():
+        try:
+            regime, closed, _ = family.closed_form(at, eta)
+        except InvalidDimension as exc:
+            checks.append(Check(name, None, None, None, None, "skipped", str(exc)))
+            continue
+        checks.append(_check(name, "random", family.oracle(x, k, eta, cfg)[1], closed, at))
+        if regime == Regime.K_LT_RANK_CASE2:
+            # the unit is a power of two, so these are sigma_k and sigma_{k+1} exactly
+            grid = grid_search_angles(at.sigma_k * at.unit, at.sigma_k1 * at.unit, eta, cfg)
+            checks.append(_check(name, "grid", grid[2], closed, at))
+    if all(check.status == "skipped" for check in checks):
+        raise InvalidDimension(checks[-1].reason)
+    return checks
 
 
 def stationarity_residual(sigma_k: float, sigma_k1: float, eta: float,

@@ -224,6 +224,20 @@ class TestSweepCommand:
         assert main(["sweep", str(spec), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == f"error: {spec}: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("lines, message", [
+        ("seed = -1\noracle_seed = 3\n", "seed must be >= 0"),
+        ("oracle_seed = -2\n", "oracle_seed must be >= 0"),
+        ("seed = 1_0\n", "seed must be an integer >= 0, got '1_0'"),
+        ("trials = 1_0\n", "trials must be an integer >= 1, got '1_0'"),
+    ], ids=["seed-with-oracle-seed", "oracle-seed", "seed-underscore", "trials-underscore"])
+    def test_bad_count_exits_2_naming_its_key(self, tmp_path, capsys, lines, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("d = 5\nn = 5\nk = 3\ndata_kind = gaussian\n" + lines)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not out.exists()
+
 
 class TestPcrCommand:
     def test_synthetic_run(self, tmp_path):
@@ -339,6 +353,14 @@ class TestVerifyCommand:
         assert main(["verify", str(low_rank_csv), "--k", "1", "--eta", "0.1",
                      "--seed", seed]) == 2
         assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["1_0", "-3"])
+    def test_bad_trials_exits_2_naming_it(self, low_rank_csv, capsys, trials):
+        assert main(["verify", str(low_rank_csv), "--k", "1", "--eta", "0.1",
+                     f"--trials={trials}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --trials: must be an integer >= 1, got '{trials}'" in captured.err
 
     def test_zero_trials_exits_2(self, low_rank_csv):
         assert main(["verify", str(low_rank_csv), "--k", "3", "--eta", "0.5",

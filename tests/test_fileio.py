@@ -153,6 +153,21 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, text):
     assert np.array_equal(read_matrix_csv(marked), read_matrix_csv(plain))
 
 
+@pytest.mark.parametrize("text, least, expected", [
+    ("0", 0, 0), ("7", 1, 7), ("0012", 0, 12), ("\u0663", 0, 3),
+    ("-1", 0, "must be >= 0"), ("0", 1, "must be >= 1"), ("-0", 0, "got '-0'"),
+    ("1_0", 0, "got '1_0'"), ("+3", 1, "got '+3'"), (" 3", 0, "got ' 3'"),
+    ("3.0", 0, "got '3.0'"), ("1e3", 0, "got '1e3'"), ("", 0, "got ''"), ("-", 0, "got '-'"),
+])
+def test_parse_count_takes_decimal_digits_alone(text, least, expected):
+    # the one rule for the seeds and trial counts of sweep specs and commands
+    if isinstance(expected, int):
+        assert fileio.parse_count(text, least) == expected
+    else:
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            fileio.parse_count(text, least)
+
+
 def _one_format(m):
     """The whole matrix in one ``%``-format: the text the writer must give."""
     d, n = m.shape

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 from conftest import random_basis
 
-from pcattack import (InvalidMatrix, OracleTooExpensive, attack_rank_one,
+from pcattack import (InvalidDimension, InvalidMatrix, OracleTooExpensive, attack_rank_one,
                       closed_form_lambda, klt_rank_closed_form, principal_angles,
-                      synth_gaussian, synth_low_rank)
-from pcattack import oracle
+                      synth_gaussian, synth_low_rank, write_matrix_csv)
+from pcattack import experiments, oracle
+from pcattack.cli import main
 from pcattack.linalg import full_svd
 from pcattack.oracle import (SearchConfig, brute_force_principal_angles,
                              grid_search_angles, portable_normal,
                              random_rank_one, random_unconstrained,
-                             stationarity_residual)
+                             stationarity_residual, verify)
 
 BF_CFG = SearchConfig(trials=1, seed=0, grid_resolution=200, refine_steps=4)
 
@@ -525,3 +526,73 @@ class TestBatchedTheta:
     def test_near_tie_matches_svd_reference(self, width, candidates):
         got, ref = _both_scores(*_near_tie_instance(), width, candidates)
         assert np.max(np.abs(got - ref)) <= 1e-6
+
+
+class TestVerify:
+    """``verify``'s records on the instances whose printed table
+    ``tests/test_cli.py`` pins: a 9x6 gaussian (seed 3) at eta = 0.3."""
+
+    X = synth_gaussian(9, 6, seed=3)
+    CFG = SearchConfig(trials=300)
+
+    @staticmethod
+    def _statuses(checks):
+        return [(check.family, check.kind, check.status) for check in checks]
+
+    def test_clean_instance_reads_ok(self):
+        checks = verify(self.X, 2, 0.3, self.CFG)
+        assert self._statuses(checks) == [("rank_one", "random", "ok"),
+                                          ("rank_one", "grid", "ok"),
+                                          ("unconstrained", "random", "ok")]
+        assert [check.tol for check in checks] == [1e-4, 1e-6, 1e-4]
+        assert checks[0].closed == checks[1].closed
+        # the angles that test_output_is_pinned prints to 8 decimals
+        assert [round(c, 8) for check in checks for c in (check.oracle, check.closed)] == [
+            0.10624147, 0.18804631, 0.18804630, 0.18804631, 0.09395547, 0.23805600]
+        assert all(check.reason is None for check in checks)
+
+    def test_overshooting_oracle_is_a_violation(self, monkeypatch):
+        family = experiments.ATTACKS["rank_one"]
+
+        def overshooting_oracle(x, k, eta, cfg):
+            attack, theta = family.oracle(x, k, eta, cfg)
+            return attack, theta + 0.2
+
+        monkeypatch.setitem(experiments.ATTACKS, "rank_one",
+                            family._replace(oracle=overshooting_oracle))
+        assert self._statuses(verify(self.X, 2, 0.3, self.CFG)) == [
+            ("rank_one", "random", "VIOLATION"), ("rank_one", "grid", "ok"),
+            ("unconstrained", "random", "ok")]
+
+    def test_k_equal_n_skips_unconstrained(self):
+        checks = verify(self.X, 6, 0.3, self.CFG)
+        assert self._statuses(checks) == [("rank_one", "random", "ok"),
+                                          ("unconstrained", None, "skipped")]
+        assert checks[1] == ("unconstrained", None, None, None, None, "skipped",
+                             "attack needs room at index k+1=7 in a 9x6 matrix")
+
+    def test_every_family_skipped_raises_the_last_reason(self, monkeypatch):
+        def no_room(at, eta):
+            raise InvalidDimension("no room")
+
+        monkeypatch.setitem(experiments.ATTACKS, "rank_one",
+                            experiments.ATTACKS["rank_one"]._replace(closed_form=no_room))
+        with pytest.raises(InvalidDimension, match="attack needs room at index k"):
+            verify(self.X, 6, 0.3, self.CFG)
+
+    def test_tied_truncation_reads_tied(self):
+        checks = verify(np.diag([2.0, 2.0, 2.0]), 2, 0.0, SearchConfig(trials=64))
+        assert checks and all(check.status == "tied" for check in checks), checks
+
+    def test_cli_keeps_no_rule_of_its_own(self, monkeypatch, tmp_path, capsys):
+        # a negative tolerance fails every check, and the command exits 4 on
+        # the records alone
+        monkeypatch.setattr(oracle, "_tolerance", lambda kind, closed, at: -1.0)
+        checks = verify(self.X, 2, 0.3, self.CFG)
+        assert {check.status for check in checks} == {"VIOLATION"}
+        assert [check.tol for check in checks] == [-1.0] * 3
+        path = tmp_path / "g.csv"
+        write_matrix_csv(path, self.X)
+        assert main(["verify", str(path), "--k", "2", "--eta", "0.3", "--trials", "300"]) == 4
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 3 and all(line.endswith("  VIOLATION") for line in lines), lines
