@@ -11,8 +11,8 @@ closed form.
 
 import numpy as np
 
-from pcattack import (attack_unconstrained, closed_form_lambda, full_svd,
-                      pca_distance, recover_entries)
+from pcattack import (attack_unconstrained, closed_form_lambda, pca_distance,
+                      recover_entries)
 
 sigma_k, sigma_k1, eta = 2.0, 1.0, 0.5
 x = np.diag([3.0, sigma_k, sigma_k1])

@@ -20,17 +20,16 @@ __version__ = "0.1.0"
 # Each exported name and the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(("InvalidDimension", "InvalidMatrix", "NoOrthogonalComplement",
-                     "OracleTooExpensive", "ParseError", "PcattackError", "RankMismatch",
-                     "RegimeError", "SingularFit", "UndefinedR2"), "errors"),
+                     "ParseError", "PcattackError", "RankMismatch", "RegimeError",
+                     "SingularFit", "UndefinedR2"), "errors"),
     **dict.fromkeys(("SweepSpec", "parse_sweep_spec", "run_sweep", "synth_gaussian",
                      "synth_low_rank", "write_sweep_csv"), "experiments"),
     **dict.fromkeys(("read_matrix_csv", "write_matrix_csv"), "fileio"),
     **dict.fromkeys(("OrthonormalBasis", "asimov_distance", "compress_rank_one_problem",
                      "full_svd", "leading_subspace", "pca_distance", "principal_angles",
                      "unitary_conjugate"), "linalg"),
-    **dict.fromkeys(("SearchConfig", "brute_force_principal_angles", "grid_search_angles",
-                     "portable_normal", "random_rank_one", "random_unconstrained",
-                     "stationarity_residual", "verify"), "oracle"),
+    **dict.fromkeys(("SearchConfig", "grid_search_angles", "portable_normal",
+                     "random_rank_one", "random_unconstrained", "verify"), "oracle"),
     **dict.fromkeys(("attack_pcr", "fit_pcr", "load_feature_csv", "r_squared",
                      "synthetic_collinear", "write_regression_csv"), "pcr"),
     **dict.fromkeys(("attack_rank_one", "equivalent_solutions", "klt_rank_closed_form",

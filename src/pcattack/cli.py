@@ -76,6 +76,10 @@ def _count(text: str, least: int = 0) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}") from None
 
 
+def _positive(text: str) -> int:
+    return _count(text, 1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcattack",
@@ -83,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     matrix = argparse.ArgumentParser(add_help=False)    # attack and verify read these
     matrix.add_argument("matrix", help="matrix CSV (columns are samples)")
-    matrix.add_argument("--k", type=int, required=True)
+    matrix.add_argument("--k", type=_positive, required=True)
     matrix.add_argument("--eta", type=float, required=True)
 
     p_attack = sub.add_parser("attack", parents=[matrix], help="write a JSON attack report")
@@ -104,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="feature CSV, one sample per row, target last")
     source.add_argument("--synthetic", action="store_true",
                         help="use the built-in collinear benchmark")
-    p_pcr.add_argument("--k", type=int, required=True)
+    p_pcr.add_argument("--k", type=_positive, required=True)
     p_pcr.add_argument("--eta-grid", default=None,
                        help="comma-separated budget ratios")
     p_pcr.add_argument("--strategy", choices=ATTACKS, default="unconstrained")
@@ -114,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[matrix],
                               help="check closed forms against oracles")
-    p_verify.add_argument("--trials", type=lambda text: _count(text, 1))
+    p_verify.add_argument("--trials", type=_positive)
     p_verify.add_argument("--seed", type=_count, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

@@ -25,10 +25,6 @@ class NoOrthogonalComplement(RegimeError):
     """d = n leaves no direction orthogonal to the column space."""
 
 
-class OracleTooExpensive(PcattackError):
-    """Brute-force verification was requested at an infeasible size."""
-
-
 class ParseError(PcattackError):
     """A CSV or key-value input file is malformed."""
 

@@ -221,9 +221,9 @@ def parse_sweep_spec(path) -> SweepSpec:
     Recognized keys: d, n, k, data_kind, data_path, eta_grid (comma-separated
     ratios), strategies (comma-separated), seed, trials, oracle_seed.  Blank
     lines and ``#`` comments are ignored.  Sweeps run only the random
-    oracles, so grid-search settings are not keys.  ``seed``, ``oracle_seed``
-    and ``trials`` are read by ``fileio.parse_count``, and an error names the
-    key.
+    oracles, so grid-search settings are not keys.  ``d``, ``n``, ``k``,
+    ``seed``, ``oracle_seed`` and ``trials`` are read by
+    ``fileio.parse_count``, and an error names the key.
     """
     values: dict[str, str] = {}
     for lineno, text in _data_lines(numbered_lines(path), []):
@@ -240,7 +240,8 @@ def parse_sweep_spec(path) -> SweepSpec:
         for required in ("d", "n", "k"):
             if required not in values:
                 raise ParseError(f"{path}: missing required key {required!r}")
-        for key, least in (("seed", 0), ("oracle_seed", 0), ("trials", 1)):
+        for key, least in (("d", 1), ("n", 1), ("k", 1), ("seed", 0), ("oracle_seed", 0),
+                           ("trials", 1)):
             if key in values:
                 try:
                     values[key] = parse_count(values[key], least)
@@ -250,8 +251,6 @@ def parse_sweep_spec(path) -> SweepSpec:
         search_config = _oracle().SearchConfig
         cfg = search_config(trials=values.pop("trials", search_config.trials),
                             seed=values.pop("oracle_seed", seed))
-        for key in ("d", "n", "k"):
-            values[key] = int(values[key])
         for key in ("eta_grid", "strategies"):
             if key in values:
                 values[key] = [v.strip() for v in values[key].split(",")]

@@ -238,6 +238,22 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("d", "1_0", "d must be an integer >= 1, got '1_0'"),
+        ("n", "0", "n must be >= 1"),
+        ("k", "0_3", "k must be an integer >= 1, got '0_3'"),
+        ("k", "0", "k must be >= 1"),
+    ], ids=["d-underscore", "n-zero", "k-underscore", "k-zero"])
+    def test_bad_dimension_exits_2_naming_its_key(self, tmp_path, capsys, key, value, message):
+        spec = tmp_path / "bad.spec"
+        dims = {"d": "5", "n": "5", "k": "3", key: value}
+        spec.write_text("".join(f"{name} = {text}\n" for name, text in dims.items())
+                        + "data_kind = gaussian\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not out.exists()
+
 
 class TestPcrCommand:
     def test_synthetic_run(self, tmp_path):
@@ -482,3 +498,18 @@ def test_budget_near_the_float64_maximum_runs_the_oracles(tmp_path, capsys, stra
                                           for line in err.splitlines())
     if codes[1] == 0:
         assert "nan" not in out.read_text() and "inf" not in out.read_text()
+
+
+@pytest.mark.parametrize("k", ["1_0", "0", "+2"])
+@pytest.mark.parametrize("argv", [
+    ["attack", "{x}", "--eta", "0.5", "--out", "{out}"],
+    ["verify", "{x}", "--eta", "0.5", "--trials", "50"],
+    ["pcr", "--synthetic", "--out", "{out}"],
+], ids=["attack", "verify", "pcr"])
+def test_bad_k_exits_2_naming_it(low_rank_csv, tmp_path, capsys, argv, k):
+    out = tmp_path / "o.out"
+    assert main([a.format(x=low_rank_csv, out=out) for a in argv] + [f"--k={k}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --k: must be an integer >= 1, got '{k}'" in captured.err
+    assert not out.exists()

@@ -1,13 +1,17 @@
 """Every demo script runs to completion against the current API, and the
 demos that write a CSV next to themselves rewrite the committed one byte
-for byte, which pins the sweep and PCR results to 12 significant digits."""
+for byte, which pins the sweep and PCR results to 12 significant digits.
+The verify demo exits 1 when a check fails."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pcattack import oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,3 +34,12 @@ def test_demo_runs(script, tmp_path):
     finally:
         if committed is not None:
             csv.write_bytes(committed)    # a failing run must not replace the pin
+
+
+def test_verify_demo_exits_1_on_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_tolerance", lambda *args: -1.0)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "demos" / "verify_with_oracles.py"), run_name="__main__")
+    assert exited.value.code == 1
+    out = capsys.readouterr().out
+    assert out.count(": VIOLATION\n") == 3 and "all oracle checks FAILED" in out

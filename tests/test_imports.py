@@ -1,9 +1,9 @@
-"""No module of the package imports a name that it never uses, and a
-command loads only the modules it runs.
+"""No module of the package, test or demo imports a name that it never
+uses, and a command loads only the modules it runs.
 
-No linter ships with the test dependencies, so this walks each module's
+No linter ships with the test dependencies, so this walks each file's
 syntax tree with ``ast``: every name bound by an import must be read
-somewhere in the module as a plain name (an attribute chain counts by its
+somewhere in the file as a plain name (an attribute chain counts by its
 root, an annotation by its names).  ``__init__.py`` is checked too: it
 exports names through a table that loads their modules on first use, not
 through imports.
@@ -25,8 +25,10 @@ import pytest
 
 import pcattack
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcattack"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pcattack"
+SOURCES = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,9 +49,10 @@ def test_guard_finds_an_unused_import():
                           "print(a.c)\n") == ["math", "osp", "b"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: str(
+    path.relative_to(PACKAGE if path.parent == PACKAGE else ROOT)))
+def test_every_import_is_used(source):
+    assert unused_imports(source.read_text(encoding="utf-8")) == []
 
 
 def _fresh_run(code: str) -> tuple[list[str], bool, int]:

@@ -5,6 +5,7 @@ import pytest
 from conftest import factor_svd_shape, matrix_with_spectrum, random_basis, random_orthogonal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_principal_angles
 
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
@@ -12,7 +13,7 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       unitary_conjugate)
 from pcattack.linalg import (_tied, complement_direction, fro_norm, leading_svd, spectrum_of,
                              svd_2x2)
-from pcattack.oracle import SearchConfig, brute_force_principal_angles
+from pcattack.oracle import SearchConfig
 
 
 class TestFullSvd:

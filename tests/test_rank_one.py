@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from conftest import matrix_with_spectrum
+from oracles import stationarity_residual
 
 from pcattack import (InvalidDimension, NoOrthogonalComplement, Regime,
                       RegimeError, attack_rank_one, attack_unconstrained,
                       equivalent_solutions, full_svd, klt_rank_closed_form,
                       pca_distance, theta_from_angles)
-from pcattack.oracle import SearchConfig, random_rank_one, stationarity_residual
+from pcattack.oracle import SearchConfig, random_rank_one
 from pcattack.rank_one import solve_rank_one
 
 # sigma_k = 2, sigma_{k+1} = 1, eta = 0.5 reference solution, frozen from the
