@@ -6,7 +6,8 @@ failure).  ``verify`` prints one line per record of ``oracle.verify``, which
 decides each check, and exits 4 when one reads ``VIOLATION``.
 
 ``pcr`` and ``oracle`` are imported only by the commands that run them, so
-``attack`` loads neither.
+``attack`` loads neither: ``oracle`` loads for ``verify`` and for a sweep
+with a ``-rnd`` strategy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import sys
 
 from .errors import PcattackError, RegimeError
-from .experiments import ATTACKS, parse_sweep_spec, run_sweep, write_sweep_csv
+from .experiments import (ATTACKS, SearchConfig, parse_ratio, parse_sweep_spec, run_sweep,
+                          write_sweep_csv)
 from .fileio import parse_count, read_matrix_csv, write_matrix_csv, write_text
 
 
@@ -45,10 +47,9 @@ def _cmd_pcr(args) -> int:
                       write_regression_csv)
     features, targets = (synthetic_collinear(seed=args.seed) if args.synthetic
                          else load_feature_csv(args.data))
-    if args.eta_grid is not None:
-        grid = [float(v) for v in args.eta_grid.split(",")]
-    else:
-        grid = DEFAULT_ETA_RATIOS
+    # floats here, since attack_pcr sorts the grid before it checks it
+    grid = (DEFAULT_ETA_RATIOS if args.eta_grid is None
+            else [parse_ratio(v) for v in args.eta_grid.split(",")])
     reports = attack_pcr(features, targets, args.k, grid, args.strategy,
                          split_seed=args.seed)
     write_regression_csv(reports, args.out)
@@ -56,8 +57,8 @@ def _cmd_pcr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import SearchConfig, verify
-    cfg = SearchConfig(trials=args.trials or SearchConfig.trials, seed=args.seed)
+    from .oracle import verify
+    cfg = SearchConfig(trials=args.trials, seed=args.seed)
     checks = verify(read_matrix_csv(args.matrix), args.k, args.eta, cfg)
     print(f"{'check':<22} {'oracle':>12} {'closed':>12} {'margin':>12}  status")
     for check in checks:
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[matrix],
                               help="check closed forms against oracles")
-    p_verify.add_argument("--trials", type=_positive)
+    p_verify.add_argument("--trials", type=_positive, default=SearchConfig.trials)
     p_verify.add_argument("--seed", type=_count, default=0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser

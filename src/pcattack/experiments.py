@@ -10,14 +10,24 @@ any subset of the four strategies:
 
 Ratios are relative to sigma_k when the matrix has rank k (the budget that
 saturates the distance) and to sigma_k - sigma_{k+1} otherwise.
+
+The module also holds the attack families (``ATTACKS``), the settings of
+the random and grid oracles (``SearchConfig``) and the seeded sampler that
+every synthetic input and every oracle trial draws from.  Reproducibility
+contract: normals come from a PCG64 stream's uniforms through the
+Box-Muller transform of ``_box_muller``, with no platform-dependent numpy
+sampler, so a seed gives the same numbers on every platform up to the last
+bit of libm.  Only the ``-rnd`` strategies' oracles, imported when one is
+called, load ``oracle``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,20 +38,15 @@ from .rank_one import _attack_rank_one, attack_rank_one
 from .report import CoreSpectrum, _core_angle, attack_factor, core_norm, core_spectrum, frames, lift
 from .unconstrained import _attack_unconstrained, attack_unconstrained
 
-if TYPE_CHECKING:
-    from .oracle import SearchConfig
-
-
-def _oracle():
-    """The ``oracle`` module, imported on first use, so that ``pcattack
-    attack``, which reads ``ATTACKS`` but runs no oracle, never loads it."""
-    from . import oracle
-    return oracle
-
 
 def _random_oracle(name: str) -> Callable:
-    """``oracle.<name>``, looked up when it is called."""
-    return lambda x, k, eta, cfg: getattr(_oracle(), name)(x, k, eta, cfg)
+    """``oracle.<name>``, imported and looked up when it is called, so that
+    ``pcattack attack``, which reads ``ATTACKS`` but runs no oracle, never
+    loads ``oracle``."""
+    def search(x, k, eta, cfg):
+        from . import oracle
+        return getattr(oracle, name)(x, k, eta, cfg)
+    return search
 
 
 class Family(NamedTuple):
@@ -73,6 +78,26 @@ DEFAULT_ETA_RATIOS = tuple(1.2 * i / 50.0 for i in range(1, 51))
 
 
 @dataclass(frozen=True)
+class SearchConfig:
+    trials: int = 10_000
+    seed: int = 0
+    grid_resolution: int = 400
+    refine_steps: int = 2
+
+    def __post_init__(self):
+        for name, least in (("trials", 1), ("seed", 0), ("grid_resolution", 2),
+                            ("refine_steps", 0)):
+            count = getattr(self, name)
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {count!r}") from None
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, count)
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     d: int
     n: int
@@ -80,7 +105,7 @@ class SweepSpec:
     data_kind: str = "low_rank"          # low_rank | gaussian | from_file
     eta_grid: tuple = DEFAULT_ETA_RATIOS
     strategies: tuple = tuple(STRATEGIES)
-    oracle_cfg: SearchConfig = field(default_factory=lambda: _oracle().SearchConfig())
+    oracle_cfg: SearchConfig = field(default_factory=SearchConfig)
     seed: int = 0
     data_path: str | None = None
 
@@ -108,28 +133,57 @@ class SweepRow(NamedTuple):
     error: str | None = None
 
 
+def _box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
+    """Standard normals from uniform rows via Box-Muller; returns (rows, count)."""
+    pairs = uniforms.shape[1] // 2
+    u1 = uniforms[:, :pairs]
+    u2 = uniforms[:, pairs:2 * pairs]
+    radius = np.sqrt(-2.0 * np.log1p(-u1))   # u1 in [0, 1) keeps the log finite
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return z[:, :count]
+
+
+def normal_stream(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals drawn from the generator's uniform stream."""
+    count = int(np.prod(shape))
+    return _box_muller(rng.random((1, 2 * ((count + 1) // 2))), count).reshape(shape)
+
+
+def portable_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Deterministic standard-normal array, stable across platforms."""
+    return normal_stream(np.random.Generator(np.random.PCG64(seed)), shape)
+
+
 def synth_low_rank(d: int, n: int, k: int, seed: int) -> np.ndarray:
     """Product of two seeded Gaussian factor matrices; rank k almost surely."""
     if not 1 <= k <= min(d, n):
         raise InvalidDimension(f"need 1 <= k <= min(d, n), got k={k}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    normal_stream = _oracle().normal_stream
-    left = normal_stream(rng, (d, k))
-    right = normal_stream(rng, (n, k))
-    return left @ right.T
+    return normal_stream(rng, (d, k)) @ normal_stream(rng, (n, k)).T
 
 
 def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. standard-normal matrix; full rank almost surely."""
     if d < 1 or n < 1:
         raise InvalidDimension("d and n must be positive")
-    return _oracle().portable_normal(seed, (d, n))
+    return portable_normal(seed, (d, n))
+
+
+def parse_ratio(text) -> float:
+    """One budget ratio as a float, or ParseError naming ``eta_grid`` and the
+    text that is not a number."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ParseError(f"eta_grid ratio {text!r} is not a number") from None
 
 
 def check_ratio_grid(ratios) -> tuple[float, ...]:
-    """Budget ratios as floats: nonempty, finite, nonnegative and strictly
-    increasing, or ParseError naming the first ratio that is not."""
-    grid = tuple(float(v) for v in ratios)
+    """Budget ratios as floats (``parse_ratio``): nonempty, finite,
+    nonnegative and strictly increasing, or ParseError naming the first
+    ratio that is not."""
+    grid = tuple(map(parse_ratio, ratios))
     if not grid:
         raise ParseError("eta_grid must not be empty")
     for ratio in grid:
@@ -248,9 +302,8 @@ def parse_sweep_spec(path) -> SweepSpec:
                 except ValueError as exc:
                     raise ValueError(f"{key} {exc}") from None
         seed = values.pop("seed", 0)
-        search_config = _oracle().SearchConfig
-        cfg = search_config(trials=values.pop("trials", search_config.trials),
-                            seed=values.pop("oracle_seed", seed))
+        cfg = SearchConfig(trials=values.pop("trials", SearchConfig.trials),
+                           seed=values.pop("oracle_seed", seed))
         for key in ("eta_grid", "strategies"):
             if key in values:
                 values[key] = [v.strip() for v in values[key].split(",")]

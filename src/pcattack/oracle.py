@@ -15,16 +15,19 @@ closed + tol``, with ``tol`` from ``_tolerance``: 1e-4 rad for a random
 oracle and 1e-6 rad for the grid, absolute at every scale.  On a tied clean
 top-k truncation (``report.CoreSpectrum.tied``) the oracles' top-k basis and
 the closed forms' differ by a tie-break, so every check reads ``tied`` and
-none fails.  A family with no room for its attack (``InvalidDimension``)
-gives one ``skipped`` record with the reason, and when every family is
-skipped, the last one's ``InvalidDimension`` is raised instead.
+none fails.  A family with no room for its attack (``InvalidDimension``) or
+no regime for it (``RegimeError``, as rank-one at k > rank) gives one
+``skipped`` record with the reason.  When every family is skipped, the
+first family's ``RegimeError`` is raised instead, or the last one's
+``InvalidDimension`` if none had a ``RegimeError``.
 
 Reproducibility contract: randomness comes from a PCG64 stream seeded with
 ``cfg.seed``; trial i consumes the i-th fixed-size block of that uniform
 stream, drawn on the calling thread in stream order, and normals are
-produced from uniforms by the Box-Muller transform.  Each trial is
-transformed and scored by the same numpy calls on the same numbers
-whichever slice of a chunk it falls in, so results are independent of
+produced from uniforms by the Box-Muller transform of
+``experiments._box_muller``, the sampler of every synthetic input too.
+Each trial is transformed and scored by the same numpy calls on the same
+numbers whichever slice of a chunk it falls in, so results are independent of
 chunking and of the number of scoring threads, and identical across runs;
 the best over trials is reduced with a lowest-index tie-break.  The thread
 count is the number of cores in the process's CPU affinity, read once at
@@ -42,13 +45,12 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDimension
-from .experiments import ATTACKS
+from .errors import InvalidDimension, RegimeError
+from .experiments import ATTACKS, SearchConfig, _box_muller
 from .linalg import check_attack, full_svd, spectrum_of
 from .rank_one import RankOneAttack, theta_from_angles
 from .report import CoreSpectrum, Regime, core_spectrum
@@ -64,47 +66,6 @@ _CHUNK_BYTES = 16 * 2**20
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MIN_SLICE = 64
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    trials: int = 10_000
-    seed: int = 0
-    grid_resolution: int = 400
-    refine_steps: int = 2
-
-    def __post_init__(self):
-        for name, least in (("trials", 1), ("seed", 0), ("grid_resolution", 2),
-                            ("refine_steps", 0)):
-            count = getattr(self, name)
-            try:
-                count = operator.index(count)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {count!r}") from None
-            if count < least:
-                raise ValueError(f"{name} must be >= {least}")
-            object.__setattr__(self, name, count)
-
-
-def _box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
-    """Standard normals from uniform rows via Box-Muller; returns (rows, count)."""
-    pairs = uniforms.shape[1] // 2
-    u1 = uniforms[:, :pairs]
-    u2 = uniforms[:, pairs:2 * pairs]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))   # u1 in [0, 1) keeps the log finite
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return z[:, :count]
-
-
-def normal_stream(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals drawn from the generator's uniform stream."""
-    return _trial_normals(rng, 1, int(np.prod(shape))).reshape(shape)
-
-
-def portable_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Deterministic standard-normal array, stable across platforms."""
-    return normal_stream(np.random.Generator(np.random.PCG64(seed)), shape)
 
 
 def _by_rows(fn, rows: int, *arrays: np.ndarray) -> np.ndarray:
@@ -353,19 +314,20 @@ def verify(x, k: int, eta: float, cfg: SearchConfig) -> list[Check]:
     on its own, so that it stays independent of the closed form it checks."""
     x, k, eta = check_attack(x, k, eta)
     at = core_spectrum(spectrum_of(x), k)
-    checks = []
+    checks, skips = [], []
     for name, family in ATTACKS.items():
         try:
             regime, closed, _ = family.closed_form(at, eta)
-        except InvalidDimension as exc:
+        except (InvalidDimension, RegimeError) as exc:
             checks.append(Check(name, None, None, None, None, "skipped", str(exc)))
+            skips.append(exc)
             continue
         checks.append(_check(name, "random", family.oracle(x, k, eta, cfg)[1], closed, at))
         if regime == Regime.K_LT_RANK_CASE2:
             # the unit is a power of two, so these are sigma_k and sigma_{k+1} exactly
             grid = grid_search_angles(at.sigma_k * at.unit, at.sigma_k1 * at.unit, eta, cfg)
             checks.append(_check(name, "grid", grid[2], closed, at))
-    if all(check.status == "skipped" for check in checks):
-        raise InvalidDimension(checks[-1].reason)
+    if len(skips) == len(ATTACKS):
+        raise next((exc for exc in skips if isinstance(exc, RegimeError)), skips[-1])
     return checks
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, ParseError, SingularFit, UndefinedR2
-from .experiments import ATTACKS, check_ratio_grid
+from .experiments import ATTACKS, check_ratio_grid, normal_stream
 from .fileio import parse_rows, write_table
 from .linalg import as_matrix, check_eta, check_k, full_svd, leading_svd
 from .report import _core_array, _core_split, attack_factor, frames, lift
@@ -205,7 +205,6 @@ def synthetic_collinear(seed: int, d: int = 20, n: int = 40,
     """
     if n_factors < 1 or n_factors > min(d, n) - 1:
         raise InvalidDimension("n_factors must leave room below min(d, n)")
-    from .oracle import normal_stream   # only here: a study on a data file needs no oracle
     rng = np.random.Generator(np.random.PCG64(seed))
     loadings = normal_stream(rng, (d, n_factors))
     factors = normal_stream(rng, (n_factors, n))

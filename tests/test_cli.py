@@ -331,6 +331,13 @@ class TestPcrCommand:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_ratio_that_is_not_a_number_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["pcr", "--synthetic", "--k", "4", "--eta-grid", "0.3,x",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: eta_grid ratio 'x' is not a number\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("seed", ["-1", "2.5"])
     def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, seed):
@@ -389,6 +396,26 @@ class TestVerifyCommand:
                      "--trials", "400", "--seed", "1"])
         assert code == 0
         assert "rank-one grid" in capsys.readouterr().out
+
+    def test_k_above_rank_skips_rank_one(self, tmp_path, capsys):
+        # attack --strategy unconstrained runs on this input; rank-one has no regime
+        rng = np.random.default_rng(0)
+        path = tmp_path / "r2.csv"
+        write_matrix_csv(path, rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5)))
+        assert main(["verify", str(path), "--k", "3", "--eta", "0.5", "--trials", "300"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 2
+        assert lines[0] == ("rank-one               skipped: no attack regime for k=3 "
+                            "with rank=2 on a 6x5 matrix")
+        assert lines[1].startswith("unconstrained random") and lines[1].endswith(" tied")
+
+    def test_every_family_skipped_keeps_the_regime_exit(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        write_matrix_csv(path, np.random.default_rng(0).standard_normal((5, 5)))
+        assert main(["verify", str(path), "--k", "5", "--eta", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d = n: no direction leaves the column space\n"
 
     @pytest.fixture
     def full_column_rank_csv(self, tmp_path):

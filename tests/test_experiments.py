@@ -8,6 +8,7 @@ from pcattack import (InvalidDimension, ParseError, SweepSpec, full_svd,
                       parse_sweep_spec, run_sweep, synth_gaussian,
                       synth_low_rank, write_sweep_csv)
 from pcattack.cli import main
+from pcattack.experiments import portable_normal
 from pcattack.oracle import SearchConfig
 
 # Every row of the benchmark-shaped sweep (200x100, k = 10, r1-opt and wr-opt,
@@ -60,6 +61,15 @@ class TestSynthData:
 
     def test_gaussian_deterministic(self):
         assert np.array_equal(synth_gaussian(4, 6, seed=2), synth_gaussian(4, 6, seed=2))
+
+    def test_portable_normal_values_are_pinned(self):
+        # A changed stream or transform moves these by O(1); a platform's
+        # last-bit libm differences stay far inside 1e-12 relative.
+        z = portable_normal(0, (4, 5))
+        np.testing.assert_allclose(
+            [z[0, 0], z[0, 4], z[1, 2], z[2, 1], z[3, 0], z[3, 4]],
+            [0.5723582509703696, -0.23354342116910592, -1.562516268625232,
+             0.01364395672563938, 1.9720249669589491, 1.0918602538500206], rtol=1e-12)
 
 
 class TestRunSweep:
@@ -179,6 +189,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ParseError):
             SweepSpec(d=5, n=5, k=3, eta_grid=(0.5, 0.2))
 
+    def test_ratio_that_is_not_a_number_rejected(self):
+        with pytest.raises(ParseError, match="eta_grid ratio 'x' is not a number"):
+            SweepSpec(d=5, n=5, k=3, eta_grid=(0.3, "x"))
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ParseError):
             SweepSpec(d=5, n=5, k=3, strategies=("nope",))
@@ -229,6 +243,15 @@ class TestSpecFile:
         with pytest.raises(ParseError, match=f"grid.spec:4: unknown key '{key}'"):
             parse_sweep_spec(path)
         assert main(["sweep", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("grid, bad", [("0.3,x", "x"), ("0.3,", "")])
+    def test_ratio_that_is_not_a_number_exits_2_naming_it(self, tmp_path, capsys, grid, bad):
+        path = tmp_path / "grid.spec"
+        path.write_text(f"d = 5\nn = 5\nk = 3\neta_grid = {grid}\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: eta_grid ratio {bad!r} is not a number\n"
+        assert not out.exists()
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.spec"

@@ -1,12 +1,14 @@
 """No module of the package, test or demo imports a name that it never
-uses, and a command loads only the modules it runs.
+uses, the package imports inside a function only where a listed reason
+says so, and a command loads only the modules it runs.
 
 No linter ships with the test dependencies, so this walks each file's
 syntax tree with ``ast``: every name bound by an import must be read
 somewhere in the file as a plain name (an attribute chain counts by its
 root, an annotation by its names).  ``__init__.py`` is checked too: it
 exports names through a table that loads their modules on first use, not
-through imports.
+through imports.  Every import inside a function of the package must be an
+edge of ``LAZY_IMPORTS``, and every edge there must still be made.
 
 Which submodules a command loads is read from ``sys.modules`` in a fresh
 interpreter, since this one has loaded them all.
@@ -55,6 +57,50 @@ def test_every_import_is_used(source):
     assert unused_imports(source.read_text(encoding="utf-8")) == []
 
 
+# Each import that a package module makes inside a function, and why it is
+# not made at the top of the module.
+LAZY_IMPORTS = {
+    ("cli", "pcr"): "only the pcr command runs the PCR study",
+    ("cli", "oracle"): "only the verify command runs the checks of oracle.verify",
+    ("experiments", "oracle"): "the -rnd family callables: oracle imports experiments, "
+                               "and attack reads the families but runs no oracle",
+    ("oracle", "concurrent.futures"): "the scoring thread pool, made only for a batch "
+                                      "long enough to slice",
+}
+
+
+def lazy_imports(source: str, module: str) -> set[tuple[str, str]]:
+    """``(module, imported module)`` for each import inside a function of
+    ``source``; a relative import names the package's module alone."""
+    edges = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                edges.add((module, node.module))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                edges |= {(module, alias.name) for alias in node.names}
+    return edges
+
+
+def test_guard_finds_an_import_in_a_function():
+    source = ("import os\nfrom .linalg import full_svd\n"
+              "def f():\n    from . import oracle\n"
+              "    def g():\n        from .pcr import fit_pcr\n"
+              "class C:\n    def h(self):\n        import concurrent.futures\n")
+    assert lazy_imports(source, "m") == {("m", "oracle"), ("m", "pcr"),
+                                         ("m", "concurrent.futures")}
+
+
+def test_every_import_in_a_function_is_listed():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= lazy_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found == set(LAZY_IMPORTS), (sorted(found - set(LAZY_IMPORTS)),
+                                        sorted(set(LAZY_IMPORTS) - found))
+
+
 def _fresh_run(code: str) -> tuple[list[str], bool, int]:
     """What a fresh interpreter holds once it has run ``code``: the
     ``pcattack.*`` modules it loaded, whether it loaded ``concurrent.futures``
@@ -91,6 +137,10 @@ def _sweep_argv(tmp_path):
     return ["sweep", str(spec), "--out", str(tmp_path / "rows.csv")]
 
 
+def _pcr_synthetic_argv(tmp_path):
+    return ["pcr", "--synthetic", "--k", "4", "--out", str(tmp_path / "pcr.csv")]
+
+
 def _pcr_argv(tmp_path):
     data = tmp_path / "features.csv"
     np.savetxt(data, np.random.default_rng(0).standard_normal((40, 7)), delimiter=",")
@@ -108,6 +158,20 @@ def test_attack_loads_neither_oracle_nor_pcr(tmp_path):
 def test_pcr_on_a_data_file_loads_no_oracle(tmp_path):
     loaded = _fresh_run(_runs_main(_pcr_argv(tmp_path)))[0]
     assert "pcattack.pcr" in loaded and "pcattack.oracle" not in loaded, loaded
+
+
+@pytest.mark.parametrize("argv", [_sweep_argv, _pcr_synthetic_argv])
+def test_closed_form_sweep_and_synthetic_pcr_load_no_oracle(argv, tmp_path):
+    # the seeded sampler and SearchConfig live in experiments
+    loaded = _fresh_run(_runs_main(argv(tmp_path)))[0]
+    assert "pcattack.experiments" in loaded and "pcattack.oracle" not in loaded, loaded
+
+
+def test_random_sweep_loads_the_oracle(tmp_path):
+    argv = _sweep_argv(tmp_path)
+    spec = Path(argv[1])
+    spec.write_text(spec.read_text().replace("r1-opt,wr-opt", "r1-rnd") + "trials = 5\n")
+    assert "pcattack.oracle" in _fresh_run(_runs_main(argv))[0]
 
 
 @pytest.mark.parametrize("argv", [_attack_argv, _sweep_argv, _pcr_argv])

@@ -11,14 +11,15 @@ import pytest
 from conftest import random_basis
 from oracles import brute_force_principal_angles, stationarity_residual
 
-from pcattack import (InvalidDimension, InvalidMatrix, attack_rank_one,
-                      closed_form_lambda, klt_rank_closed_form, principal_angles,
-                      synth_gaussian, synth_low_rank, write_matrix_csv)
+from pcattack import (InvalidDimension, InvalidMatrix, NoOrthogonalComplement,
+                      attack_rank_one, closed_form_lambda, klt_rank_closed_form,
+                      principal_angles, synth_gaussian, synth_low_rank, write_matrix_csv)
 from pcattack import experiments, oracle
 from pcattack.cli import main
+from pcattack.experiments import portable_normal
 from pcattack.linalg import full_svd
-from pcattack.oracle import (SearchConfig, grid_search_angles, portable_normal,
-                             random_rank_one, random_unconstrained, verify)
+from pcattack.oracle import (SearchConfig, grid_search_angles, random_rank_one,
+                             random_unconstrained, verify)
 
 BF_CFG = SearchConfig(trials=1, seed=0, grid_resolution=200, refine_steps=4)
 
@@ -578,6 +579,20 @@ class TestVerify:
                             experiments.ATTACKS["rank_one"]._replace(closed_form=no_room))
         with pytest.raises(InvalidDimension, match="attack needs room at index k"):
             verify(self.X, 6, 0.3, self.CFG)
+
+    def test_k_above_rank_skips_rank_one(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        checks = verify(x, 3, 0.5, self.CFG)
+        assert self._statuses(checks) == [("rank_one", None, "skipped"),
+                                          ("unconstrained", "random", "tied")]
+        assert checks[0].reason == "no attack regime for k=3 with rank=2 on a 6x5 matrix"
+
+    def test_every_family_skipped_raises_the_first_regime_error(self):
+        # rank-one has no regime at d = n and unconstrained no room at k = n
+        x = np.random.default_rng(0).standard_normal((5, 5))
+        with pytest.raises(NoOrthogonalComplement):
+            verify(x, 5, 0.5, self.CFG)
 
     def test_tied_truncation_reads_tied(self):
         checks = verify(np.diag([2.0, 2.0, 2.0]), 2, 0.0, SearchConfig(trials=64))

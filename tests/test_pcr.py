@@ -113,6 +113,19 @@ class TestFitPcr:
         assert np.max(np.abs(ref - rot)) < 1e-10
 
 
+def test_synthetic_collinear_values_are_pinned():
+    # The sampler's stream, pinned as in test_experiments: O(1) moves on a
+    # changed stream, far inside 1e-12 relative across platforms.
+    features, targets = synthetic_collinear(seed=0)
+    assert features.shape == (20, 40) and targets.shape == (40,)
+    np.testing.assert_allclose(
+        [*features[0, :3], *features[-1, -2:], *targets[:3], targets[-1]],
+        [1.5258403357788215, 1.020449835515905, 2.4089543372276156,
+         -1.3875465438104917, 0.578666667737693,
+         0.3988450653566909, 0.3750083758107713, -0.8004569963485496,
+         -0.04213357162584401], rtol=1e-12)
+
+
 class TestAttackPcr:
     def test_zero_budget_equals_baseline(self):
         features, targets = synthetic_collinear(seed=3)
