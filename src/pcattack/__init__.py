@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     **dict.fromkeys(("InvalidDimension", "InvalidMatrix", "NoOrthogonalComplement",
                      "ParseError", "PcattackError", "RankMismatch", "RegimeError",
-                     "SingularFit", "UndefinedR2"), "errors"),
+                     "UndefinedR2"), "errors"),
     **dict.fromkeys(("SearchConfig", "SweepSpec", "parse_sweep_spec", "run_sweep",
                      "synth_gaussian", "synth_low_rank", "write_sweep_csv"), "experiments"),
     **dict.fromkeys(("read_matrix_csv", "write_matrix_csv"), "fileio"),

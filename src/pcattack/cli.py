@@ -17,8 +17,7 @@ import json
 import sys
 
 from .errors import PcattackError, RegimeError
-from .experiments import (ATTACKS, SearchConfig, parse_ratio, parse_sweep_spec, run_sweep,
-                          write_sweep_csv)
+from .experiments import ATTACKS, SearchConfig, parse_sweep_spec, run_sweep, write_sweep_csv
 from .fileio import parse_count, read_matrix_csv, write_matrix_csv, write_text
 
 
@@ -47,9 +46,7 @@ def _cmd_pcr(args) -> int:
                       write_regression_csv)
     features, targets = (synthetic_collinear(seed=args.seed) if args.synthetic
                          else load_feature_csv(args.data))
-    # floats here, since attack_pcr sorts the grid before it checks it
-    grid = (DEFAULT_ETA_RATIOS if args.eta_grid is None
-            else [parse_ratio(v) for v in args.eta_grid.split(",")])
+    grid = DEFAULT_ETA_RATIOS if args.eta_grid is None else args.eta_grid.split(",")
     reports = attack_pcr(features, targets, args.k, grid, args.strategy,
                          split_seed=args.seed)
     write_regression_csv(reports, args.out)
@@ -139,7 +136,3 @@ def main(argv=None) -> int:
     except (PcattackError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -170,30 +170,30 @@ def synth_gaussian(d: int, n: int, seed: int) -> np.ndarray:
     return portable_normal(seed, (d, n))
 
 
-def parse_ratio(text) -> float:
-    """One budget ratio as a float, or ParseError naming ``eta_grid`` and the
-    text that is not a number."""
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ParseError(f"eta_grid ratio {text!r} is not a number") from None
-
-
 def check_ratio_grid(ratios) -> tuple[float, ...]:
-    """Budget ratios as floats (``parse_ratio``): nonempty, finite,
-    nonnegative and strictly increasing, or ParseError naming the first
-    ratio that is not."""
-    grid = tuple(map(parse_ratio, ratios))
+    """The one rule for a budget grid, in a sweep spec, ``SweepSpec``,
+    ``attack_pcr`` and ``pcr --eta-grid``.
+
+    Each ratio, a number or its text, is read as a float and must be finite
+    and >= 0.  The grid must not be empty, and comes back sorted, with no
+    ratio repeated.  Otherwise a ParseError names ``eta_grid`` and the ratio
+    at fault."""
+    grid = []
+    for text in ratios:
+        try:
+            grid.append(float(text))
+        except (TypeError, ValueError):
+            raise ParseError(f"eta_grid ratio {text!r} is not a number") from None
     if not grid:
         raise ParseError("eta_grid must not be empty")
     for ratio in grid:
         if not math.isfinite(ratio) or ratio < 0.0:
             raise ParseError(f"eta_grid ratio {ratio!r} is not finite and >= 0")
+    grid.sort()
     for before, ratio in zip(grid, grid[1:]):
-        if ratio <= before:
-            raise ParseError(f"eta_grid ratio {ratio!r} follows {before!r}; "
-                             f"ratios must be strictly increasing")
-    return grid
+        if ratio == before:
+            raise ParseError(f"eta_grid ratio {ratio!r} is repeated")
+    return tuple(grid)
 
 
 def _sweep_data(spec: SweepSpec) -> np.ndarray:
@@ -213,13 +213,15 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     The closed forms read only the singular values, from one values-only
     SVD of the data and its ``report.CoreSpectrum``, taken once; each cell
-    is then a float solve, verified from its 2x2 core.  The factor of the
-    leading k + 1 pairs is computed only if some cell needs it.
+    is then one float solve, verified from its 2x2 core, so every row's
+    ``theta_predicted`` and ``budget_used`` come from that one spectrum.
+    The factor of the leading k + 1 pairs is computed only if some cell's
+    core does not split cleanly, and at most once.
     """
     x = _sweep_data(spec)
     at = core_spectrum(spectrum_of(x), check_k(spec.k, x.shape))
     k = at.k
-    factor = functools.cache(lambda: attack_factor(x, k))
+    factor = functools.cache(lambda: attack_factor(x, k)[0])
     cells = []      # (strategy, its closed form, or None where its oracle runs, its oracle)
     for strategy in sorted(spec.strategies):
         name, by_oracle = STRATEGIES[strategy]
@@ -244,15 +246,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 def _closed_form_cell(x, at: CoreSpectrum, factor, closed_form, strategy: str, ratio: float,
                       eta: float) -> SweepRow:
-    # A closed form solves on the sweep's spectrum and is verified from its 2x2
-    # core.  A core that does not split cleanly is solved again on the factor
-    # (``factor()``, computed once per sweep, with its own ``CoreSpectrum``), so
-    # that the core, its lift and the re-PCA read one factorization.
+    # A closed form solves once, on the sweep's spectrum, and is verified from
+    # its 2x2 core.  A core that does not split cleanly is lifted onto the
+    # frames of ``factor()`` (the leading k + 1 pairs, computed once per sweep)
+    # and the angle is read by a re-PCA of X plus that lift.
     _, theta_predicted, core = closed_form(at, eta)
     theta = _core_angle(at, core)
     if theta is None:
-        svd, at = factor()
-        _, theta_predicted, core = closed_form(at, eta)
+        svd = factor()
         theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, at.k), core, at.unit), at.k)
     return SweepRow(ratio, strategy, theta, theta_predicted, at.unit * core_norm(core))
 
@@ -277,7 +278,10 @@ def parse_sweep_spec(path) -> SweepSpec:
     lines and ``#`` comments are ignored.  Sweeps run only the random
     oracles, so grid-search settings are not keys.  ``d``, ``n``, ``k``,
     ``seed``, ``oracle_seed`` and ``trials`` are read by
-    ``fileio.parse_count``, and an error names the key.
+    ``fileio.parse_count``, and ``eta_grid`` by ``check_ratio_grid``, so its
+    ratios may come in any order.  Every error names the file: an error in
+    one line starts with ``<path>:<line>: ``, and an error in the values,
+    raised here, by ``SweepSpec`` or by ``SearchConfig``, with ``<path>: ``.
     """
     values: dict[str, str] = {}
     for lineno, text in _data_lines(numbered_lines(path), []):
@@ -293,7 +297,7 @@ def parse_sweep_spec(path) -> SweepSpec:
     try:
         for required in ("d", "n", "k"):
             if required not in values:
-                raise ParseError(f"{path}: missing required key {required!r}")
+                raise ParseError(f"missing required key {required!r}")
         for key, least in (("d", 1), ("n", 1), ("k", 1), ("seed", 0), ("oracle_seed", 0),
                            ("trials", 1)):
             if key in values:
@@ -308,5 +312,5 @@ def parse_sweep_spec(path) -> SweepSpec:
             if key in values:
                 values[key] = [v.strip() for v in values[key].split(",")]
         return SweepSpec(**values, oracle_cfg=cfg, seed=seed)
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -117,9 +117,10 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     """Refit PCR on attacked training features across a budget-ratio grid.
 
     Ratios are relative to the centered training features: to sigma_k when
-    they have rank k, else to sigma_k - sigma_{k+1}.  They are sorted, and
-    must then pass the sweep's grid check: nonempty, finite, nonnegative,
-    no repeats.  A k outside 1 .. min(d, n_train) - 1 raises InvalidDimension
+    they have rank k, else to sigma_k - sigma_{k+1}.  They are numbers or
+    their text, read and sorted by the sweep's grid rule
+    (``experiments.check_ratio_grid``): nonempty, finite, nonnegative, no
+    repeats.  A k outside 1 .. min(d, n_train) - 1 raises InvalidDimension
     before the training features are factored (at k = min(d, n_train)
     neither strategy has an attack), and a k above their numerical rank
     raises it for either strategy, before any attack.
@@ -143,7 +144,7 @@ def attack_pcr(features, targets, k: int, eta_grid=DEFAULT_ETA_RATIOS,
     """
     if strategy not in ATTACKS:
         raise InvalidDimension(f"strategy must be one of {tuple(ATTACKS)}")
-    grid = check_ratio_grid(sorted(eta_grid))
+    grid = check_ratio_grid(eta_grid)
     features = as_matrix(features)
     n = features.shape[1]
     targets = _as_targets(targets, n)

@@ -122,6 +122,15 @@ class TestAttackCommand:
     def test_bad_k_exits_2(self, low_rank_csv):
         assert main(["attack", str(low_rank_csv), "--k", "9", "--eta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("eta, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_bad_budget_exits_2_naming_it(self, low_rank_csv, tmp_path, capsys, eta, shown):
+        delta_path = tmp_path / "delta.csv"
+        assert main(["attack", str(low_rank_csv), "--k", "2", "--eta", eta,
+                     "--emit-delta", str(delta_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: energy budget must be finite and >= 0, got {shown}\n")
+        assert not delta_path.exists()
+
     def test_regime_error_exits_3(self, tmp_path):
         path = tmp_path / "sq.csv"
         write_matrix_csv(path, np.diag([3.0, 2.0]))
@@ -337,6 +346,20 @@ class TestPcrCommand:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: eta_grid ratio 'x' is not a number\n"
         assert not out.exists()
+
+    def test_repeated_ratio_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["pcr", "--synthetic", "--k", "4", "--eta-grid", "0.3,0.3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: eta_grid ratio 0.3 is repeated\n"
+        assert not out.exists()
+
+    def test_grid_in_any_order_writes_the_sorted_grid(self, tmp_path):
+        unsorted, ordered = tmp_path / "a.csv", tmp_path / "b.csv"
+        for grid, out in (("0.5,0.1,0.3", unsorted), ("0.1,0.3,0.5", ordered)):
+            assert main(["pcr", "--synthetic", "--k", "4", "--eta-grid", grid,
+                         "--out", str(out)]) == 0
+        assert unsorted.read_bytes() == ordered.read_bytes()
 
 
     @pytest.mark.parametrize("seed", ["-1", "2.5"])

@@ -79,8 +79,8 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
 def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
     # wr-opt at eta exactly at the unconstrained threshold (sigma_2 - sigma_3)
     # / sqrt(2) ties the core's singular values, so the sweep cell factors X
-    # in full, solves again on that factor and re-PCAs: the values-only SVD,
-    # the full factor and the re-PCA
+    # in full, lifts the core it solved onto that factor's frames and
+    # re-PCAs: the values-only SVD, the full factor and the re-PCA
     x = np.diag([3.0, 2.0, 1.0])
     path = tmp_path / "x.csv"
     write_matrix_csv(path, x)
@@ -96,6 +96,27 @@ def test_tied_core_falls_back_to_full(svd_calls, tmp_path):
     assert _core_angle(at, core) is None
     assert row.theta == _pca_distance_from_svd(svd, x + lift(*frames(svd, 2), core, at.unit),
                                                2)[0]
+
+
+def test_tied_cell_solves_its_closed_form_once(monkeypatch, tmp_path):
+    # the cell of the test above lifts the core it solved on the sweep's
+    # spectrum instead of solving again on the factor's; its row is the same
+    family = ATTACKS["unconstrained"]
+    solved = []
+
+    def counting(at, eta):
+        solved.append(eta)
+        return family.closed_form(at, eta)
+
+    monkeypatch.setitem(ATTACKS, "unconstrained", family._replace(closed_form=counting))
+    path = tmp_path / "x.csv"
+    write_matrix_csv(path, np.diag([3.0, 2.0, 1.0]))
+    spec = SweepSpec(d=3, n=3, k=2, data_kind="from_file", data_path=str(path),
+                     eta_grid=(1.0 / np.sqrt(2.0),), strategies=("wr-opt",))
+    (row,) = run_sweep(spec)
+    assert len(solved) == 1
+    assert row == (1.0 / np.sqrt(2.0), "wr-opt", math.pi / 2, math.pi / 2,
+                   0.7071067811865475, None)
 
 
 def test_small_budget_core_angle_is_predicted():

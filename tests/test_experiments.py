@@ -185,9 +185,13 @@ class TestSweepSpecValidation:
         with pytest.raises(ParseError):
             SweepSpec(d=5, n=5, k=3, eta_grid=())
 
-    def test_decreasing_grid_rejected(self):
-        with pytest.raises(ParseError):
-            SweepSpec(d=5, n=5, k=3, eta_grid=(0.5, 0.2))
+    def test_decreasing_grid_is_sorted(self):
+        assert SweepSpec(d=5, n=5, k=3, eta_grid=(0.5, 0.2)).eta_grid == (0.2, 0.5)
+        assert SweepSpec(d=5, n=5, k=3, eta_grid=("0.5", "10", 9)).eta_grid == (0.5, 9.0, 10.0)
+
+    def test_repeated_ratio_rejected(self):
+        with pytest.raises(ParseError, match=r"^eta_grid ratio 0\.3 is repeated$"):
+            SweepSpec(d=5, n=5, k=3, eta_grid=(0.3, 0.5, "0.30"))
 
     def test_ratio_that_is_not_a_number_rejected(self):
         with pytest.raises(ParseError, match="eta_grid ratio 'x' is not a number"):
@@ -250,8 +254,40 @@ class TestSpecFile:
         path.write_text(f"d = 5\nn = 5\nk = 3\neta_grid = {grid}\n")
         out = tmp_path / "o.csv"
         assert main(["sweep", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: eta_grid ratio {bad!r} is not a number\n"
+        assert capsys.readouterr().err == f"error: {path}: eta_grid ratio {bad!r} is not a number\n"
         assert not out.exists()
+
+    def test_grid_in_any_order_writes_sorted_rows(self, tmp_path):
+        path = tmp_path / "grid.spec"
+        path.write_text("d = 5\nn = 5\nk = 3\neta_grid = 0.9, 0.3\nstrategies = wr-opt, r1-opt\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["0.3", "r1-opt"], ["0.3", "wr-opt"], ["0.9", "r1-opt"], ["0.9", "wr-opt"]]
+
+    @pytest.mark.parametrize("lines, message", [
+        ("k = 3\neta_grid = 0.3, 0.3\n", "eta_grid ratio 0.3 is repeated"),
+        ("k = 3\neta_grid = 0.3,-1\n", "eta_grid ratio -1.0 is not finite and >= 0"),
+        ("k = 3\neta_grid = \n", "eta_grid ratio '' is not a number"),
+        ("k = 3\nstrategies = nope\n", "unknown strategies: ['nope']"),
+        ("k = 3\ndata_kind = weird\n", "unknown data_kind 'weird'"),
+        ("k = 3\ndata_kind = from_file\n", "data_kind=from_file requires data_path"),
+        ("", "missing required key 'k'"),
+    ], ids=["repeat", "negative", "empty", "strategy", "data_kind", "no-data_path", "no-k"])
+    def test_value_error_exits_2_naming_the_file(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "bad.spec"
+        path.write_text("d = 5\nn = 5\n" + lines)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_duplicate_key_names_its_line(self, tmp_path):
+        path = tmp_path / "dup.spec"
+        path.write_text("d = 5\nd = 6\nn = 5\nk = 3\n")
+        with pytest.raises(ParseError) as info:
+            parse_sweep_spec(path)
+        assert str(info.value) == f"{path}:2: duplicate key 'd'"
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.spec"

@@ -146,7 +146,8 @@ def test_sweep_reads_its_spectrum_once(core_spectra):
 
 def test_tied_sweep_reads_the_factor_once_more(core_spectra, tmp_path):
     # wr-opt at the unconstrained threshold ties its core, so the sweep factors
-    # X (once, for all such cells) and reads that factor's spectrum
+    # X (once, for all such cells), whose ``attack_factor`` builds one more
+    # spectrum; the cell lifts the core it solved on the sweep's spectrum
     path = tmp_path / "x.csv"
     write_matrix_csv(path, np.diag([3.0, 2.0, 1.0]))
     spec = SweepSpec(d=3, n=3, k=2, data_kind="from_file", data_path=str(path),

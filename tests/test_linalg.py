@@ -512,6 +512,18 @@ class TestUnitaryConjugate:
         with pytest.raises(InvalidMatrix):
             unitary_conjugate(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(2))
 
+    def test_rejects_a_factor_that_is_not_square(self):
+        wide = np.eye(2, 3)
+        with pytest.raises(InvalidMatrix, match=r"^p must be square$"):
+            unitary_conjugate(np.eye(2), wide, np.eye(2))
+        with pytest.raises(InvalidMatrix, match=r"^t must be square$"):
+            unitary_conjugate(np.eye(2), np.eye(2), wide)
+
+
+def test_basis_with_columns_that_are_not_orthonormal_rejected():
+    with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+        OrthonormalBasis(np.ones((3, 2)))
+
 
 class TestInvariants:
     def test_symmetry(self):

@@ -95,6 +95,18 @@ class TestFitPcr:
         with pytest.raises(InvalidDimension):
             fit_pcr(x, np.arange(20.0), k=3)  # centered rank is 2
 
+    def test_one_target_too_few_rejected(self):
+        features, targets = synthetic_collinear(seed=0)
+        with pytest.raises(InvalidDimension, match=r"^one target per sample column is required$"):
+            fit_pcr(features, targets[:-1], k=4)
+
+    def test_predict_on_one_feature_too_few_rejected(self):
+        features, targets = synthetic_collinear(seed=0)
+        model = fit_pcr(features, targets, k=4)
+        with pytest.raises(InvalidDimension,
+                           match=r"^feature dimension does not match the model$"):
+            model.predict(features[:-1])
+
     def test_train_r2_reproducible_from_predictions(self):
         features, targets = synthetic_collinear(seed=1)
         model = fit_pcr(features, targets, k=4)
@@ -126,7 +138,18 @@ def test_synthetic_collinear_values_are_pinned():
          -0.04213357162584401], rtol=1e-12)
 
 
+def test_synthetic_collinear_needs_a_factor():
+    with pytest.raises(InvalidDimension, match=r"^n_factors must leave room below min\(d, n\)$"):
+        synthetic_collinear(0, n_factors=0)
+
+
 class TestAttackPcr:
+    def test_grid_is_read_and_sorted_as_numbers(self):
+        # as text, "10" sorts before "9"; the grid rule sorts the numbers
+        features, targets = synthetic_collinear(seed=0)
+        reports = attack_pcr(features, targets, 4, ["0.5", "10", "9"])
+        assert [rep.eta_ratio for rep in reports] == [0.5, 9.0, 10.0]
+
     def test_zero_budget_equals_baseline(self):
         features, targets = synthetic_collinear(seed=3)
         rep1 = attack_pcr(features, targets, 4, [0.0, 0.4], "unconstrained",

@@ -174,6 +174,10 @@ class TestLift:
         pm = lift_to_data_space(entries, svd, 2)
         assert np.linalg.norm(pm.delta) == pytest.approx(np.linalg.norm(entries), abs=1e-12)
 
+    def test_three_entries_rejected(self):
+        with pytest.raises(InvalidDimension, match=r"^expected exactly four canonical entries$"):
+            lift_to_data_space([1, 2, 3], full_svd(fixture()), 2)
+
     def test_out_of_room(self):
         svd = full_svd(np.diag([3.0, 2.0]))
         with pytest.raises(InvalidDimension):
