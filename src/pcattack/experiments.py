@@ -174,14 +174,14 @@ def check_ratio_grid(ratios) -> tuple[float, ...]:
     """The one rule for a budget grid, in a sweep spec, ``SweepSpec``,
     ``attack_pcr`` and ``pcr --eta-grid``.
 
-    Each ratio, a number or its text, is read as a float and must be finite
-    and >= 0.  The grid must not be empty, and comes back sorted, with no
-    ratio repeated.  Otherwise a ParseError names ``eta_grid`` and the ratio
-    at fault."""
+    Each ratio, a number or its text, is read as a float, ``-0`` as 0, and
+    must be finite and >= 0.  The grid must not be empty, and comes back
+    sorted, with no ratio repeated.  Otherwise a ParseError names
+    ``eta_grid`` and the ratio at fault."""
     grid = []
     for text in ratios:
         try:
-            grid.append(float(text))
+            grid.append(float(text) + 0.0)
         except (TypeError, ValueError):
             raise ParseError(f"eta_grid ratio {text!r} is not a number") from None
     if not grid:

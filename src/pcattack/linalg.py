@@ -21,6 +21,12 @@ ORTHO_TOL = 1e-10
 # the aspect max(d, n) / min(d, n) from which leading_svd takes the R-SVD:
 # the measured crossover against a thin SVD, in both orientations (CHANGES.md)
 RSVD_ASPECT = 1.6
+# where it would take the R-SVD, leading_svd takes the Gram route instead once
+# G - GRAM_SHIFT ||G||_1 I has a Cholesky factor, G the Gram, so sigma_p >=
+# 2^-10 sigma_1, and G's j-th eigenvalue is at least GRAM_SEPARATION times its
+# first, so sigma_j >= sigma_1 / 64
+GRAM_SHIFT = 2.0**-20
+GRAM_SEPARATION = 2.0**-12
 # A factor runs on m as given while sigma_1 < 2^UNIT_EXPONENT: a factor's
 # intermediates grow only a few sqrt(d n) times past its entries, which are at
 # most sigma_1, so none comes near overflow.  Past that it runs again on
@@ -44,9 +50,9 @@ class _NearOverflow(Exception):
 
 def _unit_safe(factor, m: np.ndarray, *args):
     """``factor(m, 0, *args)`` of a finite matrix ``m``, where ``factor(a, e,
-    ...)`` factors the matrix ``2^e a`` and reads its singular values through
-    ``_svd``.  Once that raises ``_NearOverflow``, ``factor`` runs again on ``m
-    / 2^e``, ``e`` the exponent of m's largest |entry|.  Scaling by a power of
+    ...)`` factors the matrix ``2^e a`` and scales its singular values back
+    through ``_scale_back``.  Once that raises ``_NearOverflow``, ``factor``
+    runs again on ``m / 2^e``, ``e`` the exponent of m's largest |entry|.  Scaling by a power of
     two is exact, so the unit changes no result, and below the top of the
     range it costs nothing: no pass looks for the largest entry there."""
     try:
@@ -198,50 +204,113 @@ def leading_svd(m, j: int) -> SvdTriple:
     the two QRs cost as much as they save, or with all ``p`` pairs) a thin
     SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1 ..
     ``p`` raises InvalidDimension, as ``check_k`` does for k.
+
+    Where the R-SVD would run, a well-conditioned ``a`` takes the Gram route
+    instead, which replaces the R-only QR and the triangle's SVD with one p x
+    p ``eigh``.  With ``b = a / 2^s``, ``s`` the exponent of a's largest
+    |entry|, so that no entry of ``G = b^T b`` overflows or underflows, it
+    runs only when both hold: (1) ``G - tau I`` has a Cholesky factor, with
+    ``tau = GRAM_SHIFT`` times the largest column abs-sum of ``G``, at least
+    ``lambda_1``, which proves ``sigma_p >= 2^-10 sigma_1`` and with it that
+    the rank is ``p`` (a rank-deficient ``a`` fails at an early pivot, and
+    costs only the Gram and that pivot); (2) ``G``'s eigenvalues show
+    ``lambda_j >= GRAM_SEPARATION lambda_1``, that is ``sigma_j >= sigma_1 /
+    64`` (an ``a`` that fails only this has paid for the ``eigh`` too).  The
+    short side's vectors are then ``G``'s top ``j`` eigenvectors ``W_j``, and
+    the long side's the signed ``Q`` of a QR of ``b W_j``, as above.
+    ``sigma_1 .. sigma_{j+1}``, which the closed forms, the tie test and the
+    split of a core read, are the column norms ``||b w_i||``, within about
+    eps sigma_1 of a dense SVD's; the rest are ``sqrt(lambda_i)``, within
+    ``2^10 eps sigma_1``, since an eigenvalue is within eps ``lambda_1`` and
+    sigma_p >= 2^-10 sigma_1.  The whole spectrum is kept nonincreasing.  An
+    eigenvector of ``G`` is within eps ``lambda_1 / (lambda_i -
+    lambda_{i+1})``, at most ``sigma_1 / (sigma_i + sigma_{i+1})`` times a
+    dense SVD's bound, which (2) keeps within 64 for every pair returned.
     """
     m = as_matrix(m)
     return _unit_safe(_factor, m, check_k(j, m.shape))
 
 
 def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
-    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``."""
+    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``: a
+    thin SVD, or on a long side the Gram route, or the R-SVD where the Gram
+    route declines."""
     d, n = m.shape
     p = min(d, n)
     if max(d, n) < RSVD_ASPECT * p or j >= p:
         u, sigma, vt = _svd(m, e)
         return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
-    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
-    short = vt[:j].T
-    q, r = np.linalg.qr(a @ short)
-    long = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    gram = _gram_pairs(a, e, j)
+    if gram is None:
+        _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
+        short = vt[:j].T
+        long = _signed_q(a @ short)
+    else:
+        sigma, short, long = gram
     return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
+
+
+def _gram_pairs(a: np.ndarray, e: int, j: int):
+    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the eigenpairs
+    of the Gram ``G = b^T b`` of ``b = a / 2^s``, ``s`` the exponent of a's
+    largest |entry|, or None when ``G`` fails either condition of the Gram
+    route (``leading_svd``)."""
+    s = math.frexp(max(float(a.max()), -float(a.min())))[1]
+    b = np.ldexp(a, -s)
+    g = b.T @ b
+    p = g.shape[0]
+    try:
+        np.linalg.cholesky(g - GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()) * np.eye(p))
+    except np.linalg.LinAlgError:
+        return None
+    lam, w = np.linalg.eigh(g)
+    if not lam[-j] >= GRAM_SEPARATION * lam[-1]:
+        return None
+    top = w[:, p - j - 1:][:, ::-1]
+    y = b @ top
+    sigma = np.concatenate((np.linalg.norm(y, axis=0), np.sqrt(lam[:p - j - 1][::-1])))
+    return _scale_back(np.minimum.accumulate(sigma), e, s), top[:, :j], _signed_q(y[:, :j])
+
+
+def _signed_q(y: np.ndarray) -> np.ndarray:
+    """The ``Q`` of a QR of ``y``, each column signed so that ``y``'s columns
+    have positive coordinates on it."""
+    q, r = np.linalg.qr(y)
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False)`` of a matrix ``a`` in the unit
     2^e, or of the triangle of a QR of one, with the singular values scaled
-    back by 2^e.  At e = 0 it raises ``_NearOverflow`` unless sigma_1 <
-    2^UNIT_EXPONENT: from there a QR may have overflowed, leaving inf or nan
-    in its triangle, on which the SVD fails or returns nan.  In a unit, it
-    raises InvalidMatrix when sigma_1 overflows float64."""
+    back by ``_scale_back``.  At e = 0 a failed SVD raises ``_NearOverflow``
+    too: from sigma_1 >= 2^UNIT_EXPONENT a QR may have overflowed, leaving
+    inf or nan in its triangle, on which the SVD fails or returns nan."""
     try:
         out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         if e:
             raise
         raise _NearOverflow from None
-    sigma = out[1] if compute_uv else out
+    if not compute_uv:
+        return _scale_back(out, e)
+    return out[0], _scale_back(out[1], e), out[2]
+
+
+def _scale_back(sigma: np.ndarray, e: int, s: int = 0) -> np.ndarray:
+    """``2^(e + s) sigma``: the singular values of a matrix in the unit 2^e
+    from those of the matrix divided by 2^s.  At e = 0 it raises
+    ``_NearOverflow`` unless sigma_1 < 2^UNIT_EXPONENT.  In a unit, it
+    raises InvalidMatrix when sigma_1 overflows float64."""
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(sigma, e + s)
     if e == 0:
         if not sigma[0] < 2.0**UNIT_EXPONENT:
             raise _NearOverflow
-        return out
-    with np.errstate(over="ignore"):
-        sigma = np.ldexp(sigma, e)
-    if not math.isfinite(sigma[0]):
+    elif not math.isfinite(sigma[0]):
         raise InvalidMatrix(f"entries are finite, but the largest singular value exceeds "
                             f"the float64 range ({sys.float_info.max:.4g})")
-    return (out[0], sigma, out[2]) if compute_uv else sigma
+    return sigma
 
 
 def _signed_triple(sigma: np.ndarray, shape: tuple[int, int], u: np.ndarray,
@@ -406,12 +475,14 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     basis ``Q = y R^-1`` comes from an R-only QR of ``y``, and ``Q`` is
     never formed (Björck & Golub 1973): with ``U`` the clean basis, the
     cosines are those of ``U^T Q = (U^T y) R^-1``, and the sines those of
-    ``(y - U (U^T y)) R^-1``.  Each is one solve with the n x n ``R``, whose
-    condition, sigma_1 / sigma_n of ``y``, is below 1 / ``TIE_TOL`` when
-    its truncation is not tied, and scales the error of either by at most
-    what it scales the span's own error.  Otherwise, a tied k = n ``y``
-    included, ``y``'s basis is the ``u`` of ``leading_svd(y, k)``, and a tie
-    sets ``ambiguous``.
+    ``(y - U (U^T y)) R^-1``.  The cosines take one solve with the n x n
+    ``R``; the sines, formed only for a small angle, a product with ``R``'s
+    inverse, cheaper than a solve with d right-hand sides and usually as
+    accurate (Higham 2002, ch. 14).  ``R``'s condition, sigma_1 / sigma_n of
+    ``y``, is below 1 / ``TIE_TOL`` when its truncation is not tied, and
+    scales the error of either by at most what it scales the span's own
+    error.  Otherwise, a tied k = n ``y`` included, ``y``'s basis is the
+    ``u`` of ``leading_svd(y, k)``, and a tie sets ``ambiguous``.
 
     Either way the span is accurate to O(eps sigma_1 / (sigma_k -
     sigma_{k+1})), as a dense SVD's is, and ``_largest_angle`` reads a small
@@ -434,10 +505,9 @@ def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
         if not _tied(_svd(r, e, compute_uv=False), k, d):
-            r_t = r.T
             cross = u.T @ y
-            theta = _largest_angle(np.linalg.solve(r_t, cross.T).T,
-                                   lambda: np.linalg.solve(r_t, (y - u @ cross).T).T)
+            theta = _largest_angle(np.linalg.solve(r.T, cross.T).T,
+                                   lambda: (y - u @ cross) @ np.linalg.inv(r))
             return theta, ambiguous
     svd = _factor(y, e, k)
     cross = u.T @ svd.u

@@ -6,16 +6,23 @@ from pcattack.linalg import RSVD_ASPECT
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """``(shape, compute_uv)`` of each matrix passed to ``np.linalg.svd``, in
-    call order; ``compute_uv`` is False for a values-only SVD."""
+    """Each dense decomposition, in call order: ``(shape, compute_uv)`` of a
+    matrix passed to ``np.linalg.svd``, ``compute_uv`` False for a
+    values-only SVD, and ``(shape, "eigh")`` of one passed to
+    ``np.linalg.eigh``."""
     calls = []
-    original = np.linalg.svd
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
+    def counting_svd(a, *args, **kwargs):
         calls.append((np.shape(a), kwargs.get("compute_uv", True)))
-        return original(a, *args, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((np.shape(a), "eigh"))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
 
 
@@ -24,21 +31,31 @@ def svd_shapes(calls):
     return [shape for shape, _ in calls]
 
 
-def factor_svd_shape(shape, j):
-    """The shape of the one dense SVD that ``linalg.leading_svd(m, j)`` runs on
-    a ``shape`` matrix: the p x p triangle of a QR (``p = min(d, n)``) once
-    ``max(d, n) >= RSVD_ASPECT * p`` and ``j < p``, else ``shape`` itself."""
+def factor_call(shape, j, gram=True):
+    """The one dense decomposition that ``linalg.leading_svd(m, j)`` runs on a
+    ``shape`` matrix, as ``svd_calls`` records it.  Once ``max(d, n) >=
+    RSVD_ASPECT * p`` (``p = min(d, n)``) and ``j < p`` it is of a p x p
+    matrix: the ``eigh`` of the Gram of ``m`` when ``gram`` says that ``m``
+    clears both conditions of the Gram route, else the SVD of the triangle
+    of a QR.  Otherwise it is the thin SVD of ``m`` itself."""
     p = min(shape)
-    return (p, p) if max(shape) >= RSVD_ASPECT * p and j < p else shape
+    if max(shape) >= RSVD_ASPECT * p and j < p:
+        return (p, p), "eigh" if gram else True
+    return shape, True
+
+
+def re_pca_call(shape, k, gram=True):
+    """The one dense decomposition that an attack's re-PCA runs on a ``shape``
+    matrix whose truncation at ``k`` is not tied: the values-only SVD of the
+    n x n triangle of an R-only QR at k = n < d, else ``factor_call(shape,
+    k, gram)``."""
+    d, n = shape
+    return ((n, n), False) if d > n and k == n else factor_call(shape, k, gram)
 
 
 def re_pca_svd_shape(shape, k):
-    """The shape of the one dense SVD that an attack's re-PCA runs on a
-    ``shape`` matrix whose truncation at ``k`` is not tied: the values-only
-    one of the n x n triangle of an R-only QR at k = n < d, else
-    ``factor_svd_shape(shape, k)``."""
-    d, n = shape
-    return (n, n) if d > n and k == n else factor_svd_shape(shape, k)
+    """The shape of ``re_pca_call(shape, k)``'s decomposition, on either route."""
+    return re_pca_call(shape, k)[0]
 
 
 def random_orthogonal(rng, n):

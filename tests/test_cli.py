@@ -354,6 +354,16 @@ class TestPcrCommand:
         assert capsys.readouterr().err == "error: eta_grid ratio 0.3 is repeated\n"
         assert not out.exists()
 
+    def test_negative_zero_ratio_writes_0(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["pcr", "--synthetic", "--k", "4", "--eta-grid=-0,0.5",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.5"]
+        assert main(["pcr", "--synthetic", "--k", "4", "--eta-grid=-0,0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: eta_grid ratio 0.0 is repeated\n"
+
     def test_grid_in_any_order_writes_the_sorted_grid(self, tmp_path):
         unsorted, ordered = tmp_path / "a.csv", tmp_path / "b.csv"
         for grid, out in (("0.5,0.1,0.3", unsorted), ("0.1,0.3,0.5", ordered)):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import matrix_with_spectrum, re_pca_svd_shape, svd_shapes
+from conftest import factor_call, matrix_with_spectrum, re_pca_call, re_pca_svd_shape, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
@@ -167,6 +167,34 @@ def test_tiny_budget_angle_reaches_the_dense_svd_floor(shape, attack, ratio):
     _, report = attack(x, k, ratio * gap)
     floor = np.finfo(float).eps * sigma[0] / gap
     assert abs(report.theta_achieved - report.theta_predicted) <= 16 * floor
+
+
+# tall and wide inputs whose factor and re-PCA take the Gram route, and on
+# which the R-SVD, too, meets the floor (on some other geometric spectra it
+# reached 45 units)
+GRAM_INPUTS = {
+    "gaussian-200x50": lambda: synth_gaussian(200, 50, seed=7),
+    "condition-100-200x50": lambda: matrix_with_spectrum(np.geomspace(1.0, 0.01, 50), 200, 50,
+                                                         seed=1),
+    "condition-100-50x200": lambda: matrix_with_spectrum(np.geomspace(1.0, 0.01, 50), 50, 200,
+                                                         seed=1),
+}
+
+
+@pytest.mark.parametrize("data", GRAM_INPUTS)
+@pytest.mark.parametrize("attack", [attack_rank_one, attack_unconstrained])
+def test_gram_routed_angle_reaches_the_dense_svd_floor(svd_calls, data, attack):
+    # nine budgets from 1e-12 to 3 times the family's regime threshold
+    x, k = GRAM_INPUTS[data](), 5
+    sigma = full_svd(x).sigma
+    gap = sigma[k - 1] - sigma[k]
+    threshold = gap if attack is attack_rank_one else gap / np.sqrt(2.0)
+    floor = np.finfo(float).eps * sigma[0] / gap
+    for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.5, 3.0):
+        svd_calls.clear()
+        _, report = attack(x, k, ratio * threshold)
+        assert svd_calls[:2] == [factor_call(x.shape, k + 1), re_pca_call(x.shape, k)], ratio
+        assert abs(report.theta_achieved - report.theta_predicted) <= 16 * floor, ratio
 
 
 # the 120x40 input above, and 120x40 spectra log-spaced down to 1e-4 and 1e-8

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ParseError, match="eta_grid ratio 'x' is not a number"):
             SweepSpec(d=5, n=5, k=3, eta_grid=(0.3, "x"))
 
+    def test_negative_zero_reads_as_zero(self):
+        grid = SweepSpec(d=5, n=5, k=3, eta_grid=("-0", 0.5)).eta_grid
+        assert grid == (0.0, 0.5) and math.copysign(1.0, grid[0]) == 1.0
+        with pytest.raises(ParseError, match=r"^eta_grid ratio 0\.0 is repeated$"):
+            SweepSpec(d=5, n=5, k=3, eta_grid=("-0", 0.0))
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ParseError):
             SweepSpec(d=5, n=5, k=3, strategies=("nope",))
@@ -264,6 +271,14 @@ class TestSpecFile:
         assert main(["sweep", str(path), "--out", str(out)]) == 0
         rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
         assert rows == [["0.3", "r1-opt"], ["0.3", "wr-opt"], ["0.9", "r1-opt"], ["0.9", "wr-opt"]]
+
+    def test_negative_zero_ratio_writes_0(self, tmp_path):
+        path = tmp_path / "grid.spec"
+        path.write_text("d = 5\nn = 5\nk = 3\neta_grid = -0, 0.5\nstrategies = r1-opt\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        first = out.read_text().splitlines()[1]
+        assert first.startswith("0,r1-opt,") and "-0" not in first, first
 
     @pytest.mark.parametrize("lines, message", [
         ("k = 3\neta_grid = 0.3, 0.3\n", "eta_grid ratio 0.3 is repeated"),

@@ -1,15 +1,18 @@
-"""Count the dense SVDs each entry point runs on its input's shape.
+"""Count the dense decompositions, SVDs and ``eigh``s, each entry point runs
+on its input's shape.
 
 * One attack (``attack_*``, ``pcattack attack``): 2, the factor and one
   independent re-PCA.  Once one side is long, ``max(d, n) >= RSVD_ASPECT *
   p`` with ``p = min(d, n)``, the factor (for k + 1 < p) and the re-PCA (for
-  k < p) are each an SVD of the p x p triangle of a QR of the input or its
-  transpose instead.  At k = n < d the re-PCA is a values-only SVD of the
+  k < p) are each a decomposition of a p x p matrix instead: the ``eigh`` of
+  the Gram of the input or its transpose when the input clears the Gram
+  route's two conditions, as every such input here does, else the SVD of
+  the triangle of a QR.  At k = n < d the re-PCA is a values-only SVD of the
   triangle of an R-only QR of the input, followed by a thin SVD of the input
-  only when that triangle's truncation ties (``conftest.factor_svd_shape``
-  and ``re_pca_svd_shape`` state the rule).  The achieved angle takes one k
-  x k SVD, of its cosines, when its sine is at least 1/4, and none when it
-  is smaller.
+  only when that triangle's truncation ties (``conftest.factor_call`` and
+  ``re_pca_call`` state the rule).  The achieved angle takes one k x k SVD,
+  of its cosines, when its sine is at least 1/4, and none when it is
+  smaller.
 * ``pcattack verify``: 3, one values-only SVD for both closed forms, which
   build no report, and one factor per random oracle, each on its own.
 * ``run_sweep`` / ``pcattack sweep``: one values-only SVD, read at k into one
@@ -24,7 +27,7 @@
 
 import numpy as np
 import pytest
-from conftest import factor_svd_shape, re_pca_svd_shape, svd_shapes
+from conftest import factor_call, re_pca_call
 
 from pcattack import (InvalidDimension, Regime, SweepSpec, attack_pcr, attack_rank_one,
                       attack_unconstrained, leading_subspace, pca_distance, pcr, report, run_sweep,
@@ -54,11 +57,11 @@ from pcattack.report import _core_split, core_spectrum
 def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
     _, report = attack(synth_gaussian(*shape, seed=3), k, 0.1)
     # the factor, the re-PCA and, for an angle whose sine is at least 1/4, the
-    # k x k SVD of the cosines
-    factor, re_pca = factor_svd_shape(shape, k + 1), re_pca_svd_shape(shape, k)
-    cosines = [(k, k)] if np.sin(report.theta_achieved) >= 0.25 else []
-    assert svd_shapes(svd_calls) == [factor, re_pca] + cosines
-    assert svd_calls[0] == (factor, True)
+    # values-only k x k SVD of the cosines; every input here clears the Gram
+    # route's conditions wherever the R-SVD would run
+    factor, re_pca = factor_call(shape, k + 1), re_pca_call(shape, k)
+    cosines = [((k, k), False)] if np.sin(report.theta_achieved) >= 0.25 else []
+    assert svd_calls == [factor, re_pca] + cosines
 
 
 @pytest.fixture
@@ -200,7 +203,7 @@ def test_pcr_factors_once(svd_calls, lift_calls, strategy):
     grid = (0.1, 0.3, 0.5, 0.8, 1.1)
     reports = attack_pcr(features, targets, 4, grid, strategy, split_seed=1)
     assert len(reports) == len(grid)
-    assert svd_shapes(svd_calls).count(factor_svd_shape(_train_shape(features), 5)) == 1
+    assert svd_calls.count(factor_call(_train_shape(features), 5)) == 1
     # every core splits, so each refit is scored in the factor's coordinates
     assert lift_calls == []
 
@@ -232,7 +235,7 @@ def test_pcr_tied_core_falls_back(svd_calls, lift_calls, monkeypatch):
     reports = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)
     # the factor of the leading 5 pairs and the refit's top 4 components
     train = _train_shape(features)
-    assert svd_shapes(svd_calls) == [factor_svd_shape(train, 5), factor_svd_shape(train, 4)]
+    assert svd_calls == [factor_call(train, 5), factor_call(train, 4)]
     assert len(lift_calls) == 1
     monkeypatch.setattr(pcr, "_core_split", lambda at, core: None)
     dense = attack_pcr(features, targets, 4, grid, "unconstrained", split_seed=1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import factor_svd_shape, matrix_with_spectrum, random_basis, random_orthogonal
+from conftest import factor_call, matrix_with_spectrum, random_basis, random_orthogonal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_principal_angles
@@ -140,9 +140,9 @@ class TestLeadingSvd:
         ((20, 32), 19, True),
     ])
     def test_path_boundaries(self, svd_calls, shape, j, rsvd):
-        assert (factor_svd_shape(shape, j) != shape) == rsvd
+        assert (factor_call(shape, j)[0] != shape) == rsvd
         svd = leading_svd(np.random.default_rng(3).standard_normal(shape), j)
-        assert svd_calls == [(factor_svd_shape(shape, j), True)]
+        assert svd_calls == [factor_call(shape, j)]
         assert (svd.u.shape[1], svd.v.shape[1]) == (j, j)
 
     def test_zero_matrix(self):
@@ -168,6 +168,87 @@ class TestLeadingSvd:
         assert np.linalg.norm(full.reconstruct() - x) <= 1e-13 * np.linalg.norm(x)
         truncation = (full.u[:, :3] * full.sigma[:3]) @ full.v[:, :3].T
         assert np.allclose(leading_svd(x, 3).reconstruct(), truncation, rtol=0.0, atol=1e-12)
+
+
+# condition 300, with sigma_7 = sigma_1 / 60 above the Gram route's separation
+# of sigma_1 / 64 and sigma_8 = sigma_1 / 70 below it
+NEAR_SEPARATION = np.concatenate((np.geomspace(1.0, 1.0 / 60.0, 7),
+                                  np.geomspace(1.0 / 70.0, 1.0 / 300.0, 3)))
+# (make, j, eigh): each fails the Gram route's condition (1), which declines
+# before the eigh, or only (2), which declines after it (eigh True)
+DECLINED = {
+    "rank-4": (lambda shape, seed: _rank_deficient(*shape, 4, seed), 5, False),
+    "condition-2000": (lambda shape, seed: matrix_with_spectrum(
+        np.geomspace(1.0, 1.0 / 2000.0, 10), *shape, seed=seed), 4, False),
+    "sigma_j-below-1/64": (lambda shape, seed: matrix_with_spectrum(
+        NEAR_SEPARATION, *shape, seed=seed), 8, True),
+}
+# (make, j): each clears both conditions, by 1.1-1.5x in (1) at condition 700
+# and by 1.14x in (2)
+NEAR_LIMITS = {
+    "condition-700": (lambda shape, seed: matrix_with_spectrum(
+        np.geomspace(1.0, 1.0 / 700.0, 10), *shape, seed=seed), 4),
+    "sigma_j-at-1/60": (lambda shape, seed: matrix_with_spectrum(
+        NEAR_SEPARATION, *shape, seed=seed), 7),
+}
+
+
+def _check_gram_pairs(x, j, units):
+    """``leading_svd(x, j)`` against ``full_svd(x)``: sigma_1 .. sigma_{j+1}
+    within 1e-13 sigma_1, the rest within 2^10 eps sigma_1, and each pair
+    within ``units`` eps sigma_1 / its gap, as in ``_check_matches_full_svd``."""
+    got, ref = leading_svd(x, j), full_svd(x)
+    sigma = ref.sigma
+    error = np.abs(got.sigma - sigma)
+    assert np.max(error[:j + 1]) <= 1e-13 * sigma[0]
+    assert np.max(error[j + 1:]) <= 2.0**10 * EPS * sigma[0]
+    assert np.all(np.diff(got.sigma) <= 0.0)
+    above = np.append(np.inf, sigma[:-1] - sigma[1:])
+    below = np.append(sigma[:-1] - sigma[1:], sigma[-1])
+    bound = units * EPS * sigma[0] / np.minimum(above, below)[:j]
+    assert np.all(np.linalg.norm(got.u - ref.u[:, :j], axis=0) <= bound)
+    assert np.all(np.linalg.norm(got.v - ref.v[:, :j], axis=0) <= bound)
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", DECLINED)
+    def test_declined_input_takes_the_r_svd(self, svd_calls, kind, seed, shape):
+        make, j, eigh = DECLINED[kind]
+        leading_svd(make(shape, seed), j)
+        assert svd_calls == [factor_call(shape, j)] * eigh + [factor_call(shape, j, gram=False)]
+
+    @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", NEAR_LIMITS)
+    def test_accepted_near_either_limit_matches_full_svd(self, svd_calls, kind, seed, shape):
+        make, j = NEAR_LIMITS[kind]
+        x = make(shape, seed)
+        leading_svd(x, j)
+        assert svd_calls == [factor_call(shape, j)]
+        # a wide input's thin SVD takes another route (test_wide_matches_full_svd)
+        _check_gram_pairs(x, j, 16 if shape[0] > shape[1] else 32)
+
+    @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
+    def test_bit_identical_at_every_power_of_two_scale(self, svd_calls, shape):
+        # the Gram is formed in the unit of the largest entry, so 2^e x gives
+        # the same vectors and 2^e times the singular values, through the
+        # retry in a unit above 2^UNIT_EXPONENT too
+        x = np.random.default_rng(4).standard_normal(shape)
+        ref = leading_svd(x, 3)
+        for e in (-900, -600, 600, 1015):
+            got = leading_svd(np.ldexp(x, e), 3)
+            assert np.array_equal(got.sigma, np.ldexp(ref.sigma, e)), e
+            assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v), e
+        assert all(call == factor_call(shape, 3) for call in svd_calls)
+
+    @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
+    def test_sigma_1_past_the_float64_range(self, svd_calls, shape):
+        x = np.random.default_rng(4).standard_normal(shape)
+        with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
+            leading_svd(x * (1.5e308 / np.abs(x).max()), 3)
+        assert svd_calls == [factor_call(shape, 3)] * 2
 
 
 EPS = np.finfo(float).eps

@@ -13,6 +13,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import factor_call, re_pca_call
+
 from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, fit_pcr,
                       full_svd, read_matrix_csv, run_sweep, synth_gaussian, synthetic_collinear)
 from pcattack.cli import main
@@ -48,6 +50,21 @@ def test_attack_scale_invariant(attack, shape, k, ratio):
         assert abs(report.theta_achieved - report.theta_predicted) < 1e-8, c
         assert report.budget_used == pytest.approx(c * ref.budget_used, rel=1e-12), c
         assert report.ambiguous_subspace == ref.ambiguous_subspace, c
+
+
+@pytest.mark.parametrize("attack", [attack_rank_one, attack_unconstrained])
+@pytest.mark.parametrize("shape", [(20, 6), (6, 20)])
+def test_r_svd_cases_take_the_gram_route_at_every_scale(svd_calls, attack, shape):
+    # so that the scale invariance above covers the Gram route: the factor
+    # and the re-PCA of the 20x6 and 6x20 cases at k = 2 take it at every
+    # scale and budget there
+    x = synth_gaussian(*shape, seed=3)
+    for ratio in RATIOS:
+        eta = ratio * _budget_unit(x, 2)
+        for c in SCALES:
+            svd_calls.clear()
+            attack(c * x, 2, c * eta)
+            assert svd_calls[:2] == [factor_call(shape, 3), re_pca_call(shape, 2)], (ratio, c)
 
 
 def _reject_constant(name):
