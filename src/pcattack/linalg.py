@@ -27,6 +27,9 @@ RSVD_ASPECT = 1.6
 # first, so sigma_j >= sigma_1 / 64
 GRAM_SHIFT = 2.0**-20
 GRAM_SEPARATION = 2.0**-12
+# the columns of the leading block whose Gram is tested before the whole
+# Gram is formed, so that a rank-deficient input declines for a block's cost
+GRAM_BLOCK = 32
 # A factor runs on m as given while sigma_1 < 2^UNIT_EXPONENT: a factor's
 # intermediates grow only a few sqrt(d n) times past its entries, which are at
 # most sigma_1, so none comes near overflow.  Past that it runs again on
@@ -58,8 +61,14 @@ def _unit_safe(factor, m: np.ndarray, *args):
     try:
         return factor(m, 0, *args)
     except _NearOverflow:
-        e = math.frexp(max(float(m.max()), -float(m.min())))[1]
+        e = _exponent(m)
         return factor(np.ldexp(m, -e), e, *args)
+
+
+def _exponent(m: np.ndarray) -> int:
+    """The exponent ``s`` of the largest |entry| of a finite ``m``: the
+    entries of ``m / 2^s`` are below 1, and the largest is at least 1/2."""
+    return math.frexp(max(float(m.max()), -float(m.min())))[1]
 
 
 def check_eta(eta) -> float:
@@ -212,12 +221,25 @@ def leading_svd(m, j: int) -> SvdTriple:
     runs only when both hold: (1) ``G - tau I`` has a Cholesky factor, with
     ``tau = GRAM_SHIFT`` times the largest column abs-sum of ``G``, at least
     ``lambda_1``, which proves ``sigma_p >= 2^-10 sigma_1`` and with it that
-    the rank is ``p`` (a rank-deficient ``a`` fails at an early pivot, and
-    costs only the Gram and that pivot); (2) ``G``'s eigenvalues show
-    ``lambda_j >= GRAM_SEPARATION lambda_1``, that is ``sigma_j >= sigma_1 /
-    64`` (an ``a`` that fails only this has paid for the ``eigh`` too).  The
-    short side's vectors are then ``G``'s top ``j`` eigenvectors ``W_j``, and
-    the long side's the signed ``Q`` of a QR of ``b W_j``, as above.
+    the rank is ``p``; (2) ``G``'s eigenvalues show ``lambda_j >=
+    GRAM_SEPARATION lambda_1``, that is ``sigma_j >= sigma_1 / 64`` (an
+    ``a`` that fails only this has paid for the ``eigh`` too).  When ``p``
+    exceeds ``GRAM_BLOCK``, (1) first tests the Gram ``G_B`` of the leading
+    ``GRAM_BLOCK`` columns, before ``b`` or ``G`` is formed: ``G_B - tau_B
+    I``, with ``tau_B = GRAM_SHIFT`` times ``G_B``'s largest diagonal entry.
+    In ``b``'s unit ``G_B`` is a leading principal block of ``G``, and each
+    diagonal entry of ``G`` is at most its column's abs-sum, so ``tau_B <=
+    tau``: were ``G - tau I`` positive definite, so would be its block ``G_B
+    - tau I`` and with it ``G_B - tau_B I``.  The block is scaled to its own
+    largest entry instead, which scales ``G_B`` and ``tau_B`` by one power
+    of four and leaves the outcome as it is.  A block that fails thus
+    proves that (1) fails, and an ``a`` of rank below the block's width
+    declines for the block's Gram and an early pivot of its Cholesky, as a
+    rank-deficient ``G`` does at its own.  The short side's vectors are then
+    ``G``'s top ``j`` eigenvectors ``W_j``, and the long side's the signed
+    ``Q`` of a QR of ``b W_j``, as above.  The route works in the unit 2^s
+    throughout, so ``_unit_safe``'s retry never discards a result it
+    accepts: it raises InvalidMatrix itself when sigma_1 overflows float64.
     ``sigma_1 .. sigma_{j+1}``, which the closed forms, the tie test and the
     split of a core read, are the column norms ``||b w_i||``, within about
     eps sigma_1 of a dense SVD's; the rest are ``sqrt(lambda_i)``, within
@@ -256,13 +278,17 @@ def _gram_pairs(a: np.ndarray, e: int, j: int):
     of the Gram ``G = b^T b`` of ``b = a / 2^s``, ``s`` the exponent of a's
     largest |entry|, or None when ``G`` fails either condition of the Gram
     route (``leading_svd``)."""
-    s = math.frexp(max(float(a.max()), -float(a.min())))[1]
+    p = a.shape[1]
+    if p > GRAM_BLOCK:
+        block = a[:, :GRAM_BLOCK]
+        block = np.ldexp(block, -_exponent(block))
+        g = block.T @ block
+        if not _cholesky_clears(g, GRAM_SHIFT * float(g.diagonal().max())):
+            return None
+    s = _exponent(a)
     b = np.ldexp(a, -s)
     g = b.T @ b
-    p = g.shape[0]
-    try:
-        np.linalg.cholesky(g - GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()) * np.eye(p))
-    except np.linalg.LinAlgError:
+    if not _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max())):
         return None
     lam, w = np.linalg.eigh(g)
     if not lam[-j] >= GRAM_SEPARATION * lam[-1]:
@@ -270,7 +296,19 @@ def _gram_pairs(a: np.ndarray, e: int, j: int):
     top = w[:, p - j - 1:][:, ::-1]
     y = b @ top
     sigma = np.concatenate((np.linalg.norm(y, axis=0), np.sqrt(lam[:p - j - 1][::-1])))
-    return _scale_back(np.minimum.accumulate(sigma), e, s), top[:, :j], _signed_q(y[:, :j])
+    return _scale_back(np.minimum.accumulate(sigma), e + s), top[:, :j], _signed_q(y[:, :j])
+
+
+def _cholesky_clears(g: np.ndarray, tau: float) -> bool:
+    """Whether ``g - tau I`` has a Cholesky factor, for a finite symmetric
+    ``g``.  One that does is positive definite to within the factor's
+    backward error (Higham 2002, ch. 10), so every eigenvalue of ``g``
+    exceeds ``tau``; at a pivot that is not positive the factor stops."""
+    try:
+        np.linalg.cholesky(g - tau * np.eye(g.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _signed_q(y: np.ndarray) -> np.ndarray:
@@ -297,13 +335,15 @@ def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
     return out[0], _scale_back(out[1], e), out[2]
 
 
-def _scale_back(sigma: np.ndarray, e: int, s: int = 0) -> np.ndarray:
-    """``2^(e + s) sigma``: the singular values of a matrix in the unit 2^e
-    from those of the matrix divided by 2^s.  At e = 0 it raises
+def _scale_back(sigma: np.ndarray, e: int) -> np.ndarray:
+    """``2^e sigma``: the singular values of a matrix from those of the
+    matrix in the unit 2^e.  At e = 0, a matrix factored as given, it raises
     ``_NearOverflow`` unless sigma_1 < 2^UNIT_EXPONENT.  In a unit, it
-    raises InvalidMatrix when sigma_1 overflows float64."""
+    raises InvalidMatrix when sigma_1 overflows float64.  (The Gram route
+    passes the unit of its scaled matrix, which is 2^0 only when every entry
+    is below 1, and then sigma_1 is far below 2^UNIT_EXPONENT.)"""
     with np.errstate(over="ignore"):
-        sigma = np.ldexp(sigma, e + s)
+        sigma = np.ldexp(sigma, e)
     if e == 0:
         if not sigma[0] < 2.0**UNIT_EXPONENT:
             raise _NearOverflow
@@ -484,6 +524,16 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     error.  Otherwise, a tied k = n ``y`` included, ``y``'s basis is the
     ``u`` of ``leading_svd(y, k)``, and a tie sets ``ambiguous``.
 
+    Whether ``R`` ties is certified without its SVD where it can be
+    (``_untied_triangle``): the shifted Cholesky of condition (1) of
+    ``leading_svd``'s Gram route, run on the n x n Gram of ``R`` in the unit
+    of its largest entry, proves sigma_n >= 2^-10 sigma_1 when it clears,
+    far above the tie at ``TIE_TOL sigma_1``.  So theta and the flag are
+    those that the values-only SVD of ``R`` and ``_tied`` would give.  Only
+    an ``R`` that fails the test, that is not finite, or whose sigma_1 may
+    reach the limit of its unit runs that SVD, so ``_unit_safe``'s retry
+    and the InvalidMatrix past the float64 range fire where they did.
+
     Either way the span is accurate to O(eps sigma_1 / (sigma_k -
     sigma_{k+1})), as a dense SVD's is, and ``_largest_angle`` reads a small
     angle from its sine, so a tiny budget's achieved angle keeps that order:
@@ -504,7 +554,7 @@ def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
     d, n = y.shape
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
-        if not _tied(_svd(r, e, compute_uv=False), k, d):
+        if _untied_triangle(r, e) or not _tied(_svd(r, e, compute_uv=False), k, d):
             cross = u.T @ y
             theta = _largest_angle(np.linalg.solve(r.T, cross.T).T,
                                    lambda: (y - u @ cross) @ np.linalg.inv(r))
@@ -513,6 +563,25 @@ def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
     cross = u.T @ svd.u
     return (_largest_angle(cross, lambda: svd.u - u @ cross),
             ambiguous or _tied(svd.sigma, k, d))
+
+
+def _untied_triangle(r: np.ndarray, e: int) -> bool:
+    """Whether the shifted Cholesky test certifies that the triangle ``r``
+    of a QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with
+    sigma_1 so far inside its unit that ``_svd`` of ``r`` would scale it
+    back without ``_NearOverflow`` or InvalidMatrix."""
+    if not np.isfinite(r).all():
+        return False
+    s = _exponent(r)
+    b = np.ldexp(r, -s)
+    g = b.T @ b
+    # sigma_1 <= ||r||_F = 2^s sqrt(trace g), and a computed sigma_1 is below
+    # twice that: 2^e times it must stay below 2^UNIT_EXPONENT for a matrix
+    # as given, and inside the float64 range in a unit
+    limit = UNIT_EXPONENT if e == 0 else sys.float_info.max_exp
+    if math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 > limit:
+        return False
+    return _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()))
 
 
 def unitary_conjugate(x, p, t) -> np.ndarray:

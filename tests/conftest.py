@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcattack.linalg import RSVD_ASPECT
+from pcattack.linalg import GRAM_BLOCK, RSVD_ASPECT
 
 
 @pytest.fixture
@@ -26,6 +26,21 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shape of each matrix passed to ``np.linalg.cholesky``, in call
+    order: the shifted Cholesky tests that choose a factor's route."""
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return shapes
+
+
 def svd_shapes(calls):
     """The shapes alone of the calls that ``svd_calls`` recorded."""
     return [shape for shape, _ in calls]
@@ -37,25 +52,50 @@ def factor_call(shape, j, gram=True):
     RSVD_ASPECT * p`` (``p = min(d, n)``) and ``j < p`` it is of a p x p
     matrix: the ``eigh`` of the Gram of ``m`` when ``gram`` says that ``m``
     clears both conditions of the Gram route, else the SVD of the triangle
-    of a QR.  Otherwise it is the thin SVD of ``m`` itself."""
+    of a QR.  Otherwise it is the thin SVD of ``m`` itself.  The Cholesky
+    tests that choose the route are ``factor_choleskys``."""
     p = min(shape)
     if max(shape) >= RSVD_ASPECT * p and j < p:
         return (p, p), "eigh" if gram else True
     return shape, True
 
 
-def re_pca_call(shape, k, gram=True):
-    """The one dense decomposition that an attack's re-PCA runs on a ``shape``
-    matrix whose truncation at ``k`` is not tied: the values-only SVD of the
-    n x n triangle of an R-only QR at k = n < d, else ``factor_call(shape,
-    k, gram)``."""
+def factor_choleskys(shape, j):
+    """The shapes of the shifted Cholesky tests of the Gram route that
+    ``linalg.leading_svd(m, j)`` runs on a ``shape`` matrix that clears them,
+    as ``cholesky_calls`` records them: where the R-SVD would run, that of
+    the Gram of the leading ``GRAM_BLOCK`` columns when ``p`` is wider, then
+    that of the p x p Gram; none where a thin SVD runs."""
+    p = min(shape)
+    if max(shape) >= RSVD_ASPECT * p and j < p:
+        return [(GRAM_BLOCK, GRAM_BLOCK)] * (p > GRAM_BLOCK) + [(p, p)]
+    return []
+
+
+def re_pca_choleskys(shape, k):
+    """The shapes of the Cholesky tests that an attack's re-PCA runs on a
+    ``shape`` matrix that clears them: that of the n x n Gram of the triangle
+    at k = n < d, else ``factor_choleskys(shape, k)``."""
     d, n = shape
-    return ((n, n), False) if d > n and k == n else factor_call(shape, k, gram)
+    return [(n, n)] if d > n and k == n else factor_choleskys(shape, k)
 
 
-def re_pca_svd_shape(shape, k):
-    """The shape of ``re_pca_call(shape, k)``'s decomposition, on either route."""
-    return re_pca_call(shape, k)[0]
+def re_pca_calls(shape, k, gram=True):
+    """The dense decompositions that an attack's re-PCA runs on a ``shape``
+    matrix whose truncation at ``k`` the Cholesky tests certify untied.  At
+    k = n < d none: the column space is read through the n x n triangle of
+    an R-only QR, whose Gram clears the test, so no SVD of it runs (one that
+    fails runs the triangle's values-only SVD).  Otherwise
+    ``[factor_call(shape, k, gram)]``."""
+    d, n = shape
+    return [] if d > n and k == n else [factor_call(shape, k, gram)]
+
+
+def re_pca_call(shape, k, gram=True):
+    """The one dense decomposition of a re-PCA at k < n or d <= n, where
+    ``re_pca_calls`` always names one; at k = n < d it raises ValueError."""
+    (call,) = re_pca_calls(shape, k, gram)
+    return call
 
 
 def random_orthogonal(rng, n):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import factor_call, matrix_with_spectrum, re_pca_call, re_pca_svd_shape, svd_shapes
+from conftest import factor_call, matrix_with_spectrum, re_pca_call, re_pca_calls, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
                       pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
@@ -70,8 +70,9 @@ def test_core_agrees_with_full(svd_calls, family, regime, instance, ratio):
     core_theta = _core_angle(at, core)
     full_theta, _ = _pca_distance_from_svd(svd, x + lift(*frames(svd, k), core, at.unit), k)
     # one factor and one re-PCA; the core angle runs no dense SVD, and the
-    # re-PCA runs one of x's shape unless it takes a QR's triangle
-    assert svd_shapes(svd_calls).count(x.shape) == 1 + (re_pca_svd_shape(x.shape, k) == x.shape)
+    # re-PCA runs one of x's shape unless it reads a QR's triangle
+    assert svd_shapes(svd_calls).count(x.shape) == 1 + svd_shapes(re_pca_calls(x.shape, k)).count(
+        x.shape)
     assert core_theta is not None
     assert core_theta == pytest.approx(full_theta, abs=1e-10)
 

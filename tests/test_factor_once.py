@@ -7,12 +7,14 @@ on its input's shape.
   k < p) are each a decomposition of a p x p matrix instead: the ``eigh`` of
   the Gram of the input or its transpose when the input clears the Gram
   route's two conditions, as every such input here does, else the SVD of
-  the triangle of a QR.  At k = n < d the re-PCA is a values-only SVD of the
-  triangle of an R-only QR of the input, followed by a thin SVD of the input
-  only when that triangle's truncation ties (``conftest.factor_call`` and
-  ``re_pca_call`` state the rule).  The achieved angle takes one k x k SVD,
-  of its cosines, when its sine is at least 1/4, and none when it is
-  smaller.
+  the triangle of a QR.  At k = n < d the re-PCA reads the triangle of an
+  R-only QR of the input, and decomposes nothing when the shifted Cholesky
+  of the triangle's Gram certifies that its truncation is not tied; else it
+  runs a values-only SVD of the triangle, and a thin SVD of the input only
+  when that truncation ties (``conftest.factor_call`` and ``re_pca_calls``
+  state the rule, and ``factor_choleskys`` and ``re_pca_choleskys`` the
+  Cholesky tests).  The achieved angle takes one k x k SVD, of its cosines,
+  when its sine is at least 1/4, and none when it is smaller.
 * ``pcattack verify``: 3, one values-only SVD for both closed forms, which
   build no report, and one factor per random oracle, each on its own.
 * ``run_sweep`` / ``pcattack sweep``: one values-only SVD, read at k into one
@@ -27,14 +29,14 @@ on its input's shape.
 
 import numpy as np
 import pytest
-from conftest import factor_call, re_pca_call
+from conftest import factor_call, factor_choleskys, re_pca_calls, re_pca_choleskys
 
 from pcattack import (InvalidDimension, Regime, SweepSpec, attack_pcr, attack_rank_one,
                       attack_unconstrained, leading_subspace, pca_distance, pcr, report, run_sweep,
                       synth_gaussian, synth_low_rank, synthetic_collinear, write_matrix_csv)
 from pcattack.cli import main
 from pcattack.experiments import ATTACKS
-from pcattack.linalg import full_svd, spectrum_of
+from pcattack.linalg import GRAM_BLOCK, full_svd, leading_svd, spectrum_of
 from pcattack.pcr import SPLIT_FRACTION
 from pcattack.report import _core_split, core_spectrum
 
@@ -51,17 +53,21 @@ from pcattack.report import _core_split, core_spectrum
     (attack_rank_one, (9, 5), 2),       # d = 1.8n
     (attack_rank_one, (8, 5), 2),       # d = 1.6n
     (attack_unconstrained, (5, 8), 2),  # n = 1.6d
-    (attack_rank_one, (5, 8), 4),       # k + 1 = d: a thin factor, a triangle re-PCA
+    (attack_rank_one, (5, 8), 4),       # k + 1 = d: a thin factor, a Gram re-PCA
     (attack_rank_one, (10, 15), 3),     # n = 1.5d
+    (attack_unconstrained, (80, 40), 3),    # p wider than GRAM_BLOCK: the block, then the Gram
+    (attack_rank_one, (40, 80), 3),
+    (attack_rank_one, (80, 40), 40),
 ])
-def test_attack_factors_once_and_verifies_once(svd_calls, attack, shape, k):
+def test_attack_factors_once_and_verifies_once(svd_calls, cholesky_calls, attack, shape, k):
     _, report = attack(synth_gaussian(*shape, seed=3), k, 0.1)
-    # the factor, the re-PCA and, for an angle whose sine is at least 1/4, the
+    # the factor, the re-PCA (none at k = n < d, whose triangle the Cholesky
+    # test certifies) and, for an angle whose sine is at least 1/4, the
     # values-only k x k SVD of the cosines; every input here clears the Gram
     # route's conditions wherever the R-SVD would run
-    factor, re_pca = factor_call(shape, k + 1), re_pca_call(shape, k)
     cosines = [((k, k), False)] if np.sin(report.theta_achieved) >= 0.25 else []
-    assert svd_calls == [factor, re_pca] + cosines
+    assert svd_calls == [factor_call(shape, k + 1)] + re_pca_calls(shape, k) + cosines
+    assert cholesky_calls == factor_choleskys(shape, k + 1) + re_pca_choleskys(shape, k)
 
 
 @pytest.fixture
@@ -94,10 +100,11 @@ def test_full_rank_pca_distance_forms_no_q(qr_modes):
     assert qr_modes == ["r"]
 
 
-def test_tied_full_rank_re_pca_factors_y_once(svd_calls, qr_modes):
+def test_tied_full_rank_re_pca_factors_y_once(svd_calls, cholesky_calls, qr_modes):
     # the budget sigma_n removes sigma_n, so X + delta's truncation at k = n
-    # ties: after the R-only QR and its values-only triangle SVD, Y's basis
-    # comes from one thin SVD of Y, and no other QR runs
+    # ties: the R-only QR's triangle fails the Cholesky test of its Gram, so
+    # its values-only SVD runs, and Y's basis comes from one thin SVD of Y;
+    # no other QR runs
     x = synth_gaussian(120, 40, seed=7)
     eta = full_svd(x).sigma[-1]
     svd_calls.clear()
@@ -105,7 +112,33 @@ def test_tied_full_rank_re_pca_factors_y_once(svd_calls, qr_modes):
     assert report.ambiguous_subspace
     cosines = [((40, 40), False)] if np.sin(report.theta_achieved) >= 0.25 else []
     assert svd_calls == [((120, 40), True), ((40, 40), False), ((120, 40), True)] + cosines
+    assert cholesky_calls == [(40, 40)]
     assert qr_modes == ["r"]
+
+
+def test_certified_full_rank_re_pca_decomposes_nothing(svd_calls, cholesky_calls, qr_modes):
+    # at half of sigma_n the triangle of X + delta clears the Cholesky test
+    # of its Gram: the re-PCA takes the R-only QR and that Cholesky, and no
+    # SVD of the triangle or of Y
+    x = synth_gaussian(120, 40, seed=7)
+    eta = 0.5 * full_svd(x).sigma[-1]
+    svd_calls.clear()
+    _, report = attack_rank_one(x, 40, eta)
+    assert not report.ambiguous_subspace
+    cosines = [((40, 40), False)] if np.sin(report.theta_achieved) >= 0.25 else []
+    assert svd_calls == [((120, 40), True)] + cosines
+    assert cholesky_calls == [(40, 40)]
+    assert qr_modes == ["r"]
+
+
+def test_declined_rank_10_factor_tests_only_the_leading_block(svd_calls, cholesky_calls):
+    # a rank-10 1000x250 input fails the Cholesky test of its leading block's
+    # Gram, so the R-SVD runs without forming the 250 x 250 Gram
+    x = synth_low_rank(1000, 250, 10, seed=3)
+    svd_calls.clear()
+    leading_svd(x, 11)
+    assert svd_calls == [factor_call((1000, 250), 11, gram=False)] == [((250, 250), True)]
+    assert cholesky_calls == [(GRAM_BLOCK, GRAM_BLOCK)]
 
 
 def test_full_rank_leading_subspace_is_one_thin_svd(svd_calls, qr_modes):
