@@ -30,45 +30,42 @@ GRAM_SEPARATION = 2.0**-12
 # the columns of the leading block whose Gram is tested before the whole
 # Gram is formed, so that a rank-deficient input declines for a block's cost
 GRAM_BLOCK = 32
-# A factor runs on m as given while sigma_1 < 2^UNIT_EXPONENT: a factor's
-# intermediates grow only a few sqrt(d n) times past its entries, which are at
-# most sigma_1, so none comes near overflow.  Past that it runs again on
-# m / 2^e, e the exponent of m's largest |entry| (``_unit_safe``).
+# A factor runs on m as given while m's largest |entry| is below
+# 2^UNIT_EXPONENT: then sigma_1 < sqrt(d n) 2^UNIT_EXPONENT, and a factor's
+# intermediates grow only a few sqrt(d n) times past sigma_1, so none comes
+# near overflow.  Past that it runs on m / 2^s, s the exponent of m's largest
+# |entry| (``_in_unit``).
 UNIT_EXPONENT = 511
 
 
 def as_matrix(x) -> np.ndarray:
     """Coerce to a finite 2-D float array (d x n, columns are samples)."""
+    return _checked(x)[0]
+
+
+def _checked(x) -> tuple[np.ndarray, int]:
+    """``as_matrix(x)`` and the exponent ``s`` of its largest |entry|, both
+    from one pass: the entries of ``m / 2^s`` are below 1, and the largest
+    is at least 1/2 (``s = 0`` for a zero matrix).  A nan makes both the
+    max and the min nan and an inf makes one of them infinite, so a finite
+    largest |entry| proves every entry finite."""
     m = np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InvalidMatrix(f"expected a nonempty 2-D matrix, got shape {m.shape!r}")
-    if not np.all(np.isfinite(m)):
+    peak = max(float(m.max()), -float(m.min()))
+    if not math.isfinite(peak):
         raise InvalidMatrix("matrix entries must be finite")
-    return m
+    return m, math.frexp(peak)[1]
 
 
-class _NearOverflow(Exception):
-    """A factor of a matrix as given found sigma_1 >= 2^UNIT_EXPONENT."""
-
-
-def _unit_safe(factor, m: np.ndarray, *args):
-    """``factor(m, 0, *args)`` of a finite matrix ``m``, where ``factor(a, e,
-    ...)`` factors the matrix ``2^e a`` and scales its singular values back
-    through ``_scale_back``.  Once that raises ``_NearOverflow``, ``factor``
-    runs again on ``m / 2^e``, ``e`` the exponent of m's largest |entry|.  Scaling by a power of
-    two is exact, so the unit changes no result, and below the top of the
-    range it costs nothing: no pass looks for the largest entry there."""
-    try:
-        return factor(m, 0, *args)
-    except _NearOverflow:
-        e = _exponent(m)
-        return factor(np.ldexp(m, -e), e, *args)
-
-
-def _exponent(m: np.ndarray) -> int:
-    """The exponent ``s`` of the largest |entry| of a finite ``m``: the
-    entries of ``m / 2^s`` are below 1, and the largest is at least 1/2."""
-    return math.frexp(max(float(m.max()), -float(m.min())))[1]
+def _in_unit(x) -> tuple[np.ndarray, int]:
+    """``(a, e)`` with ``2^e a`` the finite matrix ``x``: ``x`` itself and e
+    = 0 while its largest |entry| is below 2^UNIT_EXPONENT, else ``x / 2^s``
+    and e = s, s the exponent of that entry.  Scaling by a power of two is
+    exact, so the unit changes no result, and the pass that proves ``x``
+    finite finds ``s``."""
+    m, s = _checked(x)
+    return (m, 0) if s <= UNIT_EXPONENT else (np.ldexp(m, -s), s)
 
 
 def check_eta(eta) -> float:
@@ -119,15 +116,13 @@ class Spectrum:
         """Numerical rank: count of sigma_i > RANK_TOL * sigma_1.
         ``report.core_spectrum`` reads it once per record, and every closed
         form reads the record's ``rank``."""
-        if self.sigma.size == 0 or self.sigma[0] <= 0.0:
-            return 0
         return int(np.count_nonzero(self.sigma > RANK_TOL * self.sigma[0]))
 
 
 def spectrum_of(m) -> Spectrum:
     """The singular values of a finite matrix, from one values-only SVD."""
-    m = as_matrix(m)
-    return Spectrum(_unit_safe(_svd, m, False), m.shape)
+    a, e = _in_unit(m)
+    return Spectrum(_svd(a, e, False), a.shape)
 
 
 @dataclass(frozen=True)
@@ -184,10 +179,11 @@ def full_svd(m) -> SvdTriple:
     """Thin SVD of a finite matrix, with deterministic sign choices.
 
     Returns d x p and n x p factors, ``p = min(d, n)``.  Raises
-    InvalidMatrix on non-finite input, or when sigma_1 overflows (``_svd``).
+    InvalidMatrix on non-finite input, or when sigma_1 overflows
+    (``_scale_back``).
     """
-    m = as_matrix(m)
-    return _unit_safe(_factor, m, min(m.shape))
+    a, e = _in_unit(m)
+    return _factor(a, e, min(a.shape))
 
 
 def leading_svd(m, j: int) -> SvdTriple:
@@ -214,6 +210,12 @@ def leading_svd(m, j: int) -> SvdTriple:
     SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1 ..
     ``p`` raises InvalidDimension, as ``check_k`` does for k.
 
+    Every route factors ``m`` as given while its largest |entry| is below
+    2^UNIT_EXPONENT, and past that ``m / 2^s``, ``s`` the exponent of that
+    entry, which the pass that proves ``m`` finite finds (``_in_unit``).
+    Its singular values are then scaled back, and a sigma_1 past the
+    float64 range raises InvalidMatrix (``_scale_back``).
+
     Where the R-SVD would run, a well-conditioned ``a`` takes the Gram route
     instead, which replaces the R-only QR and the triangle's SVD with one p x
     p ``eigh``.  With ``b = a / 2^s``, ``s`` the exponent of a's largest
@@ -237,9 +239,8 @@ def leading_svd(m, j: int) -> SvdTriple:
     declines for the block's Gram and an early pivot of its Cholesky, as a
     rank-deficient ``G`` does at its own.  The short side's vectors are then
     ``G``'s top ``j`` eigenvectors ``W_j``, and the long side's the signed
-    ``Q`` of a QR of ``b W_j``, as above.  The route works in the unit 2^s
-    throughout, so ``_unit_safe``'s retry never discards a result it
-    accepts: it raises InvalidMatrix itself when sigma_1 overflows float64.
+    ``Q`` of a QR of ``b W_j``, as above, and the singular values are
+    scaled back from the unit 2^s.
     ``sigma_1 .. sigma_{j+1}``, which the closed forms, the tie test and the
     split of a core read, are the column norms ``||b w_i||``, within about
     eps sigma_1 of a dense SVD's; the rest are ``sqrt(lambda_i)``, within
@@ -249,8 +250,8 @@ def leading_svd(m, j: int) -> SvdTriple:
     lambda_{i+1})``, at most ``sigma_1 / (sigma_i + sigma_{i+1})`` times a
     dense SVD's bound, which (2) keeps within 64 for every pair returned.
     """
-    m = as_matrix(m)
-    return _unit_safe(_factor, m, check_k(j, m.shape))
+    a, e = _in_unit(m)
+    return _factor(a, e, check_k(j, a.shape))
 
 
 def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
@@ -281,11 +282,11 @@ def _gram_pairs(a: np.ndarray, e: int, j: int):
     p = a.shape[1]
     if p > GRAM_BLOCK:
         block = a[:, :GRAM_BLOCK]
-        block = np.ldexp(block, -_exponent(block))
+        block = np.ldexp(block, -_checked(block)[1])
         g = block.T @ block
         if not _cholesky_clears(g, GRAM_SHIFT * float(g.diagonal().max())):
             return None
-    s = _exponent(a)
+    s = _checked(a)[1]
     b = np.ldexp(a, -s)
     g = b.T @ b
     if not _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max())):
@@ -321,15 +322,10 @@ def _signed_q(y: np.ndarray) -> np.ndarray:
 def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False)`` of a matrix ``a`` in the unit
     2^e, or of the triangle of a QR of one, with the singular values scaled
-    back by ``_scale_back``.  At e = 0 a failed SVD raises ``_NearOverflow``
-    too: from sigma_1 >= 2^UNIT_EXPONENT a QR may have overflowed, leaving
-    inf or nan in its triangle, on which the SVD fails or returns nan."""
-    try:
-        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
-        if e:
-            raise
-        raise _NearOverflow from None
+    back by ``_scale_back``.  The entries of a matrix from ``_in_unit`` are
+    below 2^UNIT_EXPONENT, and those of its triangle below sqrt(d) times
+    that, so no SVD of either comes near overflow."""
+    out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     if not compute_uv:
         return _scale_back(out, e)
     return out[0], _scale_back(out[1], e), out[2]
@@ -337,17 +333,11 @@ def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
 
 def _scale_back(sigma: np.ndarray, e: int) -> np.ndarray:
     """``2^e sigma``: the singular values of a matrix from those of the
-    matrix in the unit 2^e.  At e = 0, a matrix factored as given, it raises
-    ``_NearOverflow`` unless sigma_1 < 2^UNIT_EXPONENT.  In a unit, it
-    raises InvalidMatrix when sigma_1 overflows float64.  (The Gram route
-    passes the unit of its scaled matrix, which is 2^0 only when every entry
-    is below 1, and then sigma_1 is far below 2^UNIT_EXPONENT.)"""
+    matrix in the unit 2^e, or InvalidMatrix when sigma_1 overflows float64.
+    (The Gram route passes the unit of its own scaled matrix.)"""
     with np.errstate(over="ignore"):
         sigma = np.ldexp(sigma, e)
-    if e == 0:
-        if not sigma[0] < 2.0**UNIT_EXPONENT:
-            raise _NearOverflow
-    elif not math.isfinite(sigma[0]):
+    if not math.isfinite(sigma[0]):
         raise InvalidMatrix(f"entries are finite, but the largest singular value exceeds "
                             f"the float64 range ({sys.float_info.max:.4g})")
     return sigma
@@ -416,10 +406,8 @@ def leading_subspace(m, k: int) -> OrthonormalBasis:
     ill defined).  For d > n the implicit trailing singular values are zero.
     The columns are ``leading_svd(m, k).u``.
     """
-    m = as_matrix(m)
-    k = check_k(k, m.shape)
     svd = leading_svd(m, k)
-    return OrthonormalBasis(svd.u, _tied(svd.sigma, k, m.shape[0]))
+    return OrthonormalBasis(svd.u, _tied(svd.sigma, svd.u.shape[1], svd.shape[0]))
 
 
 def _tied(sigma: np.ndarray, k: int, d: int) -> bool:
@@ -530,9 +518,9 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     of its largest entry, proves sigma_n >= 2^-10 sigma_1 when it clears,
     far above the tie at ``TIE_TOL sigma_1``.  So theta and the flag are
     those that the values-only SVD of ``R`` and ``_tied`` would give.  Only
-    an ``R`` that fails the test, that is not finite, or whose sigma_1 may
-    reach the limit of its unit runs that SVD, so ``_unit_safe``'s retry
-    and the InvalidMatrix past the float64 range fire where they did.
+    an ``R`` that fails the test, or whose sigma_1 scaled back from ``y``'s
+    unit (``_in_unit``) may pass the float64 range, runs that SVD, so the
+    InvalidMatrix there fires where it did.
 
     Either way the span is accurate to O(eps sigma_1 / (sigma_k -
     sigma_{k+1})), as a dense SVD's is, and ``_largest_angle`` reads a small
@@ -543,14 +531,8 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     plain array; ``OrthonormalBasis`` re-checks only a basis that a caller
     passes in or ``leading_subspace`` returns.
     """
-    ambiguous = _tied(svd.sigma, k, svd.shape[0])
-    return _unit_safe(_distance, as_matrix(y), svd.u[:, :k], ambiguous, k)
-
-
-def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
-              k: int) -> tuple[float, bool]:
-    """``_pca_distance_from_svd`` of the matrix ``2^e y`` from the clean
-    basis ``u``, whose truncation was tied when ``ambiguous``."""
+    u, ambiguous = svd.u[:, :k], _tied(svd.sigma, k, svd.shape[0])
+    y, e = _in_unit(y)
     d, n = y.shape
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
@@ -559,27 +541,24 @@ def _distance(y: np.ndarray, e: int, u: np.ndarray, ambiguous: bool,
             theta = _largest_angle(np.linalg.solve(r.T, cross.T).T,
                                    lambda: (y - u @ cross) @ np.linalg.inv(r))
             return theta, ambiguous
-    svd = _factor(y, e, k)
-    cross = u.T @ svd.u
-    return (_largest_angle(cross, lambda: svd.u - u @ cross),
-            ambiguous or _tied(svd.sigma, k, d))
+    factor = _factor(y, e, k)
+    cross = u.T @ factor.u
+    return (_largest_angle(cross, lambda: factor.u - u @ cross),
+            ambiguous or _tied(factor.sigma, k, d))
 
 
 def _untied_triangle(r: np.ndarray, e: int) -> bool:
     """Whether the shifted Cholesky test certifies that the triangle ``r``
     of a QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with
-    sigma_1 so far inside its unit that ``_svd`` of ``r`` would scale it
-    back without ``_NearOverflow`` or InvalidMatrix."""
-    if not np.isfinite(r).all():
-        return False
-    s = _exponent(r)
+    2^e sigma_1 so far inside the float64 range that ``_svd`` of ``r`` would
+    scale it back without InvalidMatrix.  ``y`` comes from ``_in_unit``, so
+    ``r`` is finite."""
+    s = _checked(r)[1]
     b = np.ldexp(r, -s)
     g = b.T @ b
     # sigma_1 <= ||r||_F = 2^s sqrt(trace g), and a computed sigma_1 is below
-    # twice that: 2^e times it must stay below 2^UNIT_EXPONENT for a matrix
-    # as given, and inside the float64 range in a unit
-    limit = UNIT_EXPONENT if e == 0 else sys.float_info.max_exp
-    if math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 > limit:
+    # twice that: 2^e times it must stay inside the float64 range
+    if math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 > sys.float_info.max_exp:
         return False
     return _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()))
 

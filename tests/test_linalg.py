@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import factor_call, matrix_with_spectrum, random_basis, random_orthogonal
+from conftest import (factor_call, matrix_with_spectrum, random_basis, random_orthogonal,
+                      re_pca_calls)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_principal_angles
@@ -11,9 +12,24 @@ from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
                       RankMismatch, asimov_distance, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
                       unitary_conjugate)
-from pcattack.linalg import (_tied, complement_direction, fro_norm, leading_svd, spectrum_of,
-                             svd_2x2)
+from pcattack.linalg import (_pca_distance_from_svd, _tied, as_matrix, complement_direction,
+                             fro_norm, leading_svd, spectrum_of, svd_2x2)
 from pcattack.oracle import SearchConfig
+
+
+# each non-finite value at the first, a middle and the last entry of a 4x3
+# matrix, and nan and inf together
+NONFINITE = {f"{name}-{where}": [(index, value)]
+             for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+             for where, index in (("first", (0, 0)), ("middle", (2, 1)), ("last", (3, 2)))}
+NONFINITE["nan-and-inf"] = [((1, 0), np.nan), ((2, 2), np.inf)]
+NONFINITE_READERS = {
+    "as_matrix": as_matrix,
+    "full_svd": full_svd,
+    "spectrum_of": spectrum_of,
+    "leading_svd": lambda m: leading_svd(m, 2),
+    "pca_distance-y": lambda m: pca_distance(np.arange(1.0, 13.0).reshape(4, 3), m, 2),
+}
 
 
 class TestFullSvd:
@@ -36,10 +52,17 @@ class TestFullSvd:
         rel = np.linalg.norm(svd.reconstruct() - x) / np.linalg.norm(x)
         assert rel < 1e-10
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidMatrix):
-            full_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(InvalidMatrix):
+    @pytest.mark.parametrize("read", NONFINITE_READERS.values(), ids=NONFINITE_READERS.keys())
+    @pytest.mark.parametrize("entries", NONFINITE.values(), ids=NONFINITE.keys())
+    def test_rejects_nonfinite(self, entries, read):
+        m = np.arange(1.0, 13.0).reshape(4, 3)
+        for index, value in entries:
+            m[index] = value
+        with pytest.raises(InvalidMatrix, match="matrix entries must be finite"):
+            read(m)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(InvalidMatrix, match="expected a nonempty 2-D matrix"):
             full_svd(np.array([1.0, 2.0]))
 
     def test_sign_canonicalization(self):
@@ -233,8 +256,8 @@ class TestGramRoute:
     @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
     def test_bit_identical_at_every_power_of_two_scale(self, svd_calls, shape):
         # the Gram is formed in the unit of the largest entry, so 2^e x gives
-        # the same vectors and 2^e times the singular values, and above
-        # 2^UNIT_EXPONENT too the route keeps its own result: one eigh a scale
+        # the same vectors and 2^e times the singular values, from one eigh a
+        # scale
         x = np.random.default_rng(4).standard_normal(shape)
         ref = leading_svd(x, 3)
         for e in (-900, -600, 600, 1015):
@@ -248,7 +271,7 @@ class TestGramRoute:
         x = np.random.default_rng(4).standard_normal(shape)
         with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
             leading_svd(x * (1.5e308 / np.abs(x).max()), 3)
-        # the Gram route raises in its own unit, with no retry
+        # the Gram route scales back from its own unit and raises there
         assert svd_calls == [factor_call(shape, 3)]
 
 
@@ -368,6 +391,40 @@ class TestSigmaOverflow:
         for m in (x, x.T):
             for sigma in (spectrum_of(m).sigma, leading_svd(m, 2).sigma):
                 assert sigma == pytest.approx([1e308, 1e307, 1e306], rel=1e-15)
+
+
+def _in_band(x):
+    """``x`` scaled by a power of two so that its largest |entry| is in
+    [2^509, 2^510), below the limit of a matrix factored as given."""
+    return np.ldexp(x, 510 - math.frexp(np.abs(x).max())[1])
+
+
+class TestUnitBand:
+    # a largest |entry| below 2^UNIT_EXPONENT = 2^511 and sigma_1 past it:
+    # the matrix is factored as given, once, with no overflow
+    def test_r_svd_factor(self, svd_calls):
+        x = _in_band(matrix_with_spectrum([3.0, 2.0, 1.0], 40, 10, seed=1))
+        ref = leading_svd(np.ldexp(x, -510), 2)
+        assert ref.sigma[0] >= 2.0
+        svd_calls.clear()
+        got = leading_svd(x, 2)
+        assert svd_calls == [factor_call((40, 10), 2, gram=False)]
+        assert np.max(np.abs(got.sigma - np.ldexp(ref.sigma, 510))) <= 1e-13 * got.sigma[0]
+
+    def test_k_equals_n_re_pca(self, svd_calls):
+        x = np.random.default_rng(2).standard_normal((40, 10))
+        y = _in_band(x + 1e-3 * np.random.default_rng(3).standard_normal((40, 10)))
+        svd = full_svd(x)
+        ref = spectrum_of(np.ldexp(y, -510)).sigma
+        assert ref[0] >= 2.0
+        ref_theta = _pca_distance_from_svd(svd, np.ldexp(y, -510), 10)
+        svd_calls.clear()
+        theta, ambiguous = _pca_distance_from_svd(svd, y, 10)
+        assert svd_calls == re_pca_calls((40, 10), 10)
+        assert not ambiguous and not ref_theta[1]
+        assert theta == pytest.approx(ref_theta[0], rel=1e-13)
+        sigma = spectrum_of(y).sigma
+        assert np.max(np.abs(sigma - np.ldexp(ref, 510))) <= 1e-13 * sigma[0]
 
 
 class TestComplementDirection:
