@@ -21,14 +21,16 @@ ORTHO_TOL = 1e-10
 # the aspect max(d, n) / min(d, n) from which leading_svd takes the R-SVD:
 # the measured crossover against a thin SVD, in both orientations (CHANGES.md)
 RSVD_ASPECT = 1.6
-# where it would take the R-SVD, leading_svd takes the Gram route instead once
-# G - GRAM_SHIFT ||G||_1 I has a Cholesky factor, G the Gram, so sigma_p >=
-# 2^-10 sigma_1, and G's j-th eigenvalue is at least GRAM_SEPARATION times its
-# first, so sigma_j >= sigma_1 / 64
+# every Gram G that chooses a route passes when G - GRAM_SHIFT ||G||_1 I has a
+# Cholesky factor, which proves sigma_p >= 2^-10 sigma_1 (_gram_certificate).
+# Where it would take the R-SVD, leading_svd takes the Gram route instead once
+# the whole Gram passes and its j-th eigenvalue is at least GRAM_SEPARATION
+# times its first, so sigma_j >= sigma_1 / 64
 GRAM_SHIFT = 2.0**-20
 GRAM_SEPARATION = 2.0**-12
-# the columns of the leading block whose Gram is tested before the whole
-# Gram is formed, so that a rank-deficient input declines for a block's cost
+# the columns of the leading block whose Gram is tested, by the same rule,
+# before the whole Gram is formed: a block that fails proves that the whole
+# fails, so a rank-deficient input declines for a block's cost
 GRAM_BLOCK = 32
 # A factor runs on m as given while m's largest |entry| is below
 # 2^UNIT_EXPONENT: then sigma_1 < sqrt(d n) 2^UNIT_EXPONENT, and a factor's
@@ -165,10 +167,16 @@ class OrthonormalBasis:
         d, k = cols.shape
         if not 1 <= k <= d:
             raise InvalidDimension(f"basis needs 1 <= k <= d, got k={k}, d={d}")
-        gram = cols.T @ cols
-        if np.max(np.abs(gram - np.eye(k))) > ORTHO_TOL:
+        if not _orthonormal(cols):
             raise InvalidMatrix("basis columns are not orthonormal")
         object.__setattr__(self, "columns", cols)
+
+
+def _orthonormal(q: np.ndarray) -> bool:
+    """Whether every entry of ``q^T q`` is within ORTHO_TOL of the identity's.
+    A nan or inf in ``q`` makes some entry nan or infinite, which fails."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= ORTHO_TOL)
 
 
 def _as_basis(b) -> OrthonormalBasis:
@@ -221,23 +229,24 @@ def leading_svd(m, j: int) -> SvdTriple:
     p ``eigh``.  With ``b = a / 2^s``, ``s`` the exponent of a's largest
     |entry|, so that no entry of ``G = b^T b`` overflows or underflows, it
     runs only when both hold: (1) ``G - tau I`` has a Cholesky factor, with
-    ``tau = GRAM_SHIFT`` times the largest column abs-sum of ``G``, at least
-    ``lambda_1``, which proves ``sigma_p >= 2^-10 sigma_1`` and with it that
-    the rank is ``p``; (2) ``G``'s eigenvalues show ``lambda_j >=
-    GRAM_SEPARATION lambda_1``, that is ``sigma_j >= sigma_1 / 64`` (an
-    ``a`` that fails only this has paid for the ``eigh`` too).  When ``p``
-    exceeds ``GRAM_BLOCK``, (1) first tests the Gram ``G_B`` of the leading
-    ``GRAM_BLOCK`` columns, before ``b`` or ``G`` is formed: ``G_B - tau_B
-    I``, with ``tau_B = GRAM_SHIFT`` times ``G_B``'s largest diagonal entry.
-    In ``b``'s unit ``G_B`` is a leading principal block of ``G``, and each
-    diagonal entry of ``G`` is at most its column's abs-sum, so ``tau_B <=
-    tau``: were ``G - tau I`` positive definite, so would be its block ``G_B
-    - tau I`` and with it ``G_B - tau_B I``.  The block is scaled to its own
-    largest entry instead, which scales ``G_B`` and ``tau_B`` by one power
-    of four and leaves the outcome as it is.  A block that fails thus
-    proves that (1) fails, and an ``a`` of rank below the block's width
-    declines for the block's Gram and an early pivot of its Cholesky, as a
-    rank-deficient ``G`` does at its own.  The short side's vectors are then
+    ``tau = GRAM_SHIFT ||G||_1``, ``||G||_1`` the largest column abs-sum of
+    ``G`` and at least ``lambda_1``, which proves ``sigma_p >= 2^-10
+    sigma_1`` and with it that the rank is ``p`` (``_gram_certificate``);
+    (2) ``G``'s eigenvalues show ``lambda_j >= GRAM_SEPARATION lambda_1``,
+    that is ``sigma_j >= sigma_1 / 64`` (an ``a`` that fails only this has
+    paid for the ``eigh`` too).  When ``p`` exceeds ``GRAM_BLOCK``, (1)
+    first tests the Gram ``G_B`` of the leading ``GRAM_BLOCK`` columns by
+    the same rule, before ``b`` or ``G`` is formed: ``G_B - GRAM_SHIFT
+    ||G_B||_1 I``.  In ``b``'s unit ``G_B`` is a leading principal block of
+    ``G``, so each of its column abs-sums is at most that column's abs-sum
+    in ``G`` and its shift is at most ``tau``: were ``G - tau I`` positive
+    definite, so would be its block ``G_B - tau I`` and with it the block's
+    own shifted Gram.  The block is scaled to its own largest entry instead,
+    which scales ``G_B`` and its shift by one power of four and leaves the
+    outcome as it is.  A block that fails thus proves that (1) fails, and an
+    ``a`` of rank below the block's width declines for the block's Gram and
+    an early pivot of its Cholesky, as a rank-deficient ``G`` does at its
+    own.  The short side's vectors are then
     ``G``'s top ``j`` eigenvectors ``W_j``, and the long side's the signed
     ``Q`` of a QR of ``b W_j``, as above, and the singular values are
     scaled back from the unit 2^s.
@@ -264,52 +273,54 @@ def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
         u, sigma, vt = _svd(m, e)
         return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
-    gram = _gram_pairs(a, e, j)
-    if gram is None:
-        _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
-        short = vt[:j].T
-        long = _signed_q(a @ short)
-    else:
-        sigma, short, long = gram
+    sigma, short, long = _gram_pairs(a, e, j) or _r_svd_pairs(a, e, j)
     return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
+
+
+def _r_svd_pairs(a: np.ndarray, e: int, j: int):
+    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the SVD of the
+    triangle of an R-only QR of ``a`` (``leading_svd``)."""
+    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
+    short = vt[:j].T
+    return sigma, short, _signed_q(a @ short)
 
 
 def _gram_pairs(a: np.ndarray, e: int, j: int):
     """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the eigenpairs
-    of the Gram ``G = b^T b`` of ``b = a / 2^s``, ``s`` the exponent of a's
-    largest |entry|, or None when ``G`` fails either condition of the Gram
-    route (``leading_svd``)."""
-    p = a.shape[1]
-    if p > GRAM_BLOCK:
-        block = a[:, :GRAM_BLOCK]
-        block = np.ldexp(block, -_checked(block)[1])
-        g = block.T @ block
-        if not _cholesky_clears(g, GRAM_SHIFT * float(g.diagonal().max())):
-            return None
-    s = _checked(a)[1]
-    b = np.ldexp(a, -s)
-    g = b.T @ b
-    if not _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max())):
+    of the Gram ``G`` that ``_gram_certificate(a)`` forms, or None when the
+    certificate of a's leading ``GRAM_BLOCK`` columns or of ``a`` declines,
+    or ``G`` fails condition (2) of the Gram route (``leading_svd``)."""
+    if (a.shape[1] > GRAM_BLOCK and _gram_certificate(a[:, :GRAM_BLOCK]) is None
+            or (certificate := _gram_certificate(a)) is None):
         return None
+    b, g, s = certificate
     lam, w = np.linalg.eigh(g)
     if not lam[-j] >= GRAM_SEPARATION * lam[-1]:
         return None
-    top = w[:, p - j - 1:][:, ::-1]
+    # the top j + 1 eigenvectors, the largest first; j < p here
+    top = w[:, -j - 1:][:, ::-1]
     y = b @ top
-    sigma = np.concatenate((np.linalg.norm(y, axis=0), np.sqrt(lam[:p - j - 1][::-1])))
+    sigma = np.concatenate((np.linalg.norm(y, axis=0), np.sqrt(lam[:-j - 1][::-1])))
     return _scale_back(np.minimum.accumulate(sigma), e + s), top[:, :j], _signed_q(y[:, :j])
 
 
-def _cholesky_clears(g: np.ndarray, tau: float) -> bool:
-    """Whether ``g - tau I`` has a Cholesky factor, for a finite symmetric
-    ``g``.  One that does is positive definite to within the factor's
-    backward error (Higham 2002, ch. 10), so every eigenvalue of ``g``
-    exceeds ``tau``; at a pivot that is not positive the factor stops."""
+def _gram_certificate(a: np.ndarray):
+    """``(b, G, s)`` with ``b = a / 2^s``, ``s`` the exponent of a's largest
+    |entry|, and ``G = b^T b``, when ``G - tau I`` has a Cholesky factor,
+    ``tau = GRAM_SHIFT ||G||_1``; else None.  In that unit no entry of ``G``
+    overflows or underflows.  A factor that exists proves ``G - tau I``
+    positive definite to within its backward error (Higham 2002, ch. 10), so
+    every eigenvalue of ``G`` exceeds ``tau >= GRAM_SHIFT lambda_1``, that is
+    sigma_p(a) >= 2^-10 sigma_1(a); at a pivot that is not positive the
+    factor stops."""
+    s = _checked(a)[1]
+    b = np.ldexp(a, -s)
+    g = b.T @ b
     try:
-        np.linalg.cholesky(g - tau * np.eye(g.shape[0]))
+        np.linalg.cholesky(g - GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()) * np.eye(len(g)))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    return b, g, s
 
 
 def _signed_q(y: np.ndarray) -> np.ndarray:
@@ -513,14 +524,17 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     ``u`` of ``leading_svd(y, k)``, and a tie sets ``ambiguous``.
 
     Whether ``R`` ties is certified without its SVD where it can be
-    (``_untied_triangle``): the shifted Cholesky of condition (1) of
-    ``leading_svd``'s Gram route, run on the n x n Gram of ``R`` in the unit
-    of its largest entry, proves sigma_n >= 2^-10 sigma_1 when it clears,
-    far above the tie at ``TIE_TOL sigma_1``.  So theta and the flag are
-    those that the values-only SVD of ``R`` and ``_tied`` would give.  Only
-    an ``R`` that fails the test, or whose sigma_1 scaled back from ``y``'s
-    unit (``_in_unit``) may pass the float64 range, runs that SVD, so the
-    InvalidMatrix there fires where it did.
+    (``_untied_triangle``): ``_gram_certificate(R)``, condition (1) of
+    ``leading_svd``'s Gram route, proves sigma_n >= 2^-10 sigma_1 when it
+    clears, far above the tie at ``TIE_TOL sigma_1``.  So theta and the flag
+    are those that the values-only SVD of ``R`` and ``_tied`` would give.
+    Only an ``R`` that fails the test, or whose sigma_1 scaled back from
+    ``y``'s unit (``_in_unit``) may pass the float64 range, runs that SVD,
+    so the InvalidMatrix there fires where it did.
+
+    At k = d <= n the top-d subspace of any d x n matrix is R^d itself, as
+    ``_tied`` assumes, so theta is 0.0 exactly.  ``y`` is still factored, so
+    its validation, errors and tie flag are those of any other k.
 
     Either way the span is accurate to O(eps sigma_1 / (sigma_k -
     sigma_{k+1})), as a dense SVD's is, and ``_largest_angle`` reads a small
@@ -543,24 +557,23 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
             return theta, ambiguous
     factor = _factor(y, e, k)
     cross = u.T @ factor.u
-    return (_largest_angle(cross, lambda: factor.u - u @ cross),
+    return (0.0 if k == d else _largest_angle(cross, lambda: factor.u - u @ cross),
             ambiguous or _tied(factor.sigma, k, d))
 
 
 def _untied_triangle(r: np.ndarray, e: int) -> bool:
-    """Whether the shifted Cholesky test certifies that the triangle ``r``
-    of a QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with
-    2^e sigma_1 so far inside the float64 range that ``_svd`` of ``r`` would
-    scale it back without InvalidMatrix.  ``y`` comes from ``_in_unit``, so
+    """Whether ``_gram_certificate(r)`` proves that the triangle ``r`` of a
+    QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with 2^e
+    sigma_1 so far inside the float64 range that ``_svd`` of ``r`` would
+    scale it back without InvalidMatrix; the bound on sigma_1 is read from
+    the certificate's ``G`` and unit.  ``y`` comes from ``_in_unit``, so
     ``r`` is finite."""
-    s = _checked(r)[1]
-    b = np.ldexp(r, -s)
-    g = b.T @ b
+    if (certificate := _gram_certificate(r)) is None:
+        return False
+    _, g, s = certificate
     # sigma_1 <= ||r||_F = 2^s sqrt(trace g), and a computed sigma_1 is below
     # twice that: 2^e times it must stay inside the float64 range
-    if math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 > sys.float_info.max_exp:
-        return False
-    return _cholesky_clears(g, GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()))
+    return math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 <= sys.float_info.max_exp
 
 
 def unitary_conjugate(x, p, t) -> np.ndarray:
@@ -571,7 +584,7 @@ def unitary_conjugate(x, p, t) -> np.ndarray:
     for name, q in (("p", p), ("t", t)):
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InvalidMatrix(f"{name} must be square")
-        if np.max(np.abs(q.T @ q - np.eye(q.shape[0]))) > ORTHO_TOL:
+        if not _orthonormal(q):
             raise InvalidMatrix(f"{name} is not orthogonal")
     if p.shape[0] != x.shape[0] or t.shape[0] != x.shape[1]:
         raise InvalidDimension("conjugation factors do not match matrix shape")

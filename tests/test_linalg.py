@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from oracles import brute_force_principal_angles
 
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis,
-                      RankMismatch, asimov_distance, compress_rank_one_problem,
+                      RankMismatch, asimov_distance, attack_rank_one, compress_rank_one_problem,
                       full_svd, leading_subspace, pca_distance, principal_angles,
-                      unitary_conjugate)
-from pcattack.linalg import (_pca_distance_from_svd, _tied, as_matrix, complement_direction,
-                             fro_norm, leading_svd, spectrum_of, svd_2x2)
+                      synth_gaussian, synth_low_rank, unitary_conjugate)
+from pcattack.linalg import (GRAM_BLOCK, _gram_certificate, _pca_distance_from_svd, _tied,
+                             as_matrix, complement_direction, fro_norm, leading_svd,
+                             spectrum_of, svd_2x2)
 from pcattack.oracle import SearchConfig
 
 
@@ -273,6 +274,38 @@ class TestGramRoute:
             leading_svd(x * (1.5e308 / np.abs(x).max()), 3)
         # the Gram route scales back from its own unit and raises there
         assert svd_calls == [factor_call(shape, 3)]
+
+
+class TestGramCertificate:
+    def test_rank_below_the_block_declines(self):
+        assert _gram_certificate(synth_low_rank(120, 72, GRAM_BLOCK - 2, seed=1)) is None
+
+    @pytest.mark.parametrize("e", [-900, 0, 600, 1015])
+    def test_gaussian_clears_in_the_unit_of_its_largest_entry(self, e):
+        a = np.ldexp(synth_gaussian(120, 72, seed=1), e)
+        b, g, s = _gram_certificate(a)
+        assert 0.5 <= np.abs(b).max() < 1.0
+        assert np.array_equal(np.ldexp(b, s), a)
+        assert np.array_equal(g, b.T @ b)
+
+    def test_a_declined_leading_block_proves_that_the_whole_declines(self):
+        # ranks about the block's width, and the full rank p, each with
+        # sigma_rank / sigma_1 from 2^-12 to 2^-8 (about the 2^-10 the
+        # certificate proves); a wide input is tested transposed, as
+        # _factor tests it
+        outcomes = []
+        for rank in [*range(GRAM_BLOCK - 2, GRAM_BLOCK + 5), 72]:
+            for i, ratio in enumerate(np.geomspace(2.0**-12, 2.0**-8, 7)):
+                sigma = np.geomspace(1.0, ratio, rank)
+                for a in (matrix_with_spectrum(sigma, 120, 72, seed=100 * rank + i),
+                          matrix_with_spectrum(sigma, 72, 120, seed=100 * rank + i).T):
+                    block = _gram_certificate(a[:, :GRAM_BLOCK]) is not None
+                    whole = _gram_certificate(a) is not None
+                    assert block or not whole, (rank, ratio)
+                    outcomes.append((block, whole))
+        assert len(outcomes) >= 100
+        # every combination that the implication allows occurs
+        assert set(outcomes) == {(False, False), (True, False), (True, True)}
 
 
 EPS = np.finfo(float).eps
@@ -558,6 +591,16 @@ class TestPcaDistance:
         ref = asimov_distance(leading_subspace(x, k), leading_subspace(y, k))
         assert theta == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(10, 40), (60, 60), (72, 120)])
+    def test_k_equals_d_is_the_whole_space(self, shape):
+        # the top-d subspace of any d x n matrix, d <= n, is R^d itself
+        x, y = synth_gaussian(*shape, seed=1), synth_gaussian(*shape, seed=2)
+        assert pca_distance(x, y, shape[0]) == (0.0, False)
+
+    def test_an_attack_at_k_equals_d_achieves_no_angle(self):
+        _, report = attack_rank_one(synth_gaussian(5, 5, seed=3), 5, 0.0)
+        assert report.theta_achieved == 0.0
+
 
 class TestAsimovDistance:
     def test_identical(self):
@@ -662,6 +705,40 @@ class TestUnitaryConjugate:
 def test_basis_with_columns_that_are_not_orthonormal_rejected():
     with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
         OrthonormalBasis(np.ones((3, 2)))
+
+
+# nan, inf and -inf at two entries of an orthonormal factor
+NONFINITE_ENTRY = {f"{name}-{index}": (index, value)
+                   for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+                   for index in ((0, 0), (2, 1))}
+
+
+def _spoiled(q, entry):
+    q = q.copy()
+    q[entry[0]] = entry[1]
+    return q
+
+
+@pytest.mark.parametrize("entry", NONFINITE_ENTRY.values(), ids=NONFINITE_ENTRY.keys())
+class TestNonFiniteOrthonormalFactor:
+    def test_basis(self, entry):
+        with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+            OrthonormalBasis(_spoiled(np.eye(3)[:, :2], entry))
+
+    @pytest.mark.parametrize("angles", [asimov_distance, principal_angles])
+    def test_raw_basis_of_either_side(self, entry, angles):
+        bad, good = _spoiled(np.eye(3)[:, :2], entry), np.eye(3)[:, 1:]
+        with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+            angles(bad, good)
+        with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+            angles(good, bad)
+
+    @pytest.mark.parametrize("name", ["p", "t"])
+    def test_unitary_conjugate_factor(self, entry, name):
+        factors = {"p": np.eye(3), "t": np.eye(3)}
+        factors[name] = _spoiled(factors[name], entry)
+        with pytest.raises(InvalidMatrix, match=rf"^{name} is not orthogonal$"):
+            unitary_conjugate(np.arange(9.0).reshape(3, 3), factors["p"], factors["t"])
 
 
 class TestInvariants:

@@ -102,15 +102,21 @@ def _outcomes(x, k, y, seed):
 
 @pytest.fixture
 def choleskys(monkeypatch):
-    """``(shape, cleared)`` of each shifted Cholesky test, in call order."""
+    """``(shape, cleared)`` of each shifted Cholesky test, in call order:
+    every ``np.linalg.cholesky`` call, and whether it found a factor."""
     calls = []
-    clears = linalg._cholesky_clears
+    cholesky = np.linalg.cholesky
 
-    def recording(g, tau):
-        calls.append((g.shape, clears(g, tau)))
-        return calls[-1][1]
+    def recording(a, *args, **kwargs):
+        try:
+            factor = cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append((np.shape(a), False))
+            raise
+        calls.append((np.shape(a), True))
+        return factor
 
-    monkeypatch.setattr(linalg, "_cholesky_clears", recording)
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
     return calls
 
 
