@@ -38,6 +38,10 @@ GRAM_BLOCK = 32
 # near overflow.  Past that it runs on m / 2^s, s the exponent of m's largest
 # |entry| (``_in_unit``).
 UNIT_EXPONENT = 511
+# the R-SVD's triangle R has null rows from the first row m >= j at which the
+# rows m .. p - 1 have a Frobenius norm of at most NULL_ROWS times R's largest
+# row norm, and its SVD skips them (``_kept_rows``)
+NULL_ROWS = 2.0**-40
 
 
 def as_matrix(x) -> np.ndarray:
@@ -60,14 +64,15 @@ def _checked(x) -> tuple[np.ndarray, int]:
     return m, math.frexp(peak)[1]
 
 
-def _in_unit(x) -> tuple[np.ndarray, int]:
-    """``(a, e)`` with ``2^e a`` the finite matrix ``x``: ``x`` itself and e
-    = 0 while its largest |entry| is below 2^UNIT_EXPONENT, else ``x / 2^s``
-    and e = s, s the exponent of that entry.  Scaling by a power of two is
-    exact, so the unit changes no result, and the pass that proves ``x``
-    finite finds ``s``."""
+def _in_unit(x) -> tuple[np.ndarray, int, int]:
+    """``(a, e, t)`` with ``2^e a`` the finite matrix ``x`` and ``t`` the
+    exponent of a's largest |entry|: ``x`` itself, e = 0 and t = s while its
+    largest |entry| is below 2^UNIT_EXPONENT, else ``x / 2^s``, e = s and t
+    = 0, s the exponent of that entry.  Scaling by a power of two is exact,
+    so the unit changes no result, and the pass that proves ``x`` finite
+    finds ``s``."""
     m, s = _checked(x)
-    return (m, 0) if s <= UNIT_EXPONENT else (np.ldexp(m, -s), s)
+    return (m, 0, s) if s <= UNIT_EXPONENT else (np.ldexp(m, -s), s, 0)
 
 
 def check_eta(eta) -> float:
@@ -123,7 +128,7 @@ class Spectrum:
 
 def spectrum_of(m) -> Spectrum:
     """The singular values of a finite matrix, from one values-only SVD."""
-    a, e = _in_unit(m)
+    a, e, _ = _in_unit(m)
     return Spectrum(_svd(a, e, False), a.shape)
 
 
@@ -190,8 +195,8 @@ def full_svd(m) -> SvdTriple:
     InvalidMatrix on non-finite input, or when sigma_1 overflows
     (``_scale_back``).
     """
-    a, e = _in_unit(m)
-    return _factor(a, e, min(a.shape))
+    a, e, t = _in_unit(m)
+    return _factor(a, e, t, min(a.shape))
 
 
 def leading_svd(m, j: int) -> SvdTriple:
@@ -213,10 +218,20 @@ def leading_svd(m, j: int) -> SvdTriple:
     sigma_1 per column, each long vector is accurate to O(eps sigma_1 /
     gap), the same order as a dense SVD, and nothing is divided by a
     singular value: for a rank-deficient ``m`` a trailing one is still a unit
-    vector orthogonal to the leading ones.  Otherwise (nearer square, where
-    the two QRs cost as much as they save, or with all ``p`` pairs) a thin
-    SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1 ..
-    ``p`` raises InvalidDimension, as ``check_k`` does for k.
+    vector orthogonal to the leading ones.  The rows of such an ``R`` from
+    about its rank on hold only roundoff, and the SVD skips them: it runs
+    on ``R``'s leading ``m`` rows, ``m >= j`` the first row from which the
+    rows have a Frobenius norm of at most ``NULL_ROWS`` = 2^-40 times R's
+    largest row norm, so at most 2^-40 sigma_1, and their ``m`` values
+    followed by ``p - m`` zeros are the spectrum.  Each kept value then
+    moves by at most 2^-80 sigma_1^2 / (2 sigma_i), and each dropped one is
+    at most 2^-40 sigma_1, far below ``RANK_TOL`` and ``TIE_TOL``, so the
+    rank and the tie flags are those of the whole triangle's SVD
+    (``_r_svd_pairs``); a dropped value is exactly 0 where that SVD gives
+    roundoff.  Where the R-SVD does not run (nearer square,
+    where the two QRs cost as much as they save, or with all ``p`` pairs) a
+    thin SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1
+    .. ``p`` raises InvalidDimension, as ``check_k`` does for k.
 
     Every route factors ``m`` as given while its largest |entry| is below
     2^UNIT_EXPONENT, and past that ``m / 2^s``, ``s`` the exponent of that
@@ -259,39 +274,70 @@ def leading_svd(m, j: int) -> SvdTriple:
     lambda_{i+1})``, at most ``sigma_1 / (sigma_i + sigma_{i+1})`` times a
     dense SVD's bound, which (2) keeps within 64 for every pair returned.
     """
-    a, e = _in_unit(m)
-    return _factor(a, e, check_k(j, a.shape))
+    a, e, t = _in_unit(m)
+    return _factor(a, e, t, check_k(j, a.shape))
 
 
-def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
-    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``: a
-    thin SVD, or on a long side the Gram route, or the R-SVD where the Gram
-    route declines."""
+def _factor(m: np.ndarray, e: int, t: int, j: int) -> SvdTriple:
+    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``,
+    ``t`` the exponent of m's largest |entry|: a thin SVD, or on a long side
+    the Gram route, or the R-SVD where the Gram route declines."""
     d, n = m.shape
     p = min(d, n)
     if max(d, n) < RSVD_ASPECT * p or j >= p:
         u, sigma, vt = _svd(m, e)
         return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
-    sigma, short, long = _gram_pairs(a, e, j) or _r_svd_pairs(a, e, j)
+    sigma, short, long = _gram_pairs(a, e, t, j) or _r_svd_pairs(a, e, j)
     return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
 
 
 def _r_svd_pairs(a: np.ndarray, e: int, j: int):
     """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the SVD of the
-    triangle of an R-only QR of ``a`` (``leading_svd``)."""
-    _, sigma, vt = _svd(np.linalg.qr(a, mode="r"), e)
+    triangle ``R`` of an R-only QR of ``a`` (``leading_svd``), or of its
+    leading ``m < p`` rows where ``_kept_rows`` finds the rest null: their
+    ``m`` singular values followed by ``p - m`` zeros are the spectrum.
+
+    With ``E`` the dropped rows, ``R^T R = R[:m]^T R[:m] + E^T E``, so each
+    kept sigma_i moves by at most ``||E||^2 / (2 sigma_i)`` and each right
+    vector by at most ``||E||^2 / (sigma_i^2 - sigma_{i+1}^2)``, and each
+    dropped value is at most ``||E|| <= NULL_ROWS sigma_1``, far below
+    ``RANK_TOL`` and ``TIE_TOL``.  The kept rows are factored in the unit of
+    R's largest |entry|, where the SVD does not rescale them, so the cut
+    route gives the same bits at every power-of-two scale of ``a``."""
+    r = np.linalg.qr(a, mode="r")
+    kept, t = _kept_rows(r, j)
+    _, sigma, vt = _svd(r, e) if len(kept) == len(r) else _svd(kept, e + t)
     short = vt[:j].T
-    return sigma, short, _signed_q(a @ short)
+    return np.pad(sigma, (0, len(r) - len(sigma))), short, _signed_q(a @ short)
 
 
-def _gram_pairs(a: np.ndarray, e: int, j: int):
-    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the eigenpairs
-    of the Gram ``G`` that ``_gram_certificate(a)`` forms, or None when the
-    certificate of a's leading ``GRAM_BLOCK`` columns or of ``a`` declines,
-    or ``G`` fails condition (2) of the Gram route (``leading_svd``)."""
+def _kept_rows(r: np.ndarray, j: int) -> tuple[np.ndarray, int]:
+    """``(b, t)``: the leading ``m`` rows of the p x p triangle ``r`` divided
+    by 2^t, ``t`` the exponent of r's largest |entry|, with ``m`` the
+    smallest ``>= j`` such that rows ``m ..`` have a Frobenius norm of at
+    most ``NULL_ROWS`` times r's largest row norm (itself at most sigma_1),
+    or ``p`` if there is none.  The norms are taken in that unit, so that
+    the largest squares neither overflow nor underflow and the cut is the
+    same at every power-of-two scale; a square that underflows there is far
+    below the cut."""
+    t = math.frexp(float(np.abs(r).max()))[1]
+    b = np.ldexp(r, -t)
+    squares = np.einsum("ij,ij->i", b, b)
+    # tail[i] is the squared Frobenius norm of rows i .., nonincreasing in i
+    tail = np.cumsum(squares[::-1])[::-1]
+    null = tail[j:] <= NULL_ROWS**2 * float(squares.max())
+    return b[:j + int(np.argmax(null))] if null[-1] else b, t
+
+
+def _gram_pairs(a: np.ndarray, e: int, t: int, j: int):
+    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, ``t`` the exponent
+    of a's largest |entry|, from the eigenpairs of the Gram ``G`` that
+    ``_gram_certificate(a, t)`` forms, or None when the certificate of a's
+    leading ``GRAM_BLOCK`` columns or of ``a`` declines, or ``G`` fails
+    condition (2) of the Gram route (``leading_svd``)."""
     if (a.shape[1] > GRAM_BLOCK and _gram_certificate(a[:, :GRAM_BLOCK]) is None
-            or (certificate := _gram_certificate(a)) is None):
+            or (certificate := _gram_certificate(a, t)) is None):
         return None
     b, g, s = certificate
     lam, w = np.linalg.eigh(g)
@@ -304,16 +350,17 @@ def _gram_pairs(a: np.ndarray, e: int, j: int):
     return _scale_back(np.minimum.accumulate(sigma), e + s), top[:, :j], _signed_q(y[:, :j])
 
 
-def _gram_certificate(a: np.ndarray):
+def _gram_certificate(a: np.ndarray, s: int | None = None):
     """``(b, G, s)`` with ``b = a / 2^s``, ``s`` the exponent of a's largest
-    |entry|, and ``G = b^T b``, when ``G - tau I`` has a Cholesky factor,
-    ``tau = GRAM_SHIFT ||G||_1``; else None.  In that unit no entry of ``G``
-    overflows or underflows.  A factor that exists proves ``G - tau I``
-    positive definite to within its backward error (Higham 2002, ch. 10), so
-    every eigenvalue of ``G`` exceeds ``tau >= GRAM_SHIFT lambda_1``, that is
-    sigma_p(a) >= 2^-10 sigma_1(a); at a pivot that is not positive the
-    factor stops."""
-    s = _checked(a)[1]
+    |entry| (found here unless given), and ``G = b^T b``, when ``G - tau I``
+    has a Cholesky factor, ``tau = GRAM_SHIFT ||G||_1``; else None.  In that
+    unit no entry of ``G`` overflows or underflows.  A factor that exists
+    proves ``G - tau I`` positive definite to within its backward error
+    (Higham 2002, ch. 10), so every eigenvalue of ``G`` exceeds ``tau >=
+    GRAM_SHIFT lambda_1``, that is sigma_p(a) >= 2^-10 sigma_1(a); at a
+    pivot that is not positive the factor stops."""
+    if s is None:
+        s = _checked(a)[1]
     b = np.ldexp(a, -s)
     g = b.T @ b
     try:
@@ -332,10 +379,11 @@ def _signed_q(y: np.ndarray) -> np.ndarray:
 
 def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False)`` of a matrix ``a`` in the unit
-    2^e, or of the triangle of a QR of one, with the singular values scaled
-    back by ``_scale_back``.  The entries of a matrix from ``_in_unit`` are
-    below 2^UNIT_EXPONENT, and those of its triangle below sqrt(d) times
-    that, so no SVD of either comes near overflow."""
+    2^e, or of the triangle of a QR of one, or of the triangle's kept rows
+    (``_kept_rows``), with the singular values scaled back by
+    ``_scale_back``.  The entries of a matrix from ``_in_unit`` are below
+    2^UNIT_EXPONENT, those of its triangle below sqrt(d) times that, and the
+    kept rows' below 1, so no SVD of any comes near overflow."""
     out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     if not compute_uv:
         return _scale_back(out, e)
@@ -546,7 +594,7 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     passes in or ``leading_subspace`` returns.
     """
     u, ambiguous = svd.u[:, :k], _tied(svd.sigma, k, svd.shape[0])
-    y, e = _in_unit(y)
+    y, e, t = _in_unit(y)
     d, n = y.shape
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
@@ -555,7 +603,7 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
             theta = _largest_angle(np.linalg.solve(r.T, cross.T).T,
                                    lambda: (y - u @ cross) @ np.linalg.inv(r))
             return theta, ambiguous
-    factor = _factor(y, e, k)
+    factor = _factor(y, e, t, k)
     cross = u.T @ factor.u
     return (0.0 if k == d else _largest_angle(cross, lambda: factor.u - u @ cross),
             ambiguous or _tied(factor.sigma, k, d))
@@ -581,13 +629,14 @@ def unitary_conjugate(x, p, t) -> np.ndarray:
     x = as_matrix(x)
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    for name, q in (("p", p), ("t", t)):
+    for name, q, size in (("p", p, x.shape[0]), ("t", t, x.shape[1])):
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InvalidMatrix(f"{name} must be square")
+        # before q^T q is read, so that a 0 x 0 factor is rejected here too
+        if q.shape[0] != size:
+            raise InvalidDimension("conjugation factors do not match matrix shape")
         if not _orthonormal(q):
             raise InvalidMatrix(f"{name} is not orthogonal")
-    if p.shape[0] != x.shape[0] or t.shape[0] != x.shape[1]:
-        raise InvalidDimension("conjugation factors do not match matrix shape")
     return p @ x @ t.T
 
 

@@ -46,17 +46,20 @@ def svd_shapes(calls):
     return [shape for shape, _ in calls]
 
 
-def factor_call(shape, j, gram=True):
+def factor_call(shape, j, gram=True, rank=None):
     """The one dense decomposition that ``linalg.leading_svd(m, j)`` runs on a
     ``shape`` matrix, as ``svd_calls`` records it.  Once ``max(d, n) >=
     RSVD_ASPECT * p`` (``p = min(d, n)``) and ``j < p`` it is of a p x p
     matrix: the ``eigh`` of the Gram of ``m`` when ``gram`` says that ``m``
     clears both conditions of the Gram route, else the SVD of the triangle
-    of a QR.  Otherwise it is the thin SVD of ``m`` itself.  The Cholesky
-    tests that choose the route are ``factor_choleskys``."""
+    of a QR.  For an ``m`` of rank ``rank < p`` whose leading ``rank``
+    columns, or rows if it is wide, are independent, the triangle's rows
+    from ``rank`` on hold only roundoff, and that SVD is of its leading
+    ``max(j, rank)`` rows.  Otherwise it is the thin SVD of ``m`` itself.
+    The Cholesky tests that choose the route are ``factor_choleskys``."""
     p = min(shape)
     if max(shape) >= RSVD_ASPECT * p and j < p:
-        return (p, p), "eigh" if gram else True
+        return ((p, p), "eigh") if gram else ((max(j, rank or p), p), True)
     return shape, True
 
 

@@ -32,8 +32,9 @@ import pytest
 from conftest import factor_call, factor_choleskys, re_pca_calls, re_pca_choleskys
 
 from pcattack import (InvalidDimension, Regime, SweepSpec, attack_pcr, attack_rank_one,
-                      attack_unconstrained, leading_subspace, pca_distance, pcr, report, run_sweep,
-                      synth_gaussian, synth_low_rank, synthetic_collinear, write_matrix_csv)
+                      attack_unconstrained, leading_subspace, linalg, pca_distance, pcr, report,
+                      run_sweep, synth_gaussian, synth_low_rank, synthetic_collinear,
+                      write_matrix_csv)
 from pcattack.cli import main
 from pcattack.experiments import ATTACKS
 from pcattack.linalg import GRAM_BLOCK, full_svd, leading_svd, spectrum_of
@@ -133,12 +134,25 @@ def test_certified_full_rank_re_pca_decomposes_nothing(svd_calls, cholesky_calls
 
 def test_declined_rank_10_factor_tests_only_the_leading_block(svd_calls, cholesky_calls):
     # a rank-10 1000x250 input fails the Cholesky test of its leading block's
-    # Gram, so the R-SVD runs without forming the 250 x 250 Gram
+    # Gram, so the R-SVD runs without forming the 250 x 250 Gram, and the SVD
+    # of its triangle skips the null rows past j = 11
     x = synth_low_rank(1000, 250, 10, seed=3)
     svd_calls.clear()
     leading_svd(x, 11)
-    assert svd_calls == [factor_call((1000, 250), 11, gram=False)] == [((250, 250), True)]
+    assert svd_calls == [factor_call((1000, 250), 11, gram=False, rank=10)] == [((11, 250), True)]
     assert cholesky_calls == [(GRAM_BLOCK, GRAM_BLOCK)]
+
+
+@pytest.mark.parametrize("shape", [(120, 72), (72, 120)], ids=["tall", "wide"])
+def test_attack_proves_each_matrix_finite_once(monkeypatch, shape):
+    # the pass that proves X finite, then the factor's and the re-PCA's
+    # unit passes, each followed by the leading block's own; the whole
+    # Gram's certificate reads the exponent that the unit pass found
+    shapes = []
+    checked = linalg._checked
+    monkeypatch.setattr(linalg, "_checked", lambda x: shapes.append(np.shape(x)) or checked(x))
+    attack_rank_one(synth_gaussian(*shape, seed=3), 3, 0.1)
+    assert shapes == [shape, shape, (max(shape), GRAM_BLOCK), shape, (max(shape), GRAM_BLOCK)]
 
 
 def test_full_rank_leading_subspace_is_one_thin_svd(svd_calls, qr_modes):

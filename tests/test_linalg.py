@@ -198,14 +198,15 @@ class TestLeadingSvd:
 # of sigma_1 / 64 and sigma_8 = sigma_1 / 70 below it
 NEAR_SEPARATION = np.concatenate((np.geomspace(1.0, 1.0 / 60.0, 7),
                                   np.geomspace(1.0 / 70.0, 1.0 / 300.0, 3)))
-# (make, j, eigh): each fails the Gram route's condition (1), which declines
-# before the eigh, or only (2), which declines after it (eigh True)
+# (make, j, eigh, rank): each fails the Gram route's condition (1), which
+# declines before the eigh, or only (2), which declines after it (eigh True);
+# the R-SVD of the rank-4 one runs on the triangle's leading j = 5 rows
 DECLINED = {
-    "rank-4": (lambda shape, seed: _rank_deficient(*shape, 4, seed), 5, False),
+    "rank-4": (lambda shape, seed: _rank_deficient(*shape, 4, seed), 5, False, 4),
     "condition-2000": (lambda shape, seed: matrix_with_spectrum(
-        np.geomspace(1.0, 1.0 / 2000.0, 10), *shape, seed=seed), 4, False),
+        np.geomspace(1.0, 1.0 / 2000.0, 10), *shape, seed=seed), 4, False, None),
     "sigma_j-below-1/64": (lambda shape, seed: matrix_with_spectrum(
-        NEAR_SEPARATION, *shape, seed=seed), 8, True),
+        NEAR_SEPARATION, *shape, seed=seed), 8, True, None),
 }
 # (make, j): each clears both conditions, by 1.1-1.5x in (1) at condition 700
 # and by 1.14x in (2)
@@ -229,7 +230,9 @@ def _check_gram_pairs(x, j, units):
     assert np.all(np.diff(got.sigma) <= 0.0)
     above = np.append(np.inf, sigma[:-1] - sigma[1:])
     below = np.append(sigma[:-1] - sigma[1:], sigma[-1])
-    bound = units * EPS * sigma[0] / np.minimum(above, below)[:j]
+    # a pair in a null space whose values tie exactly has no bound
+    with np.errstate(divide="ignore"):
+        bound = units * EPS * sigma[0] / np.minimum(above, below)[:j]
     assert np.all(np.linalg.norm(got.u - ref.u[:, :j], axis=0) <= bound)
     assert np.all(np.linalg.norm(got.v - ref.v[:, :j], axis=0) <= bound)
 
@@ -239,9 +242,10 @@ class TestGramRoute:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("kind", DECLINED)
     def test_declined_input_takes_the_r_svd(self, svd_calls, kind, seed, shape):
-        make, j, eigh = DECLINED[kind]
+        make, j, eigh, rank = DECLINED[kind]
         leading_svd(make(shape, seed), j)
-        assert svd_calls == [factor_call(shape, j)] * eigh + [factor_call(shape, j, gram=False)]
+        assert svd_calls == ([factor_call(shape, j)] * eigh
+                             + [factor_call(shape, j, gram=False, rank=rank)])
 
     @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -306,6 +310,85 @@ class TestGramCertificate:
         assert len(outcomes) >= 100
         # every combination that the implication allows occurs
         assert set(outcomes) == {(False, False), (True, False), (True, True)}
+
+
+def _with_dud_columns(x):
+    """``x`` with its first 5 columns zero or copies of later ones.  Its rank
+    is unchanged, but each such column leaves a row of the triangle of a QR
+    that is not null, so the null rows start 5 rows past the rank."""
+    x = x.copy()
+    x[:, [0, 2]] = 0.0
+    x[:, [1, 3, 4]] = x[:, [6, 7, 6]]
+    return x
+
+
+# (make, rank, rows): tall 120x72 inputs of rank below p = 72, and the row of
+# the triangle of their QR from which its rows are null; a wide input is the
+# transpose of a tall one, so that its first rows are the dud ones
+NULL_ROW_INPUTS = {
+    "rank-1": (lambda seed: _rank_deficient(120, 72, 1, seed), 1, 1),
+    "rank-8": (lambda seed: _rank_deficient(120, 72, 8, seed), 8, 8),
+    "rank-block+4": (lambda seed: _rank_deficient(120, 72, GRAM_BLOCK + 4, seed),
+                     GRAM_BLOCK + 4, GRAM_BLOCK + 4),
+    "rank-8-dud-columns": (lambda seed: _with_dud_columns(_rank_deficient(120, 72, 8, seed)),
+                           8, 13),
+}
+
+
+def _null_row_input(kind, seed, wide):
+    make, rank, rows = NULL_ROW_INPUTS[kind]
+    x = make(seed)
+    return (x.T if wide else x), rank, rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+class TestNullRows:
+    # the R-SVD of a rank-deficient input takes the SVD of the leading rows of
+    # its triangle alone, and only where the rest are null
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["j=rank-1", "j=rank", "j=rank+1"])
+    @pytest.mark.parametrize("kind", NULL_ROW_INPUTS)
+    def test_cut_matches_full_svd(self, svd_calls, kind, offset, seed, wide):
+        x, rank, rows = _null_row_input(kind, seed, wide)
+        j = max(1, rank + offset)
+        svd = leading_svd(x, j)
+        assert svd_calls == [((max(j, rows), 72), True)]
+        if rows == rank:
+            assert svd_calls == [factor_call(x.shape, j, gram=False, rank=rank)]
+        assert svd.rank == rank and np.all(svd.sigma[max(j, rows):] == 0.0)
+        _check_gram_pairs(x, j, 32 if wide else 16)
+
+    @pytest.mark.parametrize("kind", NULL_ROW_INPUTS)
+    def test_bit_identical_at_every_power_of_two_scale(self, svd_calls, kind, wide):
+        x, rank, rows = _null_row_input(kind, 3, wide)
+        ref = leading_svd(x, rank + 1)
+        for e in (-900, 600, 1015):
+            got = leading_svd(np.ldexp(x, e), rank + 1)
+            assert np.array_equal(got.sigma, np.ldexp(ref.sigma, e)), e
+            assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v), e
+        assert svd_calls == [((max(rank + 1, rows), 72), True)] * 4
+
+    @pytest.mark.parametrize("j", [4, 8])
+    def test_trailing_values_at_1e_11_decline_the_cut(self, svd_calls, j, wide):
+        # sigma_9 .. sigma_72 at 1e-11 sigma_1: numerical rank 8, but the last
+        # row of the triangle is at least sigma_72, above 2^-40 sigma_1
+        sigma = np.concatenate((np.geomspace(1.0, 0.1, 8), np.full(64, 1e-11)))
+        x = matrix_with_spectrum(sigma, 120, 72, seed=5)
+        x = x.T if wide else x
+        svd = leading_svd(x, j)
+        assert svd_calls == [factor_call(x.shape, j, gram=False)] == [((72, 72), True)]
+        assert svd.rank == 8 and np.all(svd.sigma[8:] > 0.0)
+        _check_gram_pairs(x, j, 32 if wide else 16)
+
+    @pytest.mark.parametrize("kind", NULL_ROW_INPUTS)
+    def test_entries_below_1e_300(self, svd_calls, kind, wide):
+        x, rank, rows = _null_row_input(kind, 4, wide)
+        x = np.ldexp(x, -1000 - math.frexp(np.abs(x).max())[1])
+        assert np.abs(x).max() < 1e-300
+        leading_svd(x, rank + 1)
+        assert svd_calls == [((max(rank + 1, rows), 72), True)]
+        _check_gram_pairs(x, rank + 1, 32 if wide else 16)
 
 
 EPS = np.finfo(float).eps
@@ -441,7 +524,7 @@ class TestUnitBand:
         assert ref.sigma[0] >= 2.0
         svd_calls.clear()
         got = leading_svd(x, 2)
-        assert svd_calls == [factor_call((40, 10), 2, gram=False)]
+        assert svd_calls == [factor_call((40, 10), 2, gram=False, rank=3)] == [((3, 10), True)]
         assert np.max(np.abs(got.sigma - np.ldexp(ref.sigma, 510))) <= 1e-13 * got.sigma[0]
 
     def test_k_equals_n_re_pca(self, svd_calls):
@@ -693,6 +776,13 @@ class TestUnitaryConjugate:
     def test_rejects_nonorthogonal(self):
         with pytest.raises(InvalidMatrix):
             unitary_conjugate(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("name", ["p", "t"])
+    def test_rejects_an_empty_factor(self, name):
+        factors = {"p": np.eye(2), "t": np.eye(3)}
+        factors[name] = np.zeros((0, 0))
+        with pytest.raises(InvalidDimension, match="do not match matrix shape"):
+            unitary_conjugate(np.ones((2, 3)), factors["p"], factors["t"])
 
     def test_rejects_a_factor_that_is_not_square(self):
         wide = np.eye(2, 3)
