@@ -20,23 +20,20 @@ __version__ = "0.1.0"
 # Each exported name and the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(("InvalidDimension", "InvalidMatrix", "NoOrthogonalComplement",
-                     "ParseError", "PcattackError", "RankMismatch", "RegimeError",
-                     "UndefinedR2"), "errors"),
+                     "ParseError", "PcattackError", "RegimeError", "UndefinedR2"), "errors"),
     **dict.fromkeys(("SearchConfig", "SweepSpec", "parse_sweep_spec", "run_sweep",
                      "synth_gaussian", "synth_low_rank", "write_sweep_csv"), "experiments"),
     **dict.fromkeys(("read_matrix_csv", "write_matrix_csv"), "fileio"),
-    **dict.fromkeys(("OrthonormalBasis", "asimov_distance", "compress_rank_one_problem",
-                     "full_svd", "leading_subspace", "pca_distance", "principal_angles",
-                     "unitary_conjugate"), "linalg"),
+    **dict.fromkeys(("OrthonormalBasis", "asimov_distance", "full_svd", "leading_subspace",
+                     "pca_distance", "principal_angles", "unitary_conjugate"), "linalg"),
     **dict.fromkeys(("grid_search_angles", "random_rank_one", "random_unconstrained",
                      "verify"), "oracle"),
     **dict.fromkeys(("attack_pcr", "fit_pcr", "load_feature_csv", "r_squared",
                      "synthetic_collinear", "write_regression_csv"), "pcr"),
-    **dict.fromkeys(("attack_rank_one", "equivalent_solutions", "klt_rank_closed_form",
-                     "theta_from_angles"), "rank_one"),
+    **dict.fromkeys(("attack_rank_one", "klt_rank_closed_form", "theta_from_angles"), "rank_one"),
     "Regime": "report",
     **dict.fromkeys(("attack_unconstrained", "closed_form_lambda", "lift_to_data_space",
-                     "paired_entries", "recover_entries"), "unconstrained"),
+                     "recover_entries"), "unconstrained"),
 }
 
 __all__ = sorted(_SUBMODULE)

@@ -13,10 +13,6 @@ class InvalidDimension(PcattackError):
     """A dimension argument (k, vector length, ...) is out of range."""
 
 
-class RankMismatch(PcattackError):
-    """The numerical rank of the input differs from the one required."""
-
-
 class RegimeError(PcattackError):
     """The requested attack has no applicable regime for this input."""
 

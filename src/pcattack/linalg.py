@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidMatrix, RankMismatch
+from .errors import InvalidDimension, InvalidMatrix
 
 RANK_TOL = 1e-10   # sigma_i counts toward rank iff sigma_i > RANK_TOL * sigma_1
 TIE_TOL = 1e-9     # sigma_k ~ sigma_{k+1} within TIE_TOL * sigma_1 flags ambiguity
@@ -146,10 +146,6 @@ class SvdTriple(Spectrum):
 
     u: np.ndarray           # d x j, orthonormal columns
     v: np.ndarray           # n x j, orthonormal columns
-
-    def reconstruct(self) -> np.ndarray:
-        """The rank-j truncation ``U_j S_j V_j^T``; the matrix itself when j = p."""
-        return (self.u * self.sigma[:self.u.shape[1]]) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -638,40 +634,3 @@ def unitary_conjugate(x, p, t) -> np.ndarray:
         if not _orthonormal(q):
             raise InvalidMatrix(f"{name} is not orthogonal")
     return p @ x @ t.T
-
-
-def compress_rank_one_problem(x, k: int, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce a rank-one attack on a rank-k matrix to k+1 dimensions.
-
-    Rotates into the SVD coordinates of ``x`` and collapses the tail
-    components of ``a`` and ``b`` (their residuals off the leading k
-    singular vectors) to single coordinates carrying their signed norms (a
-    Householder reflection fixes the head coordinates and maps each tail
-    onto its first axis).  Returns ``(sigma_tilde, a_c, b_c)`` where
-    ``sigma_tilde`` is the (k+1) x (k+1) diagonal core; the Asimov distance
-    of the compressed attack problem equals the original one.
-    """
-    x = as_matrix(x)
-    d, n = x.shape
-    if not 1 <= k < min(d, n):
-        raise InvalidDimension(f"compression needs 1 <= k < min(d, n), got k={k}")
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.size != d or b.size != n:
-        raise InvalidDimension("attack vectors must have lengths d and n")
-    svd = full_svd(x)
-    if svd.rank != k:
-        raise RankMismatch(f"numerical rank is {svd.rank}, expected {k}")
-
-    a_c = _compress(svd.u, k, a)
-    b_c = _compress(svd.v, k, b)
-    sigma_tilde = np.diag(np.append(svd.sigma[:k], 0.0))
-    return sigma_tilde, a_c, b_c
-
-
-def _compress(factor: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
-    # Sign follows the (k+1)-th coordinate so an already-compressed vector
-    # maps to itself.
-    head = factor[:, :k].T @ vec
-    tail = float(np.linalg.norm(vec - factor[:, :k] @ head))
-    return np.append(head, tail if factor[:, k] @ vec >= 0.0 else -tail)

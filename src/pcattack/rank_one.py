@@ -82,16 +82,6 @@ def theta_from_angles(sigma_k: float, sigma_k1: float, eta: float,
     return abs(_rotation_angle(sigma_k, sigma_k1, eta, alpha, beta))
 
 
-def equivalent_solutions(alpha: float, beta: float) -> list[tuple[float, float]]:
-    """The four (alpha, beta) pairs that reach the same subspace distance."""
-    return [
-        (alpha, beta),
-        (-alpha, -beta),
-        (math.pi - alpha, math.pi - beta),
-        (alpha - math.pi, beta - math.pi),
-    ]
-
-
 def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOneClosedForm:
     """Optimal (alpha*, beta*) and theta* of ``_stationary`` for the k < rank
     regime at budget below the gap, with its ``H``."""

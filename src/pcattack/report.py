@@ -18,9 +18,9 @@ b_kk1, b_k1k, b_k1k1)``, row-major, in the record's unit (``core_spectrum``
 states the unit, ``budget_in_unit`` the budgets it cannot hold), so a sweep
 cell is a few float operations.  Only ``frames``, ``lift`` and
 ``build_report`` need singular vectors, and only the pairs k and k+1, which
-``attack_factor`` asks ``linalg.leading_svd`` for.  ``lift``, the rank-one
-attack vectors and the PCR refit are the only code that turns a core into a
-2 x 2 array in the data's scale (``_core_array``).
+``attack_factor`` asks ``linalg.leading_svd`` for.  ``lift`` and the
+rank-one attack vectors are the only code that turns a core into a 2 x 2
+array in the data's scale (``_core_array``).
 """
 
 from __future__ import annotations

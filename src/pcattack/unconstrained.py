@@ -108,12 +108,6 @@ def _entries(lam: float, sigma_k: float,
             0.5 * sigma_k1 * spread * (p21**2 / n_a - p11**2 / n_b))
 
 
-def paired_entries(entries) -> np.ndarray:
-    """The sign-paired optimum reaching the same subspace distance."""
-    b_kk, b_k1k, b_kk1, b_k1k1 = np.asarray(entries, dtype=float)
-    return np.array([b_kk, -b_k1k, -b_kk1, b_k1k1])
-
-
 def lift_to_data_space(entries, svd: SvdTriple, k: int) -> PerturbationMatrix:
     """Place the four canonical entries and conjugate back to data space.
 

@@ -8,16 +8,27 @@ its closed-form optima against them.  No command, sweep or PCR study runs
 them, so they live here and not in ``pcattack.oracle``; the brute force is
 limited to k <= 3 and d <= 6.  The tests import this module as they import
 ``conftest``.
+
+The lemma views that only the tests read live here too: the compressed
+rank-one problem (``compress_rank_one_problem``), the equivalent optima of
+either family (``equivalent_solutions``, ``paired_entries``), an SVD's
+truncation (``reconstruct``), and ``_least_squares``, the lstsq fit that
+PCR's closed-form refit is checked against.
 """
 
 import math
 
 import numpy as np
 
-from pcattack.errors import InvalidDimension
-from pcattack.linalg import _as_basis
+from pcattack.errors import InvalidDimension, PcattackError, SingularFit
+from pcattack.linalg import SvdTriple, _as_basis, as_matrix, full_svd
 from pcattack.oracle import SearchConfig, _golden_max
+from pcattack.pcr import r_squared
 from pcattack.rank_one import _rotation_angle
+
+
+class RankMismatch(PcattackError):
+    """The numerical rank of the input differs from the one required."""
 
 
 def stationarity_residual(sigma_k: float, sigma_k1: float, eta: float,
@@ -131,3 +142,77 @@ def brute_force_principal_angles(a, b, cfg: SearchConfig) -> np.ndarray:
         if cols_a.shape[1] == 0 or cols_b.shape[1] == 0:
             break
     return np.sort(np.array(angles))
+
+
+def compress_rank_one_problem(x, k: int, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a rank-one attack on a rank-k matrix to k+1 dimensions.
+
+    Rotates into the SVD coordinates of ``x`` and collapses the tail
+    components of ``a`` and ``b`` (their residuals off the leading k
+    singular vectors) to single coordinates carrying their signed norms (a
+    Householder reflection fixes the head coordinates and maps each tail
+    onto its first axis).  Returns ``(sigma_tilde, a_c, b_c)`` where
+    ``sigma_tilde`` is the (k+1) x (k+1) diagonal core; the Asimov distance
+    of the compressed attack problem equals the original one.
+    """
+    x = as_matrix(x)
+    d, n = x.shape
+    if not 1 <= k < min(d, n):
+        raise InvalidDimension(f"compression needs 1 <= k < min(d, n), got k={k}")
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.size != d or b.size != n:
+        raise InvalidDimension("attack vectors must have lengths d and n")
+    svd = full_svd(x)
+    if svd.rank != k:
+        raise RankMismatch(f"numerical rank is {svd.rank}, expected {k}")
+
+    a_c = _compress(svd.u, k, a)
+    b_c = _compress(svd.v, k, b)
+    sigma_tilde = np.diag(np.append(svd.sigma[:k], 0.0))
+    return sigma_tilde, a_c, b_c
+
+
+def _compress(factor: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
+    # Sign follows the (k+1)-th coordinate so an already-compressed vector
+    # maps to itself.
+    head = factor[:, :k].T @ vec
+    tail = float(np.linalg.norm(vec - factor[:, :k] @ head))
+    return np.append(head, tail if factor[:, k] @ vec >= 0.0 else -tail)
+
+
+def equivalent_solutions(alpha: float, beta: float) -> list[tuple[float, float]]:
+    """The four (alpha, beta) pairs that reach the same subspace distance."""
+    return [
+        (alpha, beta),
+        (-alpha, -beta),
+        (math.pi - alpha, math.pi - beta),
+        (alpha - math.pi, beta - math.pi),
+    ]
+
+
+def paired_entries(entries) -> np.ndarray:
+    """The sign-paired optimum reaching the same subspace distance."""
+    b_kk, b_k1k, b_kk1, b_k1k1 = np.asarray(entries, dtype=float)
+    return np.array([b_kk, -b_k1k, -b_kk1, b_k1k1])
+
+
+def reconstruct(svd: SvdTriple) -> np.ndarray:
+    """The rank-j truncation ``U_j S_j V_j^T``; the matrix itself when j = p."""
+    return (svd.u * svd.sigma[:svd.u.shape[1]]) @ svd.v.T
+
+
+def _least_squares(scores: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Coefficients, intercept and training r2 of the targets regressed on
+    the k x n component scores; SingularFit unless the scores determine them.
+
+    The centered targets are regressed on the centered scores, and the
+    intercept taken from the means, so no column of ones sits beside scores
+    of another scale: the fit is the same at any scale of the features."""
+    score_means, target_mean = scores.mean(axis=1), float(targets.mean())
+    centered = (scores - score_means[:, None]).T
+    coef, _, rank, _ = np.linalg.lstsq(centered, targets - target_mean, rcond=None)
+    if rank < scores.shape[0]:
+        raise SingularFit("component scores do not determine the fit")
+    intercept = target_mean - float(coef @ score_means)
+    return coef, intercept, r_squared(coef @ scores + intercept, targets)

@@ -9,16 +9,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import random_orthogonal, spearman
-from oracles import brute_force_principal_angles, stationarity_residual
+from oracles import (brute_force_principal_angles, equivalent_solutions, paired_entries,
+                     stationarity_residual)
 
 from pcattack import (SweepSpec, attack_pcr, attack_rank_one,
                       attack_unconstrained, closed_form_lambda, full_svd,
-                      klt_rank_closed_form, lift_to_data_space, paired_entries,
+                      klt_rank_closed_form, lift_to_data_space,
                       pca_distance, recover_entries, run_sweep, synth_gaussian,
                       synth_low_rank, synthetic_collinear, theta_from_angles)
 from pcattack.oracle import SearchConfig, grid_search_angles, random_unconstrained
 from pcattack.pcr import DEFAULT_ETA_RATIOS
-from pcattack.rank_one import equivalent_solutions
 
 
 @contextmanager

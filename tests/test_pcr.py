@@ -3,11 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import random_orthogonal, spearman
+from oracles import _least_squares
 
 from pcattack import (InvalidDimension, InvalidMatrix, ParseError, PcattackError,
                       UndefinedR2, attack_pcr, fit_pcr, full_svd, load_feature_csv, pcr,
                       r_squared, synthetic_collinear)
-from pcattack.pcr import DEFAULT_ETA_RATIOS
+from pcattack.errors import SingularFit
+from pcattack.experiments import ATTACKS
+from pcattack.linalg import check_eta, leading_svd
+from pcattack.pcr import DEFAULT_ETA_RATIOS, _Targets
+from pcattack.report import _core_split, attack_factor, frames, lift
 
 
 def toy_features(seed=0, d=6, n=30):
@@ -221,6 +226,127 @@ class TestAttackPcr:
                 fit_pcr(features, targets, 4)
             with pytest.raises(InvalidMatrix):
                 attack_pcr(features, targets, 4, [0.5])
+
+
+def _lstsq_outcome(features, targets, k, ratio, strategy, split):
+    """``_pcr_outcome``'s (r2_train, r2_test), or its error type, with the
+    attacked features formed densely and fitted by lstsq
+    (``oracles._least_squares``).  The components are those ``attack_pcr``
+    reads: from the core's split when ``split`` holds and the core splits,
+    else from a dense SVD of the attacked features."""
+    try:
+        n = features.shape[1]
+        n_train = int(round(pcr.SPLIT_FRACTION * n))
+        perm = np.random.Generator(np.random.PCG64(3)).permutation(n)
+        train, test = perm[:n_train], perm[n_train:]
+        means = features[:, train].mean(axis=1, keepdims=True)
+        xc, test_c = features[:, train] - means, features[:, test] - means
+        svd, at = attack_factor(xc, k)
+        if at.rank < k:
+            return InvalidDimension
+        _, _, core = ATTACKS[strategy].closed_form(at, check_eta(ratio * at.ratio_scale))
+        left, right = frames(svd, k)
+        attacked = xc + lift(left, right, core, at.unit)
+        w = _core_split(at, core) if split else None
+        if w is None:
+            dense = leading_svd(attacked, k)
+            if dense.rank < k:
+                return InvalidDimension
+            components = dense.u
+        else:
+            components = np.column_stack([svd.u[:, :k - 1], left @ np.array(w)])
+        coef, intercept, r2_train = _least_squares(components.T @ attacked, targets[train])
+        return r2_train, r_squared(coef @ (components.T @ test_c) + intercept, targets[test])
+    except PcattackError as exc:
+        return type(exc)
+
+
+class TestClosedFormFit:
+    """The refit is ``_Targets.fit``'s closed form, not a least-squares
+    solve; lstsq on the scores formed densely is its reference."""
+
+    @pytest.mark.parametrize("path", ["split", "dense"])
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    @pytest.mark.parametrize("name", AGREEMENT_SETS)
+    def test_attack_refit_agrees_with_lstsq(self, name, strategy, path, monkeypatch):
+        (features, targets), k = AGREEMENT_SETS[name]
+        if path == "dense":
+            monkeypatch.setattr(pcr, "_core_split", lambda at, core: None)
+        for ratio in AGREEMENT_RATIOS:
+            got = _pcr_outcome(features, targets, k, ratio, strategy)
+            want = _lstsq_outcome(features, targets, k, ratio, strategy, path == "split")
+            if isinstance(want, type):
+                assert got is want, ratio
+            else:
+                assert abs(got.r2_train - want[0]) < 1e-12, ratio
+                assert abs(got.r2_test - want[1]) < 1e-12, ratio
+
+    @pytest.mark.parametrize("name", AGREEMENT_SETS)
+    def test_fit_pcr_agrees_with_lstsq(self, name):
+        (features, targets), k = AGREEMENT_SETS[name]
+        try:
+            model = fit_pcr(features, targets, k)
+        except InvalidDimension:
+            xc = features - features.mean(axis=1, keepdims=True)
+            assert leading_svd(xc, k).rank < k
+            return
+        # lstsq on the scores of the model's own components
+        scores = model.components.T @ (features - model.feature_means[:, None])
+        coefficients, intercept, r2_train = _least_squares(scores, targets)
+        scale = max(1.0, np.max(np.abs(coefficients)))
+        assert np.max(np.abs(model.coefficients - coefficients)) < 1e-12 * scale
+        assert abs(model.intercept - intercept) < 1e-12 * max(1.0, abs(intercept))
+        assert abs(model.r2_train - r2_train) < 1e-12
+
+    @pytest.mark.parametrize("m", [-900, -540, 0, 520, 900])
+    def test_r2_bit_identical_at_every_power_of_two_target_scale(self, m):
+        # at the parent's raw squares, 2^-540 read the targets as constant
+        # (UndefinedR2) and 2^520 overflowed (r2 nan)
+        features, targets = synthetic_collinear(seed=0)
+
+        def r2(y):
+            out = [fit_pcr(features, y, 4).r2_train]
+            for strategy in ("rank_one", "unconstrained"):
+                out += [v for rep in attack_pcr(features, y, 4, [0.3, *DEFAULT_ETA_RATIOS],
+                                                strategy) for v in (rep.r2_train, rep.r2_test)]
+            return out
+
+        assert r2(np.ldexp(targets, m)) == r2(targets)
+
+    @pytest.mark.parametrize("strategy", ["rank_one", "unconstrained"])
+    def test_singular_fit_when_the_constant_is_the_only_null_vector(self, strategy):
+        # d >= n_train and k = n_train - 1: the centered training features
+        # have rank k, and their only null vector v_{k+1} is the constant.
+        # Past the budget that turns the last component onto it, its scores
+        # are constant, which lstsq finds singular too.
+        rng = np.random.default_rng(0)
+        features, targets = rng.standard_normal((12, 10)), rng.standard_normal(10)
+        [kept] = attack_pcr(features, targets, 7, [0.5], strategy, split_seed=3)
+        assert np.isfinite([kept.r2_train, kept.r2_test]).all()
+        with pytest.raises(SingularFit, match=r"^component scores do not determine the fit$"):
+            attack_pcr(features, targets, 7, [1.5], strategy, split_seed=3)
+        assert _lstsq_outcome(features, targets, 7, 1.5, strategy, True) is SingularFit
+
+    @pytest.mark.parametrize("sine2, singular", [(2.0**-20, False), (2.0**-32, True)])
+    def test_singular_fit_tolerance(self, sine2, singular):
+        # right vectors whose span holds the constant direction c up to a
+        # squared sine of sine2: 1 - m.m = sine2
+        rng = np.random.default_rng(1)
+        n = 16
+        c = np.full(n, 1.0 / np.sqrt(n))
+        q = np.linalg.qr(np.column_stack([c, rng.standard_normal((n, 2))]))[0]
+        v = np.column_stack([q[:, 2], np.sqrt(1.0 - sine2) * q[:, 0] + np.sqrt(sine2) * q[:, 1]])
+        x = random_orthogonal(rng, 5)[:, :2] @ np.diag([3.0, 1.0]) @ v.T
+        svd = leading_svd(x, 2)
+        y = _Targets(rng.standard_normal(n))
+        assert abs(1.0 - float(np.sum(y.moments(svd, 2)[1] ** 2)) - sine2) < 1e-14
+        assert (sine2 <= _Targets.SINGULAR_FIT) == singular
+        if singular:
+            with pytest.raises(SingularFit):
+                y.fit(y.moments(svd, 2), svd.sigma[:2])
+        else:
+            _, r2_train, _ = y.fit(y.moments(svd, 2), svd.sigma[:2])
+            assert abs(r2_train - _least_squares(svd.u.T @ x, y.y)[2]) < 1e-9
 
 
 class TestFeatureCsv:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from conftest import matrix_with_spectrum
+from oracles import paired_entries
 
 from pcattack import (Regime, RegimeError, attack_rank_one, attack_unconstrained,
                       closed_form_lambda, full_svd, lift_to_data_space,
-                      paired_entries, pca_distance, recover_entries)
+                      pca_distance, recover_entries)
 from pcattack.errors import InvalidDimension
 from pcattack.unconstrained import solve_unconstrained
 
