@@ -32,12 +32,22 @@ GRAM_SEPARATION = 2.0**-12
 # before the whole Gram is formed: a block that fails proves that the whole
 # fails, so a rank-deficient input declines for a block's cost
 GRAM_BLOCK = 32
-# A factor runs on m as given while m's largest |entry| is below
-# 2^UNIT_EXPONENT: then sigma_1 < sqrt(d n) 2^UNIT_EXPONENT, and a factor's
-# intermediates grow only a few sqrt(d n) times past sigma_1, so none comes
-# near overflow.  Past that it runs on m / 2^s, s the exponent of m's largest
-# |entry| (``_in_unit``).
-UNIT_EXPONENT = 511
+# A factor runs on a matrix as given while the exponent s of its largest
+# |entry| (in [2^(s-1), 2^s)) has |s| <= UNIT_BAND, and past that on the
+# matrix / 2^s (``_in_unit``); every route then runs in that one unit.  In
+# the band no LAPACK routine that a route calls rescales the matrix it is
+# given, so each route gives the same bits at every power-of-two scale.
+# dgesdd rescales a matrix whose largest |entry| lies outside [2^-459,
+# 2^459] (its SMLNUM = sqrt(safe_min) / eps and BIGNUM = 1 / SMLNUM): that
+# of a, m x p the tall one of the matrix and its transpose, lies in [2^(s-1),
+# 2^s), and that of the triangle R of a's QR in [2^(s-1) / sqrt(p), sqrt(m)
+# 2^s], since each entry of R is at most its column's norm in a.  dsyevd
+# rescales one whose largest |entry| lies outside [2^-485, 2^485] (its RMIN =
+# sqrt(safe_min / eps) and RMAX = 1 / RMIN): that of the Gram a^T a, its
+# largest diagonal entry, lies in [4^(s-1), m 4^s).  |s| <= 200 keeps all
+# three inside for any m below 2^85, and every entry of a Gram, its shifted
+# Cholesky and sigma_1 far inside the float64 range
+UNIT_BAND = 200
 # the R-SVD's triangle R has null rows from the first row m >= j at which the
 # rows m .. p - 1 have a Frobenius norm of at most NULL_ROWS times R's largest
 # row norm, and its SVD skips them (``_kept_rows``)
@@ -64,15 +74,16 @@ def _checked(x) -> tuple[np.ndarray, int]:
     return m, math.frexp(peak)[1]
 
 
-def _in_unit(x) -> tuple[np.ndarray, int, int]:
-    """``(a, e, t)`` with ``2^e a`` the finite matrix ``x`` and ``t`` the
-    exponent of a's largest |entry|: ``x`` itself, e = 0 and t = s while its
-    largest |entry| is below 2^UNIT_EXPONENT, else ``x / 2^s``, e = s and t
-    = 0, s the exponent of that entry.  Scaling by a power of two is exact,
-    so the unit changes no result, and the pass that proves ``x`` finite
-    finds ``s``."""
+def _in_unit(x) -> tuple[np.ndarray, int]:
+    """``(a, e)`` with ``2^e a`` the finite matrix ``x``: ``x`` itself and e
+    = 0 while the exponent ``s`` of its largest |entry| has ``|s| <=
+    UNIT_BAND``, else ``x / 2^s`` and e = s.  The pass that proves ``x``
+    finite finds ``s``.  This is the only place where a factor scales a
+    matrix: scaling by a power of two is exact, and in the band no route
+    rescales, so a factor of ``2^m x`` is that of ``x`` with its singular
+    values times 2^m, bit for bit."""
     m, s = _checked(x)
-    return (m, 0, s) if s <= UNIT_EXPONENT else (np.ldexp(m, -s), s, 0)
+    return (m, 0) if abs(s) <= UNIT_BAND else (np.ldexp(m, -s), s)
 
 
 def check_eta(eta) -> float:
@@ -128,7 +139,7 @@ class Spectrum:
 
 def spectrum_of(m) -> Spectrum:
     """The singular values of a finite matrix, from one values-only SVD."""
-    a, e, _ = _in_unit(m)
+    a, e = _in_unit(m)
     return Spectrum(_svd(a, e, False), a.shape)
 
 
@@ -191,8 +202,8 @@ def full_svd(m) -> SvdTriple:
     InvalidMatrix on non-finite input, or when sigma_1 overflows
     (``_scale_back``).
     """
-    a, e, t = _in_unit(m)
-    return _factor(a, e, t, min(a.shape))
+    a, e = _in_unit(m)
+    return _factor(a, e, min(a.shape))
 
 
 def leading_svd(m, j: int) -> SvdTriple:
@@ -229,40 +240,39 @@ def leading_svd(m, j: int) -> SvdTriple:
     thin SVD runs and its leading ``j`` pairs are kept.  A ``j`` outside 1
     .. ``p`` raises InvalidDimension, as ``check_k`` does for k.
 
-    Every route factors ``m`` as given while its largest |entry| is below
-    2^UNIT_EXPONENT, and past that ``m / 2^s``, ``s`` the exponent of that
-    entry, which the pass that proves ``m`` finite finds (``_in_unit``).
-    Its singular values are then scaled back, and a sigma_1 past the
-    float64 range raises InvalidMatrix (``_scale_back``).
+    Every route factors ``m`` as given while the exponent ``s`` of its
+    largest |entry| has ``|s| <= UNIT_BAND``, and past that ``m / 2^s``;
+    the pass that proves ``m`` finite finds ``s`` (``_in_unit``), and no
+    route scales again.  In that band no SVD or ``eigh`` that a route runs
+    rescales what it is given, so ``2^k m`` gives the bits of ``m`` with
+    the singular values times 2^k.  The singular values are then scaled
+    back, and a sigma_1 past the float64 range raises InvalidMatrix
+    (``_scale_back``).
 
     Where the R-SVD would run, a well-conditioned ``a`` takes the Gram route
     instead, which replaces the R-only QR and the triangle's SVD with one p x
-    p ``eigh``.  With ``b = a / 2^s``, ``s`` the exponent of a's largest
-    |entry|, so that no entry of ``G = b^T b`` overflows or underflows, it
-    runs only when both hold: (1) ``G - tau I`` has a Cholesky factor, with
-    ``tau = GRAM_SHIFT ||G||_1``, ``||G||_1`` the largest column abs-sum of
-    ``G`` and at least ``lambda_1``, which proves ``sigma_p >= 2^-10
-    sigma_1`` and with it that the rank is ``p`` (``_gram_certificate``);
-    (2) ``G``'s eigenvalues show ``lambda_j >= GRAM_SEPARATION lambda_1``,
-    that is ``sigma_j >= sigma_1 / 64`` (an ``a`` that fails only this has
-    paid for the ``eigh`` too).  When ``p`` exceeds ``GRAM_BLOCK``, (1)
-    first tests the Gram ``G_B`` of the leading ``GRAM_BLOCK`` columns by
-    the same rule, before ``b`` or ``G`` is formed: ``G_B - GRAM_SHIFT
-    ||G_B||_1 I``.  In ``b``'s unit ``G_B`` is a leading principal block of
-    ``G``, so each of its column abs-sums is at most that column's abs-sum
-    in ``G`` and its shift is at most ``tau``: were ``G - tau I`` positive
-    definite, so would be its block ``G_B - tau I`` and with it the block's
-    own shifted Gram.  The block is scaled to its own largest entry instead,
-    which scales ``G_B`` and its shift by one power of four and leaves the
-    outcome as it is.  A block that fails thus proves that (1) fails, and an
-    ``a`` of rank below the block's width declines for the block's Gram and
-    an early pivot of its Cholesky, as a rank-deficient ``G`` does at its
-    own.  The short side's vectors are then
-    ``G``'s top ``j`` eigenvectors ``W_j``, and the long side's the signed
-    ``Q`` of a QR of ``b W_j``, as above, and the singular values are
-    scaled back from the unit 2^s.
+    p ``eigh`` of ``G = a^T a``, in which no entry overflows or underflows
+    (``UNIT_BAND``).  It runs only when both hold: (1) ``G - tau I`` has a
+    Cholesky factor, with ``tau = GRAM_SHIFT ||G||_1``, ``||G||_1`` the
+    largest column abs-sum of ``G`` and at least ``lambda_1``, which proves
+    ``sigma_p >= 2^-10 sigma_1`` and with it that the rank is ``p``
+    (``_gram_certificate``); (2) ``G``'s eigenvalues show ``lambda_j >=
+    GRAM_SEPARATION lambda_1``, that is ``sigma_j >= sigma_1 / 64`` (an
+    ``a`` that fails only this has paid for the ``eigh`` too).  When ``p``
+    exceeds ``GRAM_BLOCK``, (1) first tests the Gram ``G_B`` of the leading
+    ``GRAM_BLOCK`` columns by the same rule, before ``G`` is formed:
+    ``G_B - GRAM_SHIFT ||G_B||_1 I``.  ``G_B`` is a leading principal block
+    of ``G``, so each of its column abs-sums is at most that column's
+    abs-sum in ``G`` and its shift is at most ``tau``: were ``G - tau I``
+    positive definite, so would be its block ``G_B - tau I`` and with it
+    the block's own shifted Gram.  A block that fails thus proves that (1)
+    fails, and an ``a`` of rank below the block's width declines for the
+    block's Gram and an early pivot of its Cholesky, as a rank-deficient
+    ``G`` does at its own.  The short side's vectors are then ``G``'s top
+    ``j`` eigenvectors ``W_j``, and the long side's the signed ``Q`` of a
+    QR of ``a W_j``, as above.
     ``sigma_1 .. sigma_{j+1}``, which the closed forms, the tie test and the
-    split of a core read, are the column norms ``||b w_i||``, within about
+    split of a core read, are the column norms ``||a w_i||``, within about
     eps sigma_1 of a dense SVD's; the rest are ``sqrt(lambda_i)``, within
     ``2^10 eps sigma_1``, since an eigenvalue is within eps ``lambda_1`` and
     sigma_p >= 2^-10 sigma_1.  The whole spectrum is kept nonincreasing.  An
@@ -270,21 +280,21 @@ def leading_svd(m, j: int) -> SvdTriple:
     lambda_{i+1})``, at most ``sigma_1 / (sigma_i + sigma_{i+1})`` times a
     dense SVD's bound, which (2) keeps within 64 for every pair returned.
     """
-    a, e, t = _in_unit(m)
-    return _factor(a, e, t, check_k(j, a.shape))
+    a, e = _in_unit(m)
+    return _factor(a, e, check_k(j, a.shape))
 
 
-def _factor(m: np.ndarray, e: int, t: int, j: int) -> SvdTriple:
-    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``,
-    ``t`` the exponent of m's largest |entry|: a thin SVD, or on a long side
-    the Gram route, or the R-SVD where the Gram route declines."""
+def _factor(m: np.ndarray, e: int, j: int) -> SvdTriple:
+    """``leading_svd`` of the matrix ``2^e m``, given as ``m`` and ``e``: a
+    thin SVD, or on a long side the Gram route, or the R-SVD where the Gram
+    route declines, each on ``m`` as given."""
     d, n = m.shape
     p = min(d, n)
     if max(d, n) < RSVD_ASPECT * p or j >= p:
         u, sigma, vt = _svd(m, e)
         return _signed_triple(sigma, m.shape, u[:, :j], vt[:j].T)
     a = m.T if d < n else m
-    sigma, short, long = _gram_pairs(a, e, t, j) or _r_svd_pairs(a, e, j)
+    sigma, short, long = _gram_pairs(a, e, j) or _r_svd_pairs(a, e, j)
     return _signed_triple(sigma, m.shape, *((short, long) if d < n else (long, short)))
 
 
@@ -298,72 +308,66 @@ def _r_svd_pairs(a: np.ndarray, e: int, j: int):
     kept sigma_i moves by at most ``||E||^2 / (2 sigma_i)`` and each right
     vector by at most ``||E||^2 / (sigma_i^2 - sigma_{i+1}^2)``, and each
     dropped value is at most ``||E|| <= NULL_ROWS sigma_1``, far below
-    ``RANK_TOL`` and ``TIE_TOL``.  The kept rows are factored in the unit of
-    R's largest |entry|, where the SVD does not rescale them, so the cut
-    route gives the same bits at every power-of-two scale of ``a``."""
+    ``RANK_TOL`` and ``TIE_TOL``.  The kept rows are factored in ``a``'s
+    unit, where the SVD does not rescale them (``UNIT_BAND``)."""
     r = np.linalg.qr(a, mode="r")
-    kept, t = _kept_rows(r, j)
-    _, sigma, vt = _svd(r, e) if len(kept) == len(r) else _svd(kept, e + t)
+    _, sigma, vt = _svd(_kept_rows(r, j), e)
     short = vt[:j].T
     return np.pad(sigma, (0, len(r) - len(sigma))), short, _signed_q(a @ short)
 
 
-def _kept_rows(r: np.ndarray, j: int) -> tuple[np.ndarray, int]:
-    """``(b, t)``: the leading ``m`` rows of the p x p triangle ``r`` divided
-    by 2^t, ``t`` the exponent of r's largest |entry|, with ``m`` the
+def _kept_rows(r: np.ndarray, j: int) -> np.ndarray:
+    """The leading ``m`` rows of the p x p triangle ``r``, with ``m`` the
     smallest ``>= j`` such that rows ``m ..`` have a Frobenius norm of at
     most ``NULL_ROWS`` times r's largest row norm (itself at most sigma_1),
-    or ``p`` if there is none.  The norms are taken in that unit, so that
-    the largest squares neither overflow nor underflow and the cut is the
-    same at every power-of-two scale; a square that underflows there is far
-    below the cut."""
-    t = math.frexp(float(np.abs(r).max()))[1]
-    b = np.ldexp(r, -t)
-    squares = np.einsum("ij,ij->i", b, b)
+    or all of ``r`` if there is none.  ``r`` is the triangle of a d x p
+    matrix from ``_in_unit``, so its largest squared row norm lies between
+    about 4^-UNIT_BAND / p and d p 4^UNIT_BAND, where the largest squares
+    neither overflow nor underflow and the cut is the same at every
+    power-of-two scale; a square that underflows there is far below the
+    cut."""
+    squares = np.einsum("ij,ij->i", r, r)
     # tail[i] is the squared Frobenius norm of rows i .., nonincreasing in i
     tail = np.cumsum(squares[::-1])[::-1]
     null = tail[j:] <= NULL_ROWS**2 * float(squares.max())
-    return b[:j + int(np.argmax(null))] if null[-1] else b, t
+    return r[:j + int(np.argmax(null))] if null[-1] else r
 
 
-def _gram_pairs(a: np.ndarray, e: int, t: int, j: int):
-    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, ``t`` the exponent
-    of a's largest |entry|, from the eigenpairs of the Gram ``G`` that
-    ``_gram_certificate(a, t)`` forms, or None when the certificate of a's
-    leading ``GRAM_BLOCK`` columns or of ``a`` declines, or ``G`` fails
-    condition (2) of the Gram route (``leading_svd``)."""
+def _gram_pairs(a: np.ndarray, e: int, j: int):
+    """``(sigma, W_j, Q)`` of the matrix ``2^e a``, tall, from the eigenpairs
+    of the Gram ``G = a^T a`` that ``_gram_certificate(a)`` forms, or None
+    when the certificate of a's leading ``GRAM_BLOCK`` columns or of ``a``
+    declines, or ``G`` fails condition (2) of the Gram route
+    (``leading_svd``)."""
     if (a.shape[1] > GRAM_BLOCK and _gram_certificate(a[:, :GRAM_BLOCK]) is None
-            or (certificate := _gram_certificate(a, t)) is None):
+            or (g := _gram_certificate(a)) is None):
         return None
-    b, g, s = certificate
     lam, w = np.linalg.eigh(g)
     if not lam[-j] >= GRAM_SEPARATION * lam[-1]:
         return None
     # the top j + 1 eigenvectors, the largest first; j < p here
     top = w[:, -j - 1:][:, ::-1]
-    y = b @ top
+    y = a @ top
     sigma = np.concatenate((np.linalg.norm(y, axis=0), np.sqrt(lam[:-j - 1][::-1])))
-    return _scale_back(np.minimum.accumulate(sigma), e + s), top[:, :j], _signed_q(y[:, :j])
+    return _scale_back(np.minimum.accumulate(sigma), e), top[:, :j], _signed_q(y[:, :j])
 
 
-def _gram_certificate(a: np.ndarray, s: int | None = None):
-    """``(b, G, s)`` with ``b = a / 2^s``, ``s`` the exponent of a's largest
-    |entry| (found here unless given), and ``G = b^T b``, when ``G - tau I``
-    has a Cholesky factor, ``tau = GRAM_SHIFT ||G||_1``; else None.  In that
-    unit no entry of ``G`` overflows or underflows.  A factor that exists
-    proves ``G - tau I`` positive definite to within its backward error
-    (Higham 2002, ch. 10), so every eigenvalue of ``G`` exceeds ``tau >=
-    GRAM_SHIFT lambda_1``, that is sigma_p(a) >= 2^-10 sigma_1(a); at a
-    pivot that is not positive the factor stops."""
-    if s is None:
-        s = _checked(a)[1]
-    b = np.ldexp(a, -s)
-    g = b.T @ b
+def _gram_certificate(a: np.ndarray):
+    """``G = a^T a`` when ``G - tau I`` has a Cholesky factor, ``tau =
+    GRAM_SHIFT ||G||_1``; else None.  ``a`` is a matrix from ``_in_unit``,
+    its leading columns or the triangle of its QR, so no entry of ``G`` that
+    the test reads overflows or underflows, and ``eigh`` does not rescale
+    ``G`` (``UNIT_BAND``).  A factor that exists proves ``G - tau I``
+    positive definite to within its backward error (Higham 2002, ch. 10),
+    so every eigenvalue of ``G`` exceeds ``tau >= GRAM_SHIFT lambda_1``,
+    that is sigma_p(a) >= 2^-10 sigma_1(a); at a pivot that is not positive
+    the factor stops."""
+    g = a.T @ a
     try:
         np.linalg.cholesky(g - GRAM_SHIFT * float(np.abs(g).sum(axis=0).max()) * np.eye(len(g)))
     except np.linalg.LinAlgError:
         return None
-    return b, g, s
+    return g
 
 
 def _signed_q(y: np.ndarray) -> np.ndarray:
@@ -377,9 +381,10 @@ def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False)`` of a matrix ``a`` in the unit
     2^e, or of the triangle of a QR of one, or of the triangle's kept rows
     (``_kept_rows``), with the singular values scaled back by
-    ``_scale_back``.  The entries of a matrix from ``_in_unit`` are below
-    2^UNIT_EXPONENT, those of its triangle below sqrt(d) times that, and the
-    kept rows' below 1, so no SVD of any comes near overflow."""
+    ``_scale_back``.  The largest |entry| of a matrix from ``_in_unit`` has
+    an exponent within ``UNIT_BAND`` of 0, and that of its triangle or kept
+    rows is within a factor sqrt(d) of it, so no SVD of any rescales or
+    comes near overflow."""
     out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     if not compute_uv:
         return _scale_back(out, e)
@@ -388,8 +393,7 @@ def _svd(a: np.ndarray, e: int, compute_uv: bool = True):
 
 def _scale_back(sigma: np.ndarray, e: int) -> np.ndarray:
     """``2^e sigma``: the singular values of a matrix from those of the
-    matrix in the unit 2^e, or InvalidMatrix when sigma_1 overflows float64.
-    (The Gram route passes the unit of its own scaled matrix.)"""
+    matrix in the unit 2^e, or InvalidMatrix when sigma_1 overflows float64."""
     with np.errstate(over="ignore"):
         sigma = np.ldexp(sigma, e)
     if not math.isfinite(sigma[0]):
@@ -590,7 +594,7 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
     passes in or ``leading_subspace`` returns.
     """
     u, ambiguous = svd.u[:, :k], _tied(svd.sigma, k, svd.shape[0])
-    y, e, t = _in_unit(y)
+    y, e = _in_unit(y)
     d, n = y.shape
     if d > n and k == n:
         r = np.linalg.qr(y, mode="r")
@@ -599,7 +603,7 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
             theta = _largest_angle(np.linalg.solve(r.T, cross.T).T,
                                    lambda: (y - u @ cross) @ np.linalg.inv(r))
             return theta, ambiguous
-    factor = _factor(y, e, t, k)
+    factor = _factor(y, e, k)
     cross = u.T @ factor.u
     return (0.0 if k == d else _largest_angle(cross, lambda: factor.u - u @ cross),
             ambiguous or _tied(factor.sigma, k, d))
@@ -610,14 +614,13 @@ def _untied_triangle(r: np.ndarray, e: int) -> bool:
     QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with 2^e
     sigma_1 so far inside the float64 range that ``_svd`` of ``r`` would
     scale it back without InvalidMatrix; the bound on sigma_1 is read from
-    the certificate's ``G`` and unit.  ``y`` comes from ``_in_unit``, so
-    ``r`` is finite."""
-    if (certificate := _gram_certificate(r)) is None:
+    the certificate's ``G``.  ``y`` comes from ``_in_unit``, so ``r`` is
+    finite and ``trace G`` does not overflow."""
+    if (g := _gram_certificate(r)) is None:
         return False
-    _, g, s = certificate
-    # sigma_1 <= ||r||_F = 2^s sqrt(trace g), and a computed sigma_1 is below
+    # sigma_1 <= ||r||_F = sqrt(trace g), and a computed sigma_1 is below
     # twice that: 2^e times it must stay inside the float64 range
-    return math.frexp(math.sqrt(float(np.trace(g))))[1] + s + e + 1 <= sys.float_info.max_exp
+    return math.frexp(math.sqrt(float(np.trace(g))))[1] + e + 1 <= sys.float_info.max_exp
 
 
 def unitary_conjugate(x, p, t) -> np.ndarray:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pcattack import PcattackError
 from pcattack.linalg import GRAM_BLOCK, RSVD_ASPECT
 
 
@@ -99,6 +102,30 @@ def re_pca_call(shape, k, gram=True):
     ``re_pca_calls`` always names one; at k = n < d it raises ValueError."""
     (call,) = re_pca_calls(shape, k, gram)
     return call
+
+
+def bits(value):
+    """Every bit of a result: arrays by their bytes, floats by their hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return float.hex(value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(bits(getattr(value, f.name))
+                                           for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((key, bits(v)) for key, v in value.items())
+    return repr(value)
+
+
+def outcome(call):
+    """``bits(call())``, or the type and message of the PcattackError it raises."""
+    try:
+        return bits(call())
+    except PcattackError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def random_orthogonal(rng, n):

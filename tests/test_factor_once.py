@@ -146,13 +146,13 @@ def test_declined_rank_10_factor_tests_only_the_leading_block(svd_calls, cholesk
 @pytest.mark.parametrize("shape", [(120, 72), (72, 120)], ids=["tall", "wide"])
 def test_attack_proves_each_matrix_finite_once(monkeypatch, shape):
     # the pass that proves X finite, then the factor's and the re-PCA's
-    # unit passes, each followed by the leading block's own; the whole
-    # Gram's certificate reads the exponent that the unit pass found
+    # unit passes; the Gram route tests its leading block and its whole Gram
+    # in the unit that those passes chose, with no pass of its own
     shapes = []
     checked = linalg._checked
     monkeypatch.setattr(linalg, "_checked", lambda x: shapes.append(np.shape(x)) or checked(x))
     attack_rank_one(synth_gaussian(*shape, seed=3), 3, 0.1)
-    assert shapes == [shape, shape, (max(shape), GRAM_BLOCK), shape, (max(shape), GRAM_BLOCK)]
+    assert shapes == [shape, shape, shape]
 
 
 def test_full_rank_leading_subspace_is_one_thin_svd(svd_calls, qr_modes):

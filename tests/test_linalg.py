@@ -12,8 +12,8 @@ from oracles import (RankMismatch, brute_force_principal_angles, compress_rank_o
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis, asimov_distance,
                       attack_rank_one, full_svd, leading_subspace, pca_distance,
                       principal_angles, synth_gaussian, synth_low_rank, unitary_conjugate)
-from pcattack.linalg import (GRAM_BLOCK, _gram_certificate, _pca_distance_from_svd, _tied,
-                             as_matrix, complement_direction, fro_norm, leading_svd,
+from pcattack.linalg import (GRAM_BLOCK, UNIT_BAND, _gram_certificate, _pca_distance_from_svd,
+                             _tied, as_matrix, complement_direction, fro_norm, leading_svd,
                              spectrum_of, svd_2x2)
 from pcattack.oracle import SearchConfig
 
@@ -272,6 +272,18 @@ class TestGramRoute:
         assert svd_calls == [factor_call(shape, 3)] * 5
 
     @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
+    def test_tied_trailing_values_stay_nonincreasing(self, svd_calls, shape):
+        # sigma_3 .. sigma_10 tied at 1: sigma_3 is a column norm and sigma_4
+        # the root of an eigenvalue, and in about half of these inputs the
+        # latter rounds above the former, so the route must order them
+        for seed in range(8):
+            x = matrix_with_spectrum(np.concatenate(([3.0, 2.0], np.ones(8))), *shape, seed=seed)
+            svd = leading_svd(x, 2)
+            assert np.all(np.diff(svd.sigma) <= 0.0), seed
+            assert np.max(np.abs(svd.sigma - full_svd(x).sigma)) <= 2.0**10 * EPS * 3.0
+        assert svd_calls == [factor_call(shape, 2), (shape, True)] * 8
+
+    @pytest.mark.parametrize("shape", [(40, 10), (10, 40)], ids=["tall", "wide"])
     def test_sigma_1_past_the_float64_range(self, svd_calls, shape):
         x = np.random.default_rng(4).standard_normal(shape)
         with pytest.raises(InvalidMatrix, match=SIGMA_OVERFLOW):
@@ -284,13 +296,19 @@ class TestGramCertificate:
     def test_rank_below_the_block_declines(self):
         assert _gram_certificate(synth_low_rank(120, 72, GRAM_BLOCK - 2, seed=1)) is None
 
-    @pytest.mark.parametrize("e", [-900, 0, 600, 1015])
-    def test_gaussian_clears_in_the_unit_of_its_largest_entry(self, e):
-        a = np.ldexp(synth_gaussian(120, 72, seed=1), e)
-        b, g, s = _gram_certificate(a)
-        assert 0.5 <= np.abs(b).max() < 1.0
-        assert np.array_equal(np.ldexp(b, s), a)
-        assert np.array_equal(g, b.T @ b)
+    # the largest |entry| of synth_gaussian(120, 72, seed=1) has the
+    # exponent 3, so each of these scales keeps it inside the band
+    @pytest.mark.parametrize("e", [3 - UNIT_BAND, -100, 0, 100, UNIT_BAND - 3])
+    def test_in_band_gram_is_that_of_the_matrix_as_given(self, e):
+        # no unit of its own: G = a^T a, which at any other scale in the band
+        # is 4^e times the same bits, and the decision is the same
+        a = synth_gaussian(120, 72, seed=1)
+        g = _gram_certificate(np.ldexp(a, e))
+        assert np.array_equal(g, np.ldexp(a, e).T @ np.ldexp(a, e))
+        assert np.array_equal(g, np.ldexp(_gram_certificate(a), 2 * e))
+        low_rank = synth_low_rank(120, 72, GRAM_BLOCK - 2, seed=1)
+        assert _gram_certificate(np.ldexp(low_rank, e)) is None
+        assert _gram_certificate(np.ldexp(low_rank[:, :GRAM_BLOCK], e)) is None
 
     def test_a_declined_leading_block_proves_that_the_whole_declines(self):
         # ranks about the block's width, and the full rank p, each with
@@ -509,38 +527,102 @@ class TestSigmaOverflow:
                 assert sigma == pytest.approx([1e308, 1e307, 1e306], rel=1e-15)
 
 
-def _in_band(x):
-    """``x`` scaled by a power of two so that its largest |entry| is in
-    [2^509, 2^510), below the limit of a matrix factored as given."""
-    return np.ldexp(x, 510 - math.frexp(np.abs(x).max())[1])
+def _exponent(x):
+    """The exponent ``s`` of the largest |entry| of ``x``, in [2^(s-1), 2^s)."""
+    return math.frexp(float(np.abs(x).max()))[1]
 
 
+def _at_exponent(x, s):
+    """``x`` times the power of two that puts its largest |entry| in [2^(s-1), 2^s)."""
+    return np.ldexp(x, s - _exponent(x))
+
+
+@pytest.fixture
+def scalings(monkeypatch):
+    """The shape of each matrix that ``np.ldexp`` scales, in call order."""
+    shapes = []
+    ldexp = np.ldexp
+
+    def recording(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return ldexp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", recording)
+    return shapes
+
+
+def _assert_scaled(got, ref, e):
+    """``got`` is the factor ``ref`` of a matrix 2^-e times got's, bit for bit."""
+    assert np.array_equal(got.sigma, np.ldexp(ref.sigma, e))
+    assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+
+
+# edge: (s, scaled): a largest |entry| at the exponent s = +-UNIT_BAND is
+# factored as given, and one just past either edge in the unit of that entry
+EDGES = {"top": (UNIT_BAND, False), "past-top": (UNIT_BAND + 1, True),
+         "bottom": (-UNIT_BAND, False), "past-bottom": (-UNIT_BAND - 1, True)}
+# (shape, j): the Gram route, tall and wide and with p past GRAM_BLOCK, and a
+# thin SVD at j < p and j = p
+FACTORS = {"gram-tall": ((40, 10), 3), "gram-wide": ((10, 40), 3),
+           "gram-block": ((120, GRAM_BLOCK + 8), 3), "thin": ((12, 10), 3),
+           "thin-j=p": ((40, 10), 10)}
+
+
+@pytest.mark.parametrize("edge", EDGES)
 class TestUnitBand:
-    # a largest |entry| below 2^UNIT_EXPONENT = 2^511 and sigma_1 past it:
-    # the matrix is factored as given, once, with no overflow
-    def test_r_svd_factor(self, svd_calls):
-        x = _in_band(matrix_with_spectrum([3.0, 2.0, 1.0], 40, 10, seed=1))
-        ref = leading_svd(np.ldexp(x, -510), 2)
-        assert ref.sigma[0] >= 2.0
+    # at either edge of the band and just past it, every route gives the
+    # bits of the matrix at unit scale, and only _in_unit scales a matrix:
+    # once past the band, never inside it
+    @pytest.mark.parametrize("kind", FACTORS)
+    def test_factor(self, svd_calls, scalings, kind, edge):
+        (shape, j), (s, scaled) = FACTORS[kind], EDGES[edge]
+        x = synth_gaussian(*shape, seed=2)
+        ref, scaled_x = leading_svd(x, j), _at_exponent(x, s)
         svd_calls.clear()
-        got = leading_svd(x, 2)
-        assert svd_calls == [factor_call((40, 10), 2, gram=False, rank=3)] == [((3, 10), True)]
-        assert np.max(np.abs(got.sigma - np.ldexp(ref.sigma, 510))) <= 1e-13 * got.sigma[0]
+        scalings.clear()
+        got = leading_svd(scaled_x, j)
+        assert scalings == [shape] * scaled
+        assert svd_calls == [factor_call(shape, j)]
+        _assert_scaled(got, ref, s - _exponent(x))
 
-    def test_k_equals_n_re_pca(self, svd_calls):
-        x = np.random.default_rng(2).standard_normal((40, 10))
-        y = _in_band(x + 1e-3 * np.random.default_rng(3).standard_normal((40, 10)))
-        svd = full_svd(x)
-        ref = spectrum_of(np.ldexp(y, -510)).sigma
-        assert ref[0] >= 2.0
-        ref_theta = _pca_distance_from_svd(svd, np.ldexp(y, -510), 10)
+    def test_r_svd_factor(self, svd_calls, scalings, edge):
+        s, scaled = EDGES[edge]
+        x = matrix_with_spectrum([3.0, 2.0, 1.0], 40, 10, seed=1)
+        ref, scaled_x = leading_svd(x, 2), _at_exponent(x, s)
         svd_calls.clear()
-        theta, ambiguous = _pca_distance_from_svd(svd, y, 10)
-        assert svd_calls == re_pca_calls((40, 10), 10)
-        assert not ambiguous and not ref_theta[1]
-        assert theta == pytest.approx(ref_theta[0], rel=1e-13)
-        sigma = spectrum_of(y).sigma
-        assert np.max(np.abs(sigma - np.ldexp(ref, 510))) <= 1e-13 * sigma[0]
+        scalings.clear()
+        got = leading_svd(scaled_x, 2)
+        assert scalings == [(40, 10)] * scaled
+        assert svd_calls == [factor_call((40, 10), 2, gram=False, rank=3)] == [((3, 10), True)]
+        _assert_scaled(got, ref, s - _exponent(x))
+
+    def test_spectrum_of(self, scalings, edge):
+        s, scaled = EDGES[edge]
+        x = synth_gaussian(12, 10, seed=2)
+        scaled_x = _at_exponent(x, s)
+        scalings.clear()
+        got = spectrum_of(scaled_x).sigma
+        assert scalings == [(12, 10)] * scaled
+        assert np.array_equal(got, np.ldexp(spectrum_of(x).sigma, s - _exponent(x)))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["certified", "tied"])
+    def test_k_equals_n_re_pca(self, svd_calls, scalings, edge, tied):
+        # y's triangle certified untied, which runs no SVD of it, or y with its
+        # last singular pair removed, whose triangle's values-only SVD runs
+        s, scaled = EDGES[edge]
+        x = np.random.default_rng(2).standard_normal((40, 10))
+        svd = full_svd(x)
+        y = (x - svd.sigma[-1] * np.outer(svd.u[:, -1], svd.v[:, -1]) if tied
+             else x + 1e-3 * np.random.default_rng(3).standard_normal((40, 10)))
+        ref, scaled_y = _pca_distance_from_svd(svd, y, 10), _at_exponent(y, s)
+        svd_calls.clear()
+        scalings.clear()
+        got = _pca_distance_from_svd(svd, scaled_y, 10)
+        assert scalings == [(40, 10)] * scaled
+        assert [call for call in svd_calls if call[1] is not False] == (
+            [factor_call((40, 10), 10)] if tied else re_pca_calls((40, 10), 10))
+        assert got == ref and got[1] == tied
 
 
 class TestComplementDirection:
@@ -557,6 +639,15 @@ class TestComplementDirection:
     def test_deterministic(self):
         u = random_basis(np.random.default_rng(8), 9, 4)
         assert np.array_equal(complement_direction(u), complement_direction(u))
+
+    @pytest.mark.parametrize("d", [50, 200])
+    def test_orthogonal_to_eps_beside_d_minus_1_columns(self, d):
+        # the e of a k = n rank-one attack on a d x (d - 1) matrix: every row
+        # of u has a squared norm near 1 - 1/d, so one projection leaves a
+        # remainder of about 1/sqrt(d) and errs by 6-10 eps; the second
+        # brings that below 1/2 eps
+        u = full_svd(synth_gaussian(d, d - 1, seed=d)).u
+        assert np.max(np.abs(u.T @ complement_direction(u))) <= EPS
 
 
 class TestLeadingSubspace:
@@ -795,6 +886,23 @@ class TestUnitaryConjugate:
 def test_basis_with_columns_that_are_not_orthonormal_rejected():
     with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
         OrthonormalBasis(np.ones((3, 2)))
+
+
+def test_single_precision_factors_rejected():
+    # orthonormal to about 1e-8 only: an angle read from such a basis would
+    # carry that error, far past the eps-level accuracy that principal_angles
+    # and asimov_distance keep
+    u = np.linalg.svd(synth_gaussian(50, 8, seed=1).astype(np.float32),
+                      full_matrices=False)[0].astype(float)[:, :3]
+    q = np.linalg.qr(synth_gaussian(6, 6, seed=2).astype(np.float32))[0].astype(float)
+    assert 1e-9 < np.max(np.abs(u.T @ u - np.eye(3))) < 1e-7
+    assert 1e-9 < np.max(np.abs(q.T @ q - np.eye(6))) < 1e-7
+    with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+        OrthonormalBasis(u)
+    with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+        asimov_distance(u, np.eye(50)[:, :3])
+    with pytest.raises(InvalidMatrix, match=r"^p is not orthogonal$"):
+        unitary_conjugate(np.ones((6, 6)), q, np.eye(6))
 
 
 # nan, inf and -inf at two entries of an orthonormal factor

@@ -10,14 +10,12 @@ forced off (the block never tested, no triangle certified), and the two
 runs must agree in every bit, errors included.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
-from conftest import matrix_with_spectrum
+from conftest import matrix_with_spectrum, outcome
 
-from pcattack import (PcattackError, attack_rank_one, attack_unconstrained, full_svd,
-                      pca_distance, synth_gaussian, synth_low_rank)
+from pcattack import (attack_rank_one, attack_unconstrained, full_svd, pca_distance,
+                      synth_gaussian, synth_low_rank)
 from pcattack import linalg
 from pcattack.linalg import GRAM_BLOCK, leading_svd
 
@@ -62,29 +60,6 @@ KINDS = {
 }
 
 
-def _bits(value):
-    """Every bit of a result: arrays by their bytes, floats by their hex."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, float):
-        return float.hex(value)
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, tuple(_bits(getattr(value, f.name))
-                                           for f in dataclasses.fields(value))
-    if isinstance(value, (tuple, list)):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, dict):
-        return tuple((key, _bits(v)) for key, v in value.items())
-    return repr(value)
-
-
-def _outcome(call):
-    try:
-        return _bits(call())
-    except PcattackError as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _outcomes(x, k, y, seed):
     sigma = np.append(full_svd(x).sigma, 0.0)
     gap = sigma[k - 1] - sigma[k]
@@ -93,11 +68,11 @@ def _outcomes(x, k, y, seed):
         y = x + NOISE[seed % 4] * gap / np.linalg.norm(noise, 2) * noise
     eta = RATIOS[seed % 4] * gap
     p = min(x.shape)
-    return [_outcome(lambda: leading_svd(x, min(k + 1, p))),
-            _outcome(lambda: leading_svd(x, k)),
-            _outcome(lambda: pca_distance(x, y, k)),
-            _outcome(lambda: attack_rank_one(x, k, eta)),
-            _outcome(lambda: attack_unconstrained(x, k, eta))]
+    return [outcome(lambda: leading_svd(x, min(k + 1, p))),
+            outcome(lambda: leading_svd(x, k)),
+            outcome(lambda: pca_distance(x, y, k)),
+            outcome(lambda: attack_rank_one(x, k, eta)),
+            outcome(lambda: attack_unconstrained(x, k, eta))]
 
 
 @pytest.fixture

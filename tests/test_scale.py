@@ -5,20 +5,29 @@ core leaves the range of normal floats, which ``budget_used`` must not
 notice.  Near the float64 maximum every factor runs in a power-of-two unit,
 so an attack whose sigma_1 is finite holds its angle there too.  A PCR fit
 and its attacked refits keep their r2 at any feature scale in [1e-150,
-1e150]."""
+1e150].  At a power-of-two scale from 2^-900 to 2^1000 no output changes
+in any bit: the factors of every route, the attacks in every regime,
+``verify``'s records, PCR's fits and a sweep's rows."""
 
+import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import factor_call, re_pca_call
+from conftest import bits, factor_call, matrix_with_spectrum, outcome, re_pca_call
 
-from pcattack import (SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained, fit_pcr,
-                      full_svd, read_matrix_csv, run_sweep, synth_gaussian, synthetic_collinear)
+from pcattack import (SearchConfig, SweepSpec, attack_pcr, attack_rank_one, attack_unconstrained,
+                      fit_pcr, full_svd, pca_distance, read_matrix_csv, run_sweep,
+                      synth_gaussian, synth_low_rank, synthetic_collinear)
 from pcattack.cli import main
 from pcattack.fileio import write_matrix_csv
+from pcattack.linalg import leading_svd, spectrum_of
+from pcattack.oracle import verify
+from pcattack.report import Regime, core_spectrum
 
 EPS = np.finfo(float).eps
 SCALES = (1e-150, 1e-100, 1.0, 1e100, 1e150)
@@ -266,3 +275,150 @@ def test_budget_subnormal_in_the_unit_is_not_overspent(attack, eta):
     _, report = attack(x, 1, eta)
     assert report.budget_used <= eta
     assert report.theta_predicted == report.theta_achieved == 0.0
+
+
+# Every output at every power of two: 2^m X and 2^m eta give the bits of X
+# and eta, with each output that carries the data's scale times 2^m.  The
+# inputs, budgets and outputs stay normal floats at every m here.
+POWERS = (-900, -600, -500, -460, -300, 0, 300, 460, 490, 505, 600, 900, 1000)
+
+# name: (x, js): an input and the leading_svd widths asked of it, so that
+# each route runs at j < p and the thin SVD at j = p
+FACTOR_INPUTS = {
+    "thin-12x10": (synth_gaussian(12, 10, seed=5), (3, 10)),
+    "gram-40x10": (synth_gaussian(40, 10, seed=5), (3, 10)),
+    "gram-10x40": (synth_gaussian(10, 40, seed=5), (3, 10)),
+    "gram-block-120x72": (synth_gaussian(120, 72, seed=5), (3,)),
+    "r-svd-40x10": (matrix_with_spectrum(np.geomspace(1.0, 1.0 / 2000.0, 10), 40, 10, seed=5),
+                    (4,)),
+    "cut-40x10": (synth_low_rank(40, 10, 4, seed=5), (5, 10)),
+    "cut-block-72x120": (synth_low_rank(72, 120, 8, seed=5), (9,)),
+}
+# (x, k, ratios): ratios of CoreSpectrum.ratio_scale that give both regimes
+# of each family: k < rank (the Gram route, thin SVD and cut R-SVD
+# factors), k = n (full rank, the QR re-PCA) and k = rank < p (low rank)
+ATTACK_INPUTS = {
+    "gram-40x10-k3": (synth_gaussian(40, 10, seed=3), 3),
+    "gram-10x40-k3": (synth_gaussian(10, 40, seed=3), 3),
+    "thin-12x10-k3": (synth_gaussian(12, 10, seed=3), 3),
+    "gram-block-120x72-k3": (synth_gaussian(120, 72, seed=3), 3),
+    "cut-block-120x72-k3": (synth_low_rank(120, 72, 8, seed=3), 3),
+    "full-rank-40x10-k10": (synth_gaussian(40, 10, seed=3), 10),
+    "low-rank-40x10-k4": (synth_low_rank(40, 10, 4, seed=3), 4),
+}
+ATTACK_RATIOS = (0.3, 1.5)
+# the fields of an attack's JSON in the data's scale; the rank-one "b" is a
+# unit vector
+SCALED_FIELDS = ("eta", "sigma", "delta_fro_norm", "a", "entries")
+
+
+def _unscaled(value, m):
+    """``value`` with the data's scale 2^m taken out, exactly."""
+    if isinstance(value, list):
+        return [math.ldexp(v, -m) for v in value]
+    return np.ldexp(value, -m) if isinstance(value, np.ndarray) else math.ldexp(value, -m)
+
+
+def _unscaled_sigma(spectrum, m):
+    """A ``Spectrum`` or ``SvdTriple`` with its singular values unscaled."""
+    return dataclasses.replace(spectrum, sigma=_unscaled(spectrum.sigma, m))
+
+
+def _factor_outcomes(m):
+    outcomes = []
+    for x, js in FACTOR_INPUTS.values():
+        x = np.ldexp(x, m)
+        outcomes.append(outcome(lambda: _unscaled_sigma(spectrum_of(x), m)))
+        outcomes += [outcome(lambda: _unscaled_sigma(leading_svd(x, j), m)) for j in js]
+    # the k = n re-PCA of a tall y: its triangle certified untied, and tied
+    x = synth_gaussian(40, 10, seed=5)
+    svd = full_svd(x)
+    tied = x - svd.sigma[-1] * np.outer(svd.u[:, -1], svd.v[:, -1])
+    for y in (x + 1e-6 * svd.sigma[-1] * synth_gaussian(40, 10, seed=6), tied):
+        outcomes.append(outcome(lambda: pca_distance(np.ldexp(x, m), np.ldexp(y, m), 10)))
+    return outcomes
+
+
+def _attack_outcomes(m):
+    outcomes = []
+    for x, k in ATTACK_INPUTS.values():
+        scale = core_spectrum(spectrum_of(x), k).ratio_scale
+        for ratio in ATTACK_RATIOS:
+            for attack in (attack_rank_one, attack_unconstrained):
+                def run():
+                    result, report = attack(np.ldexp(x, m), k, math.ldexp(ratio * scale, m))
+                    payload = report.to_json_dict()
+                    for fields in (payload, payload["solution"]):
+                        for key in SCALED_FIELDS:
+                            if key in fields:
+                                fields[key] = _unscaled(fields[key], m)
+                    return (report.regime.value, json.dumps(payload, allow_nan=False),
+                            _unscaled(result.delta, m))
+                outcomes.append(outcome(run))
+    return outcomes
+
+
+def _verify_outcomes(m):
+    cfg = SearchConfig(trials=200, seed=7)
+    outcomes = []
+    for x, k in ((synth_low_rank(12, 9, 3, seed=1), 2), (synth_gaussian(6, 5, seed=3), 2)):
+        scale = core_spectrum(spectrum_of(x), k).ratio_scale
+        for ratio in ATTACK_RATIOS:
+            outcomes.append(outcome(lambda: verify(np.ldexp(x, m), k,
+                                                   math.ldexp(ratio * scale, m), cfg)))
+    return outcomes
+
+
+def _pcr_outcomes(m):
+    # features times 2^m and targets times 2^(m // 2): the two scale apart,
+    # and the coefficients, about 2^(-m / 2), stay normal
+    outcomes = []
+    for features, targets in (synthetic_collinear(seed=0), synthetic_collinear(3, 40, 60, 4)):
+        features, targets = np.ldexp(features, m), np.ldexp(targets, m // 2)
+        outcomes.append(outcome(lambda: fit_pcr(features, targets, 4).r2_train))
+        for strategy in ("rank_one", "unconstrained"):
+            outcomes.append(outcome(lambda: attack_pcr(features, targets, 4, strategy=strategy)))
+    return outcomes
+
+
+def _sweep_outcomes(m, path):
+    # written at full precision, so the file holds 2^m x exactly
+    for x, k in (((synth_gaussian(6, 5, seed=3)), 2), (synth_low_rank(20, 6, 3, seed=3), 3)):
+        path.write_text("".join(",".join(repr(v) for v in row) + "\n"
+                                for row in np.ldexp(x, m).tolist()))
+        rows = run_sweep(SweepSpec(d=x.shape[0], n=x.shape[1], k=k, data_kind="from_file",
+                                   data_path=str(path), eta_grid=(0.3, 0.9, 1.5, 3.0),
+                                   strategies=("r1-opt", "wr-opt")))
+        yield [bits(row._replace(budget_used=None if row.budget_used is None
+                                 else _unscaled(row.budget_used, m))) for row in rows]
+
+
+@functools.cache
+def _at_unit_scale(kind):
+    return OUTCOMES[kind](0)
+
+
+OUTCOMES = {"factors": _factor_outcomes, "attacks": _attack_outcomes,
+            "verify": _verify_outcomes, "pcr": _pcr_outcomes}
+
+
+@pytest.mark.parametrize("m", POWERS)
+@pytest.mark.parametrize("kind", OUTCOMES)
+def test_every_output_bit_exact_at_every_power_of_two_scale(kind, m):
+    got, ref = OUTCOMES[kind](m), _at_unit_scale(kind)
+    assert len(got) == len(ref)
+    for i, (a, b) in enumerate(zip(got, ref)):
+        assert a == b, (kind, m, i)
+
+
+@pytest.mark.parametrize("m", POWERS)
+def test_sweep_bit_exact_at_every_power_of_two_scale(tmp_path, m):
+    path = tmp_path / "x.csv"
+    assert list(_sweep_outcomes(m, path)) == list(_sweep_outcomes(0, path))
+
+
+def test_attack_corpus_reaches_every_regime():
+    # each outcome starts with the bits of its regime's name (or of the
+    # error's type: unconstrained has no attack at k = n)
+    regimes = {got[0] for got in _at_unit_scale("attacks")}
+    assert {bits(regime.value) for regime in Regime} <= regimes
