@@ -7,19 +7,30 @@ start with ``#``; ``_data_lines`` drops them, and every reader reads its
 lines through it, ``parse_rows`` on both of its passes.
 
 Matrix CSVs are streamed in blocks, so beyond the matrix itself a read or a
-write holds one block.  The writer formats ``_BLOCK`` = 2^14 values at a
-time (whole rows where a row fits, else pieces of one row): ~0.3 MB of
-text and ~0.7 MB of Python floats with their list and tuple, small beside
-the matrices the attacks factor, while one ``%``-format per block keeps the
-formatting cost per value as low as one format of the whole matrix.  The readers give ``np.loadtxt``
-the file's data lines one at a time, so they hold one line of text beside
-the array that loadtxt grows.
+write holds one block.  The writer formats ``_BLOCK`` = 2^12 values at a
+time (whole rows where a row fits, else pieces of one row) in numpy, with no
+Python float per value: ``log10`` gives each value's decimal exponent e, a
+multiply by 10^-e and 10^11 its 12-digit mantissa N, a table of 10^4
+four-digit ASCII groups N's digits, and word masks and shifts the layout
+that ``%.12g`` chooses (fixed or scientific notation, no trailing zeros,
+the sign, the separators).  Its bytes equal ``format_float``'s because the
+scaled mantissa carries an error below 2^-11 from its three roundings, and
+every value whose mantissa lies within ``_MARGIN`` = 2^-10 of a .5 tie or
+of 1e11 or 1e12 (where that error could change the digits or the
+exponent), or whose magnitude lies outside [1e-300, 1e300], is written by
+``format_float`` itself: about 0.2% of a gaussian matrix.  A write of a
+1000x250 matrix holds ~0.75 MiB beyond it at 2^12 values a block and held
+3 MiB at 2^14, at the same speed.  The readers give ``np.loadtxt`` the
+file's data lines one at a time, so they hold one line of text beside the
+array that loadtxt grows.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,12 +39,36 @@ from .linalg import as_matrix
 
 _HEADER_RE = re.compile(r"^#\s*d\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s*$")
 
-# Values formatted per write by write_matrix_csv (see the module docstring).
-_BLOCK = 2**14
+# Values formatted per chunk by write_matrix_csv (see the module docstring).
+_BLOCK = 2**12
+
+# The block formatter's tables are indexed by the decimal exponent e of a
+# value, plus _E0: e = floor(log10 |x|) for |x| in [1e-300, 1e300], with
+# room at either end for log10's rounding and for a round-up to the next
+# decade.
+_E0 = 301
+# Notation by the exponent of the rounded value, as %g chooses it.
+_FIXED = range(-4, 12)
+# A scaled mantissa this near a .5 tie, or 1e11 or 1e12, goes to
+# format_float: it is below 2^40, and its three roundings put it within
+# 3 * 2^-53 relative, 3 * 2^-13 absolute, of the exact value, < _MARGIN / 2.
+_MARGIN = 2.0**-10
+# One record of NUL-padded little-endian words per value; the NULs are
+# dropped once per block.  ``lead`` holds the sign and the "0." of fixed
+# notation below 1, ``lo`` and ``hi`` the digits with their dot or leading
+# zeros, ``tail`` the exponent of scientific notation and, in its last
+# byte, the separator.
+_RECORD = np.dtype([("lead", "<u4"), ("lo", "<u8"), ("hi", "<u8"), ("tail", "<u8")])
+_COMMA, _LINE_END = (np.uint64(ord(c)) << np.uint64(56) for c in ",\n")
 
 
 def format_float(x) -> str:
-    """12 significant digits; round-trips with < 1e-9 relative error."""
+    """12 significant digits; round-trips with < 1e-9 relative error.
+
+    This is the one definition of how pcattack writes a number.  The matrix
+    writer's block formatter (``_format_block``) writes exactly its bytes,
+    and is checked against it; every value that the formatter cannot prove
+    it rounds alike, it hands to this function."""
     if x is None:
         return ""
     return format(float(x), ".12g")
@@ -52,10 +87,123 @@ def _matrix_chunks(m: np.ndarray):
     rows, cols = max(1, _BLOCK // n), min(n, _BLOCK)
     for top in range(0, d, rows):
         for left in range(0, n, cols):
-            block = m[top:top + rows, left:left + cols]
             # each row of the block ends its line, or continues on the next piece
-            line = ",".join(["%.12g"] * block.shape[1]) + ("\n" if left + cols >= n else ",")
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+            yield _format_block(m[top:top + rows, left:left + cols], left + cols >= n)
+
+
+class _Tables(NamedTuple):
+    """The block formatter's lookup tables.  A value's 12 digits are a
+    16-byte string, ``lo`` and ``hi``; its body puts in the dot (or, below
+    1, the zeros after "0.") at byte ``at`` and moves the bytes from ``at``
+    up to make room, then keeps the first ``kept`` bytes, which drops the
+    trailing zeros of a fraction and a dot that no digit follows."""
+    scale: np.ndarray     # [e + _E0]: 10^-e, correctly rounded
+    row: np.ndarray       # [e + _E0]: 13 _FIXED.index(f), f = e in fixed notation, else 0
+    exponent: np.ndarray  # [e + _E0]: "e+dd" or "e-ddd" in scientific notation, else 0
+    digits: np.ndarray    # [g]: the 4 ASCII digits of g < 10^4
+    sig: np.ndarray       # [g]: how many of them are left without their trailing zeros
+    # [row + s], s the significant digits of the rounded value:
+    lead: np.ndarray      # "0." after the sign byte when f < 0
+    moved_lo: np.ndarray  # the bytes from ``at`` up
+    moved_hi: np.ndarray
+    put_lo: np.ndarray    # the bytes put in at ``at``
+    put_hi: np.ndarray
+    shift: np.ndarray     # how far the moved bytes move, in bits
+    kept_lo: np.ndarray   # the first ``kept`` bytes
+    kept_hi: np.ndarray
+
+
+def _low(k: int) -> list[int]:
+    """The ``lo`` and ``hi`` words of a mask of the first ``k`` of 16 bytes."""
+    mask = (1 << 8 * k) - 1
+    return [mask & (2**64 - 1), mask >> 64]
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Built on the first matrix write, so that other commands do not pay for them."""
+    body = []
+    for f in _FIXED:
+        for s in range(13):
+            if f < 0:    # 0.000ddd: -f-1 zeros before the digits
+                at, put, kept = 0, b"0" * (-f - 1), -f - 1 + s
+            else:        # ddd.ddd: the dot after f+1 digits, if a digit follows it
+                at, put = f + 1, b"." if s > f + 1 else b""
+                kept = max(s, f + 1) + len(put)
+            put_at = int.from_bytes(put, "little") << 8 * at
+            body.append([int.from_bytes(b"\0" + b"0." * (f < 0), "little"),
+                         *(~mask & (2**64 - 1) for mask in _low(at)),
+                         put_at & (2**64 - 1), put_at >> 64, 8 * len(put),
+                         *_low(kept)])
+    body = np.array(body, dtype=np.uint64).T
+    e = range(-_E0, _E0 + 1)
+    g = np.arange(10**4)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    return _Tables(
+        scale=np.array([float(f"1e{-x}") for x in e]),
+        row=np.array([13 * _FIXED.index(x if x in _FIXED else 0) for x in e]),
+        exponent=np.array([0 if x in _FIXED else int.from_bytes(b"e%+03d" % x, "little")
+                           for x in e], dtype=np.uint64),
+        digits=digits.view("<u4")[:, 0].astype(np.uint64),
+        sig=4 - sum(g % 10**k == 0 for k in (1, 2, 3, 4)),
+        lead=body[0].astype("<u4"), moved_lo=body[1], moved_hi=body[2], put_lo=body[3],
+        put_hi=body[4], shift=body[5], kept_lo=body[6], kept_hi=body[7])
+
+
+def _format_block(block: np.ndarray, ends_rows: bool) -> str:
+    """The values of ``block`` as ``format_float`` writes them, each followed
+    by ``,``, or by a line end after the last of a row when ``ends_rows``.
+
+    A value x is ``N * 10^(e-11)`` to 12 digits: ``e = floor(log10 |x|)``
+    and ``N = rint(y)``, ``y = |x| * 10^-e * 10^11`` in float64.  Where
+    ``y`` is at least ``_MARGIN`` from a .5 tie, from 1e11 and from 1e12,
+    its error (below ``_MARGIN / 2``) cannot move it across either, so ``e``
+    is exact and ``N`` is the correctly rounded mantissa that ``%.12g``
+    prints, with the exponent ``e``, or ``e + 1`` where ``N`` rounds up to
+    10^12.  Every other value, 0, inf and nan among them, is written by
+    ``format_float``."""
+    t = _tables()
+    v = block.ravel()
+    # |x| past 1e-300 or 1e300, and nan, lands on an end and fails the edges
+    a = np.fmin(np.fmax(np.abs(v), 1e-300), 1e300)
+    ei = np.floor(np.log10(a)).astype(np.intp) + _E0
+    y = a * t.scale[ei] * 1e11
+    n = np.rint(y)
+    fast = (np.abs(y - n) <= 0.5 - _MARGIN) & (y >= 1e11 + _MARGIN) & (y <= 1e12 - _MARGIN)
+    carry = n == 1e12
+    ei += carry
+    n[carry] = 1e11
+    # N's digits, four at a time: g0 g1 in lo, g2 in hi
+    g0 = np.floor(n / 1e8)
+    n -= g0 * 1e8
+    g1 = np.floor(n / 1e4)
+    g2 = (n - g1 * 1e4).astype(np.intp)
+    g0, g1 = g0.astype(np.intp), g1.astype(np.intp)
+    lo = t.digits[g0] | t.digits[g1] << np.uint64(32)
+    hi = t.digits[g2]
+    s = t.sig[g2] + 8
+    z = np.flatnonzero(s == 8)
+    s[z] = np.where(g1[z] > 0, 4 + t.sig[g1[z]], t.sig[g0[z]])
+    i = t.row[ei] + s
+    moved, moved_hi, shift = lo & t.moved_lo[i], hi & t.moved_hi[i], t.shift[i]
+    buf = bytearray(v.size * _RECORD.itemsize)
+    rec = np.frombuffer(buf, _RECORD)
+    np.bitwise_and((lo ^ moved) | t.put_lo[i] | (moved << shift), t.kept_lo[i], out=rec["lo"])
+    np.bitwise_and((hi ^ moved_hi) | t.put_hi[i] | (moved_hi << shift)
+                   | ((moved >> np.uint64(8)) >> (np.uint64(56) - shift)),   # out of lo
+                   t.kept_hi[i], out=rec["hi"])
+    np.bitwise_or(t.lead[i], np.signbit(v) * np.uint32(ord("-")), out=rec["lead"])
+    sep = np.full(block.shape, _COMMA)
+    if ends_rows:
+        sep[:, -1] = _LINE_END
+    sep = sep.ravel()
+    np.bitwise_or(t.exponent[ei], sep, out=rec["tail"])
+    slow = np.flatnonzero(~fast)
+    text = np.array([format_float(x) for x in v[slow].tolist()], dtype="S20")
+    np.frombuffer(buf, np.uint8).reshape(-1, _RECORD.itemsize)[slow, :20] = \
+        text.view(np.uint8).reshape(-1, 20)
+    rec["tail"][slow] = sep[slow]
+    return buf.translate(None, b"\0").decode("ascii")
 
 
 def write_table(path, header, rows) -> None:

@@ -15,6 +15,7 @@ and that both reads skip the same comments and header.
 
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -200,6 +201,91 @@ def test_writer_gives_one_format_text_in_blocks(tmp_path, monkeypatch, shape):
         fileio.write_matrix_csv(path, m)
         assert path.read_bytes() == _one_format(x).encode()
         assert max(len(re.findall(r"[^,\n]+", c)) for c in chunks[1:]) <= BLOCK
+
+
+def _exact_ties(rng, count):
+    """Floats whose exact value is a 13-digit decimal ending in 5, a .5 tie at
+    the 12th digit: 13-digit integers, and halves, quarters and eighths."""
+    ties = []
+    while len(ties) < count:
+        text = f"{rng.integers(10**11, 10**12)}5e{rng.integers(-3, 1)}"
+        if Decimal(float(text)) == Decimal(text):
+            ties.append(float(text))
+    return np.array(ties)
+
+
+def _corpus() -> dict[str, np.ndarray]:
+    """Derandomized values for the block formatter, each class with both signs."""
+    rng = np.random.default_rng(38)
+
+    def signs(size):
+        return rng.choice([-1.0, 1.0], size)
+
+    binary = np.repeat(np.arange(-1074, 1024), 3)
+    ties = _exact_ties(rng, 600)
+    inexact_ties = np.array([float(f"{rng.integers(10**11, 10**12)}5e{k}")
+                             for k in rng.integers(-310, 295, 600)])
+    # within +-2^-10 of the 12th digit's tie, and a little past it, in ulps
+    steps = rng.integers(-80, 81, (2, 600))
+    near = np.concatenate([_walk(ties, steps[0]), _walk(inexact_ties, steps[1])])
+    decades = [float(f"9.99999999999{d}e{k}") for k in range(-310, 305, 7) for d in (4, 5, 6, 9)]
+    switches = [float(f"{m}e{k}") for k in (-6, -5, -4, -3, 10, 11, 12, 13, 98, 99, 100, -99, -100,
+                                              -101, 299, -299, 300, -300)
+                for m in ("1", "1.5", "9.99999999999", "9.999999999996", "9.9999999999949",
+                          "1.00000000001", "1.2", "1.23456789012")]
+    integers = np.arange(1, 2000) * 10.0 ** rng.integers(0, 12, 1999)
+    return {
+        "binary-exponents": np.ldexp(rng.uniform(1, 2, binary.size), binary) * signs(binary.size),
+        "decimal-exponents": rng.standard_normal(6000) * 10.0 ** rng.integers(-307, 307, 6000),
+        "ties": np.concatenate([ties, inexact_ties]) * signs(1200),
+        "near-ties": near * signs(near.size),
+        "decade-round-ups": np.array([9.9999999999995e-05, 999999999999.5, -9.99999999999951e+99,
+                                      999999999999.7, *decades]) * signs(len(decades) + 4),
+        "notation-switches": np.array(switches) * signs(len(switches)),
+        "integers": integers * signs(integers.size),
+        "zeros-and-extremes": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                        1.7976931348623157e308, -1.7976931348623157e308,
+                                        1e-300, 1e300, 0.5, 1.0, 1e-4, 1e-5, 1e11, 1e12]),
+    }
+
+
+def _walk(values, steps):
+    """Each value moved by its number of ulps."""
+    out = values.copy()
+    for k in range(int(np.abs(steps).max())):
+        move = np.abs(steps) > k
+        out[move] = np.nextafter(out[move], np.sign(steps[move]) * np.inf)
+    return out
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_writer_gives_one_format_text_on_the_corpus(tmp_path, name, order):
+    # as rows that fill whole blocks, and as rows longer than a block
+    path = tmp_path / "m.csv"
+    for n in (250, BLOCK + 3):
+        m = np.asarray(np.resize(CORPUS[name], (-(-CORPUS[name].size // n), n)), order=order)
+        fileio.write_matrix_csv(path, m)
+        assert path.read_bytes() == _one_format(m).encode()
+
+
+def test_block_formatter_gives_one_format_text_for_infinities_and_nan():
+    # the writer refuses them; the block formatter leaves them to format_float
+    m = np.array([[np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.5, -2.5e-7, 3e100]] * 3)
+    assert "".join(fileio._matrix_chunks(m)) == _one_format(m)
+
+
+def test_fallback_formats_under_one_percent_of_a_gaussian(tmp_path, monkeypatch):
+    # 2 * 2^-10 of the scaled mantissas lie in the band around a tie
+    calls, format_float = [], fileio.format_float
+    monkeypatch.setattr(fileio, "format_float", lambda x: calls.append(x) or format_float(x))
+    x = np.random.default_rng(0).standard_normal((1000, 250))
+    fileio.write_matrix_csv(tmp_path / "m.csv", x)
+    assert (tmp_path / "m.csv").read_bytes() == _one_format(x).encode()
+    assert x.size * 2**-10 < len(calls) <= 0.01 * x.size
 
 
 def _traced_peak(fn):

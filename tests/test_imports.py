@@ -191,6 +191,22 @@ def test_verify_scores_on_the_thread_pool(tmp_path):
     assert pool_loaded and threads > 1
 
 
+def _verify_argv(tmp_path):
+    matrix = tmp_path / "x.csv"
+    np.savetxt(matrix, np.random.default_rng(0).standard_normal((5, 5)), delimiter=",")
+    return ["verify", str(matrix), "--k", "2", "--eta", "0.1", "--trials", "200"]
+
+
+@pytest.mark.parametrize("argv, built", [(None, 0), (_verify_argv, 0), (_sweep_argv, 0),
+                                         (_pcr_argv, 0), (_attack_argv, 1)],
+                         ids=["import", "verify", "sweep", "pcr", "attack-emit-delta"])
+def test_only_a_matrix_write_builds_the_formatter_tables(argv, built, tmp_path):
+    # the block formatter's tables take milliseconds to build
+    code = "import pcattack.cli" if argv is None else _runs_main(argv(tmp_path))
+    _fresh_run(f"{code}\nimport pcattack.fileio as fileio\n"
+               f"assert fileio._tables.cache_info().currsize == {built}")
+
+
 def test_every_export_resolves_through_the_table():
     assert pcattack.__all__ == sorted(pcattack._SUBMODULE)
     assert set(pcattack.__all__) <= set(dir(pcattack))
