@@ -83,7 +83,7 @@ def write_matrix_csv(path, m) -> None:
 
 def _matrix_chunks(m: np.ndarray):
     d, n = m.shape
-    yield f"# d={d} n={n}\n"
+    yield b"# d=%d n=%d\n" % (d, n)
     rows, cols = max(1, _BLOCK // n), min(n, _BLOCK)
     for top in range(0, d, rows):
         for left in range(0, n, cols):
@@ -150,9 +150,10 @@ def _tables() -> _Tables:
         put_hi=body[4], shift=body[5], kept_lo=body[6], kept_hi=body[7])
 
 
-def _format_block(block: np.ndarray, ends_rows: bool) -> str:
-    """The values of ``block`` as ``format_float`` writes them, each followed
-    by ``,``, or by a line end after the last of a row when ``ends_rows``.
+def _format_block(block: np.ndarray, ends_rows: bool) -> bytes:
+    """The values of ``block`` as ``format_float`` writes them, in ASCII,
+    each followed by ``,``, or by a line end after the last of a row when
+    ``ends_rows``.
 
     A value x is ``N * 10^(e-11)`` to 12 digits: ``e = floor(log10 |x|)``
     and ``N = rint(y)``, ``y = |x| * 10^-e * 10^11`` in float64.  Where
@@ -203,7 +204,7 @@ def _format_block(block: np.ndarray, ends_rows: bool) -> str:
     np.frombuffer(buf, np.uint8).reshape(-1, _RECORD.itemsize)[slow, :20] = \
         text.view(np.uint8).reshape(-1, 20)
     rec["tail"][slow] = sep[slow]
-    return buf.translate(None, b"\0").decode("ascii")
+    return buf.translate(None, b"\0")
 
 
 def write_table(path, header, rows) -> None:
@@ -216,10 +217,11 @@ def write_table(path, header, rows) -> None:
 
 
 def write_text(path, text) -> None:
-    """Write ``text``, a string or an iterable of string chunks, as UTF-8 with
-    ``\\n`` line ends; pcattack opens no other file for writing."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    """Write ``text``, a string, as UTF-8, or an iterable of ASCII byte
+    chunks (``write_matrix_csv``'s) as they are, with ``\\n`` line ends;
+    pcattack opens no other file for writing."""
+    with open(path, "wb") as fh:
+        fh.writelines([text.encode()] if isinstance(text, str) else text)
 
 
 def numbered_lines(path) -> list[tuple[int, str]]:

@@ -412,11 +412,11 @@ def _signed_triple(sigma: np.ndarray, shape: tuple[int, int], u: np.ndarray,
 def fro_norm(m) -> float:
     """Frobenius norm of an array, taken after scaling it by the power of two
     that brings its largest |entry| into [1/2, 1): that scaling is exact, so
-    no square overflows or underflows at any scale."""
+    no square overflows or underflows at any scale.  An empty or zero array
+    gives 0.0, and one with an inf or nan gives inf or nan, through the same
+    lines: ``math.frexp`` of 0, inf and nan has the exponent 0."""
     m = np.asarray(m, dtype=float)
     peak = float(np.abs(m).max()) if m.size else 0.0
-    if not 0.0 < peak < math.inf:
-        return peak
     exponent = math.frexp(peak)[1]
     return math.ldexp(float(np.linalg.norm(np.ldexp(m, -exponent))), exponent)
 
@@ -527,15 +527,24 @@ def _largest_angle(cosines: np.ndarray, sines) -> float:
     its k x k SVD costs less than forming the sines' d x k matrix once d is
     a few times k.  The squared sines sum to ``k - ||cosines||_F^2``; below
     (1/4)^2 no cosine is computed.
+
+    Neither read needs a clamp.  Past that gate the smallest cosine squared
+    is at most ``||cosines||_F^2 / k <= 1 - 1/(16 k)``, so its computed
+    singular value, nonnegative from LAPACK, stays below 1 while its error
+    (a few eps, or eps times R's condition, below 1 / ``TIE_TOL``, at k = n
+    in ``_pca_distance_from_svd``) is under 1/(32 k).  The sines are read
+    only below a sine of 1/4, far from 1; and a Gram with a nonzero entry
+    has a positive largest computed eigenvalue (``eigvalsh`` is backward
+    stable and the Gram's largest diagonal entry bounds it from below),
+    while a zero Gram gives 0.0.
     """
     if cosines.shape[1] - float(np.sum(cosines * cosines)) >= 0.25**2:
         smallest = float(np.linalg.svd(cosines, compute_uv=False)[-1])
-        theta = math.acos(min(1.0, max(0.0, smallest)))
+        theta = math.acos(smallest)
         if math.sin(theta) >= 0.25:
             return theta
     residual = sines()
-    sine = math.sqrt(max(0.0, float(np.linalg.eigvalsh(residual.T @ residual)[-1])))
-    return math.asin(min(1.0, sine))
+    return math.asin(math.sqrt(float(np.linalg.eigvalsh(residual.T @ residual)[-1])))
 
 
 def pca_distance(x, y, k: int) -> tuple[float, bool]:
@@ -612,15 +621,19 @@ def _pca_distance_from_svd(svd: SvdTriple, y, k: int) -> tuple[float, bool]:
 def _untied_triangle(r: np.ndarray, e: int) -> bool:
     """Whether ``_gram_certificate(r)`` proves that the triangle ``r`` of a
     QR of the matrix ``2^e y`` has sigma_n >= 2^-10 sigma_1, with 2^e
-    sigma_1 so far inside the float64 range that ``_svd`` of ``r`` would
-    scale it back without InvalidMatrix; the bound on sigma_1 is read from
-    the certificate's ``G``.  ``y`` comes from ``_in_unit``, so ``r`` is
-    finite and ``trace G`` does not overflow."""
+    sigma_1 inside the float64 range, where ``_svd`` of ``r`` would scale it
+    back without InvalidMatrix; the bound on sigma_1 is read from the
+    certificate's ``G``.  ``y`` comes from ``_in_unit``, so ``r`` is finite
+    and ``trace G`` does not overflow."""
     if (g := _gram_certificate(r)) is None:
         return False
-    # sigma_1 <= ||r||_F = sqrt(trace g), and a computed sigma_1 is below
-    # twice that: 2^e times it must stay inside the float64 range
-    return math.frexp(math.sqrt(float(np.trace(g))))[1] + e + 1 <= sys.float_info.max_exp
+    # sigma_1 <= ||r||_F = sqrt(trace g) < 2^f, f the root's exponent, so 2^e
+    # sigma_1 is finite while f + e <= 1024.  That holds for the computed
+    # values too: at n = 1 the SVD's sigma_1 is |r|, and the root of the
+    # rounded r^2 reaches every power of two that |r| reaches; past it the
+    # certificate's sigma_n >= 2^-10 sigma_1 puts ||r||_F above sigma_1 by a
+    # factor 1 + 2^-21, far more than the rounding of trace g and of sigma_1
+    return math.frexp(math.sqrt(float(np.trace(g))))[1] + e <= sys.float_info.max_exp
 
 
 def unitary_conjugate(x, p, t) -> np.ndarray:

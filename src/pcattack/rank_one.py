@@ -35,7 +35,8 @@ class RankOneAttack:
 
     @property
     def budget_used(self) -> float:
-        return fro_norm(self.a) * fro_norm(self.b)
+        """``||a b^T||_F = ||a||``: every attack built here has a unit ``b``."""
+        return fro_norm(self.a)
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ def klt_rank_closed_form(sigma_k: float, sigma_k1: float, eta: float) -> RankOne
     """Optimal (alpha*, beta*) and theta* of ``_stationary`` for the k < rank
     regime at budget below the gap, with its ``H``."""
     H = ((sigma_k + sigma_k1) ** 2 - eta**2) * ((sigma_k - sigma_k1) ** 2 - eta**2)
-    if not sigma_k > abs(sigma_k1):
-        raise RegimeError("closed form requires sigma_k > sigma_{k+1}")
-    if not eta <= sigma_k - sigma_k1:
+    if not sigma_k > sigma_k1 >= 0.0:
+        raise RegimeError("closed form requires sigma_k > sigma_{k+1} >= 0")
+    if not eta < sigma_k - sigma_k1:
         raise RegimeError("closed form requires eta < sigma_k - sigma_{k+1}")
     ca, sa, cb, sb, theta = _stationary(sigma_k, sigma_k1, eta)
     return RankOneClosedForm(math.atan2(sa, ca), math.atan2(sb, cb), H, theta)
@@ -175,6 +176,8 @@ def solve_rank_one(sigma_k: float, sigma_k1: float, eta: float,
         # sqrt(eta^2 - sigma_k^2), squaring neither, so a huge eta does not overflow
         ortho = math.sqrt(eta - sigma_k) * math.sqrt(eta + sigma_k)
         return Regime.FULL_RANK_CASE1, math.pi / 2, (-sigma_k, 0.0, ortho, 0.0)
-    ortho = eta * math.sqrt(max(0.0, 1.0 - (eta / sigma_k) ** 2))
+    # eta <= sigma_k, and a correctly rounded quotient is monotone in its
+    # numerator, so eta / sigma_k <= 1 and the root's argument is >= 0
+    ortho = eta * math.sqrt(1.0 - (eta / sigma_k) ** 2)
     regime = Regime.LOW_RANK_CASE2 if case == "low_rank" else Regime.FULL_RANK_CASE2
     return regime, math.asin(eta / sigma_k), (-eta**2 / sigma_k, 0.0, ortho, 0.0)

@@ -211,7 +211,10 @@ def _core_split(at: CoreSpectrum, core: tuple[float, float, float, float]
 
 def _core_angle(at: CoreSpectrum, core: tuple[float, float, float, float]) -> float | None:
     """Achieved distance ``atan2(|w_2|, |w_1|)`` with ``w`` from ``_core_split``,
-    or None when the core does not split cleanly."""
+    or None when the core does not split cleanly.  On every core a solver
+    returns, ``|atan2(w_2, w_1)|`` gives the same number, since w_1 > 0
+    wherever such a core splits (the argument is in CHANGES.md); the
+    absolute values state the angle for any ``w``."""
     w = _core_split(at, core)
     return None if w is None else math.atan2(abs(w[1]), abs(w[0]))
 
@@ -223,8 +226,9 @@ def build_report(strategy: str, svd: SvdTriple, at: CoreSpectrum, eta: float,
     ``perturbed``; its closed form returned ``solved = (regime,
     theta_predicted, core)`` on ``at = core_spectrum(svd, k)``.  The achieved
     angle comes from an independent PCA of ``perturbed``, and ``budget_used``
-    is ``||core||_F``."""
+    is ``||core||_F``.  The report keeps the factor's ``sigma`` array, which
+    nothing else holds once the attack returns."""
     regime, theta_predicted, core = solved
     theta, ambiguous = _pca_distance_from_svd(svd, perturbed, at.k)
-    return AttackReport(strategy, regime, at.k, eta, svd.sigma.copy(), theta_predicted, theta,
-                        at.unit * core_norm(core), bool(ambiguous), solution)
+    return AttackReport(strategy, regime, at.k, eta, svd.sigma, theta_predicted, theta,
+                        at.unit * core_norm(core), ambiguous, solution)

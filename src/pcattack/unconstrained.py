@@ -155,7 +155,10 @@ def solve_unconstrained(sigma_k: float, sigma_k1: float, eta: float,
     if case != "k<rank":
         sigma_k1 = 0.0
     if eta == 0.0:
-        # The feasibility chain needs eta > 0; the zero attack is exact.
+        # At a tie sigma_k = sigma_{k+1} the threshold below is 0, and the
+        # zero budget would read Case1 and pi/2; it moves nothing, so it is
+        # Case2 with theta 0 at every spectrum.  Elsewhere the chain gives
+        # this zero core too.
         return Regime.UNCONSTRAINED_CASE2, 0.0, (0.0, 0.0, 0.0, 0.0)
     if eta >= (sigma_k - sigma_k1) / math.sqrt(2.0):
         shift = eta / math.sqrt(2.0)

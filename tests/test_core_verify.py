@@ -7,7 +7,8 @@ import pytest
 from conftest import factor_call, matrix_with_spectrum, re_pca_call, re_pca_calls, svd_shapes
 
 from pcattack import (Regime, SweepSpec, attack_rank_one, attack_unconstrained, full_svd,
-                      pca_distance, run_sweep, synth_gaussian, synth_low_rank, write_matrix_csv)
+                      leading_subspace, pca_distance, run_sweep, synth_gaussian, synth_low_rank,
+                      write_matrix_csv)
 from pcattack.experiments import ATTACKS, STRATEGIES, _sweep_data
 from pcattack.linalg import _pca_distance_from_svd
 from pcattack.report import _core_angle, core_spectrum, frames, lift
@@ -118,6 +119,38 @@ def test_tied_cell_solves_its_closed_form_once(monkeypatch, tmp_path):
     assert len(solved) == 1
     assert row == (1.0 / np.sqrt(2.0), "wr-opt", math.pi / 2, math.pi / 2,
                    0.7071067811865475, None)
+
+
+@pytest.mark.parametrize("spectrum, k, shift, tied", [
+    ([3.0, 2.0, 1.0], 1, 1e10, True), ([3.0, 2.0, 1.0], 1, 1e8, False),
+    ([3.0, 2.0, 1.0], 2, 5.0, True), ([3.0, 2.0, 1.0], 2, 4.0, False),
+    ([1.0, 1.0, 1.0], 1, 7e-10, True), ([1.0, 1.0, 1.0], 1, 1e-8, False),
+])
+def test_core_ties_where_the_perturbed_truncation_does(spectrum, k, shift, tied):
+    # UnconstrainedCase1 moves the core's pair to sigma_k - shift and
+    # sigma_{k+1} + shift.  The pair's upper value ties with the lower one
+    # relative to the perturbed sigma_1 (3x3, k = 1, shift 1e10: 5 apart,
+    # against 1e-9 of 2 + shift, but not of the clean sigma_1 = 3); its lower
+    # value ties with sigma_{k-1} above it (k = 2, shift 5: (6, 3) beside
+    # sigma_1 = 3); and its upper value ties with sigma_{k+2} below it
+    # (sigma 1, 1, 1, shift 7e-10, though the pair is 1.4e-9 apart)
+    x = np.diag(spectrum)
+    eta = shift * math.sqrt(2.0)
+    at = core_spectrum(full_svd(x), k)
+    regime, _, core = ATTACKS["unconstrained"].closed_form(at, eta)
+    attack, _ = attack_unconstrained(x, k, eta)
+    assert regime == Regime.UNCONSTRAINED_CASE1
+    assert leading_subspace(x + attack.delta, k).ambiguous == tied
+    assert (_core_angle(at, core) is None) == tied
+
+
+def test_zero_core_of_the_zero_matrix_ties():
+    # its pair, 0 and 0, is 0 apart, at most TIE_TOL times sigma_1 = 0, as
+    # the truncation of the zero matrix is tied
+    at = core_spectrum(full_svd(np.zeros((3, 3))), 1)
+    regime, _, core = ATTACKS["unconstrained"].closed_form(at, 0.0)
+    assert regime == Regime.UNCONSTRAINED_CASE2 and core == (0.0, 0.0, 0.0, 0.0)
+    assert _core_angle(at, core) is None
 
 
 def test_small_budget_core_angle_is_predicted():

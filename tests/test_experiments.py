@@ -54,6 +54,11 @@ class TestSynthData:
         with pytest.raises(InvalidDimension):
             synth_low_rank(5, 5, 6, seed=0)
 
+    @pytest.mark.parametrize("d, n", [(0, 5), (5, 0), (-1, 5)])
+    def test_gaussian_rejects_a_shape_below_1(self, d, n):
+        with pytest.raises(InvalidDimension, match="^d and n must be positive$"):
+            synth_gaussian(d, n, seed=1)
+
     def test_gaussian_full_rank(self):
         x = synth_gaussian(5, 5, seed=1)
         assert x.shape == (5, 5)

@@ -132,6 +132,22 @@ def test_certified_full_rank_re_pca_decomposes_nothing(svd_calls, cholesky_calls
     assert qr_modes == ["r"]
 
 
+def test_small_k_equals_n_angle_reads_its_sines_through_r_inverse(monkeypatch):
+    # a sine below 1/4 at k = n < d is read from (y - U U^T y) R^-1: the n x n
+    # inverse of R, not a solve with d right-hand sides, which took 16.7 ms
+    # of a 48.7 ms re-PCA at 1000x250; the cosines take one n x n solve
+    solves, inverses = [], []
+    solve, inv = np.linalg.solve, np.linalg.inv
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append((a.shape, b.shape)) or solve(a, b))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+    x = synth_gaussian(120, 40, seed=7)
+    _, report = attack_rank_one(x, 40, 1e-6 * full_svd(x).sigma[-1])
+    assert 0.0 < np.sin(report.theta_achieved) < 0.25
+    assert solves == [((40, 40), (40, 40))]
+    assert inverses == [(40, 40)]
+
+
 def test_declined_rank_10_factor_tests_only_the_leading_block(svd_calls, cholesky_calls):
     # a rank-10 1000x250 input fails the Cholesky test of its leading block's
     # Gram, so the R-SVD runs without forming the 250 x 250 Gram, and the SVD

@@ -200,7 +200,7 @@ def test_writer_gives_one_format_text_in_blocks(tmp_path, monkeypatch, shape):
         chunks.clear()
         fileio.write_matrix_csv(path, m)
         assert path.read_bytes() == _one_format(x).encode()
-        assert max(len(re.findall(r"[^,\n]+", c)) for c in chunks[1:]) <= BLOCK
+        assert max(len(re.findall(rb"[^,\n]+", c)) for c in chunks[1:]) <= BLOCK
 
 
 def _exact_ties(rng, count):
@@ -275,7 +275,7 @@ def test_writer_gives_one_format_text_on_the_corpus(tmp_path, name, order):
 def test_block_formatter_gives_one_format_text_for_infinities_and_nan():
     # the writer refuses them; the block formatter leaves them to format_float
     m = np.array([[np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.5, -2.5e-7, 3e100]] * 3)
-    assert "".join(fileio._matrix_chunks(m)) == _one_format(m)
+    assert b"".join(fileio._matrix_chunks(m)) == _one_format(m).encode()
 
 
 def test_fallback_formats_under_one_percent_of_a_gaussian(tmp_path, monkeypatch):

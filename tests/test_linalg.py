@@ -12,9 +12,9 @@ from oracles import (RankMismatch, brute_force_principal_angles, compress_rank_o
 from pcattack import (InvalidDimension, InvalidMatrix, OrthonormalBasis, asimov_distance,
                       attack_rank_one, full_svd, leading_subspace, pca_distance,
                       principal_angles, synth_gaussian, synth_low_rank, unitary_conjugate)
-from pcattack.linalg import (GRAM_BLOCK, UNIT_BAND, _gram_certificate, _pca_distance_from_svd,
-                             _tied, as_matrix, complement_direction, fro_norm, leading_svd,
-                             spectrum_of, svd_2x2)
+from pcattack.linalg import (GRAM_BLOCK, UNIT_BAND, _gram_certificate, _largest_angle,
+                             _pca_distance_from_svd, _tied, as_matrix, complement_direction,
+                             fro_norm, leading_svd, spectrum_of, svd_2x2)
 from pcattack.oracle import SearchConfig
 
 
@@ -46,6 +46,11 @@ class TestFullSvd:
         assert np.allclose(svd.sigma, 0.0)
         assert svd.rank == 0
 
+    @pytest.mark.parametrize("tail, rank", [(2e-10, 3), (1e-9, 3), (5e-11, 2), (0.0, 2)])
+    def test_rank_counts_values_past_rank_tol_times_sigma_1(self, tail, rank):
+        # RANK_TOL = 1e-10: sigma_3 = 2e-10 sigma_1 counts, 5e-11 sigma_1 does not
+        assert full_svd(np.diag([4.0, 2.0, 4.0 * tail])).rank == rank
+
     def test_reconstruction_seeded(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((5, 5))
@@ -65,6 +70,12 @@ class TestFullSvd:
     def test_rejects_a_vector(self):
         with pytest.raises(InvalidMatrix, match="expected a nonempty 2-D matrix"):
             full_svd(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("read", NONFINITE_READERS.values(), ids=NONFINITE_READERS.keys())
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_an_empty_matrix(self, shape, read):
+        with pytest.raises(InvalidMatrix, match="expected a nonempty 2-D matrix"):
+            read(np.zeros(shape))
 
     def test_sign_canonicalization(self):
         rng = np.random.default_rng(7)
@@ -399,6 +410,14 @@ class TestNullRows:
         assert svd.rank == 8 and np.all(svd.sigma[8:] > 0.0)
         _check_gram_pairs(x, j, 32 if wide else 16)
 
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_zero_matrix_factors_j_rows(self, svd_calls, j, wide):
+        # every row of a zero triangle is null, its norm 0 at most 2^-40
+        # times 0, so the SVD runs on the leading j rows alone
+        svd = leading_svd(np.zeros((72, 120) if wide else (120, 72)), j)
+        assert svd_calls == [((j, 72), True)]
+        assert svd.rank == 0 and np.all(svd.sigma == 0.0)
+
     @pytest.mark.parametrize("kind", NULL_ROW_INPUTS)
     def test_entries_below_1e_300(self, svd_calls, kind, wide):
         x, rank, rows = _null_row_input(kind, 4, wide)
@@ -668,6 +687,18 @@ class TestLeadingSubspace:
     def test_tied_spectrum_flagged(self):
         assert leading_subspace(np.eye(3), 2).ambiguous
         assert not leading_subspace(np.diag([3.0, 2.0, 1.0]), 2).ambiguous
+        # sigma_k - sigma_{k+1} = 0 is at most TIE_TOL sigma_1 = 0: any basis
+        # of the zero matrix is a tie-break
+        for shape, k in [((3, 3), 1), ((4, 2), 1), ((4, 2), 2), ((2, 5), 1)]:
+            assert leading_subspace(np.zeros(shape), k).ambiguous
+            assert pca_distance(np.zeros(shape), np.zeros(shape), k)[1]
+
+    @pytest.mark.parametrize("x", [np.diag([3.0, 0.0]), np.diag([2.0, 0.0, 0.0])[:2],
+                                   np.zeros((2, 3))], ids=["square", "wide", "zero"])
+    def test_k_equals_d_never_flagged(self, x):
+        # the top-d subspace of any d x n matrix is R^d, whatever its rank
+        assert not leading_subspace(x, 2).ambiguous
+        assert pca_distance(x, x, 2) == (0.0, False)
 
     def test_k_out_of_range(self):
         with pytest.raises(InvalidDimension):
@@ -755,6 +786,11 @@ class TestPcaDistance:
         with pytest.raises(InvalidDimension, match="ambient dimensions differ: 8 vs 9"):
             pca_distance(rng.standard_normal((8, 5)), rng.standard_normal((9, 5)), 2)
 
+    def test_k_past_the_second_matrix(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(InvalidDimension, match=r"min\(d, n\)=3, got 4"):
+            pca_distance(rng.standard_normal((8, 5)), rng.standard_normal((8, 3)), 4)
+
     @pytest.mark.parametrize("shape, k", [((30, 8), 3), ((8, 30), 3), ((30, 8), 8)])
     def test_matches_the_distance_of_the_leading_subspaces(self, shape, k):
         rng = np.random.default_rng(7)
@@ -805,6 +841,23 @@ class TestAsimovDistance:
         want = np.sort(phi)
         assert np.allclose(principal_angles(a, b), want, rtol=1e-12, atol=1e-15)
         assert asimov_distance(a, b) == pytest.approx(want[-1], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 0.25, 0.26, 0.3, 0.5, 1.0, 1.5])
+def test_largest_angle_forms_the_sines_only_below_a_sine_of_one_quarter(theta):
+    # from a sine of 1/4 (theta = 0.2527) the k x k cosines hold the angle,
+    # and the d x k sines, which cost more, are not formed
+    q = random_orthogonal(np.random.default_rng(5), 6)
+    a = q[:, :2]
+    b = np.column_stack([q[:, 0], math.cos(theta) * q[:, 1] + math.sin(theta) * q[:, 2]])
+    formed = []
+
+    def sines():
+        formed.append(theta)
+        return b - a @ (a.T @ b)
+
+    assert _largest_angle(a.T @ b, sines) == pytest.approx(theta, rel=1e-12)
+    assert formed == [theta] * (math.sin(theta) < 0.25)
 
 
 class TestCompression:
@@ -883,9 +936,24 @@ class TestUnitaryConjugate:
             unitary_conjugate(np.eye(2), np.eye(2), wide)
 
 
+@pytest.mark.parametrize("columns", [np.ones(3), np.ones((3, 2, 1))], ids=["1-D", "3-D"])
+def test_basis_that_is_not_2d_rejected(columns):
+    with pytest.raises(InvalidMatrix, match=r"^basis must be a 2-D array of column vectors$"):
+        OrthonormalBasis(columns)
+
+
+@pytest.mark.parametrize("columns", [np.zeros((3, 0)), np.eye(3, 4)], ids=["k=0", "k>d"])
+def test_basis_with_k_outside_1_to_d_rejected(columns):
+    with pytest.raises(InvalidDimension, match=r"^basis needs 1 <= k <= d, got k="):
+        OrthonormalBasis(columns)
+
+
 def test_basis_with_columns_that_are_not_orthonormal_rejected():
     with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
         OrthonormalBasis(np.ones((3, 2)))
+    # short orthogonal columns: q^T q - I is below 0 only, on its diagonal
+    with pytest.raises(InvalidMatrix, match=r"^basis columns are not orthonormal$"):
+        OrthonormalBasis(0.5 * np.eye(3)[:, :2])
 
 
 def test_single_precision_factors_rejected():

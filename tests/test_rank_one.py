@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import matrix_with_spectrum
@@ -5,7 +7,8 @@ from oracles import equivalent_solutions, stationarity_residual
 
 from pcattack import (InvalidDimension, NoOrthogonalComplement, Regime,
                       RegimeError, attack_rank_one, attack_unconstrained,
-                      full_svd, klt_rank_closed_form, pca_distance, theta_from_angles)
+                      full_svd, klt_rank_closed_form, pca_distance, synth_gaussian,
+                      theta_from_angles)
 from pcattack.oracle import SearchConfig, random_rank_one
 from pcattack.rank_one import solve_rank_one
 
@@ -128,6 +131,15 @@ class TestLowRank:
         attack, _ = attack_rank_one(self.fixture(), 2, 0.0)
         assert np.all(attack.delta == 0.0)
 
+    def test_budget_at_sigma_k_removes_it(self):
+        # eta = sigma_k is Case2's last budget, as at full rank: the attack
+        # removes sigma_k, which leaves X + delta's top-k subspace tied
+        attack, report = attack_rank_one(self.fixture(), 2, 2.0)
+        assert report.regime == Regime.LOW_RANK_CASE2
+        assert report.theta_predicted == np.pi / 2
+        assert report.ambiguous_subspace
+        assert np.allclose(self.fixture() + attack.delta, np.diag([3.0, 0.0, 0.0]), atol=1e-15)
+
     def test_random_search_never_beats(self):
         cfg = SearchConfig(trials=10_000, seed=9)
         _, best = random_rank_one(self.fixture(), 2, 1.0, cfg)
@@ -215,9 +227,11 @@ class TestKLtRank:
                 assert abs(got - ref) / eta < 1e-12, (eta, got, ref)
 
     def test_rejects_out_of_regime(self):
-        # a tie, a budget past the gap, and one past sigma_k + sigma_{k+1},
-        # where H is positive again
-        for sk, sk1, eta in [(1.0, 1.0, 0.1), (2.0, 1.0, 1.5), (2.0, 1.0, 3.5)]:
+        # a tie, a budget at the gap, where the attack is KLtRankCase1, one
+        # past it, one past sigma_k + sigma_{k+1}, where H is positive again,
+        # and a negative sigma_{k+1}, below and past -sigma_k
+        for sk, sk1, eta in [(1.0, 1.0, 0.1), (2.0, 1.0, 1.0), (2.0, 1.0, 1.5), (2.0, 1.0, 3.5),
+                             (2.0, -1.0, 0.5), (2.0, -3.0, 0.5)]:
             with pytest.raises(RegimeError):
                 klt_rank_closed_form(sk, sk1, eta)
 
@@ -227,6 +241,15 @@ class TestKLtRank:
         assert report.regime == Regime.K_LT_RANK_CASE1
         assert report.ambiguous_subspace
 
+    def test_json_degrees_are_of_the_achieved_angle(self):
+        # the re-PCA's angle differs from the prediction in its last bits here
+        x = synth_gaussian(9, 6, seed=1)
+        sigma = full_svd(x).sigma
+        _, report = attack_rank_one(x, 2, 0.3 * (sigma[1] - sigma[2]))
+        payload = report.to_json_dict()
+        assert payload["theta_achieved"] != payload["theta_predicted"]
+        assert payload["theta_degrees"] == math.degrees(payload["theta_achieved"])
+
     def test_wide_and_tall_inputs_agree_with_prediction(self):
         for seed, shape in [(0, (7, 4)), (1, (4, 7)), (2, (6, 6))]:
             x = np.random.default_rng(seed).standard_normal(shape)
@@ -234,6 +257,28 @@ class TestKLtRank:
             attack, report = attack_rank_one(x, 2, eta)
             theta, _ = pca_distance(x, x + attack.delta, 2)
             assert theta == pytest.approx(report.theta_predicted, abs=1e-8)
+
+
+class TestSignConvention:
+    # b is a unit vector in the span of the factor's v_k and v_{k+1}, signed
+    # so that its last nonzero coordinate there is positive; a = delta b
+    @pytest.mark.parametrize("x, k, eta, regime", [
+        (full_rank_fixture(), 2, 2.5, Regime.FULL_RANK_CASE1),
+        (full_rank_fixture(), 2, 1.8, Regime.FULL_RANK_CASE2),
+        (full_rank_fixture(), 2, 0.5, Regime.FULL_RANK_CASE2),
+        (np.diag([3.0, 2.0, 0.0]), 2, 1.9, Regime.LOW_RANK_CASE2),
+        (np.diag([3.0, 2.0, 0.0]), 2, 2.5, Regime.LOW_RANK_CASE1),
+        (np.diag([3.0, 2.0, 1.0]), 2, 0.5, Regime.K_LT_RANK_CASE2),
+        (np.diag([3.0, 2.0, 1.0]), 2, 1.2, Regime.K_LT_RANK_CASE1),
+    ], ids=["full-rank-1", "full-rank-2-past-row", "full-rank-2", "low-rank-2", "low-rank-1",
+            "k<rank-2", "k<rank-1"])
+    def test_b_ends_positive_on_the_factor(self, x, k, eta, regime):
+        attack, report = attack_rank_one(x, k, eta)
+        assert report.regime == regime
+        coords = full_svd(x).v[:, k - 1:k + 1].T @ attack.b
+        assert np.linalg.norm(attack.b) == pytest.approx(1.0, abs=1e-15)
+        assert coords[np.abs(coords) > 1e-12][-1] > 0.0
+        assert np.allclose(attack.delta @ attack.b, attack.a, atol=1e-15)
 
 
 class TestEquivalentSolutions:
@@ -257,6 +302,13 @@ class TestEquivalentSolutions:
 class TestThetaFromAngles:
     def test_zero_budget(self):
         assert theta_from_angles(2.0, 1.0, 0.0, 0.7, 2.1) == pytest.approx(0.0)
+
+    def test_lists_broadcast_as_arrays(self):
+        alphas, betas = [0.1, 1.2, 2.9], [[0.4], [2.9]]
+        got = theta_from_angles(2.0, 1.0, 0.5, alphas, betas)
+        assert got.shape == (2, 3)
+        want = [[theta_from_angles(2.0, 1.0, 0.5, a, b) for a in alphas] for (b,) in betas]
+        assert got == pytest.approx(np.array(want), rel=1e-14)
 
     def test_matches_assembled_attack(self):
         x = np.diag([3.0, 2.0, 1.0])

@@ -126,7 +126,11 @@ class TestClosedFormChain:
         with pytest.raises(RegimeError):
             closed_form_lambda(2.0, 1.0, 0.8)   # above (sk - sk1)/sqrt(2)
         with pytest.raises(RegimeError):
+            closed_form_lambda(2.0, 1.0, (2.0 - 1.0) / np.sqrt(2.0))   # at it
+        with pytest.raises(RegimeError):
             closed_form_lambda(1.0, 1.0, 0.1)
+        with pytest.raises(RegimeError):
+            closed_form_lambda(2.0, -1.0, 0.5)   # a negative sigma_{k+1}
 
 
 class TestRecoverEntries:
@@ -201,11 +205,27 @@ class TestAttackUnconstrained:
         assert report.theta_predicted == pytest.approx(REF_THETA, abs=1e-12)
         assert report.theta_achieved == pytest.approx(REF_THETA, abs=1e-8)
         assert pm.budget_used == pytest.approx(0.5, abs=1e-8)
+        # the report's entries are (b_kk, b_k1k, b_kk1, b_k1k1), as
+        # recover_entries orders them; b_k1k / b_kk1 = sigma_k / sigma_{k+1}
+        entries = recover_entries(closed_form_lambda(2.0, 1.0, 0.5), 2.0, 1.0)
+        assert report.solution["entries"] == pytest.approx(entries, rel=1e-14)
+        assert entries[1] == pytest.approx(2.0 * entries[2], rel=1e-15)
 
     def test_zero_budget(self):
         pm, report = attack_unconstrained(fixture(), 2, 0.0)
         assert np.all(pm.delta == 0.0)
         assert report.theta_achieved == pytest.approx(0.0, abs=1e-7)
+
+    def test_zero_budget_at_a_tie(self):
+        # at sigma_k = sigma_{k+1} the threshold is 0, yet a zero budget moves
+        # nothing: Case2, theta 0, and a zero core of positive zeros
+        assert solve_unconstrained(1.0, 1.0, 0.0, "k<rank") == (
+            Regime.UNCONSTRAINED_CASE2, 0.0, (0.0, 0.0, 0.0, 0.0))
+        pm, report = attack_unconstrained(np.eye(3), 1, 0.0)
+        assert report.regime == Regime.UNCONSTRAINED_CASE2
+        assert report.theta_predicted == 0.0
+        assert report.ambiguous_subspace
+        assert not np.signbit(pm.delta).any()
 
     def test_exact_boundary_flagged(self):
         x = fixture()
