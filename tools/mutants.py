@@ -193,6 +193,9 @@ REPORT = [
      "the factor is the attack's own, and nothing else holds it"),
     ("build_report: bool() of the flag", "bool(ambiguous), solution)", "ambiguous, solution)",
      "_pca_distance_from_svd returns a bool"),
+    ("budget_in_unit: sys.float_info.min written as its value",
+     "0.0 if 0.0 < eta_in_unit < sys.float_info.min else",
+     "0.0 if 0.0 < eta_in_unit < 2.2250738585072014e-308 else"),
 ]
 
 RANK_ONE = [
