@@ -528,15 +528,15 @@ def _largest_angle(cosines: np.ndarray, sines) -> float:
     a few times k.  The squared sines sum to ``k - ||cosines||_F^2``; below
     (1/4)^2 no cosine is computed.
 
-    Neither read needs a clamp.  Past that gate the smallest cosine squared
-    is at most ``||cosines||_F^2 / k <= 1 - 1/(16 k)``, so its computed
-    singular value, nonnegative from LAPACK, stays below 1 while its error
-    (a few eps, or eps times R's condition, below 1 / ``TIE_TOL``, at k = n
-    in ``_pca_distance_from_svd``) is under 1/(32 k).  The sines are read
-    only below a sine of 1/4, far from 1; and a Gram with a nonzero entry
-    has a positive largest computed eigenvalue (``eigvalsh`` is backward
-    stable and the Gram's largest diagonal entry bounds it from below),
-    while a zero Gram gives 0.0.
+    Neither read needs a clamp.  Past that gate the smallest singular value
+    squared of the matrix ``cosines`` as computed is at most
+    ``||cosines||_F^2 / k <= 1 - 1/(16 k)``, so the one LAPACK returns,
+    nonnegative, stays below 1: the rounding of the sum and of the SVD, a
+    few k eps, is far below 1/(32 k) for any k below 10^6.  The sines are
+    read only below a sine of 1/4, far from 1; and a Gram with a nonzero
+    entry has a positive largest computed eigenvalue (``eigvalsh`` is
+    backward stable and the Gram's largest diagonal entry bounds it from
+    below), while a zero Gram gives 0.0.
     """
     if cosines.shape[1] - float(np.sum(cosines * cosines)) >= 0.25**2:
         smallest = float(np.linalg.svd(cosines, compute_uv=False)[-1])
